@@ -3,7 +3,11 @@
 // versus the cost of rebuilding from scratch.
 #include "bench_common.h"
 
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <iostream>
+#include <string>
 
 #include "bench_support/table.h"
 #include "geom/rng.h"
@@ -16,6 +20,85 @@
 namespace {
 
 using namespace wcds;
+
+using Clock = std::chrono::steady_clock;
+
+double us_since(Clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - start)
+      .count();
+}
+
+void set_gauge(const std::string& name, double value) {
+  if (obs::Recorder* rec = obs::global_recorder()) {
+    rec->metrics().set(name, value);
+  }
+}
+
+// T6d: wall time per maintenance event as n grows at fixed density.  The
+// event mix is the whole-path benchmark's churn mix: 80% moves of up to 0.5
+// per axis (clamped to the deployment square), 10% radio off, 10% the most
+// recent off node back on.  Each row times kBatches batches of kBatch events
+// and reports the median batch's mean; the t6/event_us/<n> gauges feed the
+// CI shape gate (max/min across n <= 2).
+void print_event_cost_table() {
+  constexpr int kWarmup = 200;
+  constexpr int kBatch = 1000;
+  constexpr int kBatches = 3;
+  bench::banner(std::cout,
+                "T6d: per-event maintenance cost vs n (expected degree 12, "
+                "median of 3 x 1000 events)");
+  bench::Table table({"n", "initial build ms", "us/event", "mean region",
+                      "audit() ms"});
+  for (const std::uint32_t n : {1u << 12, 1u << 14, 1u << 16}) {
+    const double side = geom::side_for_expected_degree(n, 12.0);
+    auto start = Clock::now();
+    maintenance::DynamicWcds net(geom::uniform_square(n, side, 19));
+    const double build_ms = us_since(start) / 1000.0;
+    geom::Xoshiro256ss rng(n + 23);
+    std::vector<NodeId> off;
+    std::size_t region_total = 0;
+    const auto event = [&] {
+      const auto kind = rng.next_below(10);
+      if (kind == 9 && !off.empty()) {
+        const NodeId u = off.back();
+        off.pop_back();
+        return net.activate(u);
+      }
+      const auto u = static_cast<NodeId>(rng.next_below(n));
+      if (kind == 8 && net.is_active(u)) {
+        off.push_back(u);
+        return net.deactivate(u);
+      }
+      geom::Point p = net.position(u);
+      p.x = std::clamp(p.x + rng.next_double(-0.5, 0.5), 0.0, side);
+      p.y = std::clamp(p.y + rng.next_double(-0.5, 0.5), 0.0, side);
+      return net.move_node(u, p);
+    };
+    for (int e = 0; e < kWarmup; ++e) (void)event();
+    std::array<double, kBatches> batch_us{};
+    for (double& us : batch_us) {
+      start = Clock::now();
+      for (int e = 0; e < kBatch; ++e) region_total += event().region_size;
+      us = us_since(start) / kBatch;
+    }
+    std::sort(batch_us.begin(), batch_us.end());
+    const double event_us = batch_us[kBatches / 2];
+    start = Clock::now();
+    const bool audit_ok = net.audit().ok();
+    const double audit_ms = us_since(start) / 1000.0;
+    table.add_row({std::to_string(n), bench::fmt(build_ms, 1),
+                   bench::fmt(event_us, 1),
+                   bench::fmt(static_cast<double>(region_total) /
+                                  (kBatch * kBatches),
+                              1),
+                   audit_ok ? bench::fmt(audit_ms, 1) : "VIOLATION"});
+    set_gauge("t6/event_us/" + std::to_string(n), event_us);
+  }
+  table.print(std::cout);
+  std::cout << "\nExpected shape: us/event and mean region flat in n (each "
+               "event works on the\n3-hop balls around it); initial build "
+               "and audit() grow linearly.\n";
+}
 
 void print_tables() {
   bench::banner(std::cout,
@@ -168,6 +251,8 @@ void print_tables() {
   std::cout << "\nExpected shape: bootstrap costs ~2 messages per node; each "
                "mobility event\nthen costs a handful of messages independent "
                "of n (msgs/event/n shrinks) —\nthe protocol's locality.\n";
+
+  print_event_cost_table();
 }
 
 void BM_MoveEvent(benchmark::State& state) {
@@ -183,7 +268,7 @@ void BM_MoveEvent(benchmark::State& state) {
     benchmark::DoNotOptimize(net.move_node(u, p));
   }
 }
-BENCHMARK(BM_MoveEvent)->Arg(200)->Arg(500);
+BENCHMARK(BM_MoveEvent)->Arg(200)->Arg(500)->Arg(4096)->Arg(16384);
 
 }  // namespace
 

@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "check/check.h"
+#include "graph/local_bfs.h"
 
 namespace wcds::graph {
 
@@ -95,12 +96,11 @@ HopCount eccentricity(const Graph& g, NodeId source) {
 }
 
 std::vector<NodeId> ball(const Graph& g, NodeId center, HopCount radius) {
-  std::vector<NodeId> members;
-  const auto dist = bfs_distances(g, center);
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    if (dist[u] != kUnreachable && dist[u] <= radius) members.push_back(u);
-  }
-  return members;
+  LocalBfs bfs;
+  const auto members = bfs.run(g, center, radius);
+  std::vector<NodeId> sorted(members.begin(), members.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
 }
 
 }  // namespace wcds::graph

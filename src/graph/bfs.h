@@ -36,7 +36,9 @@ struct Components {
 // component).
 [[nodiscard]] HopCount eccentricity(const Graph& g, NodeId source);
 
-// All nodes within `radius` hops of `center`, including the center.
+// All nodes within `radius` hops of `center`, including the center, in
+// ascending order.  Runs a graph::LocalBfs, so callers that take many balls
+// should hold one of those instead.
 [[nodiscard]] std::vector<NodeId> ball(const Graph& g, NodeId center,
                                        HopCount radius);
 

@@ -1,57 +1,27 @@
 #include "maintenance/dynamic_wcds.h"
 
 #include <algorithm>
-#include <queue>
 #include <set>
 
 #include "check/audit.h"
 #include "check/check.h"
 #include "graph/bfs.h"
 #include "graph/subgraph.h"
-#include "udg/udg.h"
 #include "wcds/wcds_result.h"
 
 namespace wcds::maintenance {
-namespace {
-
-// BFS truncated at 3 hops; returns visited nodes (center included).
-std::vector<NodeId> truncated_ball(const graph::Graph& g, NodeId center,
-                                   HopCount radius) {
-  std::vector<HopCount> dist(g.node_count(), kUnreachable);
-  std::vector<NodeId> members;
-  std::queue<NodeId> frontier;
-  dist[center] = 0;
-  frontier.push(center);
-  members.push_back(center);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    if (dist[u] == radius) continue;
-    for (NodeId v : g.neighbors(u)) {
-      if (dist[v] == kUnreachable) {
-        dist[v] = dist[u] + 1;
-        members.push_back(v);
-        frontier.push(v);
-      }
-    }
-  }
-  return members;
-}
-
-}  // namespace
 
 DynamicWcds::DynamicWcds(std::vector<geom::Point> points, double range)
-    : points_(std::move(points)),
-      active_(points_.size(), true),
-      range_(range),
+    : graph_(std::move(points), range),
+      mis_(graph_.node_count(), false),
+      bridges_(graph_.node_count()),
+      via_count_(graph_.node_count(), 0),
       recorder_(obs::global_recorder()) {
-  WCDS_REQUIRE(range_ > 0.0, "DynamicWcds: range <= 0");
   obs::PhaseTimer build_timer(recorder_, "maintenance/initial_build");
-  rebuild_graph();
-  mis_.assign(points_.size(), false);
+  const std::size_t n = graph_.node_count();
   // Initial MIS: greedy lowest-ID-first (Algorithm II's ranking).
-  std::vector<bool> removed(points_.size(), false);
-  for (NodeId u = 0; u < points_.size(); ++u) {
+  std::vector<bool> removed(n, false);
+  for (NodeId u = 0; u < n; ++u) {
     if (removed[u]) continue;
     mis_[u] = true;
     removed[u] = true;
@@ -59,49 +29,66 @@ DynamicWcds::DynamicWcds(std::vector<geom::Point> points, double range)
   }
   // Initial bridges for every 3-hop MIS pair.
   std::vector<NodeId> all_mis;
-  for (NodeId u = 0; u < points_.size(); ++u) {
+  for (NodeId u = 0; u < n; ++u) {
     if (mis_[u]) all_mis.push_back(u);
   }
   rebridge(all_mis);
   maybe_audit("construction");
 }
 
-void DynamicWcds::rebuild_graph() {
-  // Inactive nodes are placed but radio-silent: build over active positions
-  // and keep ids stable by masking edges after the fact.
-  graph::GraphBuilder builder(points_.size());
-  const auto full = udg::build_udg(points_, range_);
-  for (NodeId u = 0; u < points_.size(); ++u) {
-    if (!active_[u]) continue;
-    for (NodeId v : full.neighbors(u)) {
-      if (u < v && active_[v]) builder.add_edge(u, v);
+std::vector<NodeId> DynamicWcds::dominators() const {
+  std::vector<NodeId> result;
+  for (NodeId u = 0; u < node_count(); ++u) {
+    if (mis_[u] || via_count_[u] > 0) result.push_back(u);
+  }
+  return result;
+}
+
+std::vector<NodeId> DynamicWcds::three_hop_ball(NodeId center) {
+  const auto members = bfs_.run(graph_, center, 3);
+  return {members.begin(), members.end()};
+}
+
+std::map<std::pair<NodeId, NodeId>, NodeId> DynamicWcds::bridges() const {
+  std::map<std::pair<NodeId, NodeId>, NodeId> result;
+  for (NodeId u = 0; u < node_count(); ++u) {
+    for (const Bridge& bridge : bridges_[u]) {
+      if (bridge.a == u) result.emplace(std::pair{u, bridge.b}, bridge.via);
     }
   }
-  graph_ = std::move(builder).build();
+  return result;
 }
 
-bool DynamicWcds::is_additional_dominator(NodeId u) const {
-  return std::any_of(bridges_.begin(), bridges_.end(),
-                     [&](const auto& entry) { return entry.second == u; });
-}
-
-std::vector<NodeId> DynamicWcds::dominators() const {
-  std::set<NodeId> set;
-  for (NodeId u = 0; u < points_.size(); ++u) {
-    if (mis_[u]) set.insert(u);
+const DynamicWcds::Bridge* DynamicWcds::find_bridge(NodeId a, NodeId b) const {
+  for (const Bridge& bridge : bridges_[a]) {
+    if (bridge.a == a && bridge.b == b) return &bridge;
   }
-  for (const auto& [pair, v] : bridges_) set.insert(v);
-  return {set.begin(), set.end()};
+  return nullptr;
 }
 
-std::vector<NodeId> DynamicWcds::three_hop_ball(NodeId center) const {
-  return truncated_ball(graph_, center, 3);
+void DynamicWcds::add_bridge(const Bridge& bridge) {
+  bridges_[bridge.a].push_back(bridge);
+  bridges_[bridge.b].push_back(bridge);
+  ++via_count_[bridge.via];
+}
+
+void DynamicWcds::erase_bridge(Bridge bridge) {
+  for (const NodeId endpoint : {bridge.a, bridge.b}) {
+    auto& list = bridges_[endpoint];
+    *std::find_if(list.begin(), list.end(), [&](const Bridge& x) {
+      return x.a == bridge.a && x.b == bridge.b;
+    }) = list.back();
+    list.pop_back();
+  }
+  --via_count_[bridge.via];
 }
 
 bool DynamicWcds::bridge_valid(NodeId a, NodeId b, NodeId v) const {
   // v must be active, adjacent to one endpoint and two hops from the other
   // (entries may be recorded from either endpoint of the pair).
-  if (!active_[v] || !active_[a] || !active_[b]) return false;
+  if (!graph_.is_active(v) || !graph_.is_active(a) || !graph_.is_active(b)) {
+    return false;
+  }
   if (!mis_[a] || !mis_[b]) return false;
   const auto links = [&](NodeId near, NodeId far) {
     if (!graph_.has_edge(near, v)) return false;
@@ -115,60 +102,44 @@ bool DynamicWcds::bridge_valid(NodeId a, NodeId b, NodeId v) const {
 
 std::size_t DynamicWcds::rebridge(const std::vector<NodeId>& mis_nodes) {
   std::size_t changed = 0;
-  std::set<NodeId> touched(mis_nodes.begin(), mis_nodes.end());
 
-  // Drop entries with a touched endpoint or an invalid path.
-  for (auto it = bridges_.begin(); it != bridges_.end();) {
-    const auto [a, b] = it->first;
-    const bool endpoint_touched = touched.count(a) > 0 || touched.count(b) > 0;
-    if (endpoint_touched || !bridge_valid(a, b, it->second)) {
-      it = bridges_.erase(it);
+  // Drop every bridge with an endpoint in `mis_nodes`.  No other bridge can
+  // have become invalid since the previous rebridge, which left all valid:
+  // a demoted endpoint is in `mis_nodes` and a promoted node was no
+  // endpoint.  An edge or on/off change at the event node u breaks a
+  // bridge only if u is on its 3-hop path; then both endpoints lie within
+  // 3 hops of u, in the old or the new ball, and repair() puts the MIS
+  // nodes of both balls in `mis_nodes`.
+  for (NodeId a : mis_nodes) {
+    while (!bridges_[a].empty()) {
+      erase_bridge(bridges_[a].back());
       ++changed;
-    } else {
-      ++it;
     }
   }
 
   // Recompute pairs around each touched MIS node.
   for (NodeId a : mis_nodes) {
-    if (!mis_[a] || !active_[a]) continue;
-    // Hop distances from a, truncated at 3.
-    std::vector<HopCount> dist(graph_.node_count(), kUnreachable);
-    std::queue<NodeId> frontier;
-    dist[a] = 0;
-    frontier.push(a);
-    while (!frontier.empty()) {
-      const NodeId u = frontier.front();
-      frontier.pop();
-      if (dist[u] == 3) continue;
-      for (NodeId v : graph_.neighbors(u)) {
-        if (dist[v] == kUnreachable) {
-          dist[v] = dist[u] + 1;
-          frontier.push(v);
-        }
-      }
-    }
-    for (NodeId b = 0; b < graph_.node_count(); ++b) {
-      if (!mis_[b] || b == a || dist[b] != 3) continue;
+    if (!mis_[a] || !graph_.is_active(a)) continue;
+    for (NodeId b : bfs_.run(graph_, a, 3)) {
+      if (!mis_[b] || b == a || bfs_.distance(b) != 3) continue;
       const auto key = std::minmax(a, b);
-      if (bridges_.count({key.first, key.second}) > 0) continue;
-      // Lexicographically smallest (v, x) path a-v-x-b.
+      if (find_bridge(key.first, key.second) != nullptr) continue;
+      // The smallest v on a 3-hop path a-v-x-b.  Every x adjacent to b and
+      // to a neighbor of a lies 2 hops from a, and the v's are exactly the
+      // 1-hop nodes next to such an x, so scan from b's side against the
+      // distances of the current ball instead of probing rows of a's.
       NodeId best_v = kInvalidNode;
-      for (NodeId v : graph_.neighbors(a)) {
-        bool reaches = false;
-        for (NodeId x : graph_.neighbors(v)) {
-          if (graph_.has_edge(x, b)) {
-            reaches = true;
-            break;
+      for (NodeId x : graph_.neighbors(b)) {
+        if (bfs_.distance(x) != 2) continue;
+        for (NodeId v : graph_.neighbors(x)) {
+          if (bfs_.distance(v) == 1) {
+            best_v = std::min(best_v, v);
+            break;  // rows ascend: the first hit is x's smallest v
           }
-        }
-        if (reaches) {
-          best_v = v;
-          break;  // neighbors() ascending: first hit is the smallest v
         }
       }
       if (best_v != kInvalidNode) {
-        bridges_.emplace(std::pair{key.first, key.second}, best_v);
+        add_bridge({key.first, key.second, best_v});
         ++changed;
       }
     }
@@ -177,7 +148,7 @@ std::size_t DynamicWcds::rebridge(const std::vector<NodeId>& mis_nodes) {
 }
 
 RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
-                                 std::vector<NodeId> old_region) {
+                                 const std::vector<NodeId>& old_region) {
   RepairReport report;
 
   // Region: 3-hop balls (new graph) around the seeds, plus the pre-event
@@ -193,7 +164,7 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
   while (conflict) {
     conflict = false;
     for (NodeId u : region) {
-      if (!mis_[u] || !active_[u]) continue;
+      if (!mis_[u] || !graph_.is_active(u)) continue;
       for (NodeId v : graph_.neighbors(u)) {
         if (mis_[v] && v > u) {
           mis_[v] = false;
@@ -205,7 +176,7 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
   }
   // An inactive node cannot stay a dominator.
   for (NodeId u : region) {
-    if (mis_[u] && !active_[u]) {
+    if (mis_[u] && !graph_.is_active(u)) {
       mis_[u] = false;
       demoted.push_back(u);
     }
@@ -222,7 +193,7 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
   }
   std::vector<NodeId> promoted;
   for (NodeId u : coverage_candidates) {  // std::set iterates ascending
-    if (!active_[u] || mis_[u]) continue;
+    if (!graph_.is_active(u) || mis_[u]) continue;
     const auto row = graph_.neighbors(u);
     const bool dominated = std::any_of(row.begin(), row.end(),
                                        [&](NodeId v) { return mis_[v]; });
@@ -234,18 +205,19 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
   report.promoted = promoted.size();
 
   // 3. Re-derive bridges for every MIS node within 3 hops of anything that
-  // changed (seeds, demotions, promotions).
-  std::set<NodeId> changed(seeds.begin(), seeds.end());
-  for (NodeId d : demoted) changed.insert(d);
-  for (NodeId p : promoted) changed.insert(p);
+  // changed (seeds, demotions, promotions), or in the pre-event ball.  The
+  // region already holds the seeds' balls and the pre-event ball.
   std::set<NodeId> affected_mis;
+  for (NodeId u : region) {
+    if (mis_[u]) affected_mis.insert(u);
+  }
+  std::set<NodeId> changed(demoted.begin(), demoted.end());
+  changed.insert(promoted.begin(), promoted.end());
+  for (NodeId s : seeds) changed.erase(s);
   for (NodeId c : changed) {
     for (NodeId u : three_hop_ball(c)) {
       if (mis_[u]) affected_mis.insert(u);
     }
-  }
-  for (NodeId u : old_region) {
-    if (mis_[u]) affected_mis.insert(u);
   }
   for (NodeId d : demoted) affected_mis.insert(d);  // force entry erasure
   report.bridges_changed =
@@ -256,11 +228,11 @@ RepairReport DynamicWcds::repair(const std::vector<NodeId>& seeds,
 }
 
 RepairReport DynamicWcds::move_node(NodeId u, const geom::Point& destination) {
-  WCDS_REQUIRE_BOUNDS(u < points_.size(), "move_node: bad id " << u);
+  WCDS_REQUIRE_BOUNDS(u < node_count(), "move_node: bad id " << u);
   obs::PhaseTimer event_timer(recorder_, "maintenance/move_node");
-  const auto old_region = active_[u] ? three_hop_ball(u) : std::vector<NodeId>{u};
-  points_[u] = destination;
-  rebuild_graph();
+  const auto old_region =
+      is_active(u) ? three_hop_ball(u) : std::vector<NodeId>{u};
+  graph_.relocate(u, destination);
   const RepairReport report = repair({u}, old_region);
   event_timer.stop();
   record_event("move_node", report);
@@ -269,12 +241,11 @@ RepairReport DynamicWcds::move_node(NodeId u, const geom::Point& destination) {
 }
 
 RepairReport DynamicWcds::deactivate(NodeId u) {
-  WCDS_REQUIRE_BOUNDS(u < points_.size(), "deactivate: bad id " << u);
-  if (!active_[u]) return {};
+  WCDS_REQUIRE_BOUNDS(u < node_count(), "deactivate: bad id " << u);
+  if (!is_active(u)) return {};
   obs::PhaseTimer event_timer(recorder_, "maintenance/deactivate");
   const auto old_region = three_hop_ball(u);
-  active_[u] = false;
-  rebuild_graph();
+  graph_.set_active(u, false);
   const RepairReport report = repair({u}, old_region);
   event_timer.stop();
   record_event("deactivate", report);
@@ -283,11 +254,10 @@ RepairReport DynamicWcds::deactivate(NodeId u) {
 }
 
 RepairReport DynamicWcds::activate(NodeId u) {
-  WCDS_REQUIRE_BOUNDS(u < points_.size(), "activate: bad id " << u);
-  if (active_[u]) return {};
+  WCDS_REQUIRE_BOUNDS(u < node_count(), "activate: bad id " << u);
+  if (is_active(u)) return {};
   obs::PhaseTimer event_timer(recorder_, "maintenance/activate");
-  active_[u] = true;
-  rebuild_graph();
+  graph_.set_active(u, true);
   const RepairReport report = repair({u}, {u});
   event_timer.stop();
   record_event("activate", report);
@@ -301,8 +271,8 @@ RepairReport DynamicWcds::watchdog() {
   // Recovery mode: seed the repair everywhere.  Costlier than the 3-hop
   // event path, but only reached when the maintained state was perturbed
   // outside the event interface.
-  std::vector<NodeId> everyone(points_.size());
-  for (NodeId u = 0; u < points_.size(); ++u) everyone[u] = u;
+  std::vector<NodeId> everyone(node_count());
+  for (NodeId u = 0; u < node_count(); ++u) everyone[u] = u;
   const RepairReport report = repair(everyone, everyone);
   event_timer.stop();
   record_event("watchdog", report);
@@ -327,7 +297,7 @@ void DynamicWcds::record_event(const char* event,
 void DynamicWcds::maybe_audit(const char* event) const {
   if (!check::audits_enabled()) return;
   // Snapshot protocol state as a WcdsResult over the active UDG.
-  const std::size_t n = points_.size();
+  const std::size_t n = node_count();
   core::WcdsResult result;
   result.mask.assign(n, false);
   result.color.assign(n, core::NodeColor::kGray);
@@ -344,8 +314,8 @@ void DynamicWcds::maybe_audit(const char* event) const {
   }
   check::AuditOptions options;
   options.unit_disk = true;  // the active graph is a UDG by construction
-  options.active = &active_;
-  check::audit_invariants(graph_, result, options);
+  options.active = &graph_.active_mask();
+  check::audit_invariants(graph_.materialize(), result, options);
   // The maintenance-specific contract on top of the paper invariants: every
   // 3-hop MIS pair holds a valid additional-dominator bridge.
   const Audit state = audit();
@@ -356,13 +326,13 @@ void DynamicWcds::maybe_audit(const char* event) const {
 
 Audit DynamicWcds::audit() const {
   Audit audit;
-  const std::size_t n = points_.size();
+  const std::size_t n = node_count();
 
   // Independence + maximality over active nodes.
   audit.mis_independent = true;
   audit.mis_maximal = true;
   for (NodeId u = 0; u < n; ++u) {
-    if (!active_[u]) continue;
+    if (!is_active(u)) continue;
     if (mis_[u]) {
       for (NodeId v : graph_.neighbors(u)) {
         if (mis_[v]) audit.mis_independent = false;
@@ -378,13 +348,13 @@ Audit DynamicWcds::audit() const {
 
   // Every 3-hop MIS pair bridged.
   audit.bridges_complete = true;
+  graph::LocalBfs bfs;
   for (NodeId a = 0; a < n; ++a) {
-    if (!mis_[a] || !active_[a]) continue;
-    const auto dist = graph::bfs_distances(graph_, a);
-    for (NodeId b = a + 1; b < n; ++b) {
-      if (!mis_[b] || !active_[b] || dist[b] != 3) continue;
-      const auto it = bridges_.find({a, b});
-      if (it == bridges_.end() || !bridge_valid(a, b, it->second)) {
+    if (!mis_[a] || !is_active(a)) continue;
+    for (NodeId b : bfs.run(graph_, a, 3)) {
+      if (b <= a || !mis_[b] || bfs.distance(b) != 3) continue;
+      const Bridge* bridge = find_bridge(a, b);
+      if (bridge == nullptr || !bridge_valid(a, b, bridge->via)) {
         audit.bridges_complete = false;
       }
     }
@@ -394,14 +364,15 @@ Audit DynamicWcds::audit() const {
   // nodes; singleton components are trivially fine).
   std::vector<bool> dom_mask(n, false);
   for (NodeId d : dominators()) dom_mask[d] = true;
-  const auto weak = graph::weakly_induced_subgraph(graph_, dom_mask);
-  const auto comp_g = graph::connected_components(graph_);
+  const graph::Graph g = graph_.materialize();
+  const auto weak = graph::weakly_induced_subgraph(g, dom_mask);
+  const auto comp_g = graph::connected_components(g);
   const auto comp_w = graph::connected_components(weak);
   audit.weakly_connected = true;
   // Two nodes in one G-component must share a weak component.
   std::vector<std::uint32_t> rep(comp_g.count, kInvalidNode);
   for (NodeId u = 0; u < n; ++u) {
-    if (!active_[u]) continue;
+    if (!is_active(u)) continue;
     auto& r = rep[comp_g.label[u]];
     if (r == kInvalidNode) {
       r = comp_w.label[u];

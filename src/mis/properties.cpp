@@ -1,37 +1,12 @@
 #include "mis/properties.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "check/check.h"
 #include "graph/bfs.h"
+#include "graph/local_bfs.h"
 
 namespace wcds::mis {
-namespace {
-
-// BFS from `source` truncated at depth `max_hops`; returns hop distances with
-// kUnreachable beyond the horizon.
-std::vector<HopCount> truncated_bfs(const graph::Graph& g, NodeId source,
-                                    HopCount max_hops) {
-  std::vector<HopCount> dist(g.node_count(), kUnreachable);
-  std::queue<NodeId> frontier;
-  dist[source] = 0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    if (dist[u] == max_hops) continue;
-    for (NodeId v : g.neighbors(u)) {
-      if (dist[v] == kUnreachable) {
-        dist[v] = dist[u] + 1;
-        frontier.push(v);
-      }
-    }
-  }
-  return dist;
-}
-
-}  // namespace
 
 std::size_t max_mis_neighbors(const graph::Graph& g,
                               const std::vector<bool>& mis_mask) {
@@ -52,14 +27,16 @@ std::size_t max_mis_neighbors(const graph::Graph& g,
 HopNeighborhoodStats mis_hop_neighborhood_stats(const graph::Graph& g,
                                                 const MisResult& mis) {
   HopNeighborhoodStats stats;
+  std::vector<bool> in_mis(g.node_count(), false);
+  for (NodeId u : mis.members) in_mis[u] = true;
+  graph::LocalBfs bfs;
   for (NodeId u : mis.members) {
-    const auto dist = truncated_bfs(g, u, 3);
     std::size_t at_two = 0;
     std::size_t within_three = 0;
-    for (NodeId v : mis.members) {
-      if (v == u || dist[v] == kUnreachable) continue;
-      if (dist[v] == 2) ++at_two;
-      if (dist[v] <= 3) ++within_three;
+    for (NodeId v : bfs.run(g, u, 3)) {
+      if (v == u || !in_mis[v]) continue;
+      if (bfs.distance(v) == 2) ++at_two;
+      ++within_three;
     }
     stats.max_at_two_hops = std::max(stats.max_at_two_hops, at_two);
     stats.max_within_three_hops =
@@ -76,11 +53,12 @@ graph::Graph mis_proximity_graph(const graph::Graph& g, const MisResult& mis,
     index[mis.members[i]] = i;
   }
   graph::GraphBuilder builder(mis.members.size());
+  graph::LocalBfs bfs;
   for (NodeId i = 0; i < mis.members.size(); ++i) {
-    const auto dist = truncated_bfs(g, mis.members[i], max_hops);
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      if (dist[v] == kUnreachable || index[v] == kInvalidNode) continue;
-      if (index[v] > i) builder.add_edge(i, index[v]);
+    for (NodeId v : bfs.run(g, mis.members[i], max_hops)) {
+      if (index[v] != kInvalidNode && index[v] > i) {
+        builder.add_edge(i, index[v]);
+      }
     }
   }
   return std::move(builder).build();

@@ -17,13 +17,6 @@ using geom::Point;
 using graph::GraphBuilder;
 using NodeId = wcds::NodeId;
 
-// Cell key for the uniform grid; cells are range x range so only the 3x3
-// neighborhood of a cell can contain in-range partners.
-[[nodiscard]] std::uint64_t cell_key(std::int32_t cx, std::int32_t cy) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-         static_cast<std::uint32_t>(cy);
-}
-
 }  // namespace
 
 graph::Graph build_udg_reference(std::span<const Point> points, double range) {
@@ -51,8 +44,8 @@ graph::Graph build_udg(std::span<const Point> points, double range) {
   std::vector<std::pair<std::int32_t, std::int32_t>> coords(n);
   std::int32_t min_cx = 0, max_cx = 0, min_cy = 0, max_cy = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t cx = static_cast<std::int32_t>(std::floor(points[i].x * inv));
-    const std::int32_t cy = static_cast<std::int32_t>(std::floor(points[i].y * inv));
+    const std::int32_t cx = cell_index(points[i].x, inv);
+    const std::int32_t cy = cell_index(points[i].y, inv);
     coords[i] = {cx, cy};
     if (i == 0) {
       min_cx = max_cx = cx;

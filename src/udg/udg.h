@@ -8,7 +8,9 @@
 // Tests assert both produce identical graphs.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "geom/point.h"
@@ -21,6 +23,19 @@ namespace wcds::udg {
 
 [[nodiscard]] graph::Graph build_udg(std::span<const geom::Point> points,
                                      double range = 1.0);
+
+// build_udg's grid: cells are range x range, so only the 3x3 block of cells
+// around a point can hold its in-range partners.  Shared with
+// maintenance::IncrementalUdg, which must bucket points exactly the same way.
+// The caller guarantees the floored value fits in int32.
+[[nodiscard]] inline std::int32_t cell_index(double coordinate,
+                                             double inverse_range) {
+  return static_cast<std::int32_t>(std::floor(coordinate * inverse_range));
+}
+[[nodiscard]] inline std::uint64_t cell_key(std::int32_t cx, std::int32_t cy) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
+         static_cast<std::uint32_t>(cy);
+}
 
 // Density diagnostics used by workload calibration and the F1 experiment.
 struct UdgStats {

@@ -9,6 +9,7 @@
 #include "graph/diameter.h"
 #include "graph/dijkstra.h"
 #include "graph/graph.h"
+#include "graph/local_bfs.h"
 #include "graph/spanning_tree.h"
 #include "graph/subgraph.h"
 #include "test_util.h"
@@ -145,6 +146,104 @@ TEST(Bfs, Ball) {
   EXPECT_TRUE(std::find(b2.begin(), b2.end(), 4u) != b2.end());
   EXPECT_TRUE(std::find(b2.begin(), b2.end(), 6u) != b2.end());
   EXPECT_FALSE(std::find(b2.begin(), b2.end(), 7u) != b2.end());
+}
+
+TEST(Bfs, BallIsAscending) {
+  const auto inst = testing::connected_udg(300, 10.0, 4);
+  const auto b = ball(inst.g, 17, 3);
+  EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
+  const auto dist = bfs_distances(inst.g, 17);
+  std::vector<NodeId> expected;
+  for (NodeId u = 0; u < inst.g.node_count(); ++u) {
+    if (dist[u] <= 3) expected.push_back(u);
+  }
+  EXPECT_EQ(b, expected);
+}
+
+// Checks one LocalBfs run against a full BFS truncated at `radius`: the
+// ball's members and distances, center first, distances non-decreasing.
+template <class Bfs>
+void expect_ball(Bfs& bfs, const Graph& g, NodeId center, HopCount radius) {
+  const auto members = bfs.run(g, center, radius);
+  const auto dist = bfs_distances(g, center);
+  ASSERT_FALSE(members.empty());
+  EXPECT_EQ(members.front(), center);
+  std::size_t inside = 0;
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    const HopCount want = dist[u] <= radius ? dist[u] : kUnreachable;
+    EXPECT_EQ(bfs.distance(u), want) << "node " << u;
+    if (want != kUnreachable) ++inside;
+  }
+  EXPECT_EQ(members.size(), inside);
+  for (std::size_t i = 1; i < members.size(); ++i) {
+    EXPECT_LE(bfs.distance(members[i - 1]), bfs.distance(members[i]));
+  }
+}
+
+TEST(LocalBfs, RadiusZeroIsTheCenter) {
+  const Graph g = path_graph(5);
+  LocalBfs bfs;
+  const auto members = bfs.run(g, 2, 0);
+  ASSERT_EQ(members.size(), 1u);
+  EXPECT_EQ(members[0], 2u);
+  EXPECT_EQ(bfs.distance(2), 0u);
+  EXPECT_EQ(bfs.distance(1), kUnreachable);
+  EXPECT_EQ(bfs.distance(3), kUnreachable);
+}
+
+TEST(LocalBfs, IsolatedCenter) {
+  const Graph g = from_edges(4, {{0, 1}, {1, 2}});
+  LocalBfs bfs;
+  const auto members = bfs.run(g, 3, 5);
+  ASSERT_EQ(members.size(), 1u);
+  EXPECT_EQ(members[0], 3u);
+  EXPECT_EQ(bfs.distance(0), kUnreachable);
+}
+
+TEST(LocalBfs, MatchesTruncatedBfsAndPathOrder) {
+  const Graph g = path_graph(9);
+  LocalBfs bfs;
+  const auto members = bfs.run(g, 4, 2);
+  EXPECT_EQ(std::vector<NodeId>(members.begin(), members.end()),
+            (std::vector<NodeId>{4, 3, 5, 2, 6}));
+  EXPECT_EQ(bfs.distance(6), 2u);
+  EXPECT_EQ(bfs.distance(7), kUnreachable);
+}
+
+TEST(LocalBfs, ReuseAcrossCallsLeavesNoStaleDistances) {
+  const auto inst = testing::connected_udg(400, 10.0, 2);
+  LocalBfs bfs;
+  for (NodeId center : {0u, 399u, 17u, 17u, 200u}) {
+    for (HopCount radius : {0u, 1u, 3u, 50u}) {
+      expect_ball(bfs, inst.g, center, radius);
+    }
+  }
+}
+
+TEST(LocalBfs, ReuseAcrossGraphsOfDifferentSize) {
+  const auto big = testing::connected_udg(500, 10.0, 3);
+  const Graph small = cycle_graph(6);
+  LocalBfs bfs;
+  expect_ball(bfs, big.g, 499, 3);
+  expect_ball(bfs, small, 0, 2);
+  expect_ball(bfs, big.g, 3, 4);
+  expect_ball(bfs, small, 5, 10);
+  const auto bigger = testing::connected_udg(900, 10.0, 5);
+  expect_ball(bfs, bigger.g, 899, 3);
+}
+
+TEST(LocalBfs, EpochWrapAroundKeepsRunsExact) {
+  // An 8-bit stamp wraps every 255 runs; 600 runs cross it twice.
+  const auto inst = testing::connected_udg(120, 8.0, 6);
+  BasicLocalBfs<std::uint8_t> bfs;
+  for (int run = 0; run < 600; ++run) {
+    const auto center = static_cast<NodeId>((run * 37) % 120);
+    const HopCount radius = static_cast<HopCount>(run % 4);
+    expect_ball(bfs, inst.g, center, radius);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "run " << run;
+    }
+  }
 }
 
 TEST(Dijkstra, MatchesHandComputedLengths) {

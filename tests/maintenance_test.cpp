@@ -1,6 +1,8 @@
 // Dynamic WCDS maintenance: invariants after every mobility event, locality
 // of repairs.
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +40,40 @@ TEST(DynamicWcds, RejectsBadIds) {
 
 TEST(DynamicWcds, RejectsNonPositiveRange) {
   EXPECT_THROW(DynamicWcds(deployment(5, 3.0, 1), 0.0), std::invalid_argument);
+}
+
+TEST(DynamicWcds, RejectsNonFinitePositions) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const geom::Point bad : {geom::Point{kNaN, 0.0}, geom::Point{0.0, kNaN},
+                                geom::Point{kInf, 1.0},
+                                geom::Point{1.0, -kInf}}) {
+    auto pts = deployment(10, 6.0, 2);
+    pts[4] = bad;
+    EXPECT_THROW(DynamicWcds{pts}, std::invalid_argument);
+  }
+  DynamicWcds dyn(deployment(10, 6.0, 2));
+  const auto before = dyn.position(3);
+  EXPECT_THROW(dyn.move_node(3, {kNaN, 1.0}), std::invalid_argument);
+  EXPECT_THROW(dyn.move_node(3, {1.0, kInf}), std::invalid_argument);
+  // A rejected move leaves the node where it was.
+  EXPECT_EQ(dyn.position(3), before);
+  EXPECT_TRUE(dyn.audit().ok());
+}
+
+TEST(DynamicWcds, RejectsPositionsOutsideTheCellGrid) {
+  // Cells are range x range with int32 indices: 1e10 / 1.0 overflows, and
+  // so does 10 / 1e-9 with a tiny range.
+  auto pts = deployment(10, 6.0, 2);
+  pts[0] = {1e10, 0.0};
+  EXPECT_THROW(DynamicWcds{pts}, std::invalid_argument);
+  EXPECT_THROW(DynamicWcds({{0.0, 0.0}, {10.0, 0.0}}, 1e-9),
+               std::invalid_argument);
+  DynamicWcds dyn(deployment(10, 6.0, 2));
+  EXPECT_THROW(dyn.move_node(1, {0.0, -3e9}), std::invalid_argument);
+  // Far, but inside the grid, is fine.
+  EXPECT_NO_THROW(dyn.move_node(1, {2e9, -2e9}));
+  EXPECT_TRUE(dyn.audit().ok());
 }
 
 TEST(DynamicWcds, MoveKeepsInvariants) {

@@ -206,8 +206,9 @@ struct Config {
   std::set<std::string> backbone_mutating_methods = {
       "assign", "clear",     "erase",  "insert",
       "emplace", "push_back", "resize", "swap"};
-  // Calls that mutate backbone state wholesale.
-  std::set<std::string> backbone_mutators = {"rebuild_graph"};
+  // Calls that mutate backbone state wholesale: DynamicWcds's incremental
+  // graph patches (maintenance::IncrementalUdg).
+  std::set<std::string> backbone_mutators = {"relocate", "set_active"};
   // Calls that discharge the audit obligation, and the gate whose presence
   // in a branch condition counts as an audit point (the sanctioned
   // `if (check::audits_enabled()) check::audit_invariants(...)` idiom).
