@@ -1,11 +1,8 @@
 // Experiment A5: simulator hot-path performance.
 //
 // A5a times Runtime::run end-to-end for both distributed algorithms under
-// both delay regimes, comparing the production flat event queue (pooled
-// broadcast payloads + two-bucket calendar / binary heap) against the
-// reference std::map queue it replaced (docs/PERFORMANCE.md).  Both queues
-// deliver in identical (time, seq) order — tests/runtime_queue_test.cpp
-// proves it — so the speedup column is a pure data-structure effect.
+// both delay regimes on the flat event path: pooled broadcast payloads and
+// the ring of time buckets (sim/event_queue.h, docs/PERFORMANCE.md).
 //
 // A5b times the spanner dilation analysis serially (one lane) and on the
 // WCDS_THREADS pool; outputs are byte-identical by construction
@@ -41,46 +38,42 @@ sim::DelayModel delay_for(bool async) {
   return async ? sim::DelayModel::uniform(1, 5, 7) : sim::DelayModel::unit();
 }
 
-double run_once_ms(const graph::Graph& g, bool alg1, bool async,
-                   sim::QueuePolicy queue) {
+double run_once_ms(const graph::Graph& g, bool alg1, bool async) {
   const auto delays = delay_for(async);
   const auto start = std::chrono::steady_clock::now();
-  // Raw entrypoints on purpose: this helper feeds the gated a5/flat_ms and
-  // a5/map_ms gauges, and the facade's list extraction would pollute the
-  // queue-policy timing.
+  // Raw entrypoints on purpose: this helper feeds the gated a5/flat_ms
+  // gauges, and the facade's list extraction would pollute the runtime
+  // timing.
   if (alg1) {
     benchmark::DoNotOptimize(
         // wcds-lint: allow(facade-only)
-        protocols::run_algorithm1(g, delays, nullptr, queue));
+        protocols::run_algorithm1(g, delays, nullptr));
   } else {
     benchmark::DoNotOptimize(
         // wcds-lint: allow(facade-only)
-        protocols::run_algorithm2(g, delays, nullptr, queue));
+        protocols::run_algorithm2(g, delays, nullptr));
   }
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(stop - start).count();
 }
 
-double median_of_3_ms(const graph::Graph& g, bool alg1, bool async,
-                      sim::QueuePolicy queue) {
+double median_of_3_ms(const graph::Graph& g, bool alg1, bool async) {
   double t[3];
-  for (double& sample : t) sample = run_once_ms(g, alg1, async, queue);
+  for (double& sample : t) sample = run_once_ms(g, alg1, async);
   std::sort(t, t + 3);
   return t[1];
 }
 
 void print_tables() {
   // Timing sections run with the ambient recorder uninstalled: a recorder
-  // adds a trace callback per event, which would pollute the flat-vs-map
-  // comparison.  The printed rows still land in report() for --json_out.
+  // adds a trace callback per event, which would pollute the runtime
+  // timing.  The printed rows still land in report() for --json_out.
   obs::Recorder* const ambient = obs::global_recorder();
   obs::set_global_recorder(nullptr);
 
   bench::banner(std::cout,
-                "A5a: Runtime::run wall time, flat vs reference-map queue "
-                "(median of 3)");
-  bench::Table table(
-      {"n", "alg", "delays", "map ms", "flat ms", "speedup"});
+                "A5a: Runtime::run wall time (median of 3)");
+  bench::Table table({"n", "alg", "delays", "flat ms"});
   struct TimedConfig {
     std::string name;
     double ms = 0.0;
@@ -90,20 +83,14 @@ void print_tables() {
     const auto& inst = instance_for(n);
     for (const bool alg1 : {true, false}) {
       for (const bool async : {false, true}) {
-        const double map_ms = median_of_3_ms(inst.g, alg1, async,
-                                             sim::QueuePolicy::kReferenceMap);
-        const double flat_ms =
-            median_of_3_ms(inst.g, alg1, async, sim::QueuePolicy::kFlat);
+        const double flat_ms = median_of_3_ms(inst.g, alg1, async);
         table.add_row({std::to_string(n), alg1 ? "alg1" : "alg2",
-                       async ? "async U(1,5)" : "sync", bench::fmt(map_ms, 2),
-                       bench::fmt(flat_ms, 2),
-                       bench::fmt(map_ms / flat_ms, 2) + "x"});
+                       async ? "async U(1,5)" : "sync",
+                       bench::fmt(flat_ms, 2)});
         const std::string key = std::string(alg1 ? "alg1" : "alg2") +
                                 (async ? "_async_n" : "_sync_n") +
                                 std::to_string(n);
-        gauges.push_back({"a5/map_ms/" + key, map_ms});
         gauges.push_back({"a5/flat_ms/" + key, flat_ms});
-        gauges.push_back({"a5/speedup/" + key, map_ms / flat_ms});
       }
     }
   }
@@ -146,12 +133,11 @@ void print_tables() {
                  identical ? "yes" : "NO"});
   }
   par.print(std::cout);
-  std::cout << "\nExpected shape: flat-queue speedup grows with n (the map "
-               "pays a per-delivery\nallocation plus O(log q) pointer "
-               "chasing; the calendar is O(1) amortized and\nthe heap works "
-               "on a contiguous 24-byte-record array).  A5b speedup tracks\n"
-               "WCDS_THREADS on multi-core hosts and is ~1.0x single-core; "
-               "the 'identical'\ncolumn must read yes either way.\n";
+  std::cout << "\nExpected shape: flat ms grows ~linearly in n (every event "
+               "is an O(1) append\nor pop on the bucket ring).  A5b speedup "
+               "tracks WCDS_THREADS on multi-core\nhosts and is ~1.0x "
+               "single-core; the 'identical' column must read yes\neither "
+               "way.\n";
 
   obs::set_global_recorder(ambient);
   // With the recorder back in effect, fold the wall times into the metrics
@@ -164,38 +150,33 @@ void print_tables() {
   }
 }
 
-void BM_RuntimeRun(benchmark::State& state, bool alg1, bool async,
-                   sim::QueuePolicy queue) {
+void BM_RuntimeRun(benchmark::State& state, bool alg1, bool async) {
   const auto& inst = instance_for(static_cast<std::uint32_t>(state.range(0)));
   const auto delays = delay_for(async);
   for (auto _ : state) {
     if (alg1) {
       benchmark::DoNotOptimize(
-          protocols::run_algorithm1(inst.g, delays, nullptr, queue));
+          protocols::run_algorithm1(inst.g, delays, nullptr));
     } else {
       benchmark::DoNotOptimize(
-          protocols::run_algorithm2(inst.g, delays, nullptr, queue));
+          protocols::run_algorithm2(inst.g, delays, nullptr));
     }
   }
   state.SetComplexityN(state.range(0));
 }
 
-#define WCDS_BM_RUNTIME(name, alg1, async, queue)                       \
-  BENCHMARK_CAPTURE(BM_RuntimeRun, name, alg1, async, queue)            \
+#define WCDS_BM_RUNTIME(name, alg1, async)                              \
+  BENCHMARK_CAPTURE(BM_RuntimeRun, name, alg1, async)                   \
       ->Arg(512)                                                        \
       ->Arg(2048)                                                       \
       ->Arg(8192)                                                       \
       ->Unit(benchmark::kMillisecond)                                   \
       ->Complexity()
 
-WCDS_BM_RUNTIME(alg1_sync_flat, true, false, sim::QueuePolicy::kFlat);
-WCDS_BM_RUNTIME(alg1_sync_map, true, false, sim::QueuePolicy::kReferenceMap);
-WCDS_BM_RUNTIME(alg1_async_flat, true, true, sim::QueuePolicy::kFlat);
-WCDS_BM_RUNTIME(alg1_async_map, true, true, sim::QueuePolicy::kReferenceMap);
-WCDS_BM_RUNTIME(alg2_sync_flat, false, false, sim::QueuePolicy::kFlat);
-WCDS_BM_RUNTIME(alg2_sync_map, false, false, sim::QueuePolicy::kReferenceMap);
-WCDS_BM_RUNTIME(alg2_async_flat, false, true, sim::QueuePolicy::kFlat);
-WCDS_BM_RUNTIME(alg2_async_map, false, true, sim::QueuePolicy::kReferenceMap);
+WCDS_BM_RUNTIME(alg1_sync_flat, true, false);
+WCDS_BM_RUNTIME(alg1_async_flat, true, true);
+WCDS_BM_RUNTIME(alg2_sync_flat, false, false);
+WCDS_BM_RUNTIME(alg2_async_flat, false, true);
 
 #undef WCDS_BM_RUNTIME
 

@@ -78,15 +78,13 @@ RunOutcome run_once(const graph::Graph& g, bool alg1,
   if (alg1) {
     // wcds-lint: allow(facade-only)
     auto run = protocols::run_algorithm1(g, sim::DelayModel::unit(), nullptr,
-                                         sim::QueuePolicy::kFlat, nullptr,
-                                         execution, threads);
+                                         nullptr, execution, threads);
     out.stats = std::move(run.stats);
     out.dominators = std::move(run.wcds.dominators);
   } else {
     // wcds-lint: allow(facade-only)
     auto run = protocols::run_algorithm2(g, sim::DelayModel::unit(), nullptr,
-                                         sim::QueuePolicy::kFlat, nullptr,
-                                         execution, threads);
+                                         nullptr, execution, threads);
     out.stats = std::move(run.stats);
     out.dominators = std::move(run.wcds.dominators);
   }

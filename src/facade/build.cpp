@@ -61,8 +61,8 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
     }
     case BuildAlgorithm::kAlgorithm1Protocol: {
       protocols::DistributedAlgorithm1Run run = protocols::run_algorithm1(
-          g, options.delays, rec, options.queue_policy, options.faults,
-          options.execution, options.threads);
+          g, options.delays, rec, options.faults, options.execution,
+          options.threads);
       report.result = std::move(run.wcds);
       report.stats = std::move(run.stats);
       report.leader = run.leader;
@@ -72,8 +72,8 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
     }
     case BuildAlgorithm::kAlgorithm2Protocol: {
       protocols::DistributedWcdsRun run = protocols::run_algorithm2(
-          g, options.delays, rec, options.queue_policy, options.faults,
-          options.execution, options.threads);
+          g, options.delays, rec, options.faults, options.execution,
+          options.threads);
       report.result = std::move(run.wcds);
       report.stats = std::move(run.stats);
       report.mis = mis_from_members(report.result.mis_dominators, n);

@@ -56,16 +56,11 @@ struct BuildOptions {
   // Protocol modes only: the sim's message-delay regime.
   sim::DelayModel delays = sim::DelayModel::unit();
 
-  // Protocol modes only: the sim's event-queue implementation.  The default
-  // flat queue is the production path; the reference map reproduces the
-  // original allocating queue for differential tests and benchmarks.
-  sim::QueuePolicy queue_policy = sim::QueuePolicy::kFlat;
-
   // Protocol modes only: deterministic fault injection (message loss,
   // duplication, delay jitter, node crash windows — src/fault/plan.h).
   // Null keeps the perfect radio at zero overhead; non-null runs the
-  // protocol under the fault::HardenedNode reliable transport and requires
-  // the flat queue policy.  Centralized modes ignore it (no radio).
+  // protocol under the fault::HardenedNode reliable transport.  Centralized
+  // modes ignore it (no radio).
   const fault::Plan* faults = nullptr;
 
   // Protocol modes only: execution policy for multi-component deployments.

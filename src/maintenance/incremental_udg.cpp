@@ -1,8 +1,6 @@
 #include "maintenance/incremental_udg.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "check/check.h"
 #include "udg/udg.h"
@@ -17,7 +15,7 @@ IncrementalUdg::IncrementalUdg(std::vector<geom::Point> points, double range)
       rows_(points_.size()) {
   WCDS_REQUIRE(range_ > 0.0, "DynamicWcds: range <= 0");
   for (NodeId u = 0; u < points_.size(); ++u) {
-    check_position(u, points_[u]);
+    udg::check_position(u, points_[u], inverse_range_);
     add_to_cell(u);
   }
   for (NodeId u = 0; u < points_.size(); ++u) rows_[u] = scan_row(u);
@@ -26,22 +24,6 @@ IncrementalUdg::IncrementalUdg(std::vector<geom::Point> points, double range)
 bool IncrementalUdg::has_edge(NodeId u, NodeId v) const {
   const auto& row = rows_[u];
   return std::binary_search(row.begin(), row.end(), v);
-}
-
-void IncrementalUdg::check_position(NodeId u, const geom::Point& p) const {
-  WCDS_REQUIRE(std::isfinite(p.x) && std::isfinite(p.y),
-               "DynamicWcds: node " << u << " has a non-finite position ("
-                                    << p.x << ", " << p.y << ")");
-  // Strict bounds leave room for the neighbor cells at index +-1.
-  constexpr double kLo = std::numeric_limits<std::int32_t>::min();
-  constexpr double kHi = std::numeric_limits<std::int32_t>::max();
-  const double cx = std::floor(p.x * inverse_range_);
-  const double cy = std::floor(p.y * inverse_range_);
-  WCDS_REQUIRE(cx > kLo && cx < kHi && cy > kLo && cy < kHi,
-               "DynamicWcds: node " << u << " at (" << p.x << ", " << p.y
-                                    << ") lies outside the int32 cell grid "
-                                       "for range "
-                                    << range_);
 }
 
 IncrementalUdg::Cell IncrementalUdg::cell_of(const geom::Point& p) const {
@@ -109,7 +91,7 @@ void IncrementalUdg::rewrite_row(NodeId u, std::vector<NodeId> row) {
 }
 
 void IncrementalUdg::relocate(NodeId u, const geom::Point& destination) {
-  check_position(u, destination);
+  udg::check_position(u, destination, inverse_range_);
   remove_from_cell(u);
   points_[u] = destination;
   add_to_cell(u);

@@ -25,7 +25,7 @@ namespace wcds::maintenance {
 class IncrementalUdg {
  public:
   // All nodes start active.  Throws std::invalid_argument for range <= 0 or
-  // a position that check_position() rejects.
+  // a position that udg::check_position() rejects.
   IncrementalUdg(std::vector<geom::Point> points, double range);
 
   [[nodiscard]] std::size_t node_count() const { return points_.size(); }
@@ -53,9 +53,6 @@ class IncrementalUdg {
  private:
   using Cell = std::pair<std::int32_t, std::int32_t>;
 
-  // Throws std::invalid_argument unless both coordinates are finite and the
-  // grid cell holding `p` and its eight neighbors have int32 indices.
-  void check_position(NodeId u, const geom::Point& p) const;
   [[nodiscard]] Cell cell_of(const geom::Point& p) const;
   // u's row as the grid says it should be (empty when u is inactive).
   [[nodiscard]] std::vector<NodeId> scan_row(NodeId u) const;

@@ -206,7 +206,6 @@ void Algorithm1Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
 DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
                                         const sim::DelayModel& delays,
                                         obs::Recorder* recorder,
-                                        sim::QueuePolicy queue,
                                         const fault::Plan* faults,
                                         sim::ExecutionPolicy execution,
                                         std::size_t threads) {
@@ -240,7 +239,7 @@ DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
     if (hardened) {
       injector = std::make_unique<fault::Injector>(*faults, n);
     }
-    sim::Runtime runtime(g, factory, delays, rec, queue, injector.get());
+    sim::Runtime runtime(g, factory, delays, rec, injector.get());
     {
       obs::PhaseTimer run_timer(rec, "alg1/protocol_run");
       run.stats = runtime.run();
@@ -293,7 +292,7 @@ DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
         shard_delays.seed =
             sim::shard_stream_seed(delays.seed, static_cast<std::uint32_t>(c));
         outcomes[c] = sim::run_shard(
-            g, members, factory, shard_delays, queue, injector.get(),
+            g, members, factory, shard_delays, injector.get(),
             /*record=*/rec != nullptr,
             /*capture_trace=*/rec != nullptr && rec->trace_sink() != nullptr,
             sim::kDefaultMaxEvents, [&](sim::Runtime& runtime) {

@@ -133,17 +133,13 @@ struct DistributedAlgorithm1Run {
 // resulting |WCDS|.  Application code should prefer the wcds::core::build()
 // facade (src/facade/build.h); calling this directly is deprecated outside
 // the protocol layer itself.
-// `queue` selects the sim's event-queue implementation; the default flat
-// queue is the production path, the reference map exists for differential
-// tests and benchmarks (both deliver in identical (time, seq) order).
 // `faults` (null = the perfect radio, zero overhead) injects the plan's
 // deterministic losses/duplicates/jitter/crashes; the protocol then runs
 // wrapped in the fault::HardenedNode reliable transport and must still
-// converge to an audited WCDS.  Requires the flat queue.
+// converge to an audited WCDS.
 [[nodiscard]] DistributedAlgorithm1Run run_algorithm1(
     const graph::Graph& g, const sim::DelayModel& delays = sim::DelayModel::unit(),
     obs::Recorder* recorder = nullptr,
-    sim::QueuePolicy queue = sim::QueuePolicy::kFlat,
     const fault::Plan* faults = nullptr,
     sim::ExecutionPolicy execution = sim::ExecutionPolicy::kComponentSharded,
     std::size_t threads = 0);

@@ -219,7 +219,6 @@ void Algorithm2Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
 DistributedWcdsRun run_algorithm2(const graph::Graph& g,
                                   const sim::DelayModel& delays,
                                   obs::Recorder* recorder,
-                                  sim::QueuePolicy queue,
                                   const fault::Plan* faults,
                                   sim::ExecutionPolicy execution,
                                   std::size_t threads) {
@@ -251,7 +250,7 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
     if (hardened) {
       injector = std::make_unique<fault::Injector>(*faults, n);
     }
-    sim::Runtime runtime(g, factory, delays, rec, queue, injector.get());
+    sim::Runtime runtime(g, factory, delays, rec, injector.get());
     {
       obs::PhaseTimer run_timer(rec, "alg2/protocol_run");
       run.stats = runtime.run();
@@ -303,7 +302,7 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
         shard_delays.seed =
             sim::shard_stream_seed(delays.seed, static_cast<std::uint32_t>(c));
         outcomes[c] = sim::run_shard(
-            g, members, factory, shard_delays, queue, injector.get(),
+            g, members, factory, shard_delays, injector.get(),
             /*record=*/rec != nullptr,
             /*capture_trace=*/rec != nullptr && rec->trace_sink() != nullptr,
             sim::kDefaultMaxEvents, [&](sim::Runtime& runtime) {

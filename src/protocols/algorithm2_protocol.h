@@ -136,19 +136,14 @@ struct DistributedWcdsRun {
 // resulting |WCDS|.  Application code should prefer the wcds::core::build()
 // facade (src/facade/build.h); calling this directly is deprecated outside
 // the protocol layer itself.
-// `queue` selects the sim's event-queue implementation; the default flat
-// queue is the production path, the reference map exists for differential
-// tests and benchmarks (both deliver in identical (time, seq) order).
 // `faults` (null = the perfect radio, zero overhead) injects the plan's
 // deterministic losses/duplicates/jitter/crashes; the protocol then runs
 // wrapped in the fault::HardenedNode reliable transport and must still
 // converge to an audited WCDS — and, because the MIS rule's fixpoint is
-// timing-independent, to the exact MIS of the fault-free run.  Requires the
-// flat queue.
+// timing-independent, to the exact MIS of the fault-free run.
 [[nodiscard]] DistributedWcdsRun run_algorithm2(
     const graph::Graph& g, const sim::DelayModel& delays = sim::DelayModel::unit(),
     obs::Recorder* recorder = nullptr,
-    sim::QueuePolicy queue = sim::QueuePolicy::kFlat,
     const fault::Plan* faults = nullptr,
     sim::ExecutionPolicy execution = sim::ExecutionPolicy::kComponentSharded,
     std::size_t threads = 0);

@@ -12,14 +12,14 @@ const char* mis_maintenance_message_name(sim::MessageType type) {
   }
 }
 
-void MisMaintenanceNode::on_start(sim::DynamicContext& ctx) {
+void MisMaintenanceNode::on_start(sim::Context& ctx) {
   // Announce white so lower-ID-complete knowledge can accumulate; a node
   // with no lower-ID neighbors promotes immediately through reevaluate.
   ctx.broadcast(kMsgColor, {static_cast<std::uint32_t>(color_)});
   reevaluate(ctx);
 }
 
-void MisMaintenanceNode::on_receive(sim::DynamicContext& ctx,
+void MisMaintenanceNode::on_receive(sim::Context& ctx,
                                     const sim::Message& msg) {
   if (msg.type != kMsgColor) return;
   // The sender must still be a neighbor (the runtime already drops dead-link
@@ -30,7 +30,7 @@ void MisMaintenanceNode::on_receive(sim::DynamicContext& ctx,
   reevaluate(ctx);
 }
 
-void MisMaintenanceNode::on_link_up(sim::DynamicContext& ctx,
+void MisMaintenanceNode::on_link_up(sim::Context& ctx,
                                     NodeId neighbor) {
   // Introduce ourselves to the newcomer; their introduction arrives the
   // same way.  Conflicts (black-black) resolve through reevaluate once the
@@ -38,14 +38,14 @@ void MisMaintenanceNode::on_link_up(sim::DynamicContext& ctx,
   ctx.unicast(neighbor, kMsgColor, {static_cast<std::uint32_t>(color_)});
 }
 
-void MisMaintenanceNode::on_link_down(sim::DynamicContext& ctx,
+void MisMaintenanceNode::on_link_down(sim::Context& ctx,
                                       NodeId neighbor) {
   known_.erase(neighbor);
   reevaluate(ctx);
 }
 
 bool MisMaintenanceNode::knows_black_neighbor(
-    sim::DynamicContext& ctx) const {
+    sim::Context& ctx) const {
   const auto row = ctx.neighbors();
   for (const auto& [v, c] : known_) {
     if (c == Color::kBlack && std::binary_search(row.begin(), row.end(), v)) {
@@ -55,7 +55,7 @@ bool MisMaintenanceNode::knows_black_neighbor(
   return false;
 }
 
-bool MisMaintenanceNode::may_promote(sim::DynamicContext& ctx) const {
+bool MisMaintenanceNode::may_promote(sim::Context& ctx) const {
   // Promotion needs complete knowledge of every lower-ID neighbor, none of
   // them white (a white one may promote first) or black (we'd be gray).
   for (NodeId v : ctx.neighbors()) {
@@ -67,13 +67,13 @@ bool MisMaintenanceNode::may_promote(sim::DynamicContext& ctx) const {
   return true;
 }
 
-void MisMaintenanceNode::set_color(sim::DynamicContext& ctx, Color next) {
+void MisMaintenanceNode::set_color(sim::Context& ctx, Color next) {
   if (color_ == next) return;
   color_ = next;
   ctx.broadcast(kMsgColor, {static_cast<std::uint32_t>(color_)});
 }
 
-void MisMaintenanceNode::reevaluate(sim::DynamicContext& ctx) {
+void MisMaintenanceNode::reevaluate(sim::Context& ctx) {
   switch (color_) {
     case Color::kBlack: {
       // Conflict rule: the higher ID yields.
@@ -109,20 +109,21 @@ void MisMaintenanceNode::reevaluate(sim::DynamicContext& ctx) {
   }
 }
 
-void MisMaintenanceNode::reannounce(sim::DynamicContext& ctx) {
+void MisMaintenanceNode::reannounce(sim::Context& ctx) {
   ctx.broadcast(kMsgColor, {static_cast<std::uint32_t>(color_)});
   reevaluate(ctx);
 }
 
 MisMaintenanceSession::MisMaintenanceSession(const graph::Graph& initial,
                                              const sim::DelayModel& delays)
-    : runtime_(
-          initial,
+    : initial_(initial),
+      runtime_(
+          initial_,
           [](NodeId) { return std::make_unique<MisMaintenanceNode>(); },
           delays) {}
 
 bool MisMaintenanceSession::stabilize(std::uint64_t max_events) {
-  return runtime_.run_to_quiescence(max_events).quiescent;
+  return runtime_.run(max_events).quiescent;
 }
 
 bool MisMaintenanceSession::update(const graph::Graph& next,
@@ -132,13 +133,18 @@ bool MisMaintenanceSession::update(const graph::Graph& next,
 }
 
 void MisMaintenanceSession::set_loss(double drop, std::uint64_t seed) {
-  runtime_.set_loss(drop, seed);
+  runtime_.set_fault_hook(nullptr);
+  loss_.reset();
+  if (drop == 0.0) return;
+  loss_ = std::make_unique<fault::Injector>(fault::Plan::lossy(drop, seed),
+                                            runtime_.node_count());
+  runtime_.set_fault_hook(loss_.get());
 }
 
 bool MisMaintenanceSession::converged() const {
   const std::vector<bool> mask = mis_mask();
   for (NodeId u = 0; u < runtime_.node_count(); ++u) {
-    const auto row = runtime_.neighbors(u);
+    const auto row = runtime_.topology().neighbors(u);
     if (mask[u]) {
       // Independence: no two adjacent dominators.
       for (NodeId v : row) {
@@ -160,8 +166,7 @@ bool MisMaintenanceSession::watchdog(std::size_t max_rounds,
   for (std::size_t round = 0; round < max_rounds; ++round) {
     if (converged()) return true;
     for (NodeId u = 0; u < runtime_.node_count(); ++u) {
-      runtime_.with_node(u, [](sim::DynamicContext& ctx,
-                              sim::DynamicProtocolNode& node) {
+      runtime_.with_node(u, [](sim::Context& ctx, sim::ProtocolNode& node) {
         static_cast<MisMaintenanceNode&>(node).reannounce(ctx);
       });
     }
@@ -173,9 +178,8 @@ bool MisMaintenanceSession::watchdog(std::size_t max_rounds,
 std::vector<bool> MisMaintenanceSession::mis_mask() const {
   std::vector<bool> mask(runtime_.node_count(), false);
   for (NodeId u = 0; u < runtime_.node_count(); ++u) {
-    mask[u] = static_cast<const MisMaintenanceNode&>(
-                  const_cast<sim::DynamicRuntime&>(runtime_).node(u))
-                  .is_dominator();
+    mask[u] =
+        static_cast<const MisMaintenanceNode&>(runtime_.node(u)).is_dominator();
   }
   return mask;
 }

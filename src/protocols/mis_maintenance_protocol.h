@@ -2,9 +2,10 @@
 //
 // "The key technique in our approach is to maintain the MIS in the unit-disk
 //  graph at all time" — the paper defers the full procedure to a later
-// paper; this protocol implements that key technique as messages, on the
-// dynamic-topology runtime.  It is a self-stabilizing maximal-independent-
-// set protocol driven entirely by COLOR announcements:
+// paper; this protocol implements that key technique as messages, on
+// sim::Runtime driven through topology changes (Runtime::apply_topology).
+// It is a self-stabilizing maximal-independent-set protocol driven
+// entirely by COLOR announcements:
 //
 //   COLOR(c)   broadcast whenever a node's color changes (and unicast to a
 //              newly heard neighbor on link-up).
@@ -28,11 +29,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
+#include "fault/injector.h"
 #include "graph/graph.h"
 #include "graph/types.h"
-#include "sim/dynamic_runtime.h"
+#include "sim/runtime.h"
 
 namespace wcds::protocols {
 
@@ -43,14 +46,14 @@ enum MisMaintenanceMessageType : sim::MessageType {
 // Trace name for a MisMaintenanceMessageType value ("?" when unknown).
 [[nodiscard]] const char* mis_maintenance_message_name(sim::MessageType type);
 
-class MisMaintenanceNode final : public sim::DynamicProtocolNode {
+class MisMaintenanceNode final : public sim::ProtocolNode {
  public:
   enum class Color : std::uint32_t { kWhite = 0, kGray = 1, kBlack = 2 };
 
-  void on_start(sim::DynamicContext& ctx) override;
-  void on_receive(sim::DynamicContext& ctx, const sim::Message& msg) override;
-  void on_link_up(sim::DynamicContext& ctx, NodeId neighbor) override;
-  void on_link_down(sim::DynamicContext& ctx, NodeId neighbor) override;
+  void on_start(sim::Context& ctx) override;
+  void on_receive(sim::Context& ctx, const sim::Message& msg) override;
+  void on_link_up(sim::Context& ctx, NodeId neighbor) override;
+  void on_link_down(sim::Context& ctx, NodeId neighbor) override;
 
   [[nodiscard]] Color color() const { return color_; }
   [[nodiscard]] bool is_dominator() const { return color_ == Color::kBlack; }
@@ -59,13 +62,13 @@ class MisMaintenanceNode final : public sim::DynamicProtocolNode {
   // knowledge holes left by lost COLOR messages) and re-evaluate the local
   // rules.  Safe to call at any quiescent point; a no-op network-wise when
   // nothing was lost (the announcement is re-sent but changes no state).
-  void reannounce(sim::DynamicContext& ctx);
+  void reannounce(sim::Context& ctx);
 
  private:
-  void set_color(sim::DynamicContext& ctx, Color next);
-  void reevaluate(sim::DynamicContext& ctx);
-  [[nodiscard]] bool knows_black_neighbor(sim::DynamicContext& ctx) const;
-  [[nodiscard]] bool may_promote(sim::DynamicContext& ctx) const;
+  void set_color(sim::Context& ctx, Color next);
+  void reevaluate(sim::Context& ctx);
+  [[nodiscard]] bool knows_black_neighbor(sim::Context& ctx) const;
+  [[nodiscard]] bool may_promote(sim::Context& ctx) const;
 
   Color color_ = Color::kWhite;
   std::map<NodeId, Color> known_;  // last color heard per current neighbor
@@ -86,9 +89,10 @@ class MisMaintenanceSession {
   // Change the topology (link events fire), then stabilize.
   bool update(const graph::Graph& next, std::uint64_t max_events = 10'000'000);
 
-  // Seeded per-copy message loss on the underlying radio (0 restores
-  // reliability).  Under loss, stabilize() may quiesce on a *wrong* state —
-  // run the watchdog afterwards to restore convergence.
+  // Seeded per-copy message loss on the underlying radio: a
+  // fault::Plan::lossy(drop, seed) installed as the runtime's fault hook
+  // (0 restores reliability).  Under loss, stabilize() may quiesce on a
+  // *wrong* state — run the watchdog afterwards to restore convergence.
   void set_loss(double drop, std::uint64_t seed);
 
   // True when the black nodes form an MIS of the current topology
@@ -104,12 +108,17 @@ class MisMaintenanceSession {
                 std::uint64_t max_events = 10'000'000);
 
   [[nodiscard]] std::vector<bool> mis_mask() const;
-  [[nodiscard]] const sim::DynamicRunStats& stats() const {
+  // Totals since construction; `dropped` counts copies lost to topology
+  // changes (losses from set_loss are the injector's fault/dropped).
+  [[nodiscard]] const sim::RunStats& stats() const {
     return runtime_.stats();
   }
+  [[nodiscard]] sim::SimTime now() const { return runtime_.now(); }
 
  private:
-  sim::DynamicRuntime runtime_;
+  graph::Graph initial_;  // the runtime's topology until the first update
+  sim::Runtime runtime_;
+  std::unique_ptr<fault::Injector> loss_;
 };
 
 }  // namespace wcds::protocols

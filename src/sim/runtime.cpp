@@ -6,58 +6,14 @@
 #include "check/check.h"
 
 namespace wcds::sim {
-namespace {
-
-// Strict total order on (time, seq); seq is unique per event (deliveries and
-// timers share the counter, so the merged order is total).
-[[nodiscard]] bool earlier(const auto& a, const auto& b) {
-  return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-}
-
-// Contiguous binary min-heap primitives shared by the delivery heap and the
-// timer heap (both keyed by `earlier`).
-template <typename T>
-void sift_up(std::vector<T>& heap) {
-  std::size_t i = heap.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!earlier(heap[i], heap[parent])) break;
-    std::swap(heap[i], heap[parent]);
-    i = parent;
-  }
-}
-
-template <typename T>
-T pop_min(std::vector<T>& heap) {
-  const T top = heap.front();
-  const T last = heap.back();
-  heap.pop_back();
-  const std::size_t n = heap.size();
-  if (n > 0) {
-    std::size_t i = 0;
-    while (true) {
-      const std::size_t left = 2 * i + 1;
-      if (left >= n) break;
-      std::size_t child = left;
-      if (left + 1 < n && earlier(heap[left + 1], heap[left])) {
-        child = left + 1;
-      }
-      if (!earlier(heap[child], last)) break;
-      heap[i] = heap[child];
-      i = child;
-    }
-    heap[i] = last;
-  }
-  return top;
-}
-
-}  // namespace
 
 std::span<const NodeId> Context::neighbors() const {
-  return runtime_.graph_.neighbors(self_);
+  return runtime_.graph_->neighbors(self_);
 }
 
-std::size_t Context::node_count() const { return runtime_.graph_.node_count(); }
+std::size_t Context::node_count() const {
+  return runtime_.graph_->node_count();
+}
 
 void Context::broadcast(MessageType type, std::vector<std::uint32_t> payload) {
   runtime_.send(self_, now_, kBroadcastDst, type, std::move(payload));
@@ -74,20 +30,15 @@ void Context::set_timer(SimTime delay, std::uint64_t token) {
 
 Runtime::Runtime(const graph::Graph& g, const NodeFactory& factory,
                  const DelayModel& delays, obs::Recorder* recorder,
-                 QueuePolicy policy, FaultHook* faults,
-                 std::span<const NodeId> active)
-    : graph_(g), active_(active.begin(), active.end()), policy_(policy),
-      delays_(delays), delay_rng_(delays.seed + 1), recorder_(recorder),
-      fault_(faults) {
+                 FaultHook* faults, std::span<const NodeId> active)
+    : graph_(&g), active_(active.begin(), active.end()), delays_(delays),
+      delay_rng_(delays.seed + 1), recorder_(recorder), fault_(faults) {
   WCDS_REQUIRE(delays_.min_delay >= 1 && delays_.max_delay >= delays_.min_delay,
                "Runtime: invalid delay model");
-  WCDS_REQUIRE(fault_ == nullptr || policy_ == QueuePolicy::kFlat,
-               "Runtime: fault injection requires the flat queue policy "
-               "(the reference map exists only as a fault-free oracle)");
   if (!delays_.is_unit()) {
     // Zero-initialized clocks need no first-send branch: every real delivery
     // time is >= 1, so max(at, 0 + 1) leaves a first send untouched.
-    link_clock_.assign(graph_.adjacency_slots(), 0);
+    link_clock_.assign(g.adjacency_slots(), 0);
   }
   nodes_.resize(g.node_count());
   if (active_.empty()) {
@@ -107,18 +58,13 @@ Runtime::Runtime(const graph::Graph& g, const NodeFactory& factory,
   }
 }
 
-SimTime Runtime::delivery_time(std::size_t link_slot, SimTime now) {
-  SimTime delay = delays_.min_delay;
-  if (!delays_.is_unit()) {
-    delay += delay_rng_.next_below(delays_.max_delay - delays_.min_delay + 1);
-  }
-  SimTime at = now + delay;
-  if (!delays_.is_unit()) {
-    // Radio links never reorder: a later send on the same link arrives
-    // strictly after every earlier one.
-    at = std::max(at, link_clock_[link_slot] + 1);
-    link_clock_[link_slot] = at;
-  }
+SimTime Runtime::async_delivery_time(std::size_t link_slot, SimTime now) {
+  SimTime at = now + delays_.min_delay +
+               delay_rng_.next_below(delays_.max_delay - delays_.min_delay + 1);
+  // Radio links never reorder: a later send on the same link arrives
+  // strictly after every earlier one.
+  at = std::max(at, link_clock_[link_slot] + 1);
+  link_clock_[link_slot] = at;
   return at;
 }
 
@@ -128,8 +74,7 @@ void Runtime::count_type(MessageType type) {
 }
 
 std::uint32_t Runtime::acquire_slot(NodeId src, NodeId dst, MessageType type,
-                                    std::vector<std::uint32_t>&& payload,
-                                    std::uint32_t refs) {
+                                    std::vector<std::uint32_t>&& payload) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(pool_.size());
@@ -138,16 +83,21 @@ std::uint32_t Runtime::acquire_slot(NodeId src, NodeId dst, MessageType type,
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  PoolSlot& entry = pool_[slot];
-  entry.message.src = src;
-  entry.message.dst = dst;
-  entry.message.type = type;
-  entry.message.payload = std::move(payload);
-  entry.refs = refs;
+  Message& message = pool_[slot].message;
+  message.src = src;
+  message.dst = dst;
+  message.type = type;
+  message.payload = std::move(payload);
   return slot;
 }
 
-void Runtime::add_ref(std::uint32_t slot) { ++pool_[slot].refs; }
+void Runtime::settle_slot(std::uint32_t slot, std::uint32_t refs) {
+  if (refs == 0) {
+    free_slots_.push_back(slot);  // every copy was dropped
+  } else {
+    pool_[slot].refs = refs;
+  }
+}
 
 void Runtime::release_ref(std::uint32_t slot) {
   PoolSlot& entry = pool_[slot];
@@ -155,71 +105,9 @@ void Runtime::release_ref(std::uint32_t slot) {
   if (--entry.refs == 0) free_slots_.push_back(slot);
 }
 
-void Runtime::enqueue_flat(const PendingDelivery& delivery) {
-  if (use_calendar()) {
-    // Unit delays: every new delivery is due exactly one step after the one
-    // being processed, so it belongs to the next calendar bucket; appending
-    // preserves seq order within the step.
-    WCDS_DCHECK(bucket_next_.empty() ||
-                    bucket_next_.back().time == delivery.time,
-                "Runtime: calendar bucket time skew");
-    bucket_next_.push_back(delivery);
-  } else {
-    heap_push(delivery);
-  }
-}
-
-void Runtime::heap_push(const PendingDelivery& delivery) {
-  heap_.push_back(delivery);
-  sift_up(heap_);
-}
-
-Runtime::PendingDelivery Runtime::heap_pop() { return pop_min(heap_); }
-
-void Runtime::timer_push(const TimerEvent& event) {
-  timer_heap_.push_back(event);
-  sift_up(timer_heap_);
-}
-
-Runtime::TimerEvent Runtime::timer_pop() { return pop_min(timer_heap_); }
-
 void Runtime::schedule_timer(NodeId node, SimTime at, std::uint64_t token) {
-  WCDS_REQUIRE_STATE(
-      policy_ == QueuePolicy::kFlat && !use_calendar(),
-      "Runtime: timers require an async delay model or a fault hook (the "
-      "unit-delay calendar cannot host arbitrary-delay events)");
-  timer_push({at, send_seq_, token, node});
-  ++send_seq_;
-}
-
-std::size_t Runtime::queue_size() const {
-  // Pending local timers are node-internal clocks, not queued deliveries,
-  // so they do not count toward the depth.
-  if (policy_ == QueuePolicy::kReferenceMap) return ref_queue_.size();
-  if (use_calendar()) {
-    return (bucket_now_.size() - bucket_pos_) + bucket_next_.size();
-  }
-  return heap_.size();
-}
-
-void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
-                   std::vector<std::uint32_t> payload) {
-  if (fault_ != nullptr) [[unlikely]] {
-    // A crashed sender's radio is off: the transmission never happens, so
-    // it is not part of the paper's message complexity either.
-    if (fault_->send_blocked(src, now)) return;
-    ++stats_.transmissions;
-    count_type(type);
-    send_faulty(src, now, dst, type, std::move(payload));
-    return;
-  }
-  ++stats_.transmissions;
-  count_type(type);
-  if (policy_ == QueuePolicy::kReferenceMap) {
-    send_reference(src, now, dst, type, std::move(payload));
-  } else {
-    send_flat(src, now, dst, type, std::move(payload));
-  }
+  queue_.push(at, {send_seq_++, token, node, /*timer=*/true});
+  ++pending_timers_;
 }
 
 std::uint32_t Runtime::enqueue_faulty_copy(std::uint32_t slot,
@@ -233,103 +121,55 @@ std::uint32_t Runtime::enqueue_faulty_copy(std::uint32_t slot,
     // overtake the original — exactly the reordering a hardened protocol
     // must survive.
     const SimTime at = delivery_time(link_slot, now) + fault_->extra_delay();
-    add_ref(slot);
-    heap_push({at, send_seq_, slot, recipient});
-    ++send_seq_;
+    queue_.push(at, {send_seq_++, slot, recipient, /*timer=*/false});
   }
   return copies;
 }
 
-void Runtime::send_faulty(NodeId src, SimTime now, NodeId dst,
-                          MessageType type,
-                          std::vector<std::uint32_t>&& payload) {
-  if (dst == kBroadcastDst) {
-    const auto neighbors = graph_.neighbors(src);
-    if (!neighbors.empty()) {
-      // The extra guard ref keeps the slot alive across the loop and frees
-      // it immediately when every copy was dropped.
-      const std::uint32_t slot =
-          acquire_slot(src, dst, type, std::move(payload), 1);
-      const std::size_t base = graph_.row_begin(src);
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        enqueue_faulty_copy(slot, neighbors[i], base + i, now);
-      }
-      release_ref(slot);
-    }
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-  } else {
-    const std::size_t link_slot = graph_.edge_slot(src, dst);
-    WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
-                       "Runtime: unicast " << src << " -> " << dst
-                                           << " to a non-neighbor");
-    const std::uint32_t slot =
-        acquire_slot(src, dst, type, std::move(payload), 1);
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-    enqueue_faulty_copy(slot, dst, link_slot, now);
-    release_ref(slot);
+void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
+                   std::vector<std::uint32_t> payload) {
+  // A crashed sender's radio is off: the transmission never happens, so it
+  // is not part of the paper's message complexity either.
+  if (fault_ != nullptr && fault_->send_blocked(src, now)) [[unlikely]] {
+    return;
   }
-}
-
-void Runtime::send_flat(NodeId src, SimTime now, NodeId dst, MessageType type,
-                        std::vector<std::uint32_t>&& payload) {
+  ++stats_.transmissions;
+  count_type(type);
   if (dst == kBroadcastDst) {
-    const auto neighbors = graph_.neighbors(src);
+    const auto neighbors = graph_->neighbors(src);
     if (!neighbors.empty()) {
       // One interned payload, d POD queue records.
-      const std::uint32_t slot =
-          acquire_slot(src, dst, type, std::move(payload),
-                       static_cast<std::uint32_t>(neighbors.size()));
-      const std::size_t base = graph_.row_begin(src);
+      const std::uint32_t slot = acquire_slot(src, dst, type, std::move(payload));
+      const std::size_t base = graph_->row_begin(src);
+      std::uint32_t copies = 0;
       for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        const SimTime at = delivery_time(base + i, now);
-        enqueue_flat({at, send_seq_, slot, neighbors[i]});
-        ++send_seq_;
+        copies += enqueue_copy(slot, neighbors[i], base + i, now);
       }
+      settle_slot(slot, copies);
     }
     if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-  } else {
-    const std::size_t link_slot = graph_.edge_slot(src, dst);
-    WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
-                       "Runtime: unicast " << src << " -> " << dst
-                                           << " to a non-neighbor");
-    const std::uint32_t slot = acquire_slot(src, dst, type, std::move(payload), 1);
-    const SimTime at = delivery_time(link_slot, now);
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-    enqueue_flat({at, send_seq_, slot, dst});
-    ++send_seq_;
+    return;
   }
-}
-
-void Runtime::send_reference(NodeId src, SimTime now, NodeId dst,
-                             MessageType type,
-                             std::vector<std::uint32_t>&& payload) {
-  Message msg{src, dst, type, std::move(payload)};
-  if (dst == kBroadcastDst) {
-    const auto neighbors = graph_.neighbors(src);
-    const std::size_t base = graph_.row_begin(src);
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      const SimTime at = delivery_time(base + i, now);
-      ref_queue_.emplace(std::pair{at, send_seq_},
-                         RefPendingDelivery{at, send_seq_, msg, neighbors[i]});
-      ++send_seq_;
-    }
+  const std::size_t link_slot = graph_->edge_slot(src, dst);
+  if (link_slot == graph::Graph::kNoSlot) {
+    // Legal only after a topology change, where the sender may hold stale
+    // neighbor knowledge: the radio misses.
+    WCDS_REQUIRE_STATE(topology_changed_, "Runtime: unicast "
+                                              << src << " -> " << dst
+                                              << " to a non-neighbor");
+    ++stats_.dropped;
     if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-  } else {
-    const std::size_t link_slot = graph_.edge_slot(src, dst);
-    WCDS_REQUIRE_STATE(link_slot != graph::Graph::kNoSlot,
-                       "Runtime: unicast " << src << " -> " << dst
-                                           << " to a non-neighbor");
-    const SimTime at = delivery_time(link_slot, now);
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-    ref_queue_.emplace(std::pair{at, send_seq_},
-                       RefPendingDelivery{at, send_seq_, std::move(msg), dst});
-    ++send_seq_;
+    return;
   }
+  const std::uint32_t slot = acquire_slot(src, dst, type, std::move(payload));
+  if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
+  settle_slot(slot, enqueue_copy(slot, dst, link_slot, now));
 }
 
 void Runtime::record_send(NodeId src, NodeId dst, MessageType type,
                           SimTime now) {
-  max_queue_depth_ = std::max<std::uint64_t>(max_queue_depth_, queue_size());
+  max_queue_depth_ =
+      std::max<std::uint64_t>(max_queue_depth_, queue_depth());
   if (obs::TraceSink* sink = recorder_->trace_sink()) {
     obs::TraceEvent event;
     event.kind = obs::TraceEvent::Kind::kSend;
@@ -337,7 +177,7 @@ void Runtime::record_send(NodeId src, NodeId dst, MessageType type,
     event.src = src;
     event.dst = dst == kBroadcastDst ? obs::kTraceBroadcastDst : dst;
     event.message_type = type;
-    event.queue_depth = queue_size();
+    event.queue_depth = queue_depth();
     sink->on_event(event);
   }
 }
@@ -351,7 +191,7 @@ void Runtime::record_deliver(SimTime time, NodeId src, NodeId recipient,
     event.src = src;
     event.dst = recipient;
     event.message_type = type;
-    event.queue_depth = queue_size();
+    event.queue_depth = queue_depth();
     sink->on_event(event);
   }
 }
@@ -385,105 +225,132 @@ void Runtime::finalize_stats(bool quiescent) {
 }
 
 RunStats Runtime::run(std::uint64_t max_events) {
-  WCDS_REQUIRE_STATE(!ran_, "Runtime: run() called twice");
-  ran_ = true;
-  if (active_.empty()) {
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
-      Context ctx(*this, u, 0);
-      nodes_[u]->on_start(ctx);
-    }
-  } else {
-    // A shard's members ascend within the component, so a member-restricted
-    // sweep sees exactly the global on_start order restricted to the shard.
-    for (NodeId u : active_) {
-      Context ctx(*this, u, 0);
-      nodes_[u]->on_start(ctx);
+  if (!started_) {
+    started_ = true;
+    if (active_.empty()) {
+      for (NodeId u = 0; u < nodes_.size(); ++u) {
+        Context ctx(*this, u, 0);
+        nodes_[u]->on_start(ctx);
+      }
+    } else {
+      // A shard's members ascend within the component, so a member-
+      // restricted sweep sees exactly the global on_start order restricted
+      // to the shard.
+      for (NodeId u : active_) {
+        Context ctx(*this, u, 0);
+        nodes_[u]->on_start(ctx);
+      }
     }
   }
   std::uint64_t events = 0;
-  if (policy_ == QueuePolicy::kReferenceMap) {
-    while (!ref_queue_.empty()) {
-      if (++events > max_events) {
-        finalize_stats(false);
-        return stats_;
-      }
-      auto first = ref_queue_.begin();
-      RefPendingDelivery delivery = std::move(first->second);
-      ref_queue_.erase(first);
-      ++stats_.deliveries;
-      stats_.completion_time = delivery.time;
-      if (recorder_ != nullptr) [[unlikely]] {
-        record_deliver(delivery.time, delivery.message.src, delivery.recipient,
-                       delivery.message.type);
-      }
-      Context ctx(*this, delivery.recipient, delivery.time);
-      nodes_[delivery.recipient]->on_receive(ctx, delivery.message);
+  while (!queue_.empty()) {
+    if (++events > max_events) {
+      finalize_stats(false);
+      return stats_;
     }
-  } else if (use_calendar()) {
-    while (true) {
-      if (bucket_pos_ == bucket_now_.size()) {
-        // Step the calendar: the next bucket becomes current; swap + clear
-        // keeps both capacities, so steady state allocates nothing.
-        bucket_now_.clear();
-        bucket_pos_ = 0;
-        std::swap(bucket_now_, bucket_next_);
-        if (bucket_now_.empty()) break;
-      }
-      if (++events > max_events) {
-        finalize_stats(false);
-        return stats_;
-      }
-      const PendingDelivery delivery = bucket_now_[bucket_pos_++];
-      ++stats_.deliveries;
-      stats_.completion_time = delivery.time;
-      PoolSlot& entry = pool_[delivery.slot];
-      if (recorder_ != nullptr) [[unlikely]] {
-        record_deliver(delivery.time, entry.message.src, delivery.recipient,
-                       entry.message.type);
-      }
-      Context ctx(*this, delivery.recipient, delivery.time);
-      nodes_[delivery.recipient]->on_receive(ctx, entry.message);
-      release_ref(delivery.slot);
+    const Event event = queue_.pop();
+    const SimTime now = queue_.now();
+    if (event.timer) {
+      --pending_timers_;
+      ++stats_.timer_fires;
+      Context ctx(*this, event.node, now);
+      nodes_[event.node]->on_timer(ctx, event.ref);
+      continue;
     }
-  } else {
-    while (!heap_.empty() || !timer_heap_.empty()) {
-      if (++events > max_events) {
-        finalize_stats(false);
-        return stats_;
-      }
-      // Merge the delivery and timer heaps on the shared (time, seq) key;
-      // seq is globally unique, so the pick is deterministic.
-      if (!timer_heap_.empty() &&
-          (heap_.empty() || earlier(timer_heap_.front(), heap_.front()))) {
-        const TimerEvent timer = timer_pop();
-        ++stats_.timer_fires;
-        Context ctx(*this, timer.node, timer.time);
-        nodes_[timer.node]->on_timer(ctx, timer.token);
-        continue;
-      }
-      const PendingDelivery delivery = heap_pop();
-      if (fault_ != nullptr &&
-          fault_->receive_blocked(delivery.recipient, delivery.time))
-          [[unlikely]] {
-        // Recipient radio is off: the copy evaporates without touching
-        // delivery stats or the recipient's state.
-        release_ref(delivery.slot);
-        continue;
-      }
-      ++stats_.deliveries;
-      stats_.completion_time = delivery.time;
-      PoolSlot& entry = pool_[delivery.slot];
-      if (recorder_ != nullptr) [[unlikely]] {
-        record_deliver(delivery.time, entry.message.src, delivery.recipient,
-                       entry.message.type);
-      }
-      Context ctx(*this, delivery.recipient, delivery.time);
-      nodes_[delivery.recipient]->on_receive(ctx, entry.message);
-      release_ref(delivery.slot);
+    const auto slot = static_cast<std::uint32_t>(event.ref);
+    const Message& message = pool_[slot].message;
+    if (topology_changed_ && !graph_->has_edge(message.src, event.node))
+        [[unlikely]] {
+      // The link vanished while the copy was in flight.
+      ++stats_.dropped;
+      release_ref(slot);
+      continue;
     }
+    if (fault_ != nullptr && fault_->receive_blocked(event.node, now))
+        [[unlikely]] {
+      // Recipient radio is off: the copy evaporates without touching
+      // delivery stats or the recipient's state.
+      release_ref(slot);
+      continue;
+    }
+    ++stats_.deliveries;
+    stats_.completion_time = now;
+    if (recorder_ != nullptr) [[unlikely]] {
+      record_deliver(now, message.src, event.node, message.type);
+    }
+    Context ctx(*this, event.node, now);
+    nodes_[event.node]->on_receive(ctx, message);
+    release_ref(slot);
   }
   finalize_stats(true);
   return stats_;
+}
+
+void Runtime::apply_topology(const graph::Graph& next) {
+  WCDS_REQUIRE(next.node_count() == nodes_.size(),
+               "apply_topology: node count mismatch");
+  WCDS_REQUIRE(active_.empty(), "apply_topology: every node must be active");
+  const SimTime now = this->now();
+  const bool clocked = !delays_.is_unit();
+  // A clock at or before now can no longer clamp a send.
+  std::erase_if(stale_clocks_,
+                [&](const StaleClock& stale) { return stale.clock <= now; });
+  std::vector<SimTime> clocks(clocked ? next.adjacency_slots() : 0, 0);
+  // Merge old and new rows per node: collect each changed edge once
+  // (u < v) and carry every directed link's FIFO clock to its new slot.
+  std::vector<std::pair<NodeId, NodeId>> downs;
+  std::vector<std::pair<NodeId, NodeId>> ups;
+  for (NodeId u = 0; u < nodes_.size(); ++u) {
+    const auto old_row = graph_->neighbors(u);
+    const auto new_row = next.neighbors(u);
+    const std::size_t old_base = graph_->row_begin(u);
+    const std::size_t new_base = next.row_begin(u);
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < old_row.size() || j < new_row.size()) {
+      if (j == new_row.size() ||
+          (i < old_row.size() && old_row[i] < new_row[j])) {
+        const NodeId v = old_row[i];
+        if (u < v) downs.emplace_back(u, v);
+        if (clocked && link_clock_[old_base + i] > now) {
+          stale_clocks_.push_back({u, v, link_clock_[old_base + i]});
+        }
+        ++i;
+      } else if (i == old_row.size() || new_row[j] < old_row[i]) {
+        const NodeId v = new_row[j];
+        if (u < v) ups.emplace_back(u, v);
+        const auto stale = std::find_if(
+            stale_clocks_.begin(), stale_clocks_.end(),
+            [&](const StaleClock& c) { return c.src == u && c.dst == v; });
+        if (stale != stale_clocks_.end()) {
+          clocks[new_base + j] = stale->clock;
+          stale_clocks_.erase(stale);
+        }
+        ++j;
+      } else {
+        if (clocked) clocks[new_base + j] = link_clock_[old_base + i];
+        ++i;
+        ++j;
+      }
+    }
+  }
+  // Install the new topology first so handlers see the post-change world.
+  owned_graph_ = next;
+  graph_ = &owned_graph_;
+  link_clock_ = std::move(clocks);
+  topology_changed_ = true;
+  for (const auto& [u, v] : downs) {
+    Context cu(*this, u, now);
+    nodes_[u]->on_link_down(cu, v);
+    Context cv(*this, v, now);
+    nodes_[v]->on_link_down(cv, u);
+  }
+  for (const auto& [u, v] : ups) {
+    Context cu(*this, u, now);
+    nodes_[u]->on_link_up(cu, v);
+    Context cv(*this, v, now);
+    nodes_[v]->on_link_up(cv, u);
+  }
 }
 
 }  // namespace wcds::sim

@@ -7,10 +7,13 @@
 //    delay in [min_delay, max_delay] under an asynchronous DelayModel.
 //    Per-(sender, recipient) FIFO order is always preserved (radio links
 //    do not reorder).
-//  - Deliveries are processed in (time, global send sequence) order, so runs
-//    are exactly reproducible given the seed.
-//  - The run ends at quiescence (no pending deliveries) or when the event
-//    budget trips (runaway-protocol guard).
+//  - Deliveries and local timers are processed in (time, global sequence)
+//    order, so runs are exactly reproducible given the seed.
+//  - run() ends at quiescence (nothing pending) or when the event budget
+//    trips (runaway-protocol guard).  It may be called again: after
+//    apply_topology() changed the links (on_link_down / on_link_up fire on
+//    both endpoints), or after with_node() nudged a node.  on_start fires
+//    only on the first call; time and statistics carry over.
 //
 // Cost accounting matches the paper: message complexity = number of
 // transmissions (a broadcast is ONE message); time complexity = the delivery
@@ -18,13 +21,10 @@
 //
 // Hot-path design (docs/PERFORMANCE.md): the event queue is allocation-free
 // per delivery.  A broadcast interns its payload ONCE in a recycled message
-// pool; each of the d recipients enqueues a 24-byte POD PendingDelivery
-// referencing the shared slot.  Under unit delays every delivery lands at
-// now+1, so a two-bucket rotating calendar replaces the priority queue
-// entirely; under random delays a flat binary min-heap over a contiguous
-// vector keyed by (time, seq) is used.  The original std::map-based queue
-// survives behind QueuePolicy::kReferenceMap purely as a differential-test
-// and benchmark baseline, mirroring udg::build_udg_reference.
+// pool; each of the d recipients enqueues a 24-byte POD Event referencing
+// the shared slot.  Events go into one ring of time buckets
+// (sim/event_queue.h); because sends happen in sequence order, appending to
+// a bucket keeps the exact (time, seq) order without a heap.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +33,13 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "geom/rng.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "obs/recorder.h"
+#include "sim/event_queue.h"
 #include "sim/fault_hook.h"
 #include "sim/message.h"
 
@@ -63,15 +62,6 @@ struct DelayModel {
   [[nodiscard]] bool is_unit() const {
     return min_delay == 1 && max_delay == 1;
   }
-};
-
-// Event-queue implementation selector.  kFlat is the production path; the
-// reference map reproduces the original per-delivery-allocating queue so
-// differential tests can prove both deliver in the same (time, seq) order
-// with identical RunStats, and benchmarks can quantify the gap.
-enum class QueuePolicy : std::uint8_t {
-  kFlat,          // pooled payloads + calendar/heap (default)
-  kReferenceMap,  // std::map of per-delivery Message copies (testing only)
 };
 
 // Execution policy for runs over multi-component topologies (sim/sharded.h).
@@ -112,7 +102,10 @@ class Context {
   virtual void broadcast(MessageType type,
                          std::vector<std::uint32_t> payload = {});
 
-  // One transmission addressed to a single neighbor (must be adjacent).
+  // One transmission addressed to a single neighbor.  It must be adjacent;
+  // once apply_topology() has changed the links, a unicast to a vanished
+  // neighbor is dropped and counted instead (the sender may hold stale
+  // neighbor knowledge).
   virtual void unicast(NodeId dst, MessageType type,
                        std::vector<std::uint32_t> payload = {});
 
@@ -120,8 +113,7 @@ class Context {
   // after `delay` time units.  Timers are node-internal clocks — they do
   // not touch the radio, are never faulted (a crashed node's CPU keeps
   // ticking; only its radio is off), and count neither as transmissions nor
-  // deliveries.  Only available under an async delay model or a fault hook
-  // (the unit-delay calendar cannot host arbitrary-delay events).
+  // deliveries.
   void set_timer(SimTime delay, std::uint64_t token);
 
  private:
@@ -142,12 +134,25 @@ class ProtocolNode {
     static_cast<void>(ctx);
     static_cast<void>(token);
   }
+  // Fire on both endpoints of a link that Runtime::apply_topology added or
+  // removed; static protocols keep the default no-op.
+  virtual void on_link_up(Context& ctx, NodeId neighbor) {
+    static_cast<void>(ctx);
+    static_cast<void>(neighbor);
+  }
+  virtual void on_link_down(Context& ctx, NodeId neighbor) {
+    static_cast<void>(ctx);
+    static_cast<void>(neighbor);
+  }
 };
 
 struct RunStats {
   std::uint64_t transmissions = 0;          // paper's message complexity
   std::uint64_t deliveries = 0;             // per-recipient copies
   std::uint64_t timer_fires = 0;            // local timer events (no radio)
+  // Copies lost to a topology change: in flight on a link that vanished, or
+  // unicast to a neighbor that is gone.
+  std::uint64_t dropped = 0;
   SimTime completion_time = 0;              // paper's time complexity
   // Post-run summary, not touched during delivery.
   std::map<MessageType, std::uint64_t> per_type;  // wcds-lint: allow(hot-path-alloc)
@@ -163,12 +168,9 @@ class Runtime {
 
   // `faults` (null by default) injects deterministic message loss,
   // duplication, delay noise and node crashes into the delivery path; see
-  // sim/fault_hook.h for the contract.  A non-null hook selects the
-  // (time, seq) min-heap queue even under unit delays — the rotating
-  // calendar assumes every delivery lands exactly one step out, which
-  // jitter and timers break — and requires the flat queue policy.  The
-  // null-hook path is byte-identical to a runtime built without the
-  // parameter (guarded by tests/fault_test.cpp).
+  // sim/fault_hook.h for the contract.  The null-hook path is byte-identical
+  // to a runtime built without the parameter (guarded by
+  // tests/fault_test.cpp).
   //
   // `active` (empty by default = every node) restricts the runtime to a
   // subset of the graph's nodes: only active nodes get a ProtocolNode and an
@@ -177,10 +179,11 @@ class Runtime {
   // messages to nodes outside it would reach a null state machine.
   Runtime(const graph::Graph& g, const NodeFactory& factory,
           const DelayModel& delays = DelayModel::unit(),
-          obs::Recorder* recorder = nullptr,
-          QueuePolicy policy = QueuePolicy::kFlat,
-          FaultHook* faults = nullptr,
+          obs::Recorder* recorder = nullptr, FaultHook* faults = nullptr,
           std::span<const NodeId> active = {});
+  // Not copyable or movable: graph_ may point at owned_graph_.
+  Runtime(const Runtime&) = delete;
+  Runtime& operator=(const Runtime&) = delete;
 
   // Observability hook.  Null (the default) records nothing and keeps the
   // hot path at a single predicted branch per event, so benchmark timings
@@ -192,12 +195,37 @@ class Runtime {
   }
   [[nodiscard]] obs::Recorder* recorder() const noexcept { return recorder_; }
 
+  // Install (or, with null, remove) the fault hook between runs; copies
+  // already queued keep the fate decided when they were sent.
+  void set_fault_hook(FaultHook* faults) noexcept { fault_ = faults; }
+  [[nodiscard]] FaultHook* fault_hook() const noexcept { return fault_; }
+
   // Run until quiescence.  `max_events` guards against protocol bugs.
   // Stats (including the metrics fold into the recorder) are produced even
   // when the budget trips — those are exactly the runs worth inspecting.
+  // Later calls resume at now() with everything still queued; on_start
+  // fires only on the first call.  Every exit folds the running totals into
+  // the recorder, so record runtimes that call run() once.
   RunStats run(std::uint64_t max_events = kDefaultMaxEvents);
 
-  [[nodiscard]] const graph::Graph& topology() const { return graph_; }
+  // Replace the topology (same node count; every node must be active).
+  // on_link_down then on_link_up fire on both endpoints of every changed
+  // link, in ascending (u, v) order with u's handler first, at now(); call
+  // run() to let the protocol settle.  Copies in flight on a link that is
+  // gone at delivery time are dropped, and per-link FIFO order holds across
+  // the change.
+  void apply_topology(const graph::Graph& next);
+
+  // Run `fn(ctx, node)` on node u at now() — the hook a liveness watchdog
+  // uses to nudge a protocol.  What the nudge sends stays queued until the
+  // next run().
+  template <typename Fn>
+  void with_node(NodeId u, Fn&& fn) {
+    Context ctx(*this, u, now());
+    fn(ctx, *nodes_[u]);
+  }
+
+  [[nodiscard]] const graph::Graph& topology() const { return *graph_; }
   [[nodiscard]] ProtocolNode& node(NodeId u) { return *nodes_[u]; }
   [[nodiscard]] const ProtocolNode& node(NodeId u) const { return *nodes_[u]; }
   // Null-safe lookup: nullptr for nodes outside the active subset.
@@ -205,8 +233,10 @@ class Runtime {
     return nodes_[u].get();
   }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] QueuePolicy queue_policy() const noexcept { return policy_; }
-  [[nodiscard]] FaultHook* fault_hook() const noexcept { return fault_; }
+  // Simulated time of the last processed event.
+  [[nodiscard]] SimTime now() const noexcept { return queue_.now(); }
+  // Totals over every run() so far.
+  [[nodiscard]] const RunStats& stats() const noexcept { return stats_; }
   // Deepest queue observed while a recorder was installed (0 otherwise); the
   // shard merge layer folds these with set_max across components.
   [[nodiscard]] std::uint64_t max_queue_depth() const noexcept {
@@ -216,15 +246,6 @@ class Runtime {
  private:
   friend class Context;
 
-  // POD event record; the payload lives once in the message pool no matter
-  // how many recipients a broadcast fans out to.
-  struct PendingDelivery {
-    SimTime time;
-    std::uint64_t seq;   // global send order; makes processing deterministic
-    std::uint32_t slot;  // message pool slot (shared across a broadcast)
-    NodeId recipient;
-  };
-
   // One interned transmission.  `refs` counts outstanding deliveries; the
   // slot (and its payload capacity) is recycled when the last one lands.
   struct PoolSlot {
@@ -232,64 +253,46 @@ class Runtime {
     std::uint32_t refs = 0;
   };
 
-  // Reference-policy event record: the original design, one full Message
-  // copy per recipient in a red-black-tree node.
-  struct RefPendingDelivery {
-    SimTime time;
-    std::uint64_t seq;
-    Message message;
-    NodeId recipient;
+  // The FIFO clock of a directed link that apply_topology removed while a
+  // copy was still in flight on it; restored if the link comes back.
+  struct StaleClock {
+    NodeId src;
+    NodeId dst;
+    SimTime clock;
   };
 
   void send(NodeId src, SimTime now, NodeId dst, MessageType type,
             std::vector<std::uint32_t> payload);
-  void send_flat(NodeId src, SimTime now, NodeId dst, MessageType type,
-                 std::vector<std::uint32_t>&& payload);
-  void send_reference(NodeId src, SimTime now, NodeId dst, MessageType type,
-                      std::vector<std::uint32_t>&& payload);
-  // Fault-plan slow path: per-copy drop/duplicate/jitter decisions.
-  void send_faulty(NodeId src, SimTime now, NodeId dst, MessageType type,
-                   std::vector<std::uint32_t>&& payload);
   // Enqueue one copy for `recipient` honoring the fault hook; returns the
-  // number of copies scheduled (0 dropped, 1, or 2 duplicated).
+  // number of copies scheduled (0 dropped, 1, or 2 duplicated).  The
+  // null-hook case is the inline fast path.
+  std::uint32_t enqueue_copy(std::uint32_t slot, NodeId recipient,
+                             std::size_t link_slot, SimTime now) {
+    if (fault_ != nullptr) [[unlikely]] {
+      return enqueue_faulty_copy(slot, recipient, link_slot, now);
+    }
+    queue_.push(delivery_time(link_slot, now),
+                {send_seq_++, slot, recipient, /*timer=*/false});
+    return 1;
+  }
   std::uint32_t enqueue_faulty_copy(std::uint32_t slot, NodeId recipient,
                                     std::size_t link_slot, SimTime now);
 
-  // Pool bookkeeping (flat policy only).
+  // Pool bookkeeping: a slot is acquired with no references, then given the
+  // number of copies actually scheduled (recycled at once if none were).
   [[nodiscard]] std::uint32_t acquire_slot(NodeId src, NodeId dst,
                                            MessageType type,
-                                           std::vector<std::uint32_t>&& payload,
-                                           std::uint32_t refs);
-  void add_ref(std::uint32_t slot);
+                                           std::vector<std::uint32_t>&& payload);
+  void settle_slot(std::uint32_t slot, std::uint32_t refs);
   void release_ref(std::uint32_t slot);
 
-  // Flat-queue primitives.
-  void enqueue_flat(const PendingDelivery& delivery);
-  void heap_push(const PendingDelivery& delivery);
-  [[nodiscard]] PendingDelivery heap_pop();
-
-  // Whether unit-delay deliveries may use the two-bucket calendar (false
-  // once a fault hook is installed: jitter and timers need the heap).
-  [[nodiscard]] bool use_calendar() const {
-    return delays_.is_unit() && fault_ == nullptr;
+  void schedule_timer(NodeId node, SimTime at, std::uint64_t token);
+  // Pending deliveries, timers excluded: the trace's queue depth.
+  [[nodiscard]] std::size_t queue_depth() const {
+    return queue_.size() - pending_timers_;
   }
 
-  // Local timer events; ordered with deliveries by the shared (time, seq)
-  // key, so runs stay exactly reproducible.
-  struct TimerEvent {
-    SimTime time;
-    std::uint64_t seq;
-    std::uint64_t token;
-    NodeId node;
-  };
-  void schedule_timer(NodeId node, SimTime at, std::uint64_t token);
-  void timer_push(const TimerEvent& event);
-  [[nodiscard]] TimerEvent timer_pop();
-
   void count_type(MessageType type);
-
-  // Outstanding deliveries across whichever queue the policy selected.
-  [[nodiscard]] std::size_t queue_size() const;
 
   // Recording slow paths, only reached with a non-null recorder.
   void record_send(NodeId src, NodeId dst, MessageType type, SimTime now);
@@ -299,34 +302,26 @@ class Runtime {
   // Delivery time for one copy, honoring the delay model and per-link FIFO.
   // `link_slot` is the sender's directed CSR slot for the recipient
   // (graph::Graph::edge_slot), indexing the flat link-clock vector.
-  [[nodiscard]] SimTime delivery_time(std::size_t link_slot, SimTime now);
+  [[nodiscard]] SimTime delivery_time(std::size_t link_slot, SimTime now) {
+    return delays_.is_unit() ? now + 1 : async_delivery_time(link_slot, now);
+  }
+  [[nodiscard]] SimTime async_delivery_time(std::size_t link_slot,
+                                            SimTime now);
 
   // Fold the dense per-type counters into stats_ and record metrics; runs on
   // both the quiescent and the budget-tripped exit path.
   void finalize_stats(bool quiescent);
 
-  const graph::Graph& graph_;
+  // The caller's graph, or owned_graph_ once apply_topology replaced it.
+  const graph::Graph* graph_;
+  graph::Graph owned_graph_;
   // Indexed by global NodeId; null outside the active subset.
   std::vector<std::unique_ptr<ProtocolNode>> nodes_;
   // on_start order; empty means all nodes in ascending id order.
   std::vector<NodeId> active_;
-  QueuePolicy policy_;
 
-  // Flat queue, unit-delay calendar: every in-flight delivery is due either
-  // at the time step being drained (bucket_now_[bucket_pos_..]) or one step
-  // later (bucket_next_, appended in send order == seq order).  swap() +
-  // clear() per step keeps the capacity, so steady state allocates nothing.
-  std::vector<PendingDelivery> bucket_now_;
-  std::vector<PendingDelivery> bucket_next_;
-  std::size_t bucket_pos_ = 0;
-
-  // Flat queue, async: binary min-heap over a contiguous vector, keyed by
-  // (time, seq).  seq is unique, so the order is total and deterministic.
-  std::vector<PendingDelivery> heap_;
-
-  // Timer min-heap, same (time, seq) key; only populated by Context::
-  // set_timer (the fault transport's retransmit clock).
-  std::vector<TimerEvent> timer_heap_;
+  EventQueue queue_;
+  std::size_t pending_timers_ = 0;
 
   // Message pool.  A deque gives stable references: a handler may broadcast
   // (growing the pool) while it still reads the pooled message it was
@@ -334,22 +329,21 @@ class Runtime {
   std::deque<PoolSlot> pool_;
   std::vector<std::uint32_t> free_slots_;
 
-  // Reference policy: the original map keyed by (time, seq).  Kept as the
-  // differential-testing oracle for the flat heap; only QueuePolicy::
-  // kReferenceMap runs touch it.  wcds-lint: allow(hot-path-alloc)
-  std::map<std::pair<SimTime, std::uint64_t>, RefPendingDelivery> ref_queue_;
-
   std::uint64_t send_seq_ = 0;
   RunStats stats_;
   // Dense per-type transmission counters, folded into stats_.per_type at the
   // end of run() (a map lookup per send is hot-path poison).
   std::vector<std::uint64_t> per_type_counts_;
-  bool ran_ = false;
+  bool started_ = false;
+  // Set by apply_topology: from then on deliveries re-check their link and
+  // unicasts to non-neighbors are dropped rather than rejected.
+  bool topology_changed_ = false;
   DelayModel delays_;
   geom::Xoshiro256ss delay_rng_;
   // Last scheduled delivery per directed link, indexed by the sender's CSR
   // adjacency slot; only materialized under an async delay model.
   std::vector<SimTime> link_clock_;
+  std::vector<StaleClock> stale_clocks_;
   obs::Recorder* recorder_ = nullptr;
   FaultHook* fault_ = nullptr;
   std::uint64_t max_queue_depth_ = 0;  // tracked only while recording

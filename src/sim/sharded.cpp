@@ -9,8 +9,7 @@ namespace wcds::sim {
 
 ShardOutcome run_shard(const graph::Graph& g, std::span<const NodeId> members,
                        const Runtime::NodeFactory& factory,
-                       const DelayModel& delays, QueuePolicy queue,
-                       FaultHook* faults, bool record, bool capture_trace,
+                       const DelayModel& delays, FaultHook* faults, bool record, bool capture_trace,
                        std::uint64_t max_events,
                        const std::function<void(Runtime&)>& inspect) {
   ShardOutcome out;
@@ -20,7 +19,7 @@ ShardOutcome run_shard(const graph::Graph& g, std::span<const NodeId> members,
   obs::Recorder local;
   obs::MemoryTraceSink sink;
   if (record && capture_trace) local.set_trace_sink(&sink);
-  Runtime runtime(g, factory, delays, record ? &local : nullptr, queue, faults,
+  Runtime runtime(g, factory, delays, record ? &local : nullptr, faults,
                   members);
   {
     obs::PhaseTimer timer(record ? &local : nullptr, "sim/shard_run");
@@ -47,6 +46,7 @@ RunStats merge_shards(std::span<const ShardOutcome> outcomes,
     merged.transmissions += out.stats.transmissions;
     merged.deliveries += out.stats.deliveries;
     merged.timer_fires += out.stats.timer_fires;
+    merged.dropped += out.stats.dropped;
     merged.completion_time =
         std::max(merged.completion_time, out.stats.completion_time);
     merged.quiescent = merged.quiescent && out.stats.quiescent;

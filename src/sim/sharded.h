@@ -49,8 +49,7 @@ struct ShardOutcome {
 // the quiesced Runtime before it is torn down — the extraction hook.
 ShardOutcome run_shard(const graph::Graph& g, std::span<const NodeId> members,
                        const Runtime::NodeFactory& factory,
-                       const DelayModel& delays, QueuePolicy queue,
-                       FaultHook* faults, bool record, bool capture_trace,
+                       const DelayModel& delays, FaultHook* faults, bool record, bool capture_trace,
                        std::uint64_t max_events = kDefaultMaxEvents,
                        const std::function<void(Runtime&)>& inspect = {});
 

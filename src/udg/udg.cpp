@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
+#include "check/check.h"
 #include "graph/bfs.h"
 
 namespace wcds::udg {
@@ -18,6 +20,21 @@ using graph::GraphBuilder;
 using NodeId = wcds::NodeId;
 
 }  // namespace
+
+void check_position(NodeId u, const Point& p, double inverse_range) {
+  WCDS_REQUIRE(std::isfinite(p.x) && std::isfinite(p.y),
+               "udg: node " << u << " has a non-finite position (" << p.x
+                            << ", " << p.y << ")");
+  // Strict bounds leave room for the neighbor cells at index +-1.
+  constexpr double kLo = std::numeric_limits<std::int32_t>::min();
+  constexpr double kHi = std::numeric_limits<std::int32_t>::max();
+  const double cx = std::floor(p.x * inverse_range);
+  const double cy = std::floor(p.y * inverse_range);
+  WCDS_REQUIRE(cx > kLo && cx < kHi && cy > kLo && cy < kHi,
+               "udg: node " << u << " at (" << p.x << ", " << p.y
+                            << ") lies outside the int32 cell grid for range "
+                            << 1.0 / inverse_range);
+}
 
 graph::Graph build_udg_reference(std::span<const Point> points, double range) {
   if (range <= 0.0) throw std::invalid_argument("build_udg: range <= 0");
@@ -44,6 +61,7 @@ graph::Graph build_udg(std::span<const Point> points, double range) {
   std::vector<std::pair<std::int32_t, std::int32_t>> coords(n);
   std::int32_t min_cx = 0, max_cx = 0, min_cy = 0, max_cy = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    check_position(static_cast<NodeId>(i), points[i], inv);
     const std::int32_t cx = cell_index(points[i].x, inv);
     const std::int32_t cy = cell_index(points[i].y, inv);
     coords[i] = {cx, cy};

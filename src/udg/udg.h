@@ -15,6 +15,7 @@
 
 #include "geom/point.h"
 #include "graph/graph.h"
+#include "graph/types.h"
 
 namespace wcds::udg {
 
@@ -27,7 +28,7 @@ namespace wcds::udg {
 // build_udg's grid: cells are range x range, so only the 3x3 block of cells
 // around a point can hold its in-range partners.  Shared with
 // maintenance::IncrementalUdg, which must bucket points exactly the same way.
-// The caller guarantees the floored value fits in int32.
+// The caller guarantees the floored value fits in int32 (check_position).
 [[nodiscard]] inline std::int32_t cell_index(double coordinate,
                                              double inverse_range) {
   return static_cast<std::int32_t>(std::floor(coordinate * inverse_range));
@@ -36,6 +37,12 @@ namespace wcds::udg {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
          static_cast<std::uint32_t>(cy);
 }
+
+// Throws std::invalid_argument unless both coordinates of node u's position
+// are finite and the grid cell holding it and its eight neighbors have int32
+// indices.  build_udg and maintenance::IncrementalUdg check every position
+// with it before bucketing.
+void check_position(NodeId u, const geom::Point& p, double inverse_range);
 
 // Density diagnostics used by workload calibration and the F1 experiment.
 struct UdgStats {

@@ -6,8 +6,7 @@
 //  1. Transparency — a null fault plan leaves the runtime byte-identical to
 //     the pre-fault-layer behavior (same traces, same stats, no added
 //     allocations), and a *trivial* plan behaves exactly like a null hook
-//     even though it routes through the (time, seq) heap instead of the
-//     unit-delay calendar.
+//     even though every copy consults the injector.
 //  2. Convergence — under the issue's acceptance fault regime
 //     (drop=0.2, dup=0.05, crash/recover events) both distributed
 //     algorithms still reach quiescence with an audit-clean WCDS, across
@@ -86,8 +85,7 @@ TracedRun traced_raw_run(const graph::Graph& g, bool alg1,
   obs::Recorder recorder;
   obs::MemoryTraceSink sink;
   recorder.set_trace_sink(&sink);
-  sim::Runtime rt(g, raw_factory(alg1), delays, &recorder,
-                  sim::QueuePolicy::kFlat, hook);
+  sim::Runtime rt(g, raw_factory(alg1), delays, &recorder, hook);
   TracedRun out;
   out.stats = rt.run();
   out.events = sink.events();
@@ -175,9 +173,8 @@ TEST(FaultInjector, LinkOverridesShadowTheGlobalRates) {
 
 // --- Transparency -----------------------------------------------------------
 
-// A trivial-plan injector must replay the exact null-hook run even though it
-// forces the heap queue: under unit delays heap (time, seq) order equals
-// calendar order, and the injector's draws never perturb anything.
+// A trivial-plan injector must replay the exact null-hook run: its draws
+// never perturb a delivery.
 TEST(FaultTransparency, TrivialPlanMatchesNullHookExactly) {
   const auto inst = wcds::testing::connected_udg(100, 8.0, 2);
   for (const bool alg1 : {true, false}) {
@@ -223,7 +220,7 @@ TEST(FaultTransparency, NullHookPathAddsNoAllocations) {
 
   sim::Runtime rt(
       g, [](NodeId) { return std::make_unique<OneShotNode>(); },
-      sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat, nullptr);
+      sim::DelayModel::unit(), nullptr, nullptr);
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_count_allocs.store(true, std::memory_order_relaxed);
   const auto stats = rt.run();
@@ -249,7 +246,7 @@ TEST(FaultIdempotence, RawAlgorithm2SurvivesDuplication) {
   plan.seed = 13;
   fault::Injector injector(plan, inst.g.node_count());
   sim::Runtime rt(inst.g, raw_factory(/*alg1=*/false), sim::DelayModel::unit(),
-                  nullptr, sim::QueuePolicy::kFlat, &injector);
+                  nullptr, &injector);
   const auto stats = rt.run();
   EXPECT_TRUE(stats.quiescent);
   EXPECT_GT(injector.counters().duplicated, 0u);
@@ -272,14 +269,12 @@ TEST(FaultConvergence, LossyRunsConvergeAcrossSeeds) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
 
     const auto run1 = protocols::run_algorithm1(
-        inst.g, sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat,
-        &plan);
+        inst.g, sim::DelayModel::unit(), nullptr, &plan);
     EXPECT_TRUE(run1.stats.quiescent);
     expect_audit_clean(inst.g, run1.wcds);
 
     const auto run2 = protocols::run_algorithm2(
-        inst.g, sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat,
-        &plan);
+        inst.g, sim::DelayModel::unit(), nullptr, &plan);
     EXPECT_TRUE(run2.stats.quiescent);
     expect_audit_clean(inst.g, run2.wcds);
   }
@@ -299,15 +294,13 @@ TEST(FaultConvergence, ChaosWithCrashRecoverAcrossSeeds) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
 
     const auto run1 = protocols::run_algorithm1(
-        inst.g, sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat,
-        &plan);
+        inst.g, sim::DelayModel::unit(), nullptr, &plan);
     EXPECT_TRUE(run1.stats.quiescent);
     expect_audit_clean(inst.g, run1.wcds);
 
     const auto clean = protocols::run_algorithm2(inst.g);
     const auto run2 = protocols::run_algorithm2(
-        inst.g, sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat,
-        &plan);
+        inst.g, sim::DelayModel::unit(), nullptr, &plan);
     EXPECT_TRUE(run2.stats.quiescent);
     expect_audit_clean(inst.g, run2.wcds);
     EXPECT_EQ(run2.wcds.mis_dominators, clean.wcds.mis_dominators);
@@ -321,8 +314,7 @@ TEST(FaultConvergence, RegionBlackoutConverges) {
       inst.points, inst.points[inst.g.node_count() / 2], 1.0, 10, 60);
   ASSERT_GE(covered, 1u);
   const auto run = protocols::run_algorithm2(
-      inst.g, sim::DelayModel::unit(), nullptr, sim::QueuePolicy::kFlat,
-      &plan);
+      inst.g, sim::DelayModel::unit(), nullptr, &plan);
   EXPECT_TRUE(run.stats.quiescent);
   expect_audit_clean(inst.g, run.wcds);
 }
@@ -349,8 +341,7 @@ TEST(FaultMetrics, InjectorAndTransportCountersReachTheRecorder) {
   const fault::Plan plan = fault::Plan::chaos(0.2, 0.05, 2, 9);
   obs::Recorder recorder;
   const auto run = protocols::run_algorithm2(
-      inst.g, sim::DelayModel::unit(), &recorder, sim::QueuePolicy::kFlat,
-      &plan);
+      inst.g, sim::DelayModel::unit(), &recorder, &plan);
   EXPECT_TRUE(run.stats.quiescent);
   const auto snapshot = recorder.snapshot();
   ASSERT_TRUE(snapshot.counters.contains("fault/dropped"));
@@ -414,12 +405,10 @@ TEST(FaultSoak, SeedSweep) {
         try {
           const auto stats =
               alg1 ? protocols::run_algorithm1(inst.g, sim::DelayModel::unit(),
-                                               nullptr,
-                                               sim::QueuePolicy::kFlat, &plan)
+                                               nullptr, &plan)
                          .stats
                    : protocols::run_algorithm2(inst.g, sim::DelayModel::unit(),
-                                               nullptr,
-                                               sim::QueuePolicy::kFlat, &plan)
+                                               nullptr, &plan)
                          .stats;
           if (!stats.quiescent) failures.push_back(tag + " (not quiescent)");
         } catch (const std::exception& e) {
@@ -517,13 +506,11 @@ TEST(ScaledSoak, FleetMatrix) {
         try {
           const auto stats =
               alg1 ? protocols::run_algorithm1(
-                         g, sim::DelayModel::unit(), nullptr,
-                         sim::QueuePolicy::kFlat, &plan,
+                         g, sim::DelayModel::unit(), nullptr, &plan,
                          sim::ExecutionPolicy::kComponentSharded)
                          .stats
                    : protocols::run_algorithm2(
-                         g, sim::DelayModel::unit(), nullptr,
-                         sim::QueuePolicy::kFlat, &plan,
+                         g, sim::DelayModel::unit(), nullptr, &plan,
                          sim::ExecutionPolicy::kComponentSharded)
                          .stats;
           if (!stats.quiescent) failures.push_back(arm + " (not quiescent)");

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "io/svg.h"
 #include "io/text_format.h"
 #include "test_util.h"
+#include "udg/udg.h"
 #include "wcds/algorithm2.h"
 
 namespace wcds::io {
@@ -50,6 +53,23 @@ TEST(TextFormat, RejectsTruncation) {
   EXPECT_THROW(read_points(ss), std::runtime_error);
   std::stringstream sg("wcds-graph v1\n4 2\n0 1\n");
   EXPECT_THROW(read_graph(sg), std::runtime_error);
+}
+
+// The points reader accepts any double; a coordinate too large for the UDG
+// grid fails with a named error once the graph is built.
+TEST(TextFormat, HugeCoordinateFailsNamedWhenBuilt) {
+  std::stringstream ss("wcds-points v1\n3\n0 0\n1e300 0.5\n0.5 0\n");
+  const auto points = read_points(ss);
+  ASSERT_EQ(points.size(), 3u);
+  try {
+    (void)udg::build_udg(points);
+    ADD_FAILURE() << "build_udg accepted x = 1e300";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("node 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("outside the int32 cell grid"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(TextFormat, FileRoundTrip) {

@@ -1,4 +1,5 @@
-// Dynamic-topology runtime + distributed self-stabilizing MIS maintenance.
+// Runtime under topology changes + distributed self-stabilizing MIS
+// maintenance.
 #include <gtest/gtest.h>
 
 #include "geom/workload.h"
@@ -10,18 +11,16 @@
 namespace wcds::protocols {
 namespace {
 
-// --- DynamicRuntime semantics -----------------------------------------------
+// --- Runtime semantics under topology changes -------------------------------
 
-class EchoNode final : public sim::DynamicProtocolNode {
+class EchoNode final : public sim::ProtocolNode {
  public:
-  void on_start(sim::DynamicContext& ctx) override {
+  void on_start(sim::Context& ctx) override {
     if (ctx.self() == 0) ctx.broadcast(1);
   }
-  void on_receive(sim::DynamicContext&, const sim::Message&) override {
-    ++received;
-  }
-  void on_link_up(sim::DynamicContext&, NodeId) override { ++ups; }
-  void on_link_down(sim::DynamicContext&, NodeId) override { ++downs; }
+  void on_receive(sim::Context&, const sim::Message&) override { ++received; }
+  void on_link_up(sim::Context&, NodeId) override { ++ups; }
+  void on_link_down(sim::Context&, NodeId) override { ++downs; }
   int received = 0;
   int ups = 0;
   int downs = 0;
@@ -30,98 +29,108 @@ class EchoNode final : public sim::DynamicProtocolNode {
 TEST(DynamicRuntime, LinkEventsFireOnBothEndpoints) {
   const auto before = graph::from_edges(3, {{0, 1}});
   const auto after = graph::from_edges(3, {{1, 2}});
-  sim::DynamicRuntime rt(before,
-                         [](NodeId) { return std::make_unique<EchoNode>(); });
-  (void)rt.run_to_quiescence();
+  sim::Runtime rt(before, [](NodeId) { return std::make_unique<EchoNode>(); });
+  (void)rt.run();
   rt.apply_topology(after);
-  (void)rt.run_to_quiescence();
+  (void)rt.run();
   EXPECT_EQ(static_cast<EchoNode&>(rt.node(0)).downs, 1);
   EXPECT_EQ(static_cast<EchoNode&>(rt.node(1)).downs, 1);
   EXPECT_EQ(static_cast<EchoNode&>(rt.node(1)).ups, 1);
   EXPECT_EQ(static_cast<EchoNode&>(rt.node(2)).ups, 1);
-  EXPECT_TRUE(rt.has_edge(1, 2));
-  EXPECT_FALSE(rt.has_edge(0, 1));
+  EXPECT_TRUE(rt.topology().has_edge(1, 2));
+  EXPECT_FALSE(rt.topology().has_edge(0, 1));
 }
-
-class LateSender final : public sim::DynamicProtocolNode {
- public:
-  void on_start(sim::DynamicContext& ctx) override {
-    if (ctx.self() == 0) ctx.broadcast(1);  // in flight when the link dies
-  }
-  void on_receive(sim::DynamicContext&, const sim::Message&) override {
-    ++received;
-  }
-  void on_link_up(sim::DynamicContext&, NodeId) override {}
-  void on_link_down(sim::DynamicContext&, NodeId) override {}
-  int received = 0;
-};
 
 TEST(DynamicRuntime, InFlightMessagesOnDeadLinksAreDropped) {
   const auto before = graph::from_edges(2, {{0, 1}});
   graph::GraphBuilder b(2);
   const auto after = std::move(b).build();
-  sim::DynamicRuntime rt(before,
-                         [](NodeId) { return std::make_unique<LateSender>(); });
-  // Do NOT run yet: on_start fires inside run_to_quiescence, so change the
-  // topology after starting but before delivery by interleaving manually.
-  // Simplest deterministic variant: start (delivers), then break the link,
-  // then send again via a second broadcast — covered by the stale-unicast
-  // path instead:
-  (void)rt.run_to_quiescence();
-  EXPECT_EQ(static_cast<LateSender&>(rt.node(1)).received, 1);
+  sim::Runtime rt(before, [](NodeId) { return std::make_unique<EchoNode>(); });
+  // A zero budget runs on_start and stops with node 0's broadcast still in
+  // flight; the link then dies under it.
+  EXPECT_FALSE(rt.run(/*max_events=*/0).quiescent);
   rt.apply_topology(after);
-  (void)rt.run_to_quiescence();
-  EXPECT_EQ(rt.stats().dropped, 0u);  // nothing was in flight
+  const auto stats = rt.run();
+  EXPECT_TRUE(stats.quiescent);
+  EXPECT_EQ(static_cast<EchoNode&>(rt.node(1)).received, 0);
+  EXPECT_EQ(stats.dropped, 1u);
+  EXPECT_EQ(stats.deliveries, 0u);
 }
 
 TEST(DynamicRuntime, StaleUnicastIsCountedDropped) {
-  class StaleUnicaster final : public sim::DynamicProtocolNode {
+  class StaleUnicaster final : public sim::ProtocolNode {
    public:
-    void on_start(sim::DynamicContext&) override {}
-    void on_receive(sim::DynamicContext&, const sim::Message&) override {}
-    void on_link_up(sim::DynamicContext&, NodeId) override {}
-    void on_link_down(sim::DynamicContext& ctx, NodeId gone) override {
+    void on_start(sim::Context&) override {}
+    void on_receive(sim::Context&, const sim::Message&) override {}
+    void on_link_down(sim::Context& ctx, NodeId gone) override {
       ctx.unicast(gone, 7);  // farewell into the void
     }
   };
   const auto before = graph::from_edges(2, {{0, 1}});
   graph::GraphBuilder b(2);
-  sim::DynamicRuntime rt(
-      before, [](NodeId) { return std::make_unique<StaleUnicaster>(); });
-  (void)rt.run_to_quiescence();
+  sim::Runtime rt(before,
+                  [](NodeId) { return std::make_unique<StaleUnicaster>(); });
+  (void)rt.run();
   rt.apply_topology(std::move(b).build());
-  (void)rt.run_to_quiescence();
-  EXPECT_EQ(rt.stats().dropped, 2u);  // both farewells missed
+  const auto stats = rt.run();
+  EXPECT_EQ(stats.dropped, 2u);  // both farewells missed
+  EXPECT_EQ(stats.transmissions, 2u);
 }
+
+// Node 0 sends numbered broadcasts; the receiver checks they arrive in
+// order.  On link-up node 0 continues the numbering.
+class Sequencer final : public sim::ProtocolNode {
+ public:
+  void on_start(sim::Context& ctx) override {
+    if (ctx.self() == 0) send_burst(ctx);
+  }
+  void on_receive(sim::Context&, const sim::Message& msg) override {
+    in_order = in_order && msg.payload[0] == next;
+    ++next;
+  }
+  void on_link_up(sim::Context& ctx, NodeId) override {
+    if (ctx.self() == 0) send_burst(ctx);
+  }
+  bool in_order = true;
+  std::uint32_t next = 0;
+
+ private:
+  void send_burst(sim::Context& ctx) {
+    for (std::uint32_t i = 0; i < 20; ++i) ctx.broadcast(1, {sent_++});
+  }
+  std::uint32_t sent_ = 0;
+};
 
 // Regression: without per-link FIFO, reordered COLOR broadcasts leave stale
 // state behind (a node's final color announcement overtaken by an earlier
 // one).  The MIS must stabilize under wide random jitter.
 TEST(DynamicRuntime, PerLinkFifoPreservedUnderAsync) {
-  class Sequencer final : public sim::DynamicProtocolNode {
-   public:
-    void on_start(sim::DynamicContext& ctx) override {
-      if (ctx.self() == 0) {
-        for (std::uint32_t i = 0; i < 20; ++i) ctx.broadcast(1, {i});
-      }
-    }
-    void on_receive(sim::DynamicContext&, const sim::Message& msg) override {
-      in_order = in_order && msg.payload[0] == next;
-      ++next;
-    }
-    void on_link_up(sim::DynamicContext&, NodeId) override {}
-    void on_link_down(sim::DynamicContext&, NodeId) override {}
-    bool in_order = true;
-    std::uint32_t next = 0;
-  };
   const auto g = graph::from_edges(2, {{0, 1}});
-  sim::DynamicRuntime rt(
-      g, [](NodeId) { return std::make_unique<Sequencer>(); },
-      sim::DelayModel::uniform(1, 25, 7));
-  ASSERT_TRUE(rt.run_to_quiescence().quiescent);
+  sim::Runtime rt(g, [](NodeId) { return std::make_unique<Sequencer>(); },
+                  sim::DelayModel::uniform(1, 25, 7));
+  ASSERT_TRUE(rt.run().quiescent);
   const auto& receiver = static_cast<Sequencer&>(rt.node(1));
   EXPECT_TRUE(receiver.in_order);
   EXPECT_EQ(receiver.next, 20u);
+}
+
+// A link that goes down and comes back while copies are still in flight on
+// it keeps its FIFO clock: the burst sent on link-up queues behind them.
+TEST(DynamicRuntime, PerLinkFifoSurvivesLinkFlap) {
+  const auto up = graph::from_edges(2, {{0, 1}});
+  graph::GraphBuilder b(2);
+  const auto down = std::move(b).build();
+  sim::Runtime rt(up, [](NodeId) { return std::make_unique<Sequencer>(); },
+                  sim::DelayModel::uniform(1, 25, 7));
+  EXPECT_FALSE(rt.run(/*max_events=*/0).quiescent);  // first burst in flight
+  rt.apply_topology(down);
+  rt.apply_topology(up);  // node 0 sends the second burst at time 0
+  const auto stats = rt.run();
+  ASSERT_TRUE(stats.quiescent);
+  const auto& receiver = static_cast<Sequencer&>(rt.node(1));
+  EXPECT_TRUE(receiver.in_order);
+  EXPECT_EQ(receiver.next, 40u);
+  EXPECT_EQ(stats.dropped, 0u);
 }
 
 // --- MIS maintenance ---------------------------------------------------------

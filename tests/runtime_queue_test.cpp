@@ -1,13 +1,15 @@
-// Differential suite for the sim's two event-queue implementations
-// (docs/PERFORMANCE.md).
+// Differential suite for the sim's event queue (docs/PERFORMANCE.md).
 //
-// The flat queue (pooled payloads + calendar/heap) must be observationally
-// identical to the reference std::map queue it replaced: the same delivery
-// sequence — every trace event's (kind, time, src, dst, type, queue depth) —
-// the same RunStats, and the same WCDS, across both algorithms, both delay
-// regimes and many seeds.  A counting-allocator test then pins down the
-// point of the exercise: the flat broadcast path performs no per-delivery
-// heap allocation.
+// The ring of time buckets (sim/event_queue.h) must pop in exactly the
+// (time, seq) order of the std::map queue it replaced, kept here as the
+// test oracle (reference_queue.h): randomized event streams under unit
+// delays, uniform delays, per-link FIFO clamps beyond the largest delay, and
+// timers far past the ring's horizon.  Whole-run equality with the old
+// queues (every trace event, RunStats, WCDS) is pinned by
+// trace_digest_test.cpp (RuntimeQueueDifferential.FlatMatchesReferenceMap-
+// AcrossSeeds and .FacadeModesAgreeAcrossQueuePolicies).  A counting-allocator test then pins down the point
+// of the flat design: the broadcast path performs no per-delivery heap
+// allocation.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -16,12 +18,12 @@
 
 #include <gtest/gtest.h>
 
-#include "facade/build.h"
+#include "geom/rng.h"
 #include "graph/graph.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
-#include "protocols/algorithm1_protocol.h"
 #include "protocols/algorithm2_protocol.h"
+#include "reference_queue.h"
+#include "sim/event_queue.h"
 #include "sim/runtime.h"
 #include "test_util.h"
 
@@ -57,87 +59,90 @@ namespace {
 
 using namespace wcds;
 
-struct TracedRun {
-  sim::RunStats stats;
-  std::vector<obs::TraceEvent> events;
-  std::vector<NodeId> dominators;
+// How a randomized stream picks the delivery time of each new event.
+enum class DelayShape {
+  kUnit,       // every delivery one step out: two live buckets
+  kUniform,    // uniform in [1, 5]
+  kFifoClamp,  // uniform in [1, 5], clamped behind its link's last delivery
+  kFarTimers,  // uniform deliveries plus timers up to 5000 steps out
 };
 
-TracedRun traced_run(const graph::Graph& g, bool alg1,
-                     const sim::DelayModel& delays, sim::QueuePolicy queue) {
-  obs::Recorder recorder;
-  obs::MemoryTraceSink sink;
-  recorder.set_trace_sink(&sink);
-  TracedRun out;
-  if (alg1) {
-    auto run = protocols::run_algorithm1(g, delays, &recorder, queue);
-    out.stats = run.stats;
-    out.dominators = run.wcds.dominators;
-  } else {
-    auto run = protocols::run_algorithm2(g, delays, &recorder, queue);
-    out.stats = run.stats;
-    out.dominators = run.wcds.dominators;
-  }
-  out.events = sink.events();
-  return out;
-}
-
-void expect_same_trace(const TracedRun& flat, const TracedRun& map) {
-  ASSERT_EQ(flat.events.size(), map.events.size());
-  for (std::size_t i = 0; i < flat.events.size(); ++i) {
-    const obs::TraceEvent& a = flat.events[i];
-    const obs::TraceEvent& b = map.events[i];
-    ASSERT_EQ(a.kind, b.kind) << "event " << i;
-    ASSERT_EQ(a.time, b.time) << "event " << i;
-    ASSERT_EQ(a.src, b.src) << "event " << i;
-    ASSERT_EQ(a.dst, b.dst) << "event " << i;
-    ASSERT_EQ(a.message_type, b.message_type) << "event " << i;
-    ASSERT_EQ(a.queue_depth, b.queue_depth) << "event " << i;
-  }
-  EXPECT_EQ(flat.stats, map.stats);
-  EXPECT_EQ(flat.dominators, map.dominators);
-}
-
-TEST(RuntimeQueueDifferential, FlatMatchesReferenceMapAcrossSeeds) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto inst = wcds::testing::connected_udg(150, 8.0, seed);
-    for (const bool alg1 : {true, false}) {
-      for (const bool async : {false, true}) {
-        const auto delays = async ? sim::DelayModel::uniform(1, 5, seed)
-                                  : sim::DelayModel::unit();
-        SCOPED_TRACE(::testing::Message()
-                     << "seed=" << seed << " alg1=" << alg1
-                     << " async=" << async);
-        const auto flat =
-            traced_run(inst.g, alg1, delays, sim::QueuePolicy::kFlat);
-        const auto map =
-            traced_run(inst.g, alg1, delays, sim::QueuePolicy::kReferenceMap);
-        expect_same_trace(flat, map);
-        EXPECT_TRUE(flat.stats.quiescent);
-      }
+// Drive the ring and the map oracle with the same event stream — each pop
+// pushes up to three new events, as a protocol handler would — and require
+// identical pops and sizes throughout.
+void expect_same_pop_order(DelayShape shape, std::uint64_t seed) {
+  sim::EventQueue ring;
+  wcds::testing::ReferenceQueue oracle;
+  geom::Xoshiro256ss rng(seed);
+  std::vector<sim::SimTime> link_clock(8, 0);
+  std::uint64_t seq = 0;
+  const auto push = [&](sim::SimTime now) {
+    sim::Event event{seq, seq * 7 + 3, static_cast<NodeId>(rng.next_below(64)),
+                     false};
+    ++seq;
+    sim::SimTime at = now + 1;
+    if (shape != DelayShape::kUnit) at = now + 1 + rng.next_below(5);
+    if (shape == DelayShape::kFifoClamp) {
+      sim::SimTime& clock = link_clock[rng.next_below(link_clock.size())];
+      at = std::max(at, clock + 1);
+      clock = at;
+    }
+    if (shape == DelayShape::kFarTimers && rng.next_below(4) == 0) {
+      event.timer = true;
+      at = now + rng.next_below(5001);  // zero-delay timers included
+    }
+    ring.push(at, event);
+    oracle.push(at, event);
+  };
+  for (int i = 0; i < 32; ++i) push(0);
+  std::size_t pops = 0;
+  while (!oracle.empty()) {
+    ASSERT_FALSE(ring.empty());
+    ASSERT_EQ(ring.size(), oracle.size());
+    const auto [at, expected] = oracle.pop();
+    const sim::Event got = ring.pop();
+    ASSERT_EQ(ring.now(), at) << "pop " << pops;
+    ASSERT_EQ(got.seq, expected.seq) << "pop " << pops;
+    ASSERT_EQ(got.ref, expected.ref) << "pop " << pops;
+    ASSERT_EQ(got.node, expected.node) << "pop " << pops;
+    ASSERT_EQ(got.timer, expected.timer) << "pop " << pops;
+    ++pops;
+    if (seq < 20'000) {
+      const auto fanout = rng.next_below(4);
+      for (std::uint64_t k = 0; k < fanout; ++k) push(at);
     }
   }
+  EXPECT_TRUE(ring.empty());
+  EXPECT_GT(pops, 1000u);
+  if (shape == DelayShape::kUnit) {
+    EXPECT_EQ(ring.ring_size(), 2u);
+  }
+  if (shape == DelayShape::kFarTimers) {
+    EXPECT_GE(ring.ring_size(), 4096u);
+  }
 }
 
-// All four facade build modes honor BuildOptions::queue_policy and yield the
-// same WCDS under either queue (central modes trivially — the sim never
-// runs; protocol modes are where the policies must agree).
-TEST(RuntimeQueueDifferential, FacadeModesAgreeAcrossQueuePolicies) {
-  const auto inst = wcds::testing::connected_udg(120, 8.0, 3);
-  for (const auto algorithm :
-       {core::BuildAlgorithm::kAlgorithm1Central,
-        core::BuildAlgorithm::kAlgorithm2Central,
-        core::BuildAlgorithm::kAlgorithm1Protocol,
-        core::BuildAlgorithm::kAlgorithm2Protocol}) {
-    SCOPED_TRACE(core::to_string(algorithm));
-    core::BuildOptions options;
-    options.algorithm = algorithm;
-    options.queue_policy = sim::QueuePolicy::kFlat;
-    const auto flat = core::build(inst.g, options);
-    options.queue_policy = sim::QueuePolicy::kReferenceMap;
-    const auto map = core::build(inst.g, options);
-    EXPECT_EQ(flat.result.dominators, map.result.dominators);
-    EXPECT_EQ(flat.stats, map.stats);
+TEST(RuntimeQueueDifferential, RingMatchesMapOracleUnderUnitDelays) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_same_pop_order(DelayShape::kUnit, seed);
+  }
+}
+
+TEST(RuntimeQueueDifferential, RingMatchesMapOracleUnderUniformDelays) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_same_pop_order(DelayShape::kUniform, seed);
+  }
+}
+
+TEST(RuntimeQueueDifferential, RingMatchesMapOracleUnderFifoClamps) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_same_pop_order(DelayShape::kFifoClamp, seed);
+  }
+}
+
+TEST(RuntimeQueueDifferential, RingGrowsInOrderForFarTimers) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_same_pop_order(DelayShape::kFarTimers, seed);
   }
 }
 
@@ -154,25 +159,21 @@ class ChatterNode final : public sim::ProtocolNode {
 
 TEST(RuntimeQueue, BudgetTripStillFoldsStatsAndRecordsQuiescentGauge) {
   const graph::Graph g = graph::from_edges(3, {{0, 1}, {1, 2}, {0, 2}});
-  for (const auto policy :
-       {sim::QueuePolicy::kFlat, sim::QueuePolicy::kReferenceMap}) {
-    obs::Recorder recorder;
-    sim::Runtime rt(
-        g, [](NodeId) { return std::make_unique<ChatterNode>(); },
-        sim::DelayModel::unit(), &recorder, policy);
-    const auto stats = rt.run(/*max_events=*/100);
-    EXPECT_FALSE(stats.quiescent);
-    EXPECT_EQ(stats.deliveries, 100u);
-    // The budget-tripped run still folds the dense counters into per_type
-    // and the metrics into the recorder (the pre-fix code skipped both).
-    ASSERT_TRUE(stats.per_type.contains(1));
-    EXPECT_GT(stats.per_type.at(1), 0u);
-    const auto snapshot = recorder.snapshot();
-    ASSERT_TRUE(snapshot.gauges.contains("sim/quiescent"));
-    EXPECT_EQ(snapshot.gauges.at("sim/quiescent"), 0.0);
-    EXPECT_EQ(snapshot.counters.at("sim/transmissions"),
-              stats.transmissions);
-  }
+  obs::Recorder recorder;
+  sim::Runtime rt(
+      g, [](NodeId) { return std::make_unique<ChatterNode>(); },
+      sim::DelayModel::unit(), &recorder);
+  const auto stats = rt.run(/*max_events=*/100);
+  EXPECT_FALSE(stats.quiescent);
+  EXPECT_EQ(stats.deliveries, 100u);
+  // The budget-tripped run still folds the dense counters into per_type
+  // and the metrics into the recorder (the pre-fix code skipped both).
+  ASSERT_TRUE(stats.per_type.contains(1));
+  EXPECT_GT(stats.per_type.at(1), 0u);
+  const auto snapshot = recorder.snapshot();
+  ASSERT_TRUE(snapshot.gauges.contains("sim/quiescent"));
+  EXPECT_EQ(snapshot.gauges.at("sim/quiescent"), 0.0);
+  EXPECT_EQ(snapshot.counters.at("sim/transmissions"), stats.transmissions);
 }
 
 TEST(RuntimeQueue, QuiescentRunRecordsGaugeOne) {
@@ -188,8 +189,7 @@ TEST(RuntimeQueue, QuiescentRunRecordsGaugeOne) {
 
 // The point of the pooled flat queue: a degree-d broadcast enqueues d POD
 // records sharing one interned payload, so a full run performs only the
-// amortized container growth — far fewer allocations than deliveries.  The
-// reference map allocates at least one tree node per delivery.
+// amortized container growth — far fewer allocations than deliveries.
 TEST(RuntimeQueue, BroadcastPathAllocationCount) {
   // Star K_{1,512}: the hub's single broadcast fans out to 512 recipients.
   constexpr std::uint32_t kLeaves = 512;
@@ -206,26 +206,16 @@ TEST(RuntimeQueue, BroadcastPathAllocationCount) {
     void on_receive(sim::Context&, const sim::Message&) override {}
   };
 
-  auto count_allocs = [&](sim::QueuePolicy policy) {
-    sim::Runtime rt(
-        g, [](NodeId) { return std::make_unique<OneShotNode>(); },
-        sim::DelayModel::unit(), nullptr, policy);
-    g_alloc_count.store(0, std::memory_order_relaxed);
-    g_count_allocs.store(true, std::memory_order_relaxed);
-    const auto stats = rt.run();
-    g_count_allocs.store(false, std::memory_order_relaxed);
-    EXPECT_EQ(stats.deliveries, 2u * kLeaves);
-    return g_alloc_count.load(std::memory_order_relaxed);
-  };
-
-  const std::uint64_t flat_allocs = count_allocs(sim::QueuePolicy::kFlat);
-  const std::uint64_t map_allocs =
-      count_allocs(sim::QueuePolicy::kReferenceMap);
-  // Flat: pool-deque blocks, calendar-bucket doublings, the per-type vector —
-  // all amortized, orders of magnitude below the 1024 deliveries.
-  EXPECT_LT(flat_allocs, 100u);
-  // Reference map: >= one node allocation per pending delivery.
-  EXPECT_GT(map_allocs, 1000u);
+  sim::Runtime rt(
+      g, [](NodeId) { return std::make_unique<OneShotNode>(); });
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  const auto stats = rt.run();
+  g_count_allocs.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(stats.deliveries, 2u * kLeaves);
+  // Pool-deque blocks, bucket doublings, the per-type vector — all
+  // amortized, orders of magnitude below the 1024 deliveries.
+  EXPECT_LT(g_alloc_count.load(std::memory_order_relaxed), 100u);
 }
 
 }  // namespace

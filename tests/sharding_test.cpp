@@ -99,13 +99,11 @@ std::pair<Run, Capture> run_captured(
   recorder.set_trace_sink(&sink);
   Run run;
   if constexpr (std::is_same_v<Run, protocols::DistributedAlgorithm1Run>) {
-    run = protocols::run_algorithm1(g, delays, &recorder,
-                                    sim::QueuePolicy::kFlat, faults,
-                                    execution, threads);
+    run = protocols::run_algorithm1(g, delays, &recorder, faults, execution,
+                                    threads);
   } else {
-    run = protocols::run_algorithm2(g, delays, &recorder,
-                                    sim::QueuePolicy::kFlat, faults,
-                                    execution, threads);
+    run = protocols::run_algorithm2(g, delays, &recorder, faults, execution,
+                                    threads);
   }
   return {std::move(run), Capture{sink.events(), recorder.snapshot()}};
 }
@@ -257,8 +255,7 @@ TEST(Sharding, BudgetTripInOneShardFoldsIntoMerge) {
   std::vector<sim::ShardOutcome> outcomes(2);
   for (std::size_t c = 0; c < 2; ++c) {
     outcomes[c] = sim::run_shard(g, plan.shard(c), factory,
-                                 sim::DelayModel::unit(),
-                                 sim::QueuePolicy::kFlat, nullptr,
+                                 sim::DelayModel::unit(), nullptr,
                                  /*record=*/true, /*capture_trace=*/true,
                                  /*max_events=*/50);
   }
@@ -304,9 +301,8 @@ TEST(Sharding, MatchesInterleavedGlobalOracle) {
   for (std::size_t c = 0; c < plan.shard_count(); ++c) {
     SCOPED_TRACE(::testing::Message() << "component " << c);
     const auto outcome = sim::run_shard(
-        inst.g, plan.shard(c), factory, sim::DelayModel::unit(),
-        sim::QueuePolicy::kFlat, nullptr, /*record=*/true,
-        /*capture_trace=*/true);
+        inst.g, plan.shard(c), factory, sim::DelayModel::unit(), nullptr,
+        /*record=*/true, /*capture_trace=*/true);
     std::vector<obs::TraceEvent> restricted;
     for (const auto& e : sink.events()) {
       if (plan.labels()[e.src] == c) restricted.push_back(e);

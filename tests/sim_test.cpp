@@ -1,10 +1,14 @@
 // Discrete-event runtime semantics: delivery order, cost accounting,
-// quiescence.
+// quiescence, timers and resumed runs.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "graph/graph.h"
+#include "obs/recorder.h"
+#include "obs/trace.h"
 #include "sim/runtime.h"
 #include "test_util.h"
 
@@ -119,11 +123,137 @@ TEST(Runtime, EventBudgetStopsRunaway) {
   EXPECT_FALSE(stats.quiescent);
 }
 
-TEST(Runtime, RunTwiceThrows) {
+// A second run() resumes where the first stopped: on_start does not fire
+// again, and the totals carry over.
+TEST(Runtime, SecondRunResumesWithoutRestarting) {
   const auto g = graph::from_edges(2, {{0, 1}});
   Runtime rt(g, [](NodeId) { return std::make_unique<FloodNode>(); });
+  const auto first = rt.run();
+  const auto second = rt.run();
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(second.transmissions, 2u);
+  EXPECT_EQ(rt.now(), 2u);
+}
+
+// Budget-tripped runs continue from the queued events on the next call.
+TEST(Runtime, BudgetTrippedRunContinues) {
+  const auto g = graph::from_edges(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  Runtime rt(g, [](NodeId) { return std::make_unique<FloodNode>(); });
+  EXPECT_FALSE(rt.run(/*max_events=*/3).quiescent);
+  const auto stats = rt.run();
+  EXPECT_TRUE(stats.quiescent);
+  EXPECT_EQ(stats.transmissions, 6u);
+  EXPECT_EQ(stats.completion_time, 6u);
+}
+
+// Logs every delivery and timer fire, in processing order, into a shared
+// journal; node 0 schedules both kinds at start in the order `timer_first`
+// says.
+struct Journal {
+  std::vector<std::pair<char, SimTime>> entries;  // ('d' | 't', time)
+};
+
+class TimerNode final : public ProtocolNode {
+ public:
+  TimerNode(Journal* journal, bool timer_first)
+      : journal_(journal), timer_first_(timer_first) {}
+  void on_start(Context& ctx) override {
+    if (ctx.self() != 0) return;
+    if (timer_first_) ctx.set_timer(1, 7);
+    ctx.broadcast(1);
+    if (!timer_first_) ctx.set_timer(1, 7);
+  }
+  void on_receive(Context& ctx, const Message&) override {
+    journal_->entries.emplace_back('d', ctx.now());
+  }
+  void on_timer(Context& ctx, std::uint64_t token) override {
+    EXPECT_EQ(token, 7u);
+    journal_->entries.emplace_back('t', ctx.now());
+  }
+
+ private:
+  Journal* journal_;
+  bool timer_first_;
+};
+
+// A timer and a delivery due at the same time fire in sequence order under
+// unit delays: whichever was scheduled first runs first.
+TEST(Runtime, TimerAndDeliveryAtTheSameTimeFireInSeqOrder) {
+  const auto g = graph::from_edges(2, {{0, 1}});
+  for (const bool timer_first : {true, false}) {
+    Journal journal;
+    Runtime rt(g, [&](NodeId) {
+      return std::make_unique<TimerNode>(&journal, timer_first);
+    });
+    const auto stats = rt.run();
+    const std::vector<std::pair<char, SimTime>> expected =
+        timer_first ? std::vector<std::pair<char, SimTime>>{{'t', 1}, {'d', 1}}
+                    : std::vector<std::pair<char, SimTime>>{{'d', 1}, {'t', 1}};
+    EXPECT_EQ(journal.entries, expected) << "timer_first=" << timer_first;
+    EXPECT_EQ(stats.timer_fires, 1u);
+    EXPECT_EQ(stats.deliveries, 1u);
+    // Timers are not radio traffic: completion time is the last delivery.
+    EXPECT_EQ(stats.completion_time, 1u);
+  }
+}
+
+// Arms `count` timers at start, `delay` apart, re-arming nothing.
+class AlarmNode final : public ProtocolNode {
+ public:
+  explicit AlarmNode(int count) : count_(count) {}
+  void on_start(Context& ctx) override {
+    for (int i = 1; i <= count_; ++i) {
+      ctx.set_timer(static_cast<SimTime>(i * 40), static_cast<std::uint64_t>(i));
+    }
+    if (ctx.self() == 0) ctx.broadcast(1);
+  }
+  void on_receive(Context&, const Message&) override {}
+  void on_timer(Context& ctx, std::uint64_t token) override {
+    last_fire_ = ctx.now();
+    last_token_ = token;
+  }
+  SimTime last_fire_ = 0;
+  std::uint64_t last_token_ = 0;
+
+ private:
+  int count_;
+};
+
+TEST(Runtime, TimerFiresAreCountedUnderEveryDelayModel) {
+  const auto g = graph::from_edges(3, {{0, 1}, {1, 2}});
+  for (const auto& delays :
+       {DelayModel::unit(), DelayModel::uniform(1, 6, 3)}) {
+    Runtime rt(g, [](NodeId) { return std::make_unique<AlarmNode>(3); },
+               delays);
+    const auto stats = rt.run();
+    EXPECT_EQ(stats.timer_fires, 9u);  // 3 nodes x 3 timers
+    EXPECT_EQ(stats.transmissions, 1u);
+    for (NodeId u = 0; u < 3; ++u) {
+      const auto& node = static_cast<const AlarmNode&>(rt.node(u));
+      EXPECT_EQ(node.last_fire_, 120u);
+      EXPECT_EQ(node.last_token_, 3u);
+    }
+    EXPECT_EQ(rt.now(), 120u);
+  }
+}
+
+// The trace's queue depth counts pending deliveries only: the timers armed
+// before the broadcast are not in it.
+TEST(Runtime, QueueDepthExcludesTimers) {
+  const auto g = graph::from_edges(3, {{0, 1}, {0, 2}});
+  obs::Recorder recorder;
+  obs::MemoryTraceSink sink;
+  recorder.set_trace_sink(&sink);
+  Runtime rt(g, [](NodeId) { return std::make_unique<AlarmNode>(2); },
+             DelayModel::unit(), &recorder);
   (void)rt.run();
-  EXPECT_THROW(rt.run(), std::logic_error);
+  const auto& events = sink.events();
+  ASSERT_EQ(events.size(), 3u);  // node 0's send, then two deliveries
+  EXPECT_EQ(events[0].kind, obs::TraceEvent::Kind::kSend);
+  EXPECT_EQ(events[0].queue_depth, 2u);  // two copies; six timers pending
+  EXPECT_EQ(events[1].queue_depth, 1u);
+  EXPECT_EQ(events[2].queue_depth, 0u);
+  EXPECT_EQ(rt.max_queue_depth(), 2u);
 }
 
 TEST(Runtime, DeterministicAcrossRuns) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "geom/workload.h"
 #include "graph/bfs.h"
 #include "udg/udg.h"
@@ -34,6 +38,32 @@ TEST(Udg, RejectsNonPositiveRange) {
   const std::vector<geom::Point> pts{{0.0, 0.0}};
   EXPECT_THROW(build_udg(pts, 0.0), std::invalid_argument);
   EXPECT_THROW(build_udg_reference(pts, -1.0), std::invalid_argument);
+}
+
+// A coordinate whose grid cell has no int32 index (NaN, +-inf, or merely
+// huge) is rejected with a named error instead of an undefined cast.
+TEST(Udg, RejectsNonFiniteAndHugeCoordinates) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const geom::Point bad :
+       {geom::Point{kNaN, 0.0}, geom::Point{0.0, kNaN}, geom::Point{kInf, 0.0},
+        geom::Point{0.0, -kInf}, geom::Point{1e300, 0.0},
+        geom::Point{0.0, -1e300}}) {
+    const std::vector<geom::Point> pts{{0.0, 0.0}, bad, {0.5, 0.0}};
+    try {
+      (void)build_udg(pts);
+      ADD_FAILURE() << "accepted (" << bad.x << ", " << bad.y << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("node 1"), std::string::npos)
+          << e.what();
+    }
+  }
+  // A tiny range pushes ordinary coordinates off the grid too.
+  const std::vector<geom::Point> pts{{0.0, 0.0}, {10.0, 0.0}};
+  EXPECT_THROW((void)build_udg(pts, 1e-9), std::invalid_argument);
+  // Far, but inside the grid, is fine.
+  const std::vector<geom::Point> far{{2e9, -2e9}, {2e9, -2e9 + 0.5}};
+  EXPECT_EQ(build_udg(far).edge_count(), 1u);
 }
 
 TEST(Udg, NegativeCoordinatesHandledByGrid) {

@@ -9,7 +9,7 @@ don't flap the build, and a genuine 2x slowdown cannot land silently.
 
 What is compared (everything else in the reports is ignored):
   * gauges whose name matches a timing prefix (``a5/flat_ms/``,
-    ``a5/map_ms/``, ``a6/recovery_ms/`` ... — see TIMING_GAUGE_PREFIXES),
+    ``a6/recovery_ms/`` ... — see TIMING_GAUGE_PREFIXES),
   * the ``p50`` of every ``phase_ms/*`` histogram.
 
 A fresh value regresses when  fresh > baseline * (1 + tolerance)  and the
@@ -45,7 +45,6 @@ from typing import Dict, List, Tuple
 
 TIMING_GAUGE_PREFIXES = (
     "a5/flat_ms/",
-    "a5/map_ms/",
     "a6/recovery_ms/",
     "a6/crash_repair_ms/",
     "a6/recover_repair_ms/",

@@ -146,6 +146,8 @@ struct Config {
   std::vector<std::string> hot_path_files = {
       "src/sim/runtime.h",
       "src/sim/runtime.cpp",
+      "src/sim/event_queue.h",
+      "src/sim/event_queue.cpp",
       "src/sim/message.h",
       "src/sim/fault_hook.h",
   };
