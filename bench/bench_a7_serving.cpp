@@ -96,6 +96,10 @@ void print_a7a() {
     std::string key = "n";
     key += std::to_string(n);
     set_gauge("a7/serve_ms/" + key, ms);
+    // Per-request cost, for the CI shape gate (n8192 / n2048 ratio): the
+    // serving path should cost O(path length), not O(heads).
+    set_gauge("a7/serve_ns_per_req/" + key,
+              ms * 1e6 / static_cast<double>(count));
     set_gauge("a7/throughput_rps/" + key, rps);
     set_gauge("a7/latency_p50/" + key, stats.latency_p50);
     set_gauge("a7/latency_p95/" + key, stats.latency_p95);

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace wcds::routing {
 
 namespace {
 constexpr std::uint32_t kNoHead = 0xFFFFFFFFu;
-constexpr std::uint16_t kUnreachable16 = 0xFFFFu;
 }  // namespace
 
 ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
@@ -60,36 +58,29 @@ ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
 
   // Routing tables: BFS per head over the overlay.  The same traversal
   // yields the overlay hop distances, kept for candidate ordering in the
-  // service layer (nearest advertising domain first).
+  // service layer (nearest advertising domain first).  Each head's row of
+  // next_ doubles as the BFS's first-hop array: a head reached from src
+  // inherits the first hop of the head that discovered it, so the whole
+  // build is O(h * (h + E)) with no walk back up the BFS tree.
   const std::size_t h = heads_.size();
   next_.assign(h * h, kNoHead);
-  dist_.assign(h * h, kUnreachable16);
-  std::vector<std::uint32_t> parent(h);
+  dist_.assign(h * h, kUnreachableDistance);
+  std::vector<std::uint32_t> frontier(h);
   for (std::uint32_t src = 0; src < h; ++src) {
-    std::fill(parent.begin(), parent.end(), kNoHead);
-    parent[src] = src;
-    dist_[src * h + src] = 0;
-    std::queue<std::uint32_t> frontier;
-    frontier.push(src);
-    while (!frontier.empty()) {
-      const std::uint32_t a = frontier.front();
-      frontier.pop();
+    std::uint32_t* const first = &next_[src * h];
+    std::uint16_t* const dist = &dist_[src * h];
+    dist[src] = 0;
+    frontier[0] = src;
+    std::size_t tail = 1;
+    for (std::size_t at = 0; at < tail; ++at) {
+      const std::uint32_t a = frontier[at];
       for (const OverlayEdge& e : overlay_[a]) {
-        if (parent[e.to] == kNoHead) {
-          parent[e.to] = a;
-          const std::uint32_t d = dist_[src * h + a] + 1;
-          dist_[src * h + e.to] = static_cast<std::uint16_t>(
-              std::min<std::uint32_t>(d, kUnreachable16 - 1));
-          frontier.push(e.to);
-        }
+        if (dist[e.to] != kUnreachableDistance) continue;  // visited
+        dist[e.to] = static_cast<std::uint16_t>(std::min<std::uint32_t>(
+            dist[a] + 1u, kUnreachableDistance - 1u));
+        first[e.to] = a == src ? e.to : first[a];
+        frontier[tail++] = e.to;
       }
-    }
-    // next_[src][b] = first step from src toward b: walk parents from b.
-    for (std::uint32_t b = 0; b < h; ++b) {
-      if (b == src || parent[b] == kNoHead) continue;
-      std::uint32_t step = b;
-      while (parent[step] != src) step = parent[step];
-      next_[src * h + b] = step;
     }
   }
 }
@@ -110,28 +101,27 @@ std::uint32_t ClusterheadRouter::overlay_distance(NodeId from_head,
   const std::uint32_t to = index_[to_head];
   if (from == kNoHead || to == kNoHead) return kNoHead;
   const std::uint16_t d = dist_[from * heads_.size() + to];
-  return d == kUnreachable16 ? kNoHead : d;
+  return d == kUnreachableDistance ? kNoHead : d;
 }
 
-ClusterheadRouter::Leg ClusterheadRouter::overlay_leg_compact(
-    NodeId from_head, NodeId to_head) const {
-  const auto& row = overlay_[index_[from_head]];
-  const std::uint32_t to = index_[to_head];
+ClusterheadRouter::Leg ClusterheadRouter::leg(std::uint32_t from_idx,
+                                               std::uint32_t to_idx) const {
+  const auto& row = overlay_[from_idx];
   const auto it = std::find_if(
       row.begin(), row.end(),
-      [&](const OverlayEdge& e) { return e.to == to; });
+      [&](const OverlayEdge& e) { return e.to == to_idx; });
   if (it == row.end()) {
-    throw std::logic_error("overlay_leg_compact: not an overlay edge");
+    throw std::logic_error("ClusterheadRouter::leg: not an overlay edge");
   }
   return Leg{it->via1, it->via2};
 }
 
 std::vector<NodeId> ClusterheadRouter::overlay_leg(NodeId from_head,
                                                    NodeId to_head) const {
-  const Leg leg = overlay_leg_compact(from_head, to_head);
+  const Leg edge = leg(index_[from_head], index_[to_head]);
   std::vector<NodeId> hop_path;
-  hop_path.push_back(leg.via1);
-  if (leg.via2 != kInvalidNode) hop_path.push_back(leg.via2);
+  hop_path.push_back(edge.via1);
+  if (edge.via2 != kInvalidNode) hop_path.push_back(edge.via2);
   hop_path.push_back(to_head);
   return hop_path;
 }
@@ -152,15 +142,14 @@ Route ClusterheadRouter::route(NodeId src, NodeId dst) const {
   const NodeId dst_head = clusterhead_[dst];
   if (src != src_head) r.path.push_back(src_head);
 
-  const std::size_t h = heads_.size();
   std::uint32_t at = index_[src_head];
   const std::uint32_t goal = index_[dst_head];
   while (at != goal) {
-    const std::uint32_t step = next_[at * h + goal];
+    const std::uint32_t step = next_head_index(at, goal);
     if (step == kNoHead) return r;  // overlay disconnected: undeliverable
-    const Leg leg = overlay_leg_compact(heads_[at], heads_[step]);
-    r.path.push_back(leg.via1);
-    if (leg.via2 != kInvalidNode) r.path.push_back(leg.via2);
+    const Leg edge = leg(at, step);
+    r.path.push_back(edge.via1);
+    if (edge.via2 != kInvalidNode) r.path.push_back(edge.via2);
     r.path.push_back(heads_[step]);
     at = step;
   }

@@ -59,14 +59,13 @@ class ClusterheadRouter final : public Router {
   [[nodiscard]] std::vector<NodeId> overlay_leg(NodeId from_head,
                                                 NodeId to_head) const;
 
-  // Allocation-free form of overlay_leg for per-packet hot paths (the
-  // service engine walks millions of legs): the intermediates of the
-  // from->to overlay edge.  via2 is kInvalidNode for 2-hop edges.
+  // The intermediates of an overlay edge; via2 is kInvalidNode for 2-hop
+  // edges.  leg() below is the allocation-free form of overlay_leg for
+  // per-packet hot paths (the service engine walks millions of legs).
   struct Leg {
     NodeId via1 = kInvalidNode;
     NodeId via2 = kInvalidNode;
   };
-  [[nodiscard]] Leg overlay_leg_compact(NodeId from_head, NodeId to_head) const;
 
   [[nodiscard]] bool is_clusterhead(NodeId u) const {
     return index_[u] != 0xFFFFFFFFu;
@@ -83,6 +82,26 @@ class ClusterheadRouter final : public Router {
   // 0xFFFFFFFF if unreachable.  O(1): filled by the table-building BFS.
   [[nodiscard]] std::uint32_t overlay_distance(NodeId from_head,
                                                NodeId to_head) const;
+
+  // Dense-index forms of the table accessors, for per-request hot paths that
+  // already hold head indices.  distance_row(a)[b] is the overlay hop count
+  // from head a to head b, kUnreachableDistance if unreachable: one
+  // contiguous row, so a scan over candidate heads reads a single table
+  // row.  next_head_index(a, b) is the dense index of the next head after a
+  // toward b (0xFFFFFFFF if unreachable or a == b), and leg(a, b) the
+  // intermediates of overlay edge a -> b (std::logic_error if a -> b is
+  // not an overlay edge).
+  static constexpr std::uint16_t kUnreachableDistance = 0xFFFFu;
+  [[nodiscard]] std::span<const std::uint16_t> distance_row(
+      std::uint32_t head_idx) const {
+    return std::span<const std::uint16_t>(dist_).subspan(
+        static_cast<std::size_t>(head_idx) * heads_.size(), heads_.size());
+  }
+  [[nodiscard]] std::uint32_t next_head_index(std::uint32_t from_idx,
+                                              std::uint32_t to_idx) const {
+    return next_[static_cast<std::size_t>(from_idx) * heads_.size() + to_idx];
+  }
+  [[nodiscard]] Leg leg(std::uint32_t from_idx, std::uint32_t to_idx) const;
 
   // Diagnostics for experiment T5.
   [[nodiscard]] std::size_t clusterhead_count() const {
@@ -112,7 +131,8 @@ class ClusterheadRouter final : public Router {
   std::size_t overlay_edges_ = 0;
   // next_[a * heads + b]: dense index of the next head after a toward b.
   std::vector<std::uint32_t> next_;
-  // dist_[a * heads + b]: overlay hop count from a to b (0xFFFF unreachable).
+  // dist_[a * heads + b]: overlay hop count from a to b
+  // (kUnreachableDistance if unreachable).
   std::vector<std::uint16_t> dist_;
 };
 

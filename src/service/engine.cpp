@@ -15,6 +15,8 @@ namespace {
 constexpr std::uint32_t kNoHeadIndex = 0xFFFFFFFFu;
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
 constexpr std::size_t kBatchGrain = 1024;
+// Candidates NearestFirst picks by linear min-scan before sorting the rest.
+constexpr std::uint32_t kLazyProbes = 8;
 
 // Per-request RNG stream: a pure function of (plan seed, salt, index), so a
 // request's fault/retry draws never depend on batch order or thread count.
@@ -23,6 +25,77 @@ geom::Xoshiro256ss request_rng(std::uint64_t plan_seed, std::uint64_t salt,
   geom::SplitMix64 sm(plan_seed ^ salt);
   return geom::Xoshiro256ss(sm.next() ^ (kGolden * (index + 1)));
 }
+
+// The inter-domain candidates of one request in ascending (overlay
+// distance, head index) order, produced one at a time.  A candidate's key
+// packs both into one integer; the next candidate is the smallest key above
+// the last one handed out.  Almost every request stops at its first
+// candidate, so the first kLazyProbes picks are min-scans over the
+// candidate list and the clusterhead's distance row; a request still
+// probing after that sorts its remaining keys once in a per-thread buffer,
+// which keeps a long false-positive chain O(m log m) instead of O(m^2).
+class NearestFirst {
+ public:
+  NearestFirst(std::span<const std::uint32_t> candidates,
+               std::span<const std::uint16_t> distance_row,
+               std::uint32_t own_index)
+      : candidates_(candidates),
+        row_(distance_row),
+        // The own domain is the only one at distance 0 and has already
+        // answered, so starting just past its key skips it.
+        last_(key(0, own_index)) {}
+
+  // Dense head index of the next candidate, kNoHeadIndex when none is left.
+  std::uint32_t pop() {
+    if (picks_ < kLazyProbes) {
+      last_ = smallest_above(last_);
+    } else {
+      if (picks_ == kLazyProbes) sort_rest();
+      const std::size_t i = picks_ - kLazyProbes;
+      last_ = i < rest().size() ? rest()[i] : kNone;
+    }
+    ++picks_;
+    return last_ == kNone ? kNoHeadIndex : static_cast<std::uint32_t>(last_);
+  }
+
+ private:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  // Keys at or above this belong to heads in another overlay component.
+  static constexpr std::uint64_t kUnreachable =
+      std::uint64_t{routing::ClusterheadRouter::kUnreachableDistance} << 32;
+
+  static std::uint64_t key(std::uint16_t distance, std::uint32_t idx) {
+    return (std::uint64_t{distance} << 32) | idx;
+  }
+  static std::vector<std::uint64_t>& rest() {
+    thread_local std::vector<std::uint64_t> buffer;
+    return buffer;
+  }
+
+  std::uint64_t smallest_above(std::uint64_t after) const {
+    std::uint64_t best = kUnreachable;
+    for (const std::uint32_t idx : candidates_) {
+      const std::uint64_t k = key(row_[idx], idx);
+      if (k > after && k < best) best = k;
+    }
+    return best == kUnreachable ? kNone : best;
+  }
+
+  void sort_rest() const {
+    std::vector<std::uint64_t>& buffer = rest();
+    buffer.clear();
+    for (const std::uint32_t idx : candidates_) {
+      const std::uint64_t k = key(row_[idx], idx);
+      if (k > last_ && k < kUnreachable) buffer.push_back(k);
+    }
+    std::sort(buffer.begin(), buffer.end());
+  }
+
+  std::span<const std::uint32_t> candidates_;
+  std::span<const std::uint16_t> row_;
+  std::uint64_t last_;
+  std::uint32_t picks_ = 0;
+};
 
 }  // namespace
 
@@ -157,35 +230,24 @@ bool ServingEngine::transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
   }
 }
 
-bool ServingEngine::walk_overlay(NodeId from, NodeId to,
+bool ServingEngine::walk_overlay(std::uint32_t from, std::uint32_t to,
                                  geom::Xoshiro256ss& rng, std::uint32_t& now,
-                                 NodeId& at, Outcome& out) const {
-  NodeId cur = from;
-  while (cur != to) {
-    const NodeId step = router_.next_clusterhead(cur, to);
-    if (step == kInvalidNode) return false;  // overlay disconnected
-    const routing::ClusterheadRouter::Leg leg =
-        router_.overlay_leg_compact(cur, step);
-    NodeId prev = cur;
-    if (!transmit(prev, leg.via1, rng, now, out)) {
-      at = prev;
-      return false;
-    }
+                                 Outcome& out) const {
+  const std::span<const NodeId> heads = router_.heads();
+  while (from != to) {
+    const std::uint32_t step = router_.next_head_index(from, to);
+    if (step == kNoHeadIndex) return false;  // overlay disconnected
+    const routing::ClusterheadRouter::Leg leg = router_.leg(from, step);
+    NodeId prev = heads[from];
+    if (!transmit(prev, leg.via1, rng, now, out)) return false;
     prev = leg.via1;
     if (leg.via2 != kInvalidNode) {
-      if (!transmit(prev, leg.via2, rng, now, out)) {
-        at = prev;
-        return false;
-      }
+      if (!transmit(prev, leg.via2, rng, now, out)) return false;
       prev = leg.via2;
     }
-    if (!transmit(prev, step, rng, now, out)) {
-      at = prev;
-      return false;
-    }
-    cur = step;
+    if (!transmit(prev, heads[step], rng, now, out)) return false;
+    from = step;
   }
-  at = cur;
   return true;
 }
 
@@ -265,32 +327,23 @@ Outcome ServingEngine::serve(const Request& request,
   // and carried with the request; the walk continues from wherever the
   // previous probe ended.
   const std::span<const NodeId> heads = router_.heads();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> candidates;
-  candidates.reserve(advertisers_[s].size());
-  for (const std::uint32_t idx : advertisers_[s]) {
-    if (idx == head_idx) continue;  // own domain already answered "no"
-    const std::uint32_t d = router_.overlay_distance(head, heads[idx]);
-    if (d == kNoHeadIndex) continue;  // unreachable overlay component
-    candidates.emplace_back(d, idx);
-  }
-  std::sort(candidates.begin(), candidates.end());
-
-  NodeId cur_head = head;
-  for (const auto& [dist, idx] : candidates) {
-    (void)dist;
-    NodeId reached = cur_head;
-    if (!walk_overlay(cur_head, heads[idx], rng, now, reached, out)) {
+  NearestFirst order(advertisers_[s], router_.distance_row(head_idx),
+                     head_idx);
+  std::uint32_t at = head_idx;
+  for (std::uint32_t idx = order.pop(); idx != kNoHeadIndex;
+       idx = order.pop()) {
+    if (!walk_overlay(at, idx, rng, now, out)) {
       out.resolution = Resolution::kLost;
       out.latency = now;
       return out;
     }
-    cur_head = heads[idx];
+    at = idx;
     const NodeId q = domain_provider(idx, s);
     if (q == kInvalidNode) {
       ++out.bloom_fp;  // Bloom false positive: probe cost only, keep going
       continue;
     }
-    if (q == cur_head || transmit(cur_head, q, rng, now, out)) {
+    if (q == heads[idx] || transmit(heads[idx], q, rng, now, out)) {
       out.provider = q;
       out.delivered = 1;
       out.resolution = Resolution::kInterDomain;
@@ -341,24 +394,8 @@ BatchStats ServingEngine::serve_batch(std::span<const Request> requests,
     st.latency_p50 = nearest_rank(0.50);
     st.latency_p95 = nearest_rank(0.95);
   }
-  double stretch_sum = 0.0;
-  if (opts_.stretch_sample_stride > 0) {
-    for (std::size_t i = 0; i < outcomes.size();
-         i += opts_.stretch_sample_stride) {
-      const Outcome& out = outcomes[i];
-      if (out.delivered == 0 || out.provider == requests[i].src) continue;
-      const auto d = graph::hop_distance(g_, requests[i].src, out.provider);
-      if (d == 0) continue;
-      stretch_sum += static_cast<double>(out.hops) / static_cast<double>(d);
-      ++st.stretch_samples;
-    }
-    if (st.stretch_samples > 0) {
-      st.mean_stretch = stretch_sum / static_cast<double>(st.stretch_samples);
-    }
-  }
-
-  if (obs::Recorder* rec = obs::recorder_or_global(recorder);
-      rec != nullptr) {
+  obs::Recorder* rec = obs::recorder_or_global(recorder);
+  if (rec != nullptr) {
     rec->metrics().add("service/requests", st.requests);
     rec->metrics().add("service/delivered", st.delivered);
     rec->metrics().add("service/hops", st.hops);
@@ -367,17 +404,25 @@ BatchStats ServingEngine::serve_batch(std::span<const Request> requests,
     for (const Outcome& out : outcomes) {
       rec->metrics().observe("service/latency", out.latency);
     }
-    if (opts_.stretch_sample_stride > 0) {
-      for (std::size_t i = 0; i < outcomes.size();
-           i += opts_.stretch_sample_stride) {
-        const Outcome& out = outcomes[i];
-        if (out.delivered == 0 || out.provider == requests[i].src) continue;
-        const auto d = graph::hop_distance(g_, requests[i].src, out.provider);
-        if (d == 0) continue;
-        rec->metrics().observe("service/stretch",
-                               static_cast<double>(out.hops) /
-                                   static_cast<double>(d));
-      }
+  }
+  // Each stretch sample costs a BFS: compute it once, feed both BatchStats
+  // and the recorder.
+  if (opts_.stretch_sample_stride > 0) {
+    double stretch_sum = 0.0;
+    for (std::size_t i = 0; i < outcomes.size();
+         i += opts_.stretch_sample_stride) {
+      const Outcome& out = outcomes[i];
+      if (out.delivered == 0 || out.provider == requests[i].src) continue;
+      const auto d = graph::hop_distance(g_, requests[i].src, out.provider);
+      if (d == 0) continue;
+      const double stretch =
+          static_cast<double>(out.hops) / static_cast<double>(d);
+      stretch_sum += stretch;
+      ++st.stretch_samples;
+      if (rec != nullptr) rec->metrics().observe("service/stretch", stretch);
+    }
+    if (st.stretch_samples > 0) {
+      st.mean_stretch = stretch_sum / static_cast<double>(st.stretch_samples);
     }
   }
   return st;

@@ -161,10 +161,11 @@ class ServingEngine {
   // outcome counters.  False when every attempt failed.
   bool transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
                 std::uint32_t& now, Outcome& out) const;
-  // Walk the overlay from head `from` to head `to` hop by hop.  False when
-  // a hop exhausted its attempts; `at` tracks the current node.
-  bool walk_overlay(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
-                    std::uint32_t& now, NodeId& at, Outcome& out) const;
+  // Walk the overlay from head `from` to head `to` (dense head indices) hop
+  // by hop.  False when a hop exhausted its attempts.
+  bool walk_overlay(std::uint32_t from, std::uint32_t to,
+                    geom::Xoshiro256ss& rng, std::uint32_t& now,
+                    Outcome& out) const;
   [[nodiscard]] double drop_probability(NodeId from, NodeId to) const;
   [[nodiscard]] bool crashed(NodeId node, std::uint32_t at_time) const;
   // First provider of `service` in head's domain (smallest id), or

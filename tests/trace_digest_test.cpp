@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "digest.h"
 #include "facade/build.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
@@ -40,29 +41,9 @@
 namespace wcds {
 namespace {
 
-// FNV-1a over 64-bit words.
-class Digest {
- public:
-  void add(std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (word >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  void add(const std::string& text) {
-    add(text.size());
-    for (const char c : text) add(static_cast<std::uint64_t>(c));
-  }
-  template <typename T>
-  void add_all(const std::vector<T>& values) {
-    add(values.size());
-    for (const T& v : values) add(static_cast<std::uint64_t>(v));
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
+using testing::Cells;
+using testing::Digest;
+using testing::expect_pinned;
 
 void add_trace(Digest& d, const std::vector<obs::TraceEvent>& events) {
   d.add(events.size());
@@ -213,24 +194,6 @@ std::uint64_t churn_digest(std::uint32_t n, double degree,
                 session.update(udg::build_udg(points), max_events));
   }
   return d.value();
-}
-
-using Cells = std::map<std::string, std::uint64_t>;
-
-// Compare computed digests against the pinned table; a mismatch or a
-// missing entry prints the computed line in table syntax.
-void expect_pinned(const Cells& computed, const Cells& pinned) {
-  for (const auto& [name, digest] : computed) {
-    const auto it = pinned.find(name);
-    std::ostringstream line;
-    line << "{\"" << name << "\", 0x" << std::hex << digest << "ULL},";
-    if (it == pinned.end()) {
-      ADD_FAILURE() << "unpinned cell " << line.str();
-    } else {
-      EXPECT_EQ(it->second, digest) << "cell " << line.str();
-    }
-  }
-  EXPECT_EQ(computed.size(), pinned.size());
 }
 
 const Cells kRuntimeQueuePinned = {
