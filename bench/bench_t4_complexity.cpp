@@ -5,18 +5,94 @@
 // Algorithm II: O(n) time, O(n) messages (fully localized).
 // The table reports measured transmissions, transmissions/n, and
 // transmissions/(n log2 n), whose trends expose the asymptotic shape.
+// T4c reports what the simulation of those messages costs: wall time per
+// delivered copy and heap allocations per node.
 #include "bench_common.h"
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <iostream>
+#include <new>
 
 #include "bench_support/table.h"
 #include "protocols/algorithm1_protocol.h"
 #include "protocols/algorithm2_protocol.h"
 
+// Counting global allocator for T4c: one relaxed increment per allocation.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+
 namespace {
 
 using namespace wcds;
+
+// T4c: cost of one simulated delivery.  Each cell times the raw protocol
+// entrypoint (unit delays, audits off, no recorder) five times and reports
+// the median run divided by its delivered copies, plus the allocations one
+// run makes per node.  Expected degree 16, the whole-path benchmark's
+// density.  Not gated: per-delivery time grows with n through cache misses
+// alone (the working set outgrows L2), even though the work per delivery is
+// constant.
+void print_delivery_cost_table() {
+  obs::Recorder* const ambient = obs::global_recorder();
+  obs::set_global_recorder(nullptr);
+  bench::banner(std::cout,
+                "T4c: simulation cost per delivery (deg = 16, median of 5)");
+  bench::Table table({"n", "alg", "deliveries", "ms/run", "ns/delivery",
+                      "allocs/node"});
+  for (const std::uint32_t n : {256u, 1024u, 4096u, 16384u}) {
+    const auto inst = bench::connected_instance(n, 16.0, 1);
+    for (const bool alg1 : {true, false}) {
+      constexpr int kRuns = 5;
+      std::array<double, kRuns> ms{};
+      std::uint64_t deliveries = 0;
+      std::uint64_t allocations = 0;
+      for (double& sample : ms) {
+        const std::uint64_t allocs_before = g_allocations.load();
+        const auto start = std::chrono::steady_clock::now();
+        // Raw entrypoints on purpose: the facade's list extraction is not
+        // part of the protocol's message cost.
+        if (alg1) {
+          // wcds-lint: allow(facade-only)
+          deliveries = protocols::run_algorithm1(inst.g).stats.deliveries;
+        } else {
+          // wcds-lint: allow(facade-only)
+          deliveries = protocols::run_algorithm2(inst.g).stats.deliveries;
+        }
+        const auto stop = std::chrono::steady_clock::now();
+        allocations = g_allocations.load() - allocs_before;
+        sample = std::chrono::duration<double, std::milli>(stop - start).count();
+      }
+      std::sort(ms.begin(), ms.end());
+      const double median_ms = ms[kRuns / 2];
+      table.add_row({std::to_string(n), alg1 ? "alg1" : "alg2",
+                     bench::fmt_count(deliveries), bench::fmt(median_ms, 2),
+                     bench::fmt(median_ms * 1e6 / static_cast<double>(deliveries),
+                                1),
+                     bench::fmt(static_cast<double>(allocations) / n, 1)});
+    }
+  }
+  table.print(std::cout);
+  obs::set_global_recorder(ambient);
+}
 
 void print_tables() {
   bench::banner(std::cout, "T4a: message complexity vs n (deg = 10, 3 seeds)");
@@ -77,6 +153,8 @@ void print_tables() {
                "msgs/(n lg n) is roughly flat (leader election's\nO(n log "
                "n)); both completion times grow with network diameter "
                "~sqrt(n).\n";
+
+  print_delivery_cost_table();
 }
 
 void BM_DistributedAlgorithm1(benchmark::State& state) {

@@ -19,13 +19,13 @@ const char* hardened_message_name(sim::MessageType type) {
 }
 
 void FrameContext::broadcast(sim::MessageType type,
-                             std::vector<std::uint32_t> payload) {
-  owner_.queue_frame(*this, type, sim::kBroadcastDst, std::move(payload));
+                             std::span<const std::uint32_t> payload) {
+  owner_.queue_frame(*this, type, sim::kBroadcastDst, payload);
 }
 
 void FrameContext::unicast(NodeId dst, sim::MessageType type,
-                           std::vector<std::uint32_t> payload) {
-  owner_.queue_frame(*this, type, dst, std::move(payload));
+                           std::span<const std::uint32_t> payload) {
+  owner_.queue_frame(*this, type, dst, payload);
 }
 
 HardenedNode::HardenedNode(std::unique_ptr<sim::ProtocolNode> inner,
@@ -65,11 +65,12 @@ std::size_t HardenedNode::peer_index(NodeId node) const {
 
 void HardenedNode::queue_frame(sim::Context& ctx, sim::MessageType orig_type,
                                NodeId orig_dst,
-                               std::vector<std::uint32_t>&& payload) {
+                               std::span<const std::uint32_t> payload) {
   // A neighborless radio reaches nobody; dropping the frame mirrors the
   // physical broadcast and keeps the retransmit clock quiescent.
   if (peers_.empty()) return;
-  Frame frame{next_seq_++, orig_type, orig_dst, std::move(payload)};
+  Frame frame{next_seq_++, orig_type, orig_dst,
+              {payload.begin(), payload.end()}};
   broadcast_frame(ctx, frame);
   ++stats_.frames_sent;
   outstanding_.push_back(std::move(frame));
@@ -77,15 +78,12 @@ void HardenedNode::queue_frame(sim::Context& ctx, sim::MessageType orig_type,
 }
 
 void HardenedNode::broadcast_frame(sim::Context& ctx, const Frame& frame) {
-  std::vector<std::uint32_t> wire;
-  wire.reserve(3 + frame.payload.size());
-  wire.push_back(frame.seq);
-  wire.push_back(frame.orig_type);
-  wire.push_back(frame.orig_dst);
-  wire.insert(wire.end(), frame.payload.begin(), frame.payload.end());
-  // Qualified call: transmit on the real radio even when `ctx` is the
-  // FrameContext shim (its virtual broadcast would frame recursively).
-  ctx.sim::Context::broadcast(kMsgData, std::move(wire));
+  wire_.assign({frame.seq, frame.orig_type, frame.orig_dst});
+  wire_.insert(wire_.end(), frame.payload.begin(), frame.payload.end());
+  // Qualified call with a span: transmit on the real radio even when `ctx`
+  // is the FrameContext shim (its virtual broadcast would frame
+  // recursively).
+  ctx.sim::Context::broadcast(kMsgData, std::span<const std::uint32_t>(wire_));
 }
 
 void HardenedNode::on_receive(sim::Context& ctx, const sim::Message& msg) {
@@ -114,18 +112,18 @@ void HardenedNode::handle_data(sim::Context& ctx, const sim::Message& msg) {
     // the re-ack below repairs a possibly lost ACK.
     ++stats_.duplicates_ignored;
   } else if (seq == stream.next_expected) {
-    Frame frame{seq, static_cast<sim::MessageType>(msg.payload[1]),
-                static_cast<NodeId>(msg.payload[2]),
-                {msg.payload.begin() + 3, msg.payload.end()}};
-    deliver_frame(ctx, msg.src, frame);
+    deliver_frame(ctx, msg.src, static_cast<sim::MessageType>(msg.payload[1]),
+                  static_cast<NodeId>(msg.payload[2]), msg.payload.subspan(3));
     ++stream.next_expected;
     // Drain the reorder buffer while it continues the stream.
     bool advanced = true;
     while (advanced) {
       advanced = false;
       for (std::size_t i = 0; i < stream.buffered.size(); ++i) {
-        if (stream.buffered[i].seq != stream.next_expected) continue;
-        deliver_frame(ctx, msg.src, stream.buffered[i]);
+        const Frame& parked = stream.buffered[i];
+        if (parked.seq != stream.next_expected) continue;
+        deliver_frame(ctx, msg.src, parked.orig_type, parked.orig_dst,
+                      parked.payload);
         ++stream.next_expected;
         stream.buffered[i] = std::move(stream.buffered.back());
         stream.buffered.pop_back();
@@ -148,23 +146,21 @@ void HardenedNode::handle_data(sim::Context& ctx, const sim::Message& msg) {
     }
   }
   // Cumulative ack for everything contiguously received; sent even for
-  // duplicates, since the previous ACK may have been lost.
-  ctx.sim::Context::unicast(msg.src, kMsgAck, {stream.next_expected - 1});
+  // duplicates, since the previous ACK may have been lost.  A span, not a
+  // braced list: the list overload would dispatch virtually again.
+  const std::uint32_t cumulative = stream.next_expected - 1;
+  ctx.sim::Context::unicast(msg.src, kMsgAck,
+                            std::span<const std::uint32_t>(&cumulative, 1));
   ++stats_.acks_sent;
 }
 
 void HardenedNode::deliver_frame(sim::Context& ctx, NodeId src,
-                                 const Frame& frame) {
+                                 sim::MessageType orig_type, NodeId orig_dst,
+                                 std::span<const std::uint32_t> payload) {
   // Every neighbor hears every frame (that is what makes seq gaps
   // unambiguous); only the addressed ones surface to the protocol.
-  if (frame.orig_dst != sim::kBroadcastDst && frame.orig_dst != ctx.self()) {
-    return;
-  }
-  sim::Message logical;
-  logical.src = src;
-  logical.dst = frame.orig_dst;
-  logical.type = frame.orig_type;
-  logical.payload = frame.payload;
+  if (orig_dst != sim::kBroadcastDst && orig_dst != ctx.self()) return;
+  const sim::Message logical{src, orig_dst, orig_type, payload};
   FrameContext fctx(ctx, *this);
   inner_->on_receive(fctx, logical);
 }

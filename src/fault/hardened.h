@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/types.h"
@@ -79,10 +80,12 @@ class FrameContext final : public sim::Context {
   FrameContext(const sim::Context& base, HardenedNode& owner)
       : sim::Context(base), owner_(owner) {}
 
+  using sim::Context::broadcast;
+  using sim::Context::unicast;
   void broadcast(sim::MessageType type,
-                 std::vector<std::uint32_t> payload) override;
+                 std::span<const std::uint32_t> payload) override;
   void unicast(NodeId dst, sim::MessageType type,
-               std::vector<std::uint32_t> payload) override;
+               std::span<const std::uint32_t> payload) override;
 
  private:
   HardenedNode& owner_;
@@ -124,11 +127,14 @@ class HardenedNode final : public sim::ProtocolNode {
   };
 
   void queue_frame(sim::Context& ctx, sim::MessageType orig_type,
-                   NodeId orig_dst, std::vector<std::uint32_t>&& payload);
+                   NodeId orig_dst, std::span<const std::uint32_t> payload);
   void broadcast_frame(sim::Context& ctx, const Frame& frame);
   void handle_data(sim::Context& ctx, const sim::Message& msg);
   void handle_ack(const sim::Message& msg);
-  void deliver_frame(sim::Context& ctx, NodeId src, const Frame& frame);
+  // Hand one logical message to the wrapped protocol; `payload` views the
+  // DATA frame it arrived in, or the reorder buffer that parked it.
+  void deliver_frame(sim::Context& ctx, NodeId src, sim::MessageType orig_type,
+                     NodeId orig_dst, std::span<const std::uint32_t> payload);
   void arm_timer(sim::Context& ctx);
   [[nodiscard]] std::size_t peer_index(NodeId node) const;
 
@@ -145,6 +151,9 @@ class HardenedNode final : public sim::ProtocolNode {
   std::uint32_t next_seq_ = 1;
   std::uint32_t min_acked_ = 0;
   std::vector<std::uint32_t> acked_up_to_;  // per peer, cumulative
+  // Scratch for the wire form of one DATA frame; the runtime copies it out
+  // before broadcast returns.
+  std::vector<std::uint32_t> wire_;
 
   // Receive side, per peer.
   std::vector<InStream> in_;

@@ -15,18 +15,6 @@ Graph::Graph(std::vector<std::uint32_t> offsets, std::vector<NodeId> adjacency)
               "Graph: offsets must be non-decreasing");
 }
 
-bool Graph::has_edge(NodeId u, NodeId v) const {
-  const auto row = neighbors(u);
-  return std::binary_search(row.begin(), row.end(), v);
-}
-
-std::size_t Graph::edge_slot(NodeId u, NodeId v) const {
-  const auto row = neighbors(u);
-  const auto it = std::lower_bound(row.begin(), row.end(), v);
-  if (it == row.end() || *it != v) return kNoSlot;
-  return offsets_[u] + static_cast<std::size_t>(it - row.begin());
-}
-
 std::size_t Graph::max_degree() const {
   std::size_t best = 0;
   for (NodeId u = 0; u < node_count(); ++u) best = std::max(best, degree(u));

@@ -39,7 +39,9 @@ class Graph {
   }
 
   // O(log deg(u)) membership test on the sorted adjacency row.
-  [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
+  [[nodiscard]] bool has_edge(NodeId u, NodeId v) const {
+    return edge_slot(u, v) != kNoSlot;
+  }
 
   // Directed CSR slots: slot of (u, v) is row_begin(u) + index of v in u's
   // sorted adjacency row.  Slots are dense in [0, adjacency_slots()) and
@@ -51,7 +53,20 @@ class Graph {
   // Slot of directed pair (u, v), or kNoSlot when v is not adjacent to u.
   // O(log deg(u)), same search as has_edge.
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  [[nodiscard]] std::size_t edge_slot(NodeId u, NodeId v) const;
+  [[nodiscard]] std::size_t edge_slot(NodeId u, NodeId v) const {
+    // Branch-free search: the simulator looks up a slot per unicast and per
+    // delivery, on rows too short for a mispredicted branch to pay off.
+    std::size_t len = degree(u);
+    if (len == 0) return kNoSlot;
+    const NodeId* base = adjacency_.data() + offsets_[u];
+    while (len > 1) {
+      const std::size_t half = len / 2;
+      base = base[half] <= v ? base + half : base;
+      len -= half;
+    }
+    return *base == v ? static_cast<std::size_t>(base - adjacency_.data())
+                      : kNoSlot;
+  }
 
   [[nodiscard]] std::size_t max_degree() const;
   [[nodiscard]] double average_degree() const;

@@ -1,8 +1,8 @@
 #include "protocols/algorithm1_protocol.h"
 
-#include <algorithm>
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "check/audit.h"
 #include "check/check.h"
@@ -14,10 +14,6 @@
 
 namespace wcds::protocols {
 namespace {
-
-bool contains(const std::vector<NodeId>& v, NodeId x) {
-  return std::find(v.begin(), v.end(), x) != v.end();
-}
 
 // Final-state accessor that sees through the hardened-transport wrapper.
 const Algorithm1Node& as_algorithm1(const sim::Runtime& runtime, NodeId u,
@@ -44,6 +40,7 @@ const char* algorithm1_message_name(sim::MessageType type) {
 }
 
 void Algorithm1Node::on_start(sim::Context& ctx) {
+  neighbors_.assign(ctx.neighbors().size(), NeighborState{});
   started_ = true;
   best_cid_ = ctx.self();
   parent_ = kInvalidNode;
@@ -60,7 +57,7 @@ void Algorithm1Node::adopt(sim::Context& ctx, std::uint32_t cid,
   best_cid_ = cid;
   parent_ = new_parent;
   resp_received_ = 0;
-  children_.clear();
+  children_ = 0;
   children_complete_ = 0;
   sent_complete_a_ = false;
   ctx.broadcast(kMsgCandidate, {cid});
@@ -69,7 +66,7 @@ void Algorithm1Node::adopt(sim::Context& ctx, std::uint32_t cid,
 void Algorithm1Node::maybe_complete_wave(sim::Context& ctx) {
   if (sent_complete_a_) return;
   if (resp_received_ != ctx.neighbors().size()) return;
-  if (children_complete_ != children_.size()) return;
+  if (children_complete_ != children_) return;
   sent_complete_a_ = true;
   if (parent_ != kInvalidNode) {
     ctx.unicast(parent_, kMsgCompleteA, {best_cid_});
@@ -98,7 +95,7 @@ void Algorithm1Node::maybe_complete_levels(sim::Context& ctx) {
   if (level_ == kNoLevel || sent_complete_b_) return;
   // COMPLETE-B flows up once this node has leveled and every phase-A child
   // subtree reported.
-  if (level_children_complete_ != children_.size()) return;
+  if (level_children_complete_ != children_) return;
   sent_complete_b_ = true;
   if (parent_ != kInvalidNode) {
     ctx.unicast(parent_, kMsgCompleteB);
@@ -123,21 +120,34 @@ void Algorithm1Node::turn_gray(sim::Context& ctx) {
   ctx.broadcast(kMsgGrayI);
 }
 
+bool Algorithm1Node::ranks_below(const sim::Context& ctx,
+                                 std::size_t slot) const {
+  const std::pair<std::uint32_t, NodeId> mine{level_, ctx.self()};
+  const std::pair<std::uint32_t, NodeId> theirs{neighbors_[slot].level,
+                                                ctx.neighbors()[slot]};
+  return theirs < mine;
+}
+
 void Algorithm1Node::maybe_turn_black(sim::Context& ctx) {
   if (color_ != Color::kWhite || level_ == kNoLevel) return;
-  const std::pair<std::uint32_t, NodeId> my_rank{level_, ctx.self()};
-  for (NodeId v : ctx.neighbors()) {
-    const auto it =
-        std::find_if(neighbor_levels_.begin(), neighbor_levels_.end(),
-                     [&](const auto& e) { return e.first == v; });
-    if (it == neighbor_levels_.end()) return;  // level unknown yet: wait
-    const std::pair<std::uint32_t, NodeId> their_rank{it->second, v};
-    if (their_rank < my_rank && !contains(gray_senders_, v)) return;
+  if (levels_known_ != neighbors_.size()) return;  // a level unknown: wait
+  if (!ranked_) {
+    // Levels never change once announced, so the lower-rank set is fixed
+    // from here on; later GRAYs decrement the count.
+    ranked_ = true;
+    for (std::size_t slot = 0; slot < neighbors_.size(); ++slot) {
+      if (ranks_below(ctx, slot) && !neighbors_[slot].gray) ++lower_not_gray_;
+    }
   }
+  if (lower_not_gray_ != 0) return;
   color_ = Color::kBlack;
   ctx.broadcast(kMsgBlack);
 }
 
+// Every counting handler is duplicate-safe: a replayed RESP, COMPLETE-A,
+// LEVEL, COMPLETE-B or GRAY finds its neighbor slot already marked and
+// counts nothing, so a duplicating radio cannot push a counter past the
+// number of neighbors or children it waits for.
 void Algorithm1Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
   switch (msg.type) {
     case kMsgCandidate: {
@@ -154,26 +164,32 @@ void Algorithm1Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
     case kMsgResp: {
       const std::uint32_t cid = msg.payload[0];
       if (cid != best_cid_) break;  // stale wave
+      NeighborState& from = neighbors_[ctx.neighbor_slot(msg.src)];
+      if (from.resp_cid == cid) break;  // replay
+      from.resp_cid = cid;
       ++resp_received_;
-      if (msg.payload[1] == 1) children_.push_back(msg.src);
+      if (msg.payload[1] == 1) ++children_;
       maybe_complete_wave(ctx);
       break;
     }
     case kMsgCompleteA: {
-      if (msg.payload[0] != best_cid_) break;  // stale wave
+      const std::uint32_t cid = msg.payload[0];
+      if (cid != best_cid_) break;  // stale wave
+      NeighborState& from = neighbors_[ctx.neighbor_slot(msg.src)];
+      if (from.complete_cid == cid) break;  // replay
+      from.complete_cid = cid;
       ++children_complete_;
       maybe_complete_wave(ctx);
       break;
     }
     case kMsgLevel: {
       const std::uint32_t announced = msg.payload[0];
-      // Insert-once keeps the record duplicate-safe (a node announces its
-      // level a single time, so re-hearing it can only be a replay).
-      const auto it =
-          std::find_if(neighbor_levels_.begin(), neighbor_levels_.end(),
-                       [&](const auto& e) { return e.first == msg.src; });
-      if (it == neighbor_levels_.end()) {
-        neighbor_levels_.emplace_back(msg.src, announced);
+      // Record-once: a node announces its level a single time, so
+      // re-hearing it can only be a replay.
+      const std::size_t slot = ctx.neighbor_slot(msg.src);
+      if (neighbors_[slot].level == kNoLevel) {
+        neighbors_[slot].level = announced;
+        ++levels_known_;
       }
       if (msg.src == parent_ && level_ == kNoLevel) {
         announce_level(ctx, announced + 1);
@@ -183,6 +199,9 @@ void Algorithm1Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
       break;
     }
     case kMsgCompleteB: {
+      NeighborState& from = neighbors_[ctx.neighbor_slot(msg.src)];
+      if (from.complete_b) break;  // replay
+      from.complete_b = true;
       ++level_children_complete_;
       maybe_complete_levels(ctx);
       break;
@@ -192,8 +211,11 @@ void Algorithm1Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
       break;
     }
     case kMsgGrayI: {
-      // Duplicate-safe: a replayed GRAY must not double-count the sender.
-      if (!contains(gray_senders_, msg.src)) gray_senders_.push_back(msg.src);
+      const std::size_t slot = ctx.neighbor_slot(msg.src);
+      if (!neighbors_[slot].gray) {
+        neighbors_[slot].gray = true;
+        if (ranked_ && ranks_below(ctx, slot)) --lower_not_gray_;
+      }
       maybe_turn_black(ctx);
       break;
     }
@@ -267,6 +289,10 @@ DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
     }
     r.mis_dominators = r.dominators;
     extract_timer.stop();
+    // A quiescent run without a leader built no backbone at all; say so
+    // instead of returning an empty WCDS.
+    WCDS_REQUIRE_STATE(run.leader != kInvalidNode,
+                       "run_algorithm1: quiesced without electing a leader");
   } else {
     // Disconnected deployment: one independent sub-run per component, under
     // `execution` (sim/sharded.h).  Extraction happens inside each shard —
@@ -339,6 +365,11 @@ DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
     r.mis_dominators = r.dominators;
     run.leader = run.leaders[0];
     extract_timer.stop();
+    for (std::size_t c = 0; c < shard_count; ++c) {
+      WCDS_REQUIRE_STATE(run.leaders[c] != kInvalidNode,
+                         "run_algorithm1: component "
+                             << c << " quiesced without electing a leader");
+    }
   }
 
   if (rec != nullptr) {

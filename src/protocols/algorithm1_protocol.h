@@ -80,26 +80,49 @@ class Algorithm1Node final : public sim::ProtocolNode {
   void turn_gray(sim::Context& ctx);
   void maybe_turn_black(sim::Context& ctx);
 
+  static constexpr std::uint32_t kNoLevel = 0xFFFFFFFFu;
+  // No wave tag yet; candidate ids are node ids, so never a real one.
+  static constexpr std::uint32_t kNoCid = 0xFFFFFFFFu;
+
+  // What this node knows about one neighbor, indexed by the neighbor's slot
+  // in this node's sorted neighbor row.  The wave tags make RESP and
+  // COMPLETE-A count once per (neighbor, wave): a wave's cid never returns
+  // once abandoned, so no reset is needed when a smaller wave is adopted.
+  struct NeighborState {
+    std::uint32_t resp_cid = kNoCid;      // wave whose RESP was counted
+    std::uint32_t complete_cid = kNoCid;  // wave whose COMPLETE-A was counted
+    std::uint32_t level = kNoLevel;       // announced LEVEL
+    bool complete_b = false;              // COMPLETE-B counted
+    bool gray = false;                    // GRAY heard
+  };
+  // (level, id) rank of the neighbor in `slot` is below this node's rank.
+  [[nodiscard]] bool ranks_below(const sim::Context& ctx,
+                                 std::size_t slot) const;
+
+  std::vector<NeighborState> neighbors_;
+
   // Phase A state.
   std::uint32_t best_cid_ = 0;
   NodeId parent_ = kInvalidNode;
   std::size_t resp_received_ = 0;
-  std::vector<NodeId> children_;
+  std::size_t children_ = 0;
   std::size_t children_complete_ = 0;
   bool sent_complete_a_ = false;
   bool started_ = false;
   bool leader_ = false;
 
   // Phase B state.
-  static constexpr std::uint32_t kNoLevel = 0xFFFFFFFFu;
   std::uint32_t level_ = kNoLevel;
-  std::vector<std::pair<NodeId, std::uint32_t>> neighbor_levels_;
+  std::size_t levels_known_ = 0;
   std::size_t level_children_complete_ = 0;
   bool sent_complete_b_ = false;
 
-  // Phase C state.
+  // Phase C state.  Once this node's and every neighbor's level are known,
+  // ranked_ is set and lower_not_gray_ counts the lower-rank neighbors that
+  // have not sent GRAY yet: the marking predicate becomes one comparison.
   Color color_ = Color::kWhite;
-  std::vector<NodeId> gray_senders_;
+  bool ranked_ = false;
+  std::size_t lower_not_gray_ = 0;
 };
 
 struct DistributedAlgorithm1Run {

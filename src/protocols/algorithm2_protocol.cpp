@@ -54,7 +54,39 @@ const char* algorithm2_message_name(sim::MessageType type) {
 }
 
 void Algorithm2Node::on_start(sim::Context& ctx) {
+  const auto row = ctx.neighbors();
+  slot_flags_.assign(row.size(), 0);
+  lower_neighbors_ = static_cast<std::uint32_t>(
+      std::lower_bound(row.begin(), row.end(), ctx.self()) - row.begin());
   maybe_become_dominator(ctx);
+}
+
+void Algorithm2Node::mark_slot(const sim::Context& ctx, NodeId from,
+                               SlotFlag flag) {
+  const std::size_t slot = ctx.neighbor_slot(from);
+  std::uint8_t& flags = slot_flags_[slot];
+  if ((flags & flag) != 0) return;  // a replayed message
+  flags |= flag;
+  switch (flag) {
+    case kColorKnown:
+      ++colors_known_;
+      break;
+    case kGrayHeard:
+      if (slot < lower_neighbors_) ++lower_grays_;
+      if ((flags & kOneHopHeard) == 0) ++grays_missing_one_hop_;
+      break;
+    case kOneHopHeard:
+      if ((flags & kGrayHeard) != 0) --grays_missing_one_hop_;
+      break;
+  }
+}
+
+Algorithm2Node::DomIndexEntry& Algorithm2Node::index_entry(NodeId dom) {
+  const auto it = std::lower_bound(
+      dom_index_.begin(), dom_index_.end(), dom,
+      [](const DomIndexEntry& e, NodeId key) { return e.dom < key; });
+  if (it != dom_index_.end() && it->dom == dom) return *it;
+  return *dom_index_.insert(it, DomIndexEntry{dom, 0});
 }
 
 void Algorithm2Node::maybe_become_dominator(sim::Context& ctx) {
@@ -62,16 +94,14 @@ void Algorithm2Node::maybe_become_dominator(sim::Context& ctx) {
   // Rule 1 + rule 3 combined: a white node turns MIS-dominator once every
   // lower-ID neighbor is known gray (at start this is vacuous for a local
   // ID minimum).
-  for (NodeId v : ctx.neighbors()) {
-    if (v < ctx.self() && !contains_sorted(gray_heard_, v)) return;
-  }
+  if (lower_grays_ != lower_neighbors_) return;
   color_ = Color::kBlack;
   mis_dominator_ = true;
   ctx.broadcast(kMsgMisDominator);
 }
 
 void Algorithm2Node::note_color_heard(sim::Context& ctx, NodeId from) {
-  insert_unique(color_heard_, from);
+  mark_slot(ctx, from, kColorKnown);
   // Rule 4: a gray node that has heard GRAY or MIS-DOMINATOR from all its
   // neighbors announces its 1HopDomList.
   maybe_send_one_hop(ctx);
@@ -79,11 +109,9 @@ void Algorithm2Node::note_color_heard(sim::Context& ctx, NodeId from) {
 
 void Algorithm2Node::maybe_send_one_hop(sim::Context& ctx) {
   if (color_ != Color::kGray || sent_one_hop_) return;
-  if (color_heard_.size() != ctx.neighbors().size()) return;
+  if (colors_known_ != slot_flags_.size()) return;
   sent_one_hop_ = true;
-  std::vector<std::uint32_t> payload(one_hop_doms_.begin(),
-                                     one_hop_doms_.end());
-  ctx.broadcast(kMsgOneHopDoms, std::move(payload));
+  ctx.broadcast(kMsgOneHopDoms, one_hop_doms_);
   // All gray neighbors may already have reported (possible when this node
   // grayed late); re-check the 2-hop trigger.
   maybe_send_two_hop(ctx);
@@ -91,30 +119,19 @@ void Algorithm2Node::maybe_send_one_hop(sim::Context& ctx) {
 
 void Algorithm2Node::maybe_send_two_hop(sim::Context& ctx) {
   if (color_ != Color::kGray || !sent_one_hop_ || sent_two_hop_) return;
-  if (color_heard_.size() != ctx.neighbors().size()) return;
+  if (colors_known_ != slot_flags_.size()) return;
   // Rule 7: heard 1-HOP-DOMINATORS from each gray neighbor.
-  for (NodeId v : gray_neighbors_) {
-    if (!contains_sorted(one_hop_heard_, v)) return;
-  }
+  if (grays_missing_one_hop_ != 0) return;
   sent_two_hop_ = true;
-  std::vector<std::uint32_t> payload;
-  payload.reserve(two_hop_doms_.size() * 2);
+  // One scratch buffer per thread: the runtime copies the payload out
+  // before broadcast returns.
+  thread_local std::vector<std::uint32_t> payload;
+  payload.clear();
   for (const core::TwoHopEntry& e : two_hop_doms_) {
     payload.push_back(e.dom);
     payload.push_back(e.via);
   }
-  ctx.broadcast(kMsgTwoHopDoms, std::move(payload));
-}
-
-bool Algorithm2Node::knows_two_hop(NodeId dom) const {
-  return std::any_of(two_hop_doms_.begin(), two_hop_doms_.end(),
-                     [&](const core::TwoHopEntry& e) { return e.dom == dom; });
-}
-
-bool Algorithm2Node::knows_three_hop(NodeId dom) const {
-  return std::any_of(
-      three_hop_doms_.begin(), three_hop_doms_.end(),
-      [&](const core::ThreeHopEntry& e) { return e.dom == dom; });
+  ctx.broadcast(kMsgTwoHopDoms, payload);
 }
 
 void Algorithm2Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
@@ -131,8 +148,7 @@ void Algorithm2Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
       break;
     }
     case kMsgGray: {
-      insert_unique(gray_heard_, msg.src);
-      insert_unique(gray_neighbors_, msg.src);
+      mark_slot(ctx, msg.src, kGrayHeard);
       // Rule 3: a white node black-promotes once all lower-ID neighbors
       // reported gray.
       maybe_become_dominator(ctx);
@@ -140,18 +156,21 @@ void Algorithm2Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
       break;
     }
     case kMsgOneHopDoms: {
-      insert_unique(one_hop_heard_, msg.src);
+      mark_slot(ctx, msg.src, kOneHopHeard);
       for (std::uint32_t dom : msg.payload) {
         if (dom == ctx.self()) continue;
         if (contains_sorted(one_hop_doms_, NodeId{dom})) continue;
+        DomIndexEntry& entry = index_entry(dom);
         // Rules 5/6: record the 2-hop dominator with the reporting neighbor
         // as the intermediate; one entry per dominator (first heard wins).
-        if (!knows_two_hop(dom)) {
+        if ((entry.lists & kInTwoHop) == 0) {
+          entry.lists |= kInTwoHop;
           two_hop_doms_.push_back({dom, msg.src});
         }
         // Rule 6 tail: a dominator found at 2 hops cancels any tentative
         // 3-hop entry (only MIS-dominators hold those).
-        if (mis_dominator_) {
+        if (mis_dominator_ && (entry.lists & kInThreeHop) != 0) {
+          entry.lists &= static_cast<std::uint8_t>(~kInThreeHop);
           std::erase_if(three_hop_doms_, [&](const core::ThreeHopEntry& e) {
             return e.dom == dom;
           });
@@ -168,7 +187,9 @@ void Algorithm2Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
         const NodeId x = msg.payload[i + 1];
         if (w == ctx.self() || ctx.self() >= w) continue;
         if (contains_sorted(one_hop_doms_, w)) continue;
-        if (knows_two_hop(w) || knows_three_hop(w)) continue;
+        DomIndexEntry& entry = index_entry(w);
+        if (entry.lists != 0) continue;  // known at 2 or 3 hops
+        entry.lists = kInThreeHop;
         three_hop_doms_.push_back({w, msg.src, x});
         ctx.unicast(msg.src, kMsgSelection, {ctx.self(), msg.src, x, w});
       }
@@ -205,7 +226,9 @@ void Algorithm2Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
       const NodeId v = msg.payload[0];
       const NodeId u = msg.payload[1];
       const NodeId x = msg.payload[2];
-      if (!knows_three_hop(u)) {
+      DomIndexEntry& entry = index_entry(u);
+      if ((entry.lists & kInThreeHop) == 0) {
+        entry.lists |= kInThreeHop;
         three_hop_doms_.push_back({u, x, v});
       }
       break;

@@ -85,12 +85,29 @@ class Algorithm2Node final : public sim::ProtocolNode {
  private:
   enum class Color : std::uint8_t { kWhite, kGray, kBlack };
 
+  // Per-neighbor flags, indexed by the sender's slot in this node's sorted
+  // neighbor row.
+  enum SlotFlag : std::uint8_t {
+    kColorKnown = 1,   // GRAY or MIS-DOMINATOR heard
+    kGrayHeard = 2,    // GRAY heard
+    kOneHopHeard = 4,  // 1-HOP-DOMINATORS heard
+  };
+  // Which dominator lists hold an entry for a dominator (dom_index_).
+  enum ListFlag : std::uint8_t { kInTwoHop = 1, kInThreeHop = 2 };
+  struct DomIndexEntry {
+    NodeId dom;
+    std::uint8_t lists;
+  };
+
   void maybe_become_dominator(sim::Context& ctx);
   void maybe_send_one_hop(sim::Context& ctx);
   void maybe_send_two_hop(sim::Context& ctx);
+  // Set `flag` for the sender's slot and update the counters it feeds;
+  // a no-op when it is already set (a replayed message).
+  void mark_slot(const sim::Context& ctx, NodeId from, SlotFlag flag);
   void note_color_heard(sim::Context& ctx, NodeId from);
-  [[nodiscard]] bool knows_two_hop(NodeId dom) const;
-  [[nodiscard]] bool knows_three_hop(NodeId dom) const;
+  // The dom_index_ entry for `dom`, inserted with no lists if absent.
+  DomIndexEntry& index_entry(NodeId dom);
 
   Color color_ = Color::kWhite;
   bool mis_dominator_ = false;
@@ -98,14 +115,21 @@ class Algorithm2Node final : public sim::ProtocolNode {
   bool sent_one_hop_ = false;
   bool sent_two_hop_ = false;
 
-  std::vector<NodeId> gray_heard_;        // neighbors that sent GRAY
-  std::vector<NodeId> color_heard_;       // neighbors whose color is known
-  std::vector<NodeId> gray_neighbors_;    // neighbors known to be gray
-  std::vector<NodeId> one_hop_heard_;     // gray neighbors whose 1-HOP arrived
+  std::vector<std::uint8_t> slot_flags_;  // SlotFlag bits per neighbor slot
+  // Rules 3, 4 and 7 as counters over slot_flags_: neighbors with a lower
+  // ID (a prefix of the sorted row), how many of them sent GRAY, neighbors
+  // whose color is known, and gray neighbors whose 1-HOP has not arrived.
+  std::uint32_t lower_neighbors_ = 0;
+  std::uint32_t lower_grays_ = 0;
+  std::uint32_t colors_known_ = 0;
+  std::uint32_t grays_missing_one_hop_ = 0;
 
   std::vector<NodeId> one_hop_doms_;
+  // Insertion order is wire order (2-HOP-DOMINATORS lists entries as they
+  // were learned), so membership goes through the sorted dom_index_.
   std::vector<core::TwoHopEntry> two_hop_doms_;
   std::vector<core::ThreeHopEntry> three_hop_doms_;
+  std::vector<DomIndexEntry> dom_index_;  // sorted by dom
 
   // SELECTION payloads already confirmed; makes rule 9 duplicate-safe (a
   // replayed SELECTION must not re-broadcast the confirmation).  Sorted.

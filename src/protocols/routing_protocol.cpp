@@ -112,7 +112,7 @@ class RoutingNode final : public sim::ProtocolNode {
             std::uint32_t budget, const std::vector<NodeId>& route) {
     std::vector<std::uint32_t> payload{flow, dst, budget - 1};
     payload.insert(payload.end(), route.begin(), route.end());
-    ctx.unicast(next, kMsgData, std::move(payload));
+    ctx.unicast(next, kMsgData, payload);
   }
 
   NodeId self_;

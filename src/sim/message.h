@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "graph/types.h"
 
@@ -22,11 +22,15 @@ using SimTime = std::uint64_t;
 // registers names for the stats breakdown.
 using MessageType = std::uint16_t;
 
+// A delivered message as its handler sees it.  `payload` views storage the
+// sender owns (the runtime's pool slot, or the hardened transport's frame);
+// it stays valid for the duration of the on_receive call only, so a handler
+// that keeps words must copy them.
 struct Message {
   NodeId src = kInvalidNode;
   NodeId dst = kBroadcastDst;  // kBroadcastDst or a UDG neighbor of src
   MessageType type = 0;
-  std::vector<std::uint32_t> payload;
+  std::span<const std::uint32_t> payload;
 };
 
 }  // namespace wcds::sim

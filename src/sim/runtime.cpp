@@ -7,21 +7,18 @@
 
 namespace wcds::sim {
 
-std::span<const NodeId> Context::neighbors() const {
-  return runtime_.graph_->neighbors(self_);
-}
-
 std::size_t Context::node_count() const {
   return runtime_.graph_->node_count();
 }
 
-void Context::broadcast(MessageType type, std::vector<std::uint32_t> payload) {
-  runtime_.send(self_, now_, kBroadcastDst, type, std::move(payload));
+void Context::broadcast(MessageType type,
+                        std::span<const std::uint32_t> payload) {
+  runtime_.send(self_, now_, kBroadcastDst, type, payload);
 }
 
 void Context::unicast(NodeId dst, MessageType type,
-                      std::vector<std::uint32_t> payload) {
-  runtime_.send(self_, now_, dst, type, std::move(payload));
+                      std::span<const std::uint32_t> payload) {
+  runtime_.send(self_, now_, dst, type, payload);
 }
 
 void Context::set_timer(SimTime delay, std::uint64_t token) {
@@ -74,7 +71,7 @@ void Runtime::count_type(MessageType type) {
 }
 
 std::uint32_t Runtime::acquire_slot(NodeId src, NodeId dst, MessageType type,
-                                    std::vector<std::uint32_t>&& payload) {
+                                    std::span<const std::uint32_t> payload) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(pool_.size());
@@ -83,11 +80,13 @@ std::uint32_t Runtime::acquire_slot(NodeId src, NodeId dst, MessageType type,
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  Message& message = pool_[slot].message;
-  message.src = src;
-  message.dst = dst;
-  message.type = type;
-  message.payload = std::move(payload);
+  PoolSlot& entry = pool_[slot];
+  entry.src = src;
+  entry.dst = dst;
+  entry.type = type;
+  // Reuses the recycled buffer's capacity; allocates only when this slot
+  // never carried a payload this long.
+  entry.payload.assign(payload.begin(), payload.end());
   return slot;
 }
 
@@ -127,7 +126,7 @@ std::uint32_t Runtime::enqueue_faulty_copy(std::uint32_t slot,
 }
 
 void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
-                   std::vector<std::uint32_t> payload) {
+                   std::span<const std::uint32_t> payload) {
   // A crashed sender's radio is off: the transmission never happens, so it
   // is not part of the paper's message complexity either.
   if (fault_ != nullptr && fault_->send_blocked(src, now)) [[unlikely]] {
@@ -139,7 +138,7 @@ void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
     const auto neighbors = graph_->neighbors(src);
     if (!neighbors.empty()) {
       // One interned payload, d POD queue records.
-      const std::uint32_t slot = acquire_slot(src, dst, type, std::move(payload));
+      const std::uint32_t slot = acquire_slot(src, dst, type, payload);
       const std::size_t base = graph_->row_begin(src);
       std::uint32_t copies = 0;
       for (std::size_t i = 0; i < neighbors.size(); ++i) {
@@ -161,7 +160,7 @@ void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
     if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
     return;
   }
-  const std::uint32_t slot = acquire_slot(src, dst, type, std::move(payload));
+  const std::uint32_t slot = acquire_slot(src, dst, type, payload);
   if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
   settle_slot(slot, enqueue_copy(slot, dst, link_slot, now));
 }
@@ -258,7 +257,9 @@ RunStats Runtime::run(std::uint64_t max_events) {
       continue;
     }
     const auto slot = static_cast<std::uint32_t>(event.ref);
-    const Message& message = pool_[slot].message;
+    const PoolSlot& entry = pool_[slot];
+    // A stack view: the handler may grow pool_ while it reads the message.
+    const Message message{entry.src, entry.dst, entry.type, entry.payload};
     if (topology_changed_ && !graph_->has_edge(message.src, event.node))
         [[unlikely]] {
       // The link vanished while the copy was in flight.

@@ -19,17 +19,18 @@
 // transmissions (a broadcast is ONE message); time complexity = the delivery
 // time of the last message.
 //
-// Hot-path design (docs/PERFORMANCE.md): the event queue is allocation-free
-// per delivery.  A broadcast interns its payload ONCE in a recycled message
-// pool; each of the d recipients enqueues a 24-byte POD Event referencing
-// the shared slot.  Events go into one ring of time buckets
+// Hot-path design (docs/PERFORMANCE.md): sends and deliveries are
+// allocation-free in steady state.  A send takes its payload as a span and
+// copies it ONCE into a recycled pool slot whose buffer keeps its capacity;
+// each of the d recipients enqueues a 24-byte POD Event referencing the
+// shared slot.  Events go into one ring of time buckets
 // (sim/event_queue.h); because sends happen in sequence order, appending to
 // a bucket keeps the exact (time, seq) order without a heap.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <span>
@@ -96,18 +97,31 @@ class Context {
   [[nodiscard]] NodeId self() const { return self_; }
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] std::span<const NodeId> neighbors() const;
+  // Index of neighbor `v` in neighbors(): the slot protocols key their
+  // per-neighbor state by.  O(log d); `v` must be a neighbor.
+  [[nodiscard]] std::size_t neighbor_slot(NodeId v) const;
   [[nodiscard]] std::size_t node_count() const;
 
-  // One radio transmission heard by every neighbor.
+  // One radio transmission heard by every neighbor.  The payload is copied
+  // before the call returns, so it may view a temporary or the message
+  // being handled.
   virtual void broadcast(MessageType type,
-                         std::vector<std::uint32_t> payload = {});
+                         std::span<const std::uint32_t> payload = {});
+  void broadcast(MessageType type,
+                 std::initializer_list<std::uint32_t> payload) {
+    broadcast(type, std::span<const std::uint32_t>(payload));
+  }
 
   // One transmission addressed to a single neighbor.  It must be adjacent;
   // once apply_topology() has changed the links, a unicast to a vanished
   // neighbor is dropped and counted instead (the sender may hold stale
   // neighbor knowledge).
   virtual void unicast(NodeId dst, MessageType type,
-                       std::vector<std::uint32_t> payload = {});
+                       std::span<const std::uint32_t> payload = {});
+  void unicast(NodeId dst, MessageType type,
+               std::initializer_list<std::uint32_t> payload) {
+    unicast(dst, type, std::span<const std::uint32_t>(payload));
+  }
 
   // Arm a local timer: ProtocolNode::on_timer(token) fires on this node
   // after `delay` time units.  Timers are node-internal clocks — they do
@@ -247,10 +261,14 @@ class Runtime {
   friend class Context;
 
   // One interned transmission.  `refs` counts outstanding deliveries; the
-  // slot (and its payload capacity) is recycled when the last one lands.
+  // slot is recycled when the last one lands, and its payload buffer keeps
+  // its capacity for the next send that reuses it.
   struct PoolSlot {
-    Message message;
+    NodeId src = kInvalidNode;
+    NodeId dst = kBroadcastDst;
+    MessageType type = 0;
     std::uint32_t refs = 0;
+    std::vector<std::uint32_t> payload;
   };
 
   // The FIFO clock of a directed link that apply_topology removed while a
@@ -262,7 +280,7 @@ class Runtime {
   };
 
   void send(NodeId src, SimTime now, NodeId dst, MessageType type,
-            std::vector<std::uint32_t> payload);
+            std::span<const std::uint32_t> payload);
   // Enqueue one copy for `recipient` honoring the fault hook; returns the
   // number of copies scheduled (0 dropped, 1, or 2 duplicated).  The
   // null-hook case is the inline fast path.
@@ -280,9 +298,9 @@ class Runtime {
 
   // Pool bookkeeping: a slot is acquired with no references, then given the
   // number of copies actually scheduled (recycled at once if none were).
-  [[nodiscard]] std::uint32_t acquire_slot(NodeId src, NodeId dst,
-                                           MessageType type,
-                                           std::vector<std::uint32_t>&& payload);
+  [[nodiscard]] std::uint32_t acquire_slot(
+      NodeId src, NodeId dst, MessageType type,
+      std::span<const std::uint32_t> payload);
   void settle_slot(std::uint32_t slot, std::uint32_t refs);
   void release_ref(std::uint32_t slot);
 
@@ -323,10 +341,10 @@ class Runtime {
   EventQueue queue_;
   std::size_t pending_timers_ = 0;
 
-  // Message pool.  A deque gives stable references: a handler may broadcast
-  // (growing the pool) while it still reads the pooled message it was
-  // handed.
-  std::deque<PoolSlot> pool_;
+  // Message pool.  A handler gets a stack Message whose payload views the
+  // slot's heap buffer, so the pool may grow (and move its headers) while
+  // the handler runs: moving a vector keeps its buffer in place.
+  std::vector<PoolSlot> pool_;
   std::vector<std::uint32_t> free_slots_;
 
   std::uint64_t send_seq_ = 0;
@@ -348,6 +366,19 @@ class Runtime {
   FaultHook* fault_ = nullptr;
   std::uint64_t max_queue_depth_ = 0;  // tracked only while recording
 };
+
+// Inline: handlers call these on every delivery.
+inline std::span<const NodeId> Context::neighbors() const {
+  return runtime_.graph_->neighbors(self_);
+}
+
+inline std::size_t Context::neighbor_slot(NodeId v) const {
+  const graph::Graph& g = *runtime_.graph_;
+  const std::size_t link = g.edge_slot(self_, v);
+  WCDS_DCHECK(link != graph::Graph::kNoSlot,
+              "Context: " << v << " is not a neighbor of " << self_);
+  return link - g.row_begin(self_);
+}
 
 // Fold one finished run's terminal stats into `recorder`'s metrics (null =
 // no-op): the sim/* counter/gauge family of docs/OBSERVABILITY.md.  Shared

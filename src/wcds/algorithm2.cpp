@@ -32,9 +32,16 @@ DominatorLists compute_dominator_lists(const graph::Graph& g,
   lists.two_hop.assign(n, {});
   lists.three_hop.assign(n, {});
 
+  // Rows are sized exactly before they are filled: one allocation per
+  // non-empty row.
   for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v : g.neighbors(u)) {
-      if (s.mask[v]) lists.one_hop[u].push_back(v);
+    const auto row = g.neighbors(u);
+    auto& out = lists.one_hop[u];
+    out.reserve(static_cast<std::size_t>(
+        std::count_if(row.begin(), row.end(),
+                      [&](NodeId v) { return s.mask[v]; })));
+    for (NodeId v : row) {
+      if (s.mask[v]) out.push_back(v);
     }
     // neighbors() is sorted, so one_hop is sorted.
   }
@@ -43,8 +50,9 @@ DominatorLists compute_dominator_lists(const graph::Graph& g,
   // and reachable through some neighbor v of u.  One entry per dominator,
   // with the smallest intermediate, mirroring a deterministic run of the
   // distributed "1-HOP-DOMINATORS" exchange.
+  std::vector<TwoHopEntry> found;  // reused across nodes
   for (NodeId u = 0; u < n; ++u) {
-    std::vector<TwoHopEntry> found;
+    found.clear();
     for (NodeId v : g.neighbors(u)) {
       for (NodeId d : lists.one_hop[v]) {
         if (d == u || in_one_hop(lists, u, d)) continue;
@@ -53,10 +61,12 @@ DominatorLists compute_dominator_lists(const graph::Graph& g,
     }
     std::sort(found.begin(), found.end());
     // Keep the first (smallest via) entry per dominator.
-    auto& out = lists.two_hop[u];
-    for (const TwoHopEntry& e : found) {
-      if (out.empty() || out.back().dom != e.dom) out.push_back(e);
-    }
+    found.erase(std::unique(found.begin(), found.end(),
+                            [](const TwoHopEntry& a, const TwoHopEntry& b) {
+                              return a.dom == b.dom;
+                            }),
+                found.end());
+    lists.two_hop[u].assign(found.begin(), found.end());
   }
   return lists;
 }

@@ -260,6 +260,52 @@ TEST(FaultIdempotence, RawAlgorithm2SurvivesDuplication) {
   EXPECT_EQ(mis, clean.wcds.mis_dominators);
 }
 
+// The same without the hardened transport for Algorithm I: RESP,
+// COMPLETE-A and COMPLETE-B count once per neighbor slot, so replayed copies
+// cannot push a wave's counters past the neighbors it waits for (which used
+// to stall every wave and quiesce with no leader and an empty backbone).
+// Each run elects exactly one leader and marks an audit-clean level-ranked
+// MIS, the same one as the fault-free run.
+TEST(FaultIdempotence, RawAlgorithm1SurvivesDuplication) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    const auto inst = wcds::testing::connected_udg(90, 8.0, seed);
+    const auto clean = protocols::run_algorithm1(inst.g);
+
+    fault::Plan plan;
+    plan.duplicate = 0.3;
+    plan.seed = seed;
+    fault::Injector injector(plan, inst.g.node_count());
+    sim::Runtime rt(inst.g, raw_factory(/*alg1=*/true),
+                    sim::DelayModel::unit(), nullptr, &injector);
+    const auto stats = rt.run();
+    EXPECT_TRUE(stats.quiescent);
+    EXPECT_GT(injector.counters().duplicated, 0u);
+
+    std::size_t leaders = 0;
+    core::WcdsResult wcds;
+    wcds.mask.assign(inst.g.node_count(), false);
+    wcds.color.assign(inst.g.node_count(), core::NodeColor::kGray);
+    for (NodeId u = 0; u < inst.g.node_count(); ++u) {
+      const auto& node =
+          static_cast<const protocols::Algorithm1Node&>(rt.node(u));
+      if (node.is_leader()) ++leaders;
+      if (node.is_dominator()) {
+        wcds.dominators.push_back(u);
+        wcds.mask[u] = true;
+        wcds.color[u] = core::NodeColor::kBlack;
+      }
+    }
+    wcds.mis_dominators = wcds.dominators;
+    EXPECT_EQ(leaders, 1u);
+    EXPECT_EQ(wcds.dominators, clean.wcds.dominators);
+    check::AuditOptions options;
+    options.unit_disk = true;
+    options.level_ranked = true;
+    EXPECT_NO_THROW(check::audit_invariants(inst.g, wcds, options));
+  }
+}
+
 // --- Convergence under the hardened transport -------------------------------
 
 TEST(FaultConvergence, LossyRunsConvergeAcrossSeeds) {
