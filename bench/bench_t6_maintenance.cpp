@@ -48,7 +48,7 @@ void print_event_cost_table() {
                 "T6d: per-event maintenance cost vs n (expected degree 12, "
                 "median of 3 x 1000 events)");
   bench::Table table({"n", "initial build ms", "us/event", "mean region",
-                      "audit() ms"});
+                      "searched/event", "audit() ms"});
   for (const std::uint32_t n : {1u << 12, 1u << 14, 1u << 16}) {
     const double side = geom::side_for_expected_degree(n, 12.0);
     auto start = Clock::now();
@@ -57,6 +57,7 @@ void print_event_cost_table() {
     geom::Xoshiro256ss rng(n + 23);
     std::vector<NodeId> off;
     std::size_t region_total = 0;
+    std::size_t searched_total = 0;
     const auto event = [&] {
       const auto kind = rng.next_below(10);
       if (kind == 9 && !off.empty()) {
@@ -78,7 +79,11 @@ void print_event_cost_table() {
     std::array<double, kBatches> batch_us{};
     for (double& us : batch_us) {
       start = Clock::now();
-      for (int e = 0; e < kBatch; ++e) region_total += event().region_size;
+      for (int e = 0; e < kBatch; ++e) {
+        const maintenance::RepairReport report = event();
+        region_total += report.region_size;
+        searched_total += report.searched;
+      }
       us = us_since(start) / kBatch;
     }
     std::sort(batch_us.begin(), batch_us.end());
@@ -91,13 +96,17 @@ void print_event_cost_table() {
                    bench::fmt(static_cast<double>(region_total) /
                                   (kBatch * kBatches),
                               1),
+                   bench::fmt(static_cast<double>(searched_total) /
+                                  (kBatch * kBatches),
+                              1),
                    audit_ok ? bench::fmt(audit_ms, 1) : "VIOLATION"});
     set_gauge("t6/event_us/" + std::to_string(n), event_us);
   }
   table.print(std::cout);
-  std::cout << "\nExpected shape: us/event and mean region flat in n (each "
-               "event works on the\n3-hop balls around it); initial build "
-               "and audit() grow linearly.\n";
+  std::cout << "\nExpected shape: us/event, mean region and searched/event "
+               "flat in n (each\nevent works on the 3-hop balls around it; "
+               "searched/event counts the nodes\nits bounded searches "
+               "visit); initial build and audit() grow linearly.\n";
 }
 
 void print_tables() {

@@ -24,12 +24,20 @@ double elapsed_ms(Clock::time_point start) {
 CrashScheduleReport run_crash_schedule(DynamicWcds& wcds,
                                        std::span<const NodeId> victims,
                                        obs::Recorder* recorder) {
-  CrashScheduleReport report;
-  report.outcomes.reserve(victims.size());
+  // Validate the whole schedule first, so a bad one changes nothing.  Each
+  // victim is back on before the next crashes, so the initial state is the
+  // one every crash meets.
   for (const NodeId victim : victims) {
+    WCDS_REQUIRE_BOUNDS(victim < wcds.node_count(),
+                        "run_crash_schedule: victim " << victim << " of "
+                                                      << wcds.node_count());
     WCDS_REQUIRE(wcds.is_active(victim),
                  "run_crash_schedule: victim " << victim
                                                << " is already inactive");
+  }
+  CrashScheduleReport report;
+  report.outcomes.reserve(victims.size());
+  for (const NodeId victim : victims) {
     CrashOutcome outcome;
     outcome.node = victim;
 

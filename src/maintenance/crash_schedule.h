@@ -39,8 +39,11 @@ struct CrashScheduleReport {
 // Deactivate then reactivate each victim in order, auditing nothing itself:
 // the DynamicWcds instance audits per event when built with audits on, and
 // callers assert the final state.  Victims must be active and are restored
-// before the next victim crashes (sequential outages).  `recorder` (null ok)
-// receives one `fault/repair_ms` observation per repair.
+// before the next victim crashes (sequential outages).  The schedule is
+// validated before the first crash: an out-of-range victim throws
+// std::out_of_range and an inactive one std::invalid_argument, with no event
+// applied.  `recorder` (null ok) receives one `fault/repair_ms` observation
+// per repair.
 CrashScheduleReport run_crash_schedule(DynamicWcds& wcds,
                                        std::span<const NodeId> victims,
                                        obs::Recorder* recorder = nullptr);

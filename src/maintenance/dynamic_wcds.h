@@ -15,8 +15,13 @@
 //    the event site (old and new position) can change role, and every
 //    bounded BFS runs on one reused graph::LocalBfs;
 //  * bridges are listed at both endpoints, with a via-node count per node,
-//    so an event drops and re-derives only the bridges of the MIS nodes in
-//    those balls, and is_additional_dominator() is O(1);
+//    and is_additional_dominator() is O(1).  An event drops the bridges of
+//    the MIS nodes in those balls, but runs a fresh 3-hop search only from
+//    the event node, its MIS neighbors and promoted nodes; every other
+//    affected MIS node re-derives its bridges from its previous partner
+//    list (the argument is in DynamicWcds::rebridge);
+//  * the event path keeps its sets in epoch-marked member vectors, so in
+//    steady state it makes no heap allocation;
 //  * invariants after every event: S is an MIS of the active graph, every
 //    3-hop MIS pair is bridged by an additional-dominator, and hence
 //    S + C is a WCDS of every connected component.
@@ -44,6 +49,8 @@ struct RepairReport {
   std::size_t promoted = 0;         // MIS nodes added
   std::size_t bridges_changed = 0;  // additional-dominator entries touched
   std::size_t region_size = 0;      // nodes examined (3-hop locality witness)
+  std::size_t searched = 0;         // nodes returned by the event's bounded
+                                    // BFS runs (work witness)
 };
 
 struct Audit {
@@ -114,15 +121,28 @@ class DynamicWcds {
   // active-node scope) plus the bridge-completeness audit after `event`.
   // No-op unless check::audits_enabled().
   void maybe_audit(const char* event) const;
-  // Localized repair around `seeds`; `old_region` is the 3-hop ball of the
-  // event site in the pre-event graph.
-  RepairReport repair(const std::vector<NodeId>& seeds,
-                      const std::vector<NodeId>& old_region);
+  // Invalidates every mark and empties region_.
+  void next_epoch();
+  // Starts an event at `u`: a new mark epoch, and u's 3-hop ball in the
+  // pre-event graph as the first part of the region.  Call before the graph
+  // changes.
+  void begin_event(NodeId u);
+  // Localized repair around the event node `u` (begin_event() ran before
+  // the graph changed), or of the whole network when u == kInvalidNode.
+  RepairReport repair(NodeId u);
   // Fold one event's RepairReport into the recorder (no-op when null).
   void record_event(const char* event, const RepairReport& report) const;
-  // Re-derive bridges for every 3-hop pair with an endpoint in `mis_nodes`.
-  std::size_t rebridge(const std::vector<NodeId>& mis_nodes);
-  [[nodiscard]] std::vector<NodeId> three_hop_ball(NodeId center);
+  // Drops every bridge with an endpoint in affected_ and re-derives every
+  // 3-hop pair with an endpoint there, counting both in
+  // report.bridges_changed.  `u` as for repair().
+  void rebridge(NodeId u, RepairReport& report);
+  // Runs a's 3-hop ball and bridges every partner b (MIS, 3 hops away) for
+  // which a derives the pair; hands the others to their deriving endpoint
+  // through incoming_ when that endpoint has no ball of its own.
+  void bridge_pairs_by_ball(NodeId a, RepairReport& report);
+  // The smallest v in N(a) on a path a-v-x-b, or kInvalidNode when there is
+  // none or a and b share a neighbor (then they are not 3 hops apart).
+  [[nodiscard]] NodeId row_via(NodeId a, NodeId b) const;
   [[nodiscard]] bool bridge_valid(NodeId a, NodeId b, NodeId v) const;
 
   // A bridge between MIS nodes a < b, 3 hops apart, through `via`.
@@ -136,6 +156,27 @@ class DynamicWcds {
   void add_bridge(const Bridge& bridge);
   void erase_bridge(Bridge bridge);
 
+  // Per-node event state, valid only while `epoch` equals epoch_: a new
+  // event invalidates every mark by bumping epoch_, in O(1).
+  struct Mark {
+    std::uint32_t epoch = 0;
+    std::uint8_t d_old = 0;  // hops from the event node before the event
+    std::uint8_t d_new = 0;  // ... and after it; 4 outside the 3-hop ball
+    std::uint8_t flags = 0;
+  };
+  Mark& mark(NodeId u);
+  [[nodiscard]] Mark peek(NodeId u) const;
+  // Adds u to `list` and sets `flag` on it, unless already set.
+  void add_member(std::vector<NodeId>& list, NodeId u, std::uint8_t flag);
+
+  // A pair (a, b) handed to a, with the via the pair had (snapshot_) or
+  // kInvalidNode (incoming_).
+  struct Partner {
+    NodeId a;
+    NodeId b;
+    NodeId via;
+  };
+
   IncrementalUdg graph_;
   std::vector<bool> mis_;
   // Per node: the bridges it is an endpoint of, so each bridge is listed at
@@ -146,6 +187,17 @@ class DynamicWcds {
   std::vector<std::uint32_t> via_count_;
   graph::LocalBfs bfs_;  // scratch for every bounded BFS on the event path
   obs::Recorder* recorder_ = nullptr;
+
+  // Event scratch, reused so that the event path does not allocate.
+  std::vector<Mark> marks_;
+  std::uint32_t epoch_ = 0;
+  std::vector<NodeId> region_;      // balls of the event site, ascending
+  std::vector<NodeId> candidates_;  // region + demoted + their neighbors
+  std::vector<NodeId> demoted_;
+  std::vector<NodeId> promoted_;
+  std::vector<NodeId> affected_;    // nodes whose bridges are re-derived
+  std::vector<Partner> snapshot_;   // pre-event bridges of affected_ nodes
+  std::vector<Partner> incoming_;   // partners found by other nodes' balls
 };
 
 }  // namespace wcds::maintenance

@@ -18,7 +18,10 @@ IncrementalUdg::IncrementalUdg(std::vector<geom::Point> points, double range)
     udg::check_position(u, points_[u], inverse_range_);
     add_to_cell(u);
   }
-  for (NodeId u = 0; u < points_.size(); ++u) rows_[u] = scan_row(u);
+  for (NodeId u = 0; u < points_.size(); ++u) {
+    scan_row(u);
+    rows_[u] = row_;
+  }
 }
 
 bool IncrementalUdg::has_edge(NodeId u, NodeId v) const {
@@ -41,13 +44,12 @@ void IncrementalUdg::remove_from_cell(NodeId u) {
   const auto it = grid_.find(udg::cell_key(cx, cy));
   auto& members = it->second;
   *std::find(members.begin(), members.end(), u) = members.back();
-  members.pop_back();
-  if (members.empty()) grid_.erase(it);
+  members.pop_back();  // an emptied cell keeps its entry for the next visit
 }
 
-std::vector<NodeId> IncrementalUdg::scan_row(NodeId u) const {
-  std::vector<NodeId> row;
-  if (!active_[u]) return row;
+void IncrementalUdg::scan_row(NodeId u) {
+  row_.clear();
+  if (!active_[u]) return;
   const auto [cx, cy] = cell_of(points_[u]);
   for (std::int32_t dx = -1; dx <= 1; ++dx) {
     for (std::int32_t dy = -1; dy <= 1; ++dy) {
@@ -58,23 +60,22 @@ std::vector<NodeId> IncrementalUdg::scan_row(NodeId u) const {
         // Same argument order as build_udg (lower id first).
         if (geom::within_range(points_[std::min(u, v)],
                                points_[std::max(u, v)], range_)) {
-          row.push_back(v);
+          row_.push_back(v);
         }
       }
     }
   }
-  std::sort(row.begin(), row.end());
-  return row;
+  std::sort(row_.begin(), row_.end());
 }
 
-void IncrementalUdg::rewrite_row(NodeId u, std::vector<NodeId> row) {
-  const auto& old_row = rows_[u];
+void IncrementalUdg::rewrite_row(NodeId u) {
+  auto& old_row = rows_[u];
   // Merge walk over the two sorted rows: partners only in the old row lose
-  // u, partners only in the new row gain it.
+  // u, partners only in the new one gain it.
   auto o = old_row.begin();
-  auto r = row.begin();
-  while (o != old_row.end() || r != row.end()) {
-    if (r == row.end() || (o != old_row.end() && *o < *r)) {
+  auto r = row_.begin();
+  while (o != old_row.end() || r != row_.end()) {
+    if (r == row_.end() || (o != old_row.end() && *o < *r)) {
       auto& partner = rows_[*o];
       partner.erase(std::lower_bound(partner.begin(), partner.end(), u));
       ++o;
@@ -87,7 +88,7 @@ void IncrementalUdg::rewrite_row(NodeId u, std::vector<NodeId> row) {
       ++r;
     }
   }
-  rows_[u] = std::move(row);
+  old_row.assign(row_.begin(), row_.end());
 }
 
 void IncrementalUdg::relocate(NodeId u, const geom::Point& destination) {
@@ -95,12 +96,14 @@ void IncrementalUdg::relocate(NodeId u, const geom::Point& destination) {
   remove_from_cell(u);
   points_[u] = destination;
   add_to_cell(u);
-  rewrite_row(u, scan_row(u));
+  scan_row(u);
+  rewrite_row(u);
 }
 
 void IncrementalUdg::set_active(NodeId u, bool active) {
   active_[u] = active;
-  rewrite_row(u, scan_row(u));
+  scan_row(u);
+  rewrite_row(u);
 }
 
 graph::Graph IncrementalUdg::materialize() const {

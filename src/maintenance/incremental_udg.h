@@ -54,10 +54,11 @@ class IncrementalUdg {
   using Cell = std::pair<std::int32_t, std::int32_t>;
 
   [[nodiscard]] Cell cell_of(const geom::Point& p) const;
-  // u's row as the grid says it should be (empty when u is inactive).
-  [[nodiscard]] std::vector<NodeId> scan_row(NodeId u) const;
-  // Replaces u's row with `row`, patching the partner rows that differ.
-  void rewrite_row(NodeId u, std::vector<NodeId> row);
+  // Fills row_ with u's row as the grid says it should be (empty when u is
+  // inactive).
+  void scan_row(NodeId u);
+  // Replaces u's row with row_, patching the partner rows that differ.
+  void rewrite_row(NodeId u);
   // Place u in, or take it out of, the cell of its current position.
   void add_to_cell(NodeId u);
   void remove_from_cell(NodeId u);
@@ -68,8 +69,11 @@ class IncrementalUdg {
   double inverse_range_;
   // Grid cell key -> the nodes (active or not) placed in it.  Only looked
   // up by key; the order inside a cell never reaches a row (rows are sorted).
+  // A cell once visited keeps its entry, empty or not, so that steady-state
+  // events do not allocate.
   std::unordered_map<std::uint64_t, std::vector<NodeId>> grid_;
   std::vector<std::vector<NodeId>> rows_;  // ascending neighbor ids
+  std::vector<NodeId> row_;                // scan_row's reused output
 };
 
 }  // namespace wcds::maintenance

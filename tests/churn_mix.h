@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "check/check.h"
 #include "geom/point.h"
 #include "geom/rng.h"
 #include "geom/workload.h"
@@ -73,6 +74,19 @@ class ChurnMix {
   geom::BoundingBox box_;
   double move_radius_;
   std::vector<NodeId> off_;
+};
+
+// Switches the per-event audits off for its lifetime.  They cost O(n) and
+// more per event; long scripts rely on their own comparison instead.
+class AuditsOff {
+ public:
+  AuditsOff() : previous_(check::set_audits_enabled(false)) {}
+  ~AuditsOff() { check::set_audits_enabled(previous_); }
+  AuditsOff(const AuditsOff&) = delete;
+  AuditsOff& operator=(const AuditsOff&) = delete;
+
+ private:
+  bool previous_;
 };
 
 // Applies `event` to any network with the DynamicWcds event interface.

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -421,6 +422,35 @@ TEST(FaultSchedule, CrashRecoverKeepsBackboneAuditClean) {
   EXPECT_EQ(watchdog_report.demoted, 0u);
   EXPECT_EQ(watchdog_report.promoted, 0u);
   EXPECT_EQ(watchdog_report.region_size, 0u);
+}
+
+// A bad victim anywhere in the schedule is rejected before the first crash:
+// out of range (which would index past the node arrays) or already off.
+TEST(CrashSchedule, RejectsOutOfRangeVictimWithoutSideEffects) {
+  maintenance::DynamicWcds dyn(geom::uniform_square(
+      120, geom::side_for_expected_degree(120, 10.0), 17));
+  dyn.deactivate(77);
+  const auto bridges = dyn.bridges();
+  const auto dominators = dyn.dominators();
+  obs::Recorder recorder;
+  const std::vector<NodeId> out_of_range = {3, 40, 120};
+  EXPECT_THROW(
+      maintenance::run_crash_schedule(dyn, out_of_range, &recorder),
+      std::out_of_range);
+  const std::vector<NodeId> huge = {3, kInvalidNode};
+  EXPECT_THROW(maintenance::run_crash_schedule(dyn, huge, &recorder),
+               std::out_of_range);
+  const std::vector<NodeId> inactive = {3, 77};
+  EXPECT_THROW(maintenance::run_crash_schedule(dyn, inactive, &recorder),
+               std::invalid_argument);
+  // Nothing crashed: only node 77 is off, the backbone is unchanged and no
+  // repair was timed.
+  for (NodeId u = 0; u < dyn.node_count(); ++u) {
+    EXPECT_EQ(dyn.is_active(u), u != 77) << u;
+  }
+  EXPECT_EQ(dyn.bridges(), bridges);
+  EXPECT_EQ(dyn.dominators(), dominators);
+  EXPECT_FALSE(recorder.snapshot().histograms.contains("fault/repair_ms"));
 }
 
 // --- Nightly soak (WCDS_SOAK=1) ---------------------------------------------

@@ -1,10 +1,11 @@
-// Allocation-locality guard for DynamicWcds: a maintenance event must do
-// O(ball) work, independent of n.  The heap allocation count is a
-// deterministic witness of that, with no timing in it: rebuilding the UDG
-// (one grid-cell vector per occupied cell) or scanning every MIS node makes
-// the count grow with n.  The same 200-event benchmark churn mix runs at
-// n = 1024 and n = 16384 at the same density; allocations per event at the
-// larger n may exceed those at the smaller by at most 1.5x.
+// Allocation guard for DynamicWcds: the event path keeps its sets in
+// reused, epoch-marked member vectors, so once warmed up a maintenance
+// event makes (almost) no heap allocation, at any n.  The count is a
+// deterministic witness with no timing in it: a per-event std::set, a
+// returned vector or a rebuilt grid shows up at once.  The benchmark churn
+// mix runs 200 warm-up events, then 200 counted ones, at n = 1024 and
+// n = 16384 at the same density; each must average at most 8 allocations
+// per event (a few remain for scratch growth and new grid cells).
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -47,14 +48,18 @@ void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 namespace wcds::testing {
 namespace {
 
+constexpr int kWarmUpEvents = 200;
 constexpr int kEvents = 200;
+constexpr double kMaxAllocationsPerEvent = 8.0;
 
 // Mean heap allocations per event over kEvents churn events on an n-node
-// deployment at the benchmark's density, audits off.
+// deployment at the benchmark's density, after kWarmUpEvents uncounted
+// ones, audits off.
 double allocations_per_event(std::uint32_t n) {
   const auto points = churn_deployment(n, 3);
   maintenance::DynamicWcds net(points);
   ChurnMix mix(5, points);
+  for (int e = 0; e < kWarmUpEvents; ++e) apply(net, mix.next(net));
   std::uint64_t total = 0;
   for (int e = 0; e < kEvents; ++e) {
     const ChurnEvent event = mix.next(net);
@@ -75,10 +80,8 @@ TEST(MaintenanceAllocations, PerEventAllocationsIndependentOfN) {
   check::set_audits_enabled(audits);
   RecordProperty("allocs_per_event_n1024", std::to_string(small));
   RecordProperty("allocs_per_event_n16384", std::to_string(large));
-  ASSERT_GT(small, 0.0);
-  EXPECT_LE(large, 1.5 * small)
-      << "allocations per event: " << small << " at n = 1024, " << large
-      << " at n = 16384";
+  EXPECT_LE(small, kMaxAllocationsPerEvent) << "at n = 1024";
+  EXPECT_LE(large, kMaxAllocationsPerEvent) << "at n = 16384";
 }
 
 }  // namespace

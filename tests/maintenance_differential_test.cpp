@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "check/check.h"
 #include "churn_mix.h"
 #include "geom/rng.h"
 #include "geom/workload.h"
@@ -94,19 +93,6 @@ class Lockstep {
  private:
   DynamicWcds net_;
   ReferenceDynamicWcds ref_;
-};
-
-// Per-event audits cost O(n) and more; the large scripts switch them off
-// (the reference comparison is the check there).
-class AuditsOff {
- public:
-  AuditsOff() : previous_(check::set_audits_enabled(false)) {}
-  ~AuditsOff() { check::set_audits_enabled(previous_); }
-  AuditsOff(const AuditsOff&) = delete;
-  AuditsOff& operator=(const AuditsOff&) = delete;
-
- private:
-  bool previous_;
 };
 
 // The T6 table's event scripts (bench_t6_maintenance): 60 events per

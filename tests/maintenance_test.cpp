@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "churn_mix.h"
 #include "geom/rng.h"
 #include "geom/workload.h"
 #include "maintenance/crash_schedule.h"
@@ -208,6 +210,31 @@ TEST(DynamicWcds, MoveIntoIsolationStillAudits) {
   (void)dyn.move_node(5, {1e5, 1e5});
   EXPECT_TRUE(dyn.audit().ok());
   EXPECT_TRUE(dyn.is_mis_dominator(5));
+}
+
+// The work witness: the nodes an event's bounded searches visit stay within
+// a small multiple of the region it repairs, at any n.  Both event balls
+// count, so the ratio is at least 1; a fresh 3-hop search from every MIS
+// node of the region (about 12x) fails the bound.
+TEST(DynamicWcds, SearchedWorkTracksTheRegion) {
+  const testing::AuditsOff audits_off;
+  for (const std::uint32_t n : {1024U, 16384U}) {
+    const auto points = testing::churn_deployment(n, 11);
+    DynamicWcds net(points);
+    testing::ChurnMix mix(13, points);
+    std::size_t searched = 0;
+    std::size_t region = 0;
+    for (int e = 0; e < 500; ++e) {
+      const RepairReport report = testing::apply(net, mix.next(net));
+      searched += report.searched;
+      region += report.region_size;
+    }
+    RecordProperty("searched_per_region_n" + std::to_string(n),
+                   std::to_string(static_cast<double>(searched) /
+                                  static_cast<double>(region)));
+    EXPECT_GE(searched, region) << "n = " << n;
+    EXPECT_LE(searched, 5 * region) << "n = " << n;
+  }
 }
 
 }  // namespace
