@@ -11,34 +11,14 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
-#include <new>
 
+#include "bench_support/alloc_counter.h"
 #include "bench_support/table.h"
 #include "protocols/algorithm1_protocol.h"
 #include "protocols/algorithm2_protocol.h"
-
-// Counting global allocator for T4c: one relaxed increment per allocation.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 namespace {
 
@@ -66,7 +46,7 @@ void print_delivery_cost_table() {
       std::uint64_t deliveries = 0;
       std::uint64_t allocations = 0;
       for (double& sample : ms) {
-        const std::uint64_t allocs_before = g_allocations.load();
+        bench::AllocationCounter counter;
         const auto start = std::chrono::steady_clock::now();
         // Raw entrypoints on purpose: the facade's list extraction is not
         // part of the protocol's message cost.
@@ -78,7 +58,7 @@ void print_delivery_cost_table() {
           deliveries = protocols::run_algorithm2(inst.g).stats.deliveries;
         }
         const auto stop = std::chrono::steady_clock::now();
-        allocations = g_allocations.load() - allocs_before;
+        allocations = counter.stop();
         sample = std::chrono::duration<double, std::milli>(stop - start).count();
       }
       std::sort(ms.begin(), ms.end());

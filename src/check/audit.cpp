@@ -67,7 +67,8 @@ void audit_consistency(const graph::Graph& g, const core::WcdsResult& result,
 // Section 1: the dominator set dominates every active node, and the weakly
 // induced subgraph is connected within every connected component of g.
 void audit_wcds_property(const graph::Graph& g, const core::WcdsResult& result,
-                         const AuditOptions& options) {
+                         const AuditOptions& options,
+                         const graph::Components& components) {
   const std::size_t n = g.node_count();
   for (NodeId u = 0; u < n; ++u) {
     if (!node_active(options, u)) {
@@ -88,7 +89,6 @@ void audit_wcds_property(const graph::Graph& g, const core::WcdsResult& result,
   // at least one black endpoint must sweep the whole component from ONE
   // dominator.  (Seeding from every dominator would visit each weakly
   // induced fragment separately and make the check vacuous.)
-  const auto components = graph::connected_components(g);
   std::vector<NodeId> seed(components.count, kInvalidNode);
   for (NodeId u : result.dominators) {
     NodeId& s = seed[components.label[u]];
@@ -153,11 +153,11 @@ void audit_mis_maximality(const graph::Graph& g, const AuditOptions& options,
 // Lemma 3 / Theorem 4: within every connected component of g, the MIS
 // proximity graph H_k is connected (complementary subsets <= k hops apart).
 void audit_subset_distance(const graph::Graph& g, const mis::MisResult& s,
+                           const graph::Components& g_components,
                            HopCount max_hops, const char* invariant) {
   if (s.members.size() <= 1) return;
   const auto proximity = mis::mis_proximity_graph(g, s, max_hops);
   const auto h_components = graph::connected_components(proximity);
-  const auto g_components = graph::connected_components(g);
   // Members sharing a g-component must share an H_k component.
   std::vector<std::uint32_t> representative(g_components.count, kInvalidNode);
   for (NodeId i = 0; i < s.members.size(); ++i) {
@@ -350,7 +350,10 @@ void audit_invariants(const graph::Graph& g, const core::WcdsResult& result,
   WCDS_CHECK(options.active == nullptr || options.active->size() == n,
              "AuditOptions.active is not node-indexed");
   audit_consistency(g, result, options);
-  audit_wcds_property(g, result, options);
+  // Labelled once: the WCDS property and both subset-distance audits share
+  // g's components.
+  const graph::Components components = graph::connected_components(g);
+  audit_wcds_property(g, result, options, components);
 
   if (!result.mis_dominators.empty()) {
     mis::MisResult s;
@@ -359,9 +362,11 @@ void audit_invariants(const graph::Graph& g, const core::WcdsResult& result,
     for (NodeId u : s.members) s.mask[u] = true;
     audit_mis_independence(g, result, s.mask);
 
-    audit_subset_distance(g, s, kLemma3MaxSubsetDistance, "Lemma 3");
+    audit_subset_distance(g, s, components, kLemma3MaxSubsetDistance,
+                          "Lemma 3");
     if (options.level_ranked) {
-      audit_subset_distance(g, s, kTheorem4SubsetDistance, "Theorem 4");
+      audit_subset_distance(g, s, components, kTheorem4SubsetDistance,
+                            "Theorem 4");
     }
 
     audit_mis_maximality(g, options, s.mask);

@@ -24,7 +24,7 @@ void EventQueue::push_slow(SimTime at, const Event& event) {
   } else {
     bucket.push_back(event);
   }
-  ++size_;
+  size_ += event.count;
 }
 
 void EventQueue::advance() {
@@ -32,7 +32,7 @@ void EventQueue::advance() {
   do {
     ++now_;
   } while (buckets_[now_ & mask_].empty());
-  const std::vector<Event>& bucket = buckets_[now_ & mask_];
+  std::vector<Event>& bucket = buckets_[now_ & mask_];
   head_ = bucket.data();
   tail_ = head_ + bucket.size();
 }

@@ -13,12 +13,15 @@ std::size_t Context::node_count() const {
 
 void Context::broadcast(MessageType type,
                         std::span<const std::uint32_t> payload) {
-  runtime_.send(self_, now_, kBroadcastDst, type, payload);
+  runtime_.broadcast(self_, now_, type, payload);
 }
 
 void Context::unicast(NodeId dst, MessageType type,
                       std::span<const std::uint32_t> payload) {
-  runtime_.send(self_, now_, dst, type, payload);
+  const graph::Graph& g = *runtime_.graph_;
+  const std::size_t link = dst == sender_ ? g.row_begin(self_) + sender_slot_
+                                          : g.edge_slot(self_, dst);
+  runtime_.unicast(self_, now_, dst, link, type, payload);
 }
 
 void Context::set_timer(SimTime delay, std::uint64_t token) {
@@ -53,6 +56,29 @@ Runtime::Runtime(const graph::Graph& g, const NodeFactory& factory,
                    "Runtime: factory returned null node for " << u);
     }
   }
+  // Mirror slots over the active rows: each undirected edge is resolved
+  // once, from its smaller endpoint, by one search of the larger one's row.
+  mirror_base_.assign(g.node_count(), 0);
+  std::size_t slots = 0;
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    if (nodes_[u] == nullptr) continue;
+    mirror_base_[u] = slots;
+    slots += g.degree(u);
+  }
+  mirror_.resize(slots);
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    if (nodes_[u] == nullptr) continue;
+    const auto row = g.neighbors(u);
+    for (std::uint32_t i = 0; i < row.size(); ++i) {
+      const NodeId v = row[i];
+      if (v < u) continue;
+      const auto other = g.neighbors(v);
+      const auto j = static_cast<std::uint32_t>(
+          std::lower_bound(other.begin(), other.end(), u) - other.begin());
+      mirror_[mirror_base_[u] + i] = j;
+      mirror_[mirror_base_[v] + j] = i;
+    }
+  }
 }
 
 SimTime Runtime::async_delivery_time(std::size_t link_slot, SimTime now) {
@@ -74,19 +100,26 @@ std::uint32_t Runtime::acquire_slot(NodeId src, NodeId dst, MessageType type,
                                     std::span<const std::uint32_t> payload) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back();
+    if (pool_size_ == chunks_.size() * kChunkSlots) {
+      chunks_.push_back(std::make_unique<PoolSlot[]>(kChunkSlots));
+    }
+    slot = pool_size_++;
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  PoolSlot& entry = pool_[slot];
+  PoolSlot& entry = pool_slot(slot);
   entry.src = src;
   entry.dst = dst;
   entry.type = type;
-  // Reuses the recycled buffer's capacity; allocates only when this slot
-  // never carried a payload this long.
-  entry.payload.assign(payload.begin(), payload.end());
+  entry.size = static_cast<std::uint32_t>(payload.size());
+  if (payload.size() <= kInlineWords) {
+    std::copy(payload.begin(), payload.end(), entry.words.begin());
+  } else {
+    // Reuses the spill buffer's capacity; allocates only when this slot
+    // never carried a payload this long.
+    entry.spill.assign(payload.begin(), payload.end());
+  }
   return slot;
 }
 
@@ -94,23 +127,23 @@ void Runtime::settle_slot(std::uint32_t slot, std::uint32_t refs) {
   if (refs == 0) {
     free_slots_.push_back(slot);  // every copy was dropped
   } else {
-    pool_[slot].refs = refs;
+    pool_slot(slot).refs = refs;
   }
 }
 
 void Runtime::release_ref(std::uint32_t slot) {
-  PoolSlot& entry = pool_[slot];
+  PoolSlot& entry = pool_slot(slot);
   WCDS_DCHECK(entry.refs > 0, "Runtime: pool slot over-released");
   if (--entry.refs == 0) free_slots_.push_back(slot);
 }
 
 void Runtime::schedule_timer(NodeId node, SimTime at, std::uint64_t token) {
-  queue_.push(at, {send_seq_++, token, node, /*timer=*/true});
+  queue_.push(at, {token, node, 0, 1, /*timer=*/true});
   ++pending_timers_;
 }
 
 std::uint32_t Runtime::enqueue_faulty_copy(std::uint32_t slot,
-                                           NodeId recipient,
+                                           std::uint32_t row_index,
                                            std::size_t link_slot,
                                            SimTime now) {
   if (fault_->drop_copy(link_slot)) return 0;
@@ -120,36 +153,51 @@ std::uint32_t Runtime::enqueue_faulty_copy(std::uint32_t slot,
     // overtake the original — exactly the reordering a hardened protocol
     // must survive.
     const SimTime at = delivery_time(link_slot, now) + fault_->extra_delay();
-    queue_.push(at, {send_seq_++, slot, recipient, /*timer=*/false});
+    queue_.push(at, {slot, kInvalidNode, row_index, 1, /*timer=*/false});
   }
   return copies;
 }
 
-void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
-                   std::span<const std::uint32_t> payload) {
+bool Runtime::begin_transmission(NodeId src, SimTime now, MessageType type) {
   // A crashed sender's radio is off: the transmission never happens, so it
   // is not part of the paper's message complexity either.
   if (fault_ != nullptr && fault_->send_blocked(src, now)) [[unlikely]] {
-    return;
+    return false;
   }
   ++stats_.transmissions;
   count_type(type);
-  if (dst == kBroadcastDst) {
-    const auto neighbors = graph_->neighbors(src);
-    if (!neighbors.empty()) {
-      // One interned payload, d POD queue records.
-      const std::uint32_t slot = acquire_slot(src, dst, type, payload);
+  return true;
+}
+
+void Runtime::broadcast(NodeId src, SimTime now, MessageType type,
+                        std::span<const std::uint32_t> payload) {
+  if (!begin_transmission(src, now, type)) return;
+  const auto count = static_cast<std::uint32_t>(graph_->degree(src));
+  if (count > 0) {
+    const std::uint32_t slot = acquire_slot(src, kBroadcastDst, type, payload);
+    if (fault_ == nullptr && delays_.is_unit()) {
+      // Every copy is due at now + 1 and nothing sent later can come
+      // between them: one record delivers all d in row order.
+      queue_.push(now + 1, {slot, kInvalidNode, 0, count, /*timer=*/false});
+      settle_slot(slot, 1);
+    } else {
       const std::size_t base = graph_->row_begin(src);
-      std::uint32_t copies = 0;
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        copies += enqueue_copy(slot, neighbors[i], base + i, now);
+      std::uint32_t records = 0;
+      for (std::uint32_t i = 0; i < count; ++i) {
+        records += enqueue_copy(slot, i, base + i, now);
       }
-      settle_slot(slot, copies);
+      settle_slot(slot, records);
     }
-    if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-    return;
   }
-  const std::size_t link_slot = graph_->edge_slot(src, dst);
+  if (recorder_ != nullptr) [[unlikely]] {
+    record_send(src, kBroadcastDst, type, now);
+  }
+}
+
+void Runtime::unicast(NodeId src, SimTime now, NodeId dst,
+                      std::size_t link_slot, MessageType type,
+                      std::span<const std::uint32_t> payload) {
+  if (!begin_transmission(src, now, type)) return;
   if (link_slot == graph::Graph::kNoSlot) {
     // Legal only after a topology change, where the sender may hold stale
     // neighbor knowledge: the radio misses.
@@ -162,7 +210,9 @@ void Runtime::send(NodeId src, SimTime now, NodeId dst, MessageType type,
   }
   const std::uint32_t slot = acquire_slot(src, dst, type, payload);
   if (recorder_ != nullptr) [[unlikely]] record_send(src, dst, type, now);
-  settle_slot(slot, enqueue_copy(slot, dst, link_slot, now));
+  const auto row_index =
+      static_cast<std::uint32_t>(link_slot - graph_->row_begin(src));
+  settle_slot(slot, enqueue_copy(slot, row_index, link_slot, now));
 }
 
 void Runtime::record_send(NodeId src, NodeId dst, MessageType type,
@@ -243,48 +293,85 @@ RunStats Runtime::run(std::uint64_t max_events) {
   }
   std::uint64_t events = 0;
   while (!queue_.empty()) {
-    if (++events > max_events) {
+    if (events == max_events) {
       finalize_stats(false);
       return stats_;
     }
     const Event event = queue_.pop();
     const SimTime now = queue_.now();
     if (event.timer) {
+      ++events;
       --pending_timers_;
       ++stats_.timer_fires;
       Context ctx(*this, event.node, now);
       nodes_[event.node]->on_timer(ctx, event.ref);
       continue;
     }
-    const auto slot = static_cast<std::uint32_t>(event.ref);
-    const PoolSlot& entry = pool_[slot];
-    // A stack view: the handler may grow pool_ while it reads the message.
-    const Message message{entry.src, entry.dst, entry.type, entry.payload};
-    if (topology_changed_ && !graph_->has_edge(message.src, event.node))
-        [[unlikely]] {
-      // The link vanished while the copy was in flight.
-      ++stats_.dropped;
-      release_ref(slot);
+    // The budget counts copies: a trip inside a record leaves the rest of
+    // it queued, and the next run() resumes from them.
+    const auto budget = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(event.count, max_events - events));
+    deliver(event, now, budget);
+    events += budget;
+    if (budget < event.count) {
+      Event rest = event;
+      rest.first += budget;
+      rest.count -= budget;
+      queue_.unpop(rest);
       continue;
     }
-    if (fault_ != nullptr && fault_->receive_blocked(event.node, now))
-        [[unlikely]] {
-      // Recipient radio is off: the copy evaporates without touching
-      // delivery stats or the recipient's state.
-      release_ref(slot);
-      continue;
-    }
-    ++stats_.deliveries;
-    stats_.completion_time = now;
-    if (recorder_ != nullptr) [[unlikely]] {
-      record_deliver(now, message.src, event.node, message.type);
-    }
-    Context ctx(*this, event.node, now);
-    nodes_[event.node]->on_receive(ctx, message);
-    release_ref(slot);
+    release_ref(static_cast<std::uint32_t>(event.ref));
   }
   finalize_stats(true);
   return stats_;
+}
+
+void Runtime::deliver(const Event& event, SimTime now, std::uint32_t budget) {
+  const PoolSlot& entry = pool_slot(static_cast<std::uint32_t>(event.ref));
+  // A stack view: the slot does not move while the handlers run.
+  const Message message{entry.src, entry.dst, entry.type, entry.payload()};
+  const NodeId* row = graph_->neighbors(message.src).data() + event.first;
+  if (!topology_changed_) [[likely]] {
+    const std::uint32_t* mirror =
+        mirror_.data() + mirror_base_[message.src] + event.first;
+    for (std::uint32_t k = 0; k < budget; ++k) {
+      deliver_copy(message, row[k], mirror[k], now, event.count - k - 1);
+    }
+  } else {
+    // The links may have changed since the send: re-derive each copy's
+    // slot, and drop it if its link is gone.
+    for (std::uint32_t k = 0; k < budget; ++k) {
+      const NodeId recipient = event.node != kInvalidNode ? event.node : row[k];
+      const std::size_t link = graph_->edge_slot(recipient, message.src);
+      if (link == graph::Graph::kNoSlot) [[unlikely]] {
+        ++stats_.dropped;
+        continue;
+      }
+      const auto sender_slot =
+          static_cast<std::uint32_t>(link - graph_->row_begin(recipient));
+      deliver_copy(message, recipient, sender_slot, now, event.count - k - 1);
+    }
+  }
+  in_hand_ = 0;
+}
+
+void Runtime::deliver_copy(const Message& message, NodeId recipient,
+                           std::uint32_t sender_slot, SimTime now,
+                           std::uint32_t in_hand) {
+  if (fault_ != nullptr && fault_->receive_blocked(recipient, now))
+      [[unlikely]] {
+    // Recipient radio is off: the copy evaporates without touching
+    // delivery stats or the recipient's state.
+    return;
+  }
+  ++stats_.deliveries;
+  stats_.completion_time = now;
+  in_hand_ = in_hand;
+  if (recorder_ != nullptr) [[unlikely]] {
+    record_deliver(now, message.src, recipient, message.type);
+  }
+  Context ctx(*this, recipient, now, message.src, sender_slot);
+  nodes_[recipient]->on_receive(ctx, message);
 }
 
 void Runtime::apply_topology(const graph::Graph& next) {
@@ -297,6 +384,23 @@ void Runtime::apply_topology(const graph::Graph& next) {
   std::erase_if(stale_clocks_,
                 [&](const StaleClock& stale) { return stale.clock <= now; });
   std::vector<SimTime> clocks(clocked ? next.adjacency_slots() : 0, 0);
+  // Row indices name recipients only in the rows they were sent on: give
+  // every pending copy its explicit recipient, in place and in order,
+  // before the rows change.
+  queue_.rewrite([&](const Event& event, std::vector<Event>& out) {
+    if (event.timer || event.node != kInvalidNode) {
+      out.push_back(event);
+      return;
+    }
+    PoolSlot& entry = pool_slot(static_cast<std::uint32_t>(event.ref));
+    entry.refs += event.count - 1;
+    const NodeId* row = graph_->neighbors(entry.src).data() + event.first;
+    for (std::uint32_t k = 0; k < event.count; ++k) {
+      out.push_back({event.ref, row[k], 0, 1, /*timer=*/false});
+    }
+  });
+  mirror_ = {};
+  mirror_base_ = {};
   // Merge old and new rows per node: collect each changed edge once
   // (u < v) and carry every directed link's FIFO clock to its new slot.
   std::vector<std::pair<NodeId, NodeId>> downs;

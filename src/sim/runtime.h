@@ -7,8 +7,8 @@
 //    delay in [min_delay, max_delay] under an asynchronous DelayModel.
 //    Per-(sender, recipient) FIFO order is always preserved (radio links
 //    do not reorder).
-//  - Deliveries and local timers are processed in (time, global sequence)
-//    order, so runs are exactly reproducible given the seed.
+//  - Deliveries and local timers are processed in (time, send order), so
+//    runs are exactly reproducible given the seed.
 //  - run() ends at quiescence (nothing pending) or when the event budget
 //    trips (runaway-protocol guard).  It may be called again: after
 //    apply_topology() changed the links (on_link_down / on_link_up fire on
@@ -19,15 +19,21 @@
 // transmissions (a broadcast is ONE message); time complexity = the delivery
 // time of the last message.
 //
-// Hot-path design (docs/PERFORMANCE.md): sends and deliveries are
-// allocation-free in steady state.  A send takes its payload as a span and
-// copies it ONCE into a recycled pool slot whose buffer keeps its capacity;
-// each of the d recipients enqueues a 24-byte POD Event referencing the
-// shared slot.  Events go into one ring of time buckets
-// (sim/event_queue.h); because sends happen in sequence order, appending to
-// a bucket keeps the exact (time, seq) order without a heap.
+// Hot-path design (docs/PERFORMANCE.md): a simulated delivery costs one
+// handler call.  A send takes its payload as a span and copies it ONCE into
+// a recycled pool slot (payloads of up to four words inline, longer ones in
+// a retained spill buffer).  Under unit delays with no fault hook a
+// broadcast to d neighbors is ONE 24-byte queue record (pool slot, first
+// row index, count) that delivers the d copies in the sender's row order;
+// otherwise each copy has its own record.  Records go into one ring of time
+// buckets (sim/event_queue.h); because sends happen in order, appending to
+// a bucket keeps the exact (time, send order) without a heap.  Each copy
+// knows its sender's slot in the recipient's row from a precomputed mirror
+// of the adjacency, so neighbor_slot(msg.src) and a reply to msg.src search
+// no row.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
@@ -88,8 +94,12 @@ class Runtime;
 // inheriting the read-only accessors.
 class Context {
  public:
-  Context(Runtime& runtime, NodeId self, SimTime now)
-      : runtime_(runtime), self_(self), now_(now) {}
+  // `sender` is the node whose message is being delivered (kInvalidNode
+  // outside a delivery), `sender_slot` its index in self's neighbors().
+  Context(Runtime& runtime, NodeId self, SimTime now,
+          NodeId sender = kInvalidNode, std::uint32_t sender_slot = 0)
+      : runtime_(runtime), self_(self), now_(now), sender_(sender),
+        sender_slot_(sender_slot) {}
   virtual ~Context() = default;
   Context(const Context&) = default;
   Context& operator=(const Context&) = delete;
@@ -98,7 +108,8 @@ class Context {
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] std::span<const NodeId> neighbors() const;
   // Index of neighbor `v` in neighbors(): the slot protocols key their
-  // per-neighbor state by.  O(log d); `v` must be a neighbor.
+  // per-neighbor state by.  O(1) for the sender of the message being
+  // delivered, O(log d) otherwise; `v` must be a neighbor.
   [[nodiscard]] std::size_t neighbor_slot(NodeId v) const;
   [[nodiscard]] std::size_t node_count() const;
 
@@ -115,7 +126,8 @@ class Context {
   // One transmission addressed to a single neighbor.  It must be adjacent;
   // once apply_topology() has changed the links, a unicast to a vanished
   // neighbor is dropped and counted instead (the sender may hold stale
-  // neighbor knowledge).
+  // neighbor knowledge).  A reply to the sender of the message being
+  // delivered finds its link without a search.
   virtual void unicast(NodeId dst, MessageType type,
                        std::span<const std::uint32_t> payload = {});
   void unicast(NodeId dst, MessageType type,
@@ -134,6 +146,8 @@ class Context {
   Runtime& runtime_;
   NodeId self_;
   SimTime now_;
+  NodeId sender_;
+  std::uint32_t sender_slot_;
 };
 
 // A protocol's per-node state machine.
@@ -260,16 +274,31 @@ class Runtime {
  private:
   friend class Context;
 
-  // One interned transmission.  `refs` counts outstanding deliveries; the
-  // slot is recycled when the last one lands, and its payload buffer keeps
-  // its capacity for the next send that reuses it.
+  // Payloads of at most this many words live inside their pool slot.
+  static constexpr std::size_t kInlineWords = 4;
+
+  // One interned transmission.  `refs` counts the queue records still
+  // holding it; the slot is recycled when the last one is delivered, and a
+  // spill buffer keeps its capacity for the next long payload.
   struct PoolSlot {
     NodeId src = kInvalidNode;
     NodeId dst = kBroadcastDst;
     MessageType type = 0;
     std::uint32_t refs = 0;
-    std::vector<std::uint32_t> payload;
+    std::uint32_t size = 0;
+    std::array<std::uint32_t, kInlineWords> words{};
+    std::vector<std::uint32_t> spill;
+
+    [[nodiscard]] std::span<const std::uint32_t> payload() const {
+      return {size <= kInlineWords ? words.data() : spill.data(), size};
+    }
   };
+
+  // The pool grows a fixed-size chunk at a time, so a slot never moves:
+  // the payload span a handler holds stays valid while its sends grow the
+  // pool.
+  static constexpr std::uint32_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunkSlots = 1U << kChunkBits;
 
   // The FIFO clock of a directed link that apply_topology removed while a
   // copy was still in flight on it; restored if the link comes back.
@@ -279,25 +308,42 @@ class Runtime {
     SimTime clock;
   };
 
-  void send(NodeId src, SimTime now, NodeId dst, MessageType type,
-            std::span<const std::uint32_t> payload);
-  // Enqueue one copy for `recipient` honoring the fault hook; returns the
-  // number of copies scheduled (0 dropped, 1, or 2 duplicated).  The
-  // null-hook case is the inline fast path.
-  std::uint32_t enqueue_copy(std::uint32_t slot, NodeId recipient,
+  // Whether `src` may transmit now; counts the transmission if so.
+  bool begin_transmission(NodeId src, SimTime now, MessageType type);
+  void broadcast(NodeId src, SimTime now, MessageType type,
+                 std::span<const std::uint32_t> payload);
+  // `link_slot` is src's directed CSR slot for dst, or kNoSlot.
+  void unicast(NodeId src, SimTime now, NodeId dst, std::size_t link_slot,
+               MessageType type, std::span<const std::uint32_t> payload);
+  // Enqueue the copy for entry `row_index` of the sender's row, honoring
+  // the fault hook; returns the number of records scheduled (0 dropped, 1,
+  // or 2 duplicated).  The null-hook case is the inline fast path.
+  std::uint32_t enqueue_copy(std::uint32_t slot, std::uint32_t row_index,
                              std::size_t link_slot, SimTime now) {
     if (fault_ != nullptr) [[unlikely]] {
-      return enqueue_faulty_copy(slot, recipient, link_slot, now);
+      return enqueue_faulty_copy(slot, row_index, link_slot, now);
     }
     queue_.push(delivery_time(link_slot, now),
-                {send_seq_++, slot, recipient, /*timer=*/false});
+                {slot, kInvalidNode, row_index, 1, /*timer=*/false});
     return 1;
   }
-  std::uint32_t enqueue_faulty_copy(std::uint32_t slot, NodeId recipient,
+  std::uint32_t enqueue_faulty_copy(std::uint32_t slot,
+                                    std::uint32_t row_index,
                                     std::size_t link_slot, SimTime now);
 
+  // Deliver copies [0, budget) of a popped delivery record.
+  void deliver(const Event& event, SimTime now, std::uint32_t budget);
+  // One copy: the recipient's radio may be off, otherwise its handler runs.
+  // `in_hand` is the number of the record's copies still undelivered.
+  void deliver_copy(const Message& message, NodeId recipient,
+                    std::uint32_t sender_slot, SimTime now,
+                    std::uint32_t in_hand);
+
+  [[nodiscard]] PoolSlot& pool_slot(std::uint32_t slot) {
+    return chunks_[slot >> kChunkBits][slot & (kChunkSlots - 1)];
+  }
   // Pool bookkeeping: a slot is acquired with no references, then given the
-  // number of copies actually scheduled (recycled at once if none were).
+  // number of records actually scheduled (recycled at once if none were).
   [[nodiscard]] std::uint32_t acquire_slot(
       NodeId src, NodeId dst, MessageType type,
       std::span<const std::uint32_t> payload);
@@ -305,9 +351,10 @@ class Runtime {
   void release_ref(std::uint32_t slot);
 
   void schedule_timer(NodeId node, SimTime at, std::uint64_t token);
-  // Pending deliveries, timers excluded: the trace's queue depth.
+  // Pending deliveries, timers excluded: the trace's queue depth.  Counts
+  // copies, including those of the record being delivered.
   [[nodiscard]] std::size_t queue_depth() const {
-    return queue_.size() - pending_timers_;
+    return queue_.size() + in_hand_ - pending_timers_;
   }
 
   void count_type(MessageType type);
@@ -338,16 +385,23 @@ class Runtime {
   // on_start order; empty means all nodes in ascending id order.
   std::vector<NodeId> active_;
 
+  // Mirror slots: for the copy on directed CSR slot (u, v), the index of u
+  // in v's row, at mirror_[mirror_base_[u] + index of v in u's row].  Built
+  // over the active rows only, for the construction-time topology; dropped
+  // by apply_topology, after which deliveries re-derive the slot.
+  std::vector<std::uint32_t> mirror_;
+  std::vector<std::size_t> mirror_base_;
+
   EventQueue queue_;
   std::size_t pending_timers_ = 0;
+  // Copies of the record being delivered that are not yet handed over.
+  std::size_t in_hand_ = 0;
 
-  // Message pool.  A handler gets a stack Message whose payload views the
-  // slot's heap buffer, so the pool may grow (and move its headers) while
-  // the handler runs: moving a vector keeps its buffer in place.
-  std::vector<PoolSlot> pool_;
+  // Message pool: chunks_[slot >> kChunkBits] holds slot.
+  std::vector<std::unique_ptr<PoolSlot[]>> chunks_;
+  std::uint32_t pool_size_ = 0;
   std::vector<std::uint32_t> free_slots_;
 
-  std::uint64_t send_seq_ = 0;
   RunStats stats_;
   // Dense per-type transmission counters, folded into stats_.per_type at the
   // end of run() (a map lookup per send is hot-path poison).
@@ -373,6 +427,7 @@ inline std::span<const NodeId> Context::neighbors() const {
 }
 
 inline std::size_t Context::neighbor_slot(NodeId v) const {
+  if (v == sender_) return sender_slot_;
   const graph::Graph& g = *runtime_.graph_;
   const std::size_t link = g.edge_slot(self_, v);
   WCDS_DCHECK(link != graph::Graph::kNoSlot,

@@ -11,17 +11,15 @@
 //     (drop=0.2, dup=0.05, crash/recover events) both distributed
 //     algorithms still reach quiescence with an audit-clean WCDS, across
 //     seeds.
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench_support/alloc_counter.h"
 #include "check/audit.h"
 #include "facade/build.h"
 #include "fault/hardened.h"
@@ -38,30 +36,6 @@
 #include "protocols/algorithm2_protocol.h"
 #include "sim/runtime.h"
 #include "test_util.h"
-
-// --- Counting global allocator (see runtime_queue_test.cpp) ----------------
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-void* counted_alloc(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -222,14 +196,13 @@ TEST(FaultTransparency, NullHookPathAddsNoAllocations) {
   sim::Runtime rt(
       g, [](NodeId) { return std::make_unique<OneShotNode>(); },
       sim::DelayModel::unit(), nullptr, nullptr);
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_relaxed);
+  bench::AllocationCounter counter;
   const auto stats = rt.run();
-  g_count_allocs.store(false, std::memory_order_relaxed);
+  const std::uint64_t allocations = counter.stop();
   EXPECT_EQ(stats.deliveries, 2u * kLeaves);
   // Amortized container growth only — same budget the queue differential
   // suite enforced before the fault layer existed.
-  EXPECT_LT(g_alloc_count.load(std::memory_order_relaxed), 100u);
+  EXPECT_LT(allocations, 100u);
 }
 
 // --- Idempotent handlers under raw duplication ------------------------------

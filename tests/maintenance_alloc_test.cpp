@@ -6,44 +6,14 @@
 // mix runs 200 warm-up events, then 200 counted ones, at n = 1024 and
 // n = 16384 at the same density; each must average at most 8 allocations
 // per event (a few remain for scratch growth and new grid cells).
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include <gtest/gtest.h>
 
+#include "bench_support/alloc_counter.h"
 #include "check/check.h"
 #include "churn_mix.h"
 #include "maintenance/dynamic_wcds.h"
-
-// --- Counting global allocator -------------------------------------------
-//
-// Replacing the global operator new/delete in this TU counts every heap
-// allocation in the process while the flag is set; the rest of the run
-// (gtest, set-up) is unaffected.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-void* counted_alloc(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-
-// --------------------------------------------------------------------------
 
 namespace wcds::testing {
 namespace {
@@ -63,11 +33,9 @@ double allocations_per_event(std::uint32_t n) {
   std::uint64_t total = 0;
   for (int e = 0; e < kEvents; ++e) {
     const ChurnEvent event = mix.next(net);
-    g_alloc_count.store(0);
-    g_count_allocs.store(true);
+    bench::AllocationCounter counter;
     const auto report = apply(net, event);
-    g_count_allocs.store(false);
-    total += g_alloc_count.load();
+    total += counter.stop();
     EXPECT_LE(report.region_size, n);
   }
   return static_cast<double>(total) / kEvents;

@@ -133,6 +133,62 @@ TEST(DynamicRuntime, PerLinkFifoSurvivesLinkFlap) {
   EXPECT_EQ(stats.dropped, 0u);
 }
 
+// Hub 4 sends numbered broadcasts, three at start and three on every link
+// up; each receiver logs (number, slot it files the hub under).
+class BurstHub final : public sim::ProtocolNode {
+ public:
+  void on_start(sim::Context& ctx) override {
+    if (ctx.self() == 4) send_burst(ctx);
+  }
+  void on_receive(sim::Context& ctx, const sim::Message& msg) override {
+    heard.emplace_back(msg.payload[0], ctx.neighbor_slot(msg.src));
+  }
+  void on_link_up(sim::Context& ctx, NodeId) override {
+    if (ctx.self() == 4) send_burst(ctx);
+  }
+  std::vector<std::pair<std::uint32_t, std::size_t>> heard;
+
+ private:
+  void send_burst(sim::Context& ctx) {
+    for (int i = 0; i < 3; ++i) ctx.broadcast(1, {sent_++});
+  }
+  std::uint32_t sent_ = 0;
+};
+
+// A degree-4 broadcast burst is in flight when one link dies, another dies
+// and comes back, and a new neighbor appears.  A copy is dropped iff its
+// link is gone at delivery time, so 1 loses the first burst while 2 hears
+// it; 3 hears only what was sent after it joined; every link stays FIFO.
+TEST(DynamicRuntime, InFlightBroadcastAcrossTopologyChanges) {
+  const auto t0 = graph::from_edges(
+      7, {{4, 1}, {4, 2}, {4, 5}, {4, 6}, {0, 1}, {0, 2}, {0, 5}});
+  const auto t1 = graph::from_edges(
+      7, {{4, 3}, {4, 5}, {4, 6}, {0, 1}, {0, 2}, {0, 5}});
+  const auto t2 = graph::from_edges(
+      7, {{4, 2}, {4, 3}, {4, 5}, {4, 6}, {0, 1}, {0, 2}, {0, 5}});
+  sim::Runtime rt(t0, [](NodeId) { return std::make_unique<BurstHub>(); });
+  EXPECT_FALSE(rt.run(/*max_events=*/0).quiescent);  // first burst in flight
+  rt.apply_topology(t1);  // 4-1 and 4-2 down, 4-3 up: second burst
+  rt.apply_topology(t2);  // 4-2 back up: third burst
+  const auto stats = rt.run();
+  ASSERT_TRUE(stats.quiescent);
+  using Heard = std::vector<std::pair<std::uint32_t, std::size_t>>;
+  const auto heard = [&](NodeId u) {
+    return static_cast<const BurstHub&>(rt.node(u)).heard;
+  };
+  EXPECT_EQ(heard(0), Heard{});
+  EXPECT_EQ(heard(1), Heard{});
+  EXPECT_EQ(heard(2), (Heard{{0, 1}, {1, 1}, {2, 1}, {6, 1}, {7, 1}, {8, 1}}));
+  EXPECT_EQ(heard(3), (Heard{{3, 0}, {4, 0}, {5, 0}, {6, 0}, {7, 0}, {8, 0}}));
+  EXPECT_EQ(heard(5), (Heard{{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1},
+                             {6, 1}, {7, 1}, {8, 1}}));
+  EXPECT_EQ(heard(6), (Heard{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0},
+                             {6, 0}, {7, 0}, {8, 0}}));
+  EXPECT_EQ(stats.transmissions, 9u);
+  EXPECT_EQ(stats.deliveries, 30u);
+  EXPECT_EQ(stats.dropped, 3u);
+}
+
 // --- MIS maintenance ---------------------------------------------------------
 
 void expect_valid_mis(const graph::Graph& g, const std::vector<bool>& mask,

@@ -1,7 +1,8 @@
 // Test-only oracle for sim::EventQueue: the std::map event queue the
 // simulator ran on before the ring of time buckets.  Events are keyed by
-// (time, seq), so popping the map's first entry is the exact (time, seq)
-// order by construction — the order the ring must reproduce.
+// (time, push order), so popping the map's first entry is the exact order
+// the ring must reproduce.  The oracle holds single copies: a multi-copy
+// record is pushed here as its copies, one after another.
 #pragma once
 
 #include <cstddef>
@@ -17,13 +18,13 @@ namespace wcds::testing {
 class ReferenceQueue {
  public:
   void push(sim::SimTime at, const sim::Event& event) {
-    queue_.emplace(std::pair{at, event.seq}, event);
+    queue_.emplace(std::pair{at, pushes_++}, event);
   }
 
   [[nodiscard]] bool empty() const { return queue_.empty(); }
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
 
-  // The earliest (time, event) by (time, seq).  Requires !empty().
+  // The earliest (time, event) by (time, push order).  Requires !empty().
   std::pair<sim::SimTime, sim::Event> pop() {
     const auto first = queue_.begin();
     const std::pair<sim::SimTime, sim::Event> out{first->first.first,
@@ -33,6 +34,7 @@ class ReferenceQueue {
   }
 
  private:
+  std::uint64_t pushes_ = 0;
   std::map<std::pair<sim::SimTime, std::uint64_t>, sim::Event> queue_;
 };
 
