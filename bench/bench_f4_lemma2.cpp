@@ -31,7 +31,7 @@ void print_tables() {
         const double side = geom::side_for_expected_degree(n, deg);
         const auto inst = bench::connected_instance_of(kind, n, side, seed);
         const auto mis = mis::greedy_mis_by_id(inst.g);
-        const auto stats = mis::mis_hop_neighborhood_stats(inst.g, mis);
+        const auto stats = mis::audit_mis_balls(inst.g, mis.members);
         worst_two = std::max(worst_two, stats.max_at_two_hops);
         worst_three = std::max(worst_three, stats.max_within_three_hops);
       }
@@ -53,7 +53,7 @@ void BM_Lemma2Audit(benchmark::State& state) {
       static_cast<std::uint32_t>(state.range(0)), 12.0, 1);
   const auto mis = mis::greedy_mis_by_id(inst.g);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mis::mis_hop_neighborhood_stats(inst.g, mis));
+    benchmark::DoNotOptimize(mis::audit_mis_balls(inst.g, mis.members));
   }
 }
 BENCHMARK(BM_Lemma2Audit)->Arg(1000)->Arg(2000);

@@ -8,33 +8,35 @@
 // annulus-packing bounds (see docs/CHECKING.md and DESIGN.md for the
 // derivation; the published OCR garbles them).
 //
-// Invariant families, in audit order:
-//   * WcdsResult consistency — mask/color/dominators agree, mis + additional
-//     partition the dominator set (the audit_result contract, itemized);
-//   * Section 1 — the set dominates and is weakly connected, judged per
-//     connected component;
-//   * Section 2 — mis_dominators is a maximal independent set (skipped when
-//     mis_dominators is empty: pure-greedy baselines carry no MIS);
-//   * Lemma 1   — (unit-disk) a non-MIS node has <= 5 MIS neighbors;
-//   * Lemma 2   — (unit-disk) an MIS node has <= 23 MIS nodes at exactly
-//     two hops and <= 47 within three hops;
-//   * Lemma 3   — complementary MIS subsets are <= 3 hops apart (H_3
-//     connected per component);
-//   * Theorem 4 — under the (level, ID) ranking, exactly 2 (H_2 connected);
-//   * Theorem 10 — (unit-disk) spanner edge count <= 9*#gray + 47*|S|;
-//   * Theorem 11 — spanner hop distance <= 3*delta + 2 for non-adjacent
-//     pairs (sampled BFS sources; opt-in, it is the expensive one);
-//   * (k,m)-resilience — m-fold domination plus single-crash survivability
-//     of the weakly induced subgraph (opt-in via AuditOptions::resilience;
-//     see audit_resilience below).
+// Each invariant has one implementation, in a non-raising core that returns
+// witnesses: is_consistent, sweep_wcds, mis::first_undominated and
+// mis::audit_mis_balls (one radius-3 ball per MIS node).  The auditor raises
+// from it; core::is_wcds, core::audit_result, survives_crashes and
+// DynamicWcds::audit read it and never reach the failure handler.
+//
+// Invariant families, in audit order (docs/CHECKING.md has the full table):
+//   * WcdsResult consistency (the audit_result contract, itemized);
+//   * Section 1 — domination and weak connectivity per component;
+//   * Section 2 — independence, then (after Lemma 3 / Theorem 4)
+//     maximality; skipped when mis_dominators is empty (pure-greedy
+//     baselines carry no MIS);
+//   * Lemma 3 / Theorem 4 — complementary MIS subsets <= 3 hops apart (H_3
+//     connected per component), exactly 2 under the (level, ID) ranking;
+//   * unit-disk only: Lemma 1 (<= 5 MIS neighbors), Lemma 2 (<= 23 MIS
+//     nodes at two hops, <= 47 within three), Theorem 10 (spanner edges
+//     <= 9*#gray + 47*|S|);
+//   * opt-in: (k,m)-resilience (see audit_resilience below) and Theorem 11
+//     (spanner hop distance <= 3*delta + 2, from sampled BFS sources).
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
+#include "graph/bfs.h"
 #include "graph/graph.h"
 #include "graph/types.h"
+#include "mis/mis.h"
 #include "wcds/wcds_result.h"
 
 namespace wcds::check {
@@ -90,13 +92,44 @@ struct AuditOptions {
 void audit_invariants(const graph::Graph& g, const core::WcdsResult& result,
                       const AuditOptions& options = {});
 
+// --- The non-raising core --------------------------------------------------
+
+// The WCDS definition (Section 1) in one sweep over g restricted to the live
+// nodes (`live` null: all nodes are): mis::first_undominated, and weak
+// connectivity per component, judged by one BFS over the edges with an
+// endpoint in `mask` from the component's smallest member of `mask` (its
+// smallest node when it has none).  Seeding every member would sweep each
+// weakly induced fragment on its own and make the check vacuous.  Throws
+// std::invalid_argument unless the masks are node-indexed.
+struct WcdsSweep {
+  NodeId undominated = kInvalidNode;
+  NodeId unreached = kInvalidNode;  // smallest live node the sweep missed
+  graph::Components components;     // of g over the live nodes (dead nodes:
+                                    // kInvalidNode)
+
+  [[nodiscard]] bool ok() const {
+    return undominated == kInvalidNode && unreached == kInvalidNode;
+  }
+};
+[[nodiscard]] WcdsSweep sweep_wcds(
+    const graph::Graph& g, const std::vector<bool>& mask,
+    const std::vector<bool>* live = nullptr,
+    mis::Orphans orphans = mis::Orphans::kMustBeDominated);
+
+// The consistency family of audit_invariants as a predicate, every node
+// active: false wherever the audit would raise its first failure.
+[[nodiscard]] bool is_consistent(const graph::Graph& g,
+                                 const core::WcdsResult& result);
+
+// --- Raising audits and survivability ---------------------------------------
+
 // True iff the backbone survives the concurrent crash of `crashed` with no
 // repair: every surviving node that still has a live neighbor is dominated
 // by a surviving dominator, and the weakly induced subgraph of the
 // surviving dominators is connected within every connected component of
 // g minus the crashed nodes.  Nodes isolated by the crash (their entire
 // neighborhood went down) are exempt — no backbone can serve a node with
-// no live radio link.  Pure predicate; never raises.
+// no live radio link.  sweep_wcds over the surviving nodes; never raises.
 [[nodiscard]] bool survives_crashes(const graph::Graph& g,
                                     const core::WcdsResult& result,
                                     std::span<const NodeId> crashed);

@@ -5,8 +5,7 @@
 
 #include "check/audit.h"
 #include "check/check.h"
-#include "graph/bfs.h"
-#include "graph/subgraph.h"
+#include "mis/properties.h"
 #include "wcds/wcds_result.h"
 
 namespace wcds::maintenance {
@@ -434,90 +433,50 @@ void DynamicWcds::record_event(const char* event,
 void DynamicWcds::maybe_audit(const char* event) const {
   if (!check::audits_enabled()) return;
   // Snapshot protocol state as a WcdsResult over the active UDG.
-  const std::size_t n = node_count();
   core::WcdsResult result;
-  result.mask.assign(n, false);
-  result.color.assign(n, core::NodeColor::kGray);
+  result.mask.assign(node_count(), false);
+  result.color.assign(node_count(), core::NodeColor::kGray);
   result.dominators = dominators();
   for (NodeId u : result.dominators) {
     result.mask[u] = true;
     result.color[u] = core::NodeColor::kBlack;
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    if (mis_[u]) result.mis_dominators.push_back(u);
-  }
-  for (NodeId u : result.dominators) {
-    if (!mis_[u]) result.additional_dominators.push_back(u);
+    (mis_[u] ? result.mis_dominators : result.additional_dominators)
+        .push_back(u);
   }
   check::AuditOptions options;
   options.unit_disk = true;  // the active graph is a UDG by construction
   options.active = &graph_.active_mask();
-  check::audit_invariants(graph_.materialize(), result, options);
-  // The maintenance-specific contract on top of the paper invariants: every
-  // 3-hop MIS pair holds a valid additional-dominator bridge.
-  const Audit state = audit();
-  WCDS_CHECK(state.bridges_complete,
+  const graph::Graph g = graph_.materialize();
+  check::audit_invariants(g, result, options);
+  // The maintenance-specific contract on top of the paper invariants.
+  WCDS_CHECK(audit(g).bridges_complete,
              "Section 4.2 (maintenance): unbridged 3-hop MIS pair after "
                  << event);
 }
 
-Audit DynamicWcds::audit() const {
-  Audit audit;
-  const std::size_t n = node_count();
-
-  // Independence + maximality over active nodes.
-  audit.mis_independent = true;
-  audit.mis_maximal = true;
-  for (NodeId u = 0; u < n; ++u) {
-    if (!is_active(u)) continue;
-    if (mis_[u]) {
-      for (NodeId v : graph_.neighbors(u)) {
-        if (mis_[v]) audit.mis_independent = false;
-      }
-    } else {
-      const auto row = graph_.neighbors(u);
-      if (std::none_of(row.begin(), row.end(),
-                       [&](NodeId v) { return mis_[v]; })) {
-        audit.mis_maximal = false;
-      }
-    }
+Audit DynamicWcds::audit(const graph::Graph& g) const {
+  const std::vector<bool>& active = graph_.active_mask();
+  std::vector<NodeId> mis_members;
+  std::vector<bool> dominator(node_count());
+  for (NodeId u = 0; u < node_count(); ++u) {
+    if (mis_[u] && active[u]) mis_members.push_back(u);
+    dominator[u] = mis_[u] || via_count_[u] > 0;
   }
-
-  // Every 3-hop MIS pair bridged.
-  audit.bridges_complete = true;
-  graph::LocalBfs bfs;
-  for (NodeId a = 0; a < n; ++a) {
-    if (!mis_[a] || !is_active(a)) continue;
-    for (NodeId b : bfs.run(graph_, a, 3)) {
-      if (b <= a || !mis_[b] || bfs.distance(b) != 3) continue;
-      const Bridge* bridge = find_bridge(a, b);
-      if (bridge == nullptr || !bridge_valid(a, b, bridge->via)) {
-        audit.bridges_complete = false;
-      }
-    }
-  }
-
-  // Weak connectivity of S + C per connected component (judged over active
-  // nodes; singleton components are trivially fine).
-  std::vector<bool> dom_mask(n, false);
-  for (NodeId d : dominators()) dom_mask[d] = true;
-  const graph::Graph g = graph_.materialize();
-  const auto weak = graph::weakly_induced_subgraph(g, dom_mask);
-  const auto comp_g = graph::connected_components(g);
-  const auto comp_w = graph::connected_components(weak);
-  audit.weakly_connected = true;
-  // Two nodes in one G-component must share a weak component.
-  std::vector<std::uint32_t> rep(comp_g.count, kInvalidNode);
-  for (NodeId u = 0; u < n; ++u) {
-    if (!is_active(u)) continue;
-    auto& r = rep[comp_g.label[u]];
-    if (r == kInvalidNode) {
-      r = comp_w.label[u];
-    } else if (r != comp_w.label[u]) {
-      audit.weakly_connected = false;
-    }
-  }
-  return audit;
+  const check::WcdsSweep backbone = check::sweep_wcds(g, dominator, &active);
+  bool bridged = true;  // every 3-hop MIS pair holds a valid bridge record
+  const auto balls = mis::audit_mis_balls(
+      g, mis_members, backbone.components,
+      [&](NodeId a, NodeId b, HopCount hops) {
+        if (hops != 3 || b < a) return;
+        const Bridge* bridge = find_bridge(a, b);
+        bridged = bridged && bridge != nullptr &&
+                  bridge_valid(a, b, bridge->via);
+      });
+  return {.mis_independent = balls.adjacent == kInvalidNode,
+          .mis_maximal =
+              mis::first_undominated(g, mis_, &active) == kInvalidNode,
+          .bridges_complete = bridged,
+          .weakly_connected = backbone.unreached == kInvalidNode};
 }
 
 }  // namespace wcds::maintenance

@@ -27,7 +27,7 @@
 //    S + C is a WCDS of every connected component.
 //
 // Whole-network passes are left to inspection and checking: active_graph(),
-// bridges(), dominators(), audit() and watchdog().
+// bridges(), dominators(), watchdog() and audit() (the shared checker).
 #pragma once
 
 #include <cstdint>
@@ -105,8 +105,10 @@ class DynamicWcds {
     return graph_.position(u);
   }
 
-  // Full global invariant check (test oracle; not part of the repair path).
-  [[nodiscard]] Audit audit() const;
+  // Full global invariant check (test oracle; not part of the repair path):
+  // the shared checker (check/audit.h) on one active-graph snapshot, whose
+  // MIS balls also check the bridge records.  Never raises.
+  [[nodiscard]] Audit audit() const { return audit(graph_.materialize()); }
 
   // Liveness watchdog: audit the maintained invariants and, when any fail,
   // run a repair pass seeded at every node.  Per-event localized repairs
@@ -117,10 +119,14 @@ class DynamicWcds {
   RepairReport watchdog();
 
  private:
+  friend class DynamicWcdsTestPeer;  // tests seed state corruptions
+
   // Debug/test tripwire: runs check::audit_invariants (unit-disk bounds,
-  // active-node scope) plus the bridge-completeness audit after `event`.
+  // active-node scope) and the bridge audit on one snapshot after `event`.
   // No-op unless check::audits_enabled().
   void maybe_audit(const char* event) const;
+  // audit() of `g`, a snapshot of the active graph.
+  [[nodiscard]] Audit audit(const graph::Graph& g) const;
   // Invalidates every mark and empties region_.
   void next_epoch();
   // Starts an event at `u`: a new mark epoch, and u's 3-hop ball in the

@@ -77,6 +77,8 @@ MisResult greedy_mis_max_degree(const graph::Graph& g) {
 }
 
 bool is_independent_set(const graph::Graph& g, const std::vector<bool>& mask) {
+  WCDS_REQUIRE(mask.size() == g.node_count(),
+               "is_independent_set: mask size mismatch");
   for (NodeId u = 0; u < g.node_count(); ++u) {
     if (!mask[u]) continue;
     for (NodeId v : g.neighbors(u)) {
@@ -86,16 +88,30 @@ bool is_independent_set(const graph::Graph& g, const std::vector<bool>& mask) {
   return true;
 }
 
-bool is_dominating_set(const graph::Graph& g, const std::vector<bool>& mask) {
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    if (mask[u]) continue;
-    const auto row = g.neighbors(u);
-    if (std::none_of(row.begin(), row.end(),
-                     [&](NodeId v) { return mask[v]; })) {
-      return false;
+NodeId first_undominated(const graph::Graph& g, const std::vector<bool>& mask,
+                         const std::vector<bool>* live, Orphans orphans) {
+  const std::size_t n = g.node_count();
+  WCDS_REQUIRE(mask.size() == n, "first_undominated: mask size mismatch");
+  WCDS_REQUIRE(live == nullptr || live->size() == n,
+               "first_undominated: live mask size mismatch");
+  const auto is_live = [&](NodeId u) { return live == nullptr || (*live)[u]; };
+  for (NodeId u = 0; u < n; ++u) {
+    if (!is_live(u) || mask[u]) continue;
+    bool orphan = true;
+    bool dominated = false;
+    for (const NodeId v : g.neighbors(u)) {
+      if (!is_live(v)) continue;
+      orphan = false;
+      dominated = mask[v];
+      if (dominated) break;
     }
+    if (!dominated && !(orphan && orphans == Orphans::kExempt)) return u;
   }
-  return true;
+  return kInvalidNode;
+}
+
+bool is_dominating_set(const graph::Graph& g, const std::vector<bool>& mask) {
+  return first_undominated(g, mask) == kInvalidNode;
 }
 
 bool is_maximal_independent_set(const graph::Graph& g,

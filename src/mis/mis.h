@@ -32,7 +32,18 @@ struct MisResult {
 // with the most white neighbors (ties by lower id), add it, gray neighbors.
 [[nodiscard]] MisResult greedy_mis_max_degree(const graph::Graph& g);
 
-// True iff `members` is pairwise non-adjacent (independent).
+enum class Orphans : bool { kMustBeDominated, kExempt };  // no live neighbor
+
+// The smallest live node outside `mask` with no live neighbor in it, or
+// kInvalidNode (`live` null: all nodes are live).  The one domination scan:
+// WCDS domination, MIS maximality and is_dominating_set read it.
+[[nodiscard]] NodeId first_undominated(
+    const graph::Graph& g, const std::vector<bool>& mask,
+    const std::vector<bool>* live = nullptr,
+    Orphans orphans = Orphans::kMustBeDominated);
+
+// True iff `members` is pairwise non-adjacent (independent).  These
+// predicates throw std::invalid_argument unless the masks are node-indexed.
 [[nodiscard]] bool is_independent_set(const graph::Graph& g,
                                       const std::vector<bool>& mask);
 

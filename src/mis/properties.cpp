@@ -1,12 +1,51 @@
 #include "mis/properties.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "check/check.h"
 #include "graph/bfs.h"
 #include "graph/local_bfs.h"
 
 namespace wcds::mis {
+namespace {
+
+// Union-find over member indices; a set's root is its smallest index.
+struct MemberSets {
+  std::vector<NodeId> parent;
+
+  explicit MemberSets(std::size_t count) : parent(count) {
+    std::iota(parent.begin(), parent.end(), NodeId{0});
+  }
+  NodeId find(NodeId i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];  // halving
+    return i;
+  }
+  void unite(NodeId a, NodeId b) {
+    a = find(a);
+    b = find(b);
+    parent[std::max(a, b)] = std::min(a, b);
+  }
+};
+
+// The first member outside its G-component's first member's set, with the
+// sets numbered in order of first member (ascending roots).
+ProximityWitness first_split(MemberSets& sets, std::span<const NodeId> members,
+                             const graph::Components& components) {
+  std::vector<std::uint32_t> label(members.size());
+  std::vector<std::uint32_t> representative(components.count, kInvalidNode);
+  std::uint32_t next = 0;
+  for (NodeId i = 0; i < members.size(); ++i) {
+    const NodeId root = sets.find(i);
+    label[i] = root == i ? next++ : label[root];
+    auto& rep = representative[components.label[members[i]]];
+    if (rep == kInvalidNode) rep = label[i];
+    if (rep != label[i]) return {members[i], rep, label[i]};
+  }
+  return {};
+}
+
+}  // namespace
 
 std::size_t max_mis_neighbors(const graph::Graph& g,
                               const std::vector<bool>& mis_mask) {
@@ -24,58 +63,57 @@ std::size_t max_mis_neighbors(const graph::Graph& g,
   return worst;
 }
 
-HopNeighborhoodStats mis_hop_neighborhood_stats(const graph::Graph& g,
-                                                const MisResult& mis) {
-  HopNeighborhoodStats stats;
-  std::vector<bool> in_mis(g.node_count(), false);
-  for (NodeId u : mis.members) in_mis[u] = true;
+BallAudit audit_mis_balls(const graph::Graph& g,
+                          std::span<const NodeId> members,
+                          const graph::Components& components,
+                          const PairVisitor& visit) {
+  const std::size_t n = g.node_count();
+  WCDS_REQUIRE(components.label.size() == n,
+               "audit_mis_balls: component labels are not node-indexed");
+  std::vector<NodeId> index(n, kInvalidNode);
+  for (NodeId i = 0; i < members.size(); ++i) {
+    WCDS_REQUIRE(members[i] < n,
+                 "audit_mis_balls: member " << members[i] << " of " << n);
+    WCDS_REQUIRE(components.label[members[i]] < components.count,
+                 "audit_mis_balls: member " << members[i]
+                                            << " outside every component");
+    index[members[i]] = i;
+  }
+  BallAudit audit;
+  MemberSets h2(members.size());
+  MemberSets h3(members.size());
   graph::LocalBfs bfs;
-  for (NodeId u : mis.members) {
+  for (NodeId i = 0; i < members.size(); ++i) {
+    const NodeId u = members[i];
     std::size_t at_two = 0;
     std::size_t within_three = 0;
-    for (NodeId v : bfs.run(g, u, 3)) {
-      if (v == u || !in_mis[v]) continue;
-      if (bfs.distance(v) == 2) ++at_two;
-      ++within_three;
-    }
-    stats.max_at_two_hops = std::max(stats.max_at_two_hops, at_two);
-    stats.max_within_three_hops =
-        std::max(stats.max_within_three_hops, within_three);
-  }
-  return stats;
-}
-
-graph::Graph mis_proximity_graph(const graph::Graph& g, const MisResult& mis,
-                                 HopCount max_hops) {
-  // Index MIS members densely.
-  std::vector<NodeId> index(g.node_count(), kInvalidNode);
-  for (NodeId i = 0; i < mis.members.size(); ++i) {
-    index[mis.members[i]] = i;
-  }
-  graph::GraphBuilder builder(mis.members.size());
-  graph::LocalBfs bfs;
-  for (NodeId i = 0; i < mis.members.size(); ++i) {
-    for (NodeId v : bfs.run(g, mis.members[i], max_hops)) {
-      if (index[v] != kInvalidNode && index[v] > i) {
-        builder.add_edge(i, index[v]);
+    for (const NodeId v : bfs.run(g, u, 3)) {
+      const NodeId j = index[v];
+      if (v == u || j == kInvalidNode) continue;
+      const HopCount d = bfs.distance(v);
+      if (visit) visit(u, v, d);
+      // Ball order lists u's row first, so this is u's first MIS neighbor.
+      if (d == 1 && audit.adjacent == kInvalidNode) {
+        audit.adjacent = u;
+        audit.adjacent_to = v;
       }
+      if (d == 2) ++at_two;
+      ++within_three;
+      if (d <= 2) h2.unite(i, j);
+      h3.unite(i, j);
     }
+    audit.max_at_two_hops = std::max(audit.max_at_two_hops, at_two);
+    audit.max_within_three_hops =
+        std::max(audit.max_within_three_hops, within_three);
   }
-  return std::move(builder).build();
+  audit.h2 = first_split(h2, members, components);
+  audit.h3 = first_split(h3, members, components);
+  return audit;
 }
 
-SubsetDistanceAudit audit_subset_distances(const graph::Graph& g,
-                                           const MisResult& mis) {
-  SubsetDistanceAudit audit;
-  if (mis.members.size() <= 1) {
-    audit.h2_connected = true;
-    audit.h3_connected = true;
-    return audit;
-  }
-  audit.h2_connected = graph::is_connected(mis_proximity_graph(g, mis, 2));
-  audit.h3_connected =
-      audit.h2_connected || graph::is_connected(mis_proximity_graph(g, mis, 3));
-  return audit;
+BallAudit audit_mis_balls(const graph::Graph& g,
+                          std::span<const NodeId> members) {
+  return audit_mis_balls(g, members, graph::connected_components(g));
 }
 
 HopCount max_complementary_subset_distance(const graph::Graph& g,

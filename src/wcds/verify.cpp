@@ -1,7 +1,6 @@
 #include "wcds/verify.h"
 
-#include <algorithm>
-
+#include "check/audit.h"
 #include "graph/bfs.h"
 #include "mis/mis.h"
 
@@ -12,11 +11,14 @@ bool is_dominating(const graph::Graph& g, const std::vector<bool>& mask) {
 }
 
 bool is_weakly_connected(const graph::Graph& g, const std::vector<bool>& mask) {
-  return graph::is_connected(graph::weakly_induced_subgraph(g, mask));
+  // Over all of V: a disconnected g is never weakly connected.
+  const check::WcdsSweep sweep = check::sweep_wcds(g, mask);
+  return sweep.components.count <= 1 && sweep.unreached == kInvalidNode;
 }
 
 bool is_wcds(const graph::Graph& g, const std::vector<bool>& mask) {
-  return is_dominating(g, mask) && is_weakly_connected(g, mask);
+  const check::WcdsSweep sweep = check::sweep_wcds(g, mask);
+  return sweep.components.count <= 1 && sweep.ok();
 }
 
 bool is_cds(const graph::Graph& g, const std::vector<bool>& mask) {
@@ -44,29 +46,7 @@ graph::Graph extract_spanner(const graph::Graph& g, const WcdsResult& result) {
 }
 
 bool audit_result(const graph::Graph& g, const WcdsResult& result) {
-  const std::size_t n = g.node_count();
-  if (result.mask.size() != n || result.color.size() != n) return false;
-  if (!std::is_sorted(result.dominators.begin(), result.dominators.end())) {
-    return false;
-  }
-  std::size_t black = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    const bool in_set = result.mask[u];
-    if (in_set != (result.color[u] == NodeColor::kBlack)) return false;
-    if (in_set) ++black;
-    if (!in_set && result.color[u] == NodeColor::kWhite && n > 1) return false;
-  }
-  if (black != result.dominators.size()) return false;
-  for (NodeId u : result.dominators) {
-    if (u >= n || !result.mask[u]) return false;
-  }
-  // mis + additional partition the dominators.
-  std::vector<NodeId> merged = result.mis_dominators;
-  merged.insert(merged.end(), result.additional_dominators.begin(),
-                result.additional_dominators.end());
-  std::sort(merged.begin(), merged.end());
-  if (merged != result.dominators) return false;
-  return is_wcds(g, result.mask);
+  return check::is_consistent(g, result) && is_wcds(g, result.mask);
 }
 
 }  // namespace wcds::core

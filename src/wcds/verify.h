@@ -3,6 +3,8 @@
 // S is a weakly-connected dominating set of G iff S dominates V and the
 // subgraph *weakly induced* by S — same vertex set, keeping every edge with
 // at least one endpoint in S — is connected.
+// The predicates adapt check/audit.h's non-raising core: they never reach the
+// failure handler, and throw std::invalid_argument for a short mask.
 #pragma once
 
 #include <span>
@@ -32,8 +34,9 @@ namespace wcds::core {
 [[nodiscard]] graph::Graph extract_spanner(const graph::Graph& g,
                                            const WcdsResult& result);
 
-// Internal-consistency audit of a WcdsResult: mask/dominators/color agree,
-// mis + additional partition the dominators, and the set is a WCDS of g.
+// Internal-consistency audit of a WcdsResult: check::is_consistent (mask,
+// dominators and color agree, every dominator list ascending, mis +
+// additional partition the dominators) and the set is a WCDS of g.
 [[nodiscard]] bool audit_result(const graph::Graph& g, const WcdsResult& result);
 
 }  // namespace wcds::core

@@ -114,10 +114,11 @@ TEST(Integration, MisPropertiesHoldForAlgorithmMisSets) {
   s.mask.assign(inst.g.node_count(), false);
   for (NodeId u : s.members) s.mask[u] = true;
   EXPECT_LE(mis::max_mis_neighbors(inst.g, s.mask), 5u);
-  const auto hood = mis::mis_hop_neighborhood_stats(inst.g, s);
-  EXPECT_LE(hood.max_at_two_hops, 23u);
-  EXPECT_LE(hood.max_within_three_hops, 47u);
-  EXPECT_TRUE(mis::audit_subset_distances(inst.g, s).h3_connected);
+  const auto balls = mis::audit_mis_balls(inst.g, s.members);
+  EXPECT_LE(balls.max_at_two_hops, 23u);
+  EXPECT_LE(balls.max_within_three_hops, 47u);
+  EXPECT_TRUE(balls.h3.connected());
+  EXPECT_EQ(balls.adjacent, kInvalidNode);
 }
 
 }  // namespace

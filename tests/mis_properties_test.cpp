@@ -1,4 +1,7 @@
 // Tests for the Section 2 structural lemmas (the F3-F5 experiment oracles).
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/spanning_tree.h"
@@ -44,7 +47,7 @@ TEST_P(Lemma2Sweep, HopNeighborhoodBounds) {
   for (const double degree : {8.0, 20.0}) {
     const auto inst = testing::connected_udg(500, degree, GetParam());
     const auto mis = greedy_mis_by_id(inst.g);
-    const auto stats = mis_hop_neighborhood_stats(inst.g, mis);
+    const auto stats = audit_mis_balls(inst.g, mis.members);
     EXPECT_LE(stats.max_at_two_hops, 23u);
     EXPECT_LE(stats.max_within_three_hops, 47u);
     EXPECT_LE(stats.max_at_two_hops, stats.max_within_three_hops);
@@ -57,7 +60,7 @@ TEST(Lemma2, HandBuiltTwoHopPair) {
   // 0 - 1 - 2: MIS {0, 2}; one MIS node at exactly two hops.
   const auto g = graph::from_edges(3, {{0, 1}, {1, 2}});
   const auto mis = greedy_mis_by_id(g);
-  const auto stats = mis_hop_neighborhood_stats(g, mis);
+  const auto stats = audit_mis_balls(g, mis.members);
   EXPECT_EQ(stats.max_at_two_hops, 1u);
   EXPECT_EQ(stats.max_within_three_hops, 1u);
 }
@@ -66,10 +69,18 @@ TEST(ProximityGraph, PathGraphH2) {
   // MIS {0,2,4} on a path: H_2 is itself a path over the members.
   const auto g = graph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   const auto mis = greedy_mis_by_id(g);
-  const auto h2 = mis_proximity_graph(g, mis, 2);
-  EXPECT_EQ(h2.node_count(), 3u);
-  EXPECT_EQ(h2.edge_count(), 2u);
-  EXPECT_TRUE(graph::is_connected(h2));
+  const auto audit = audit_mis_balls(g, mis.members);
+  EXPECT_TRUE(audit.h2.connected());
+  EXPECT_TRUE(audit.h3.connected());
+  EXPECT_EQ(audit.adjacent, kInvalidNode);
+  // Without the middle member, 0 and 4 are four hops apart: H_2 and H_3
+  // each split into {0} (component 0) and {4} (component 1).
+  const std::vector<NodeId> ends{0, 4};
+  const auto split = audit_mis_balls(g, ends);
+  EXPECT_EQ(split.h2.member, 4u);
+  EXPECT_EQ(split.h3.member, 4u);
+  EXPECT_EQ(split.h3.expected, 0u);
+  EXPECT_EQ(split.h3.found, 1u);
 }
 
 TEST(ProximityGraph, ThreeHopPairOnlyInH3) {
@@ -82,10 +93,10 @@ TEST(ProximityGraph, ThreeHopPairOnlyInH3) {
   std::vector<Rank> ranks{{0, 0}, {9, 1}, {9, 2}, {1, 3}, {9, 4}, {2, 5}};
   const auto mis = greedy_mis(g, ranks);
   ASSERT_EQ(mis.members, (std::vector<NodeId>{0, 3, 5}));
-  const auto h2 = mis_proximity_graph(g, mis, 2);
-  const auto h3 = mis_proximity_graph(g, mis, 3);
-  EXPECT_FALSE(graph::is_connected(h2));  // 0 and 3 are 3 hops apart
-  EXPECT_TRUE(graph::is_connected(h3));   // Lemma 3
+  const auto audit = audit_mis_balls(g, mis.members);
+  EXPECT_FALSE(audit.h2.connected());  // 0 and 3 are 3 hops apart
+  EXPECT_EQ(audit.h2.member, 3u);      // H_2 = {0}, {3, 5}
+  EXPECT_TRUE(audit.h3.connected());   // Lemma 3
 }
 
 // Lemma 3: for any MIS of a connected UDG, H_3 is connected (complementary
@@ -100,8 +111,8 @@ TEST_P(Lemma3Sweep, ArbitraryMisH3Connected) {
       ranking_kind == 0
           ? greedy_mis_by_id(inst.g)
           : greedy_mis(inst.g, degree_ranking(inst.g));
-  const auto audit = audit_subset_distances(inst.g, mis);
-  EXPECT_TRUE(audit.h3_connected);
+  const auto audit = audit_mis_balls(inst.g, mis.members);
+  EXPECT_TRUE(audit.h3.connected());
   const auto worst = max_complementary_subset_distance(inst.g, mis);
   EXPECT_GE(worst, 2u);
   EXPECT_LE(worst, 3u);
@@ -121,8 +132,8 @@ TEST_P(Theorem4Sweep, LevelRankedMisH2Connected) {
     const auto inst = testing::connected_udg(350, degree, GetParam());
     const auto tree = graph::bfs_tree(inst.g, 0);
     const auto mis = greedy_mis(inst.g, level_ranking(tree));
-    const auto audit = audit_subset_distances(inst.g, mis);
-    EXPECT_TRUE(audit.h2_connected);
+    const auto audit = audit_mis_balls(inst.g, mis.members);
+    EXPECT_TRUE(audit.h2.connected());
     EXPECT_LE(max_complementary_subset_distance(inst.g, mis), 2u);
   }
 }
@@ -134,10 +145,52 @@ TEST(SubsetDistance, SingletonMisTrivial) {
   graph::GraphBuilder b(1);
   const auto g = std::move(b).build();
   const auto mis = greedy_mis_by_id(g);
-  const auto audit = audit_subset_distances(g, mis);
-  EXPECT_TRUE(audit.h2_connected);
-  EXPECT_TRUE(audit.h3_connected);
+  const auto audit = audit_mis_balls(g, mis.members);
+  EXPECT_TRUE(audit.h2.connected());
+  EXPECT_TRUE(audit.h3.connected());
   EXPECT_EQ(max_complementary_subset_distance(g, mis), 0u);
+}
+
+TEST(SubsetDistance, JudgedPerComponentOfG) {
+  // Two paths 0-1-2 and 3-4-5, MIS {0, 2, 3, 5}: H_2 is connected within
+  // each component, though not as a whole.
+  const auto g = graph::from_edges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
+  const std::vector<NodeId> members{0, 2, 3, 5};
+  const auto audit = audit_mis_balls(g, members);
+  EXPECT_TRUE(audit.h2.connected());
+  EXPECT_TRUE(audit.h3.connected());
+  EXPECT_EQ(audit.max_at_two_hops, 1u);
+}
+
+TEST(MisBalls, ReportsTheFirstAdjacentPair) {
+  // 0-1-2-3: members in the order {2, 0, 1}; 2's first MIS neighbor is 1.
+  const auto g = graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
+  const std::vector<NodeId> members{2, 0, 1};
+  const auto audit = audit_mis_balls(g, members);
+  EXPECT_EQ(audit.adjacent, 2u);
+  EXPECT_EQ(audit.adjacent_to, 1u);
+}
+
+TEST(MisBalls, RejectsMembersOutOfRange) {
+  const auto g = graph::from_edges(3, {{0, 1}, {1, 2}});
+  const std::vector<NodeId> members{0, 3};
+  EXPECT_THROW((void)audit_mis_balls(g, members), std::invalid_argument);
+  graph::Components short_labels;
+  short_labels.label = {0, 0};
+  short_labels.count = 1;
+  const std::vector<NodeId> first{0};
+  EXPECT_THROW((void)audit_mis_balls(g, first, short_labels),
+               std::invalid_argument);
+}
+
+TEST(MisPredicates, ShortMasksThrow) {
+  // A mask shorter than the node count used to be read past its end.
+  const auto g = graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
+  const std::vector<bool> short_mask{true, false};
+  EXPECT_THROW((void)is_dominating_set(g, short_mask), std::invalid_argument);
+  EXPECT_THROW((void)is_independent_set(g, short_mask), std::invalid_argument);
+  EXPECT_THROW((void)is_maximal_independent_set(g, short_mask),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,3 +1,6 @@
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/subgraph.h"
@@ -66,6 +69,27 @@ TEST(WeaklyConnected, WholeVertexSetOfConnectedGraph) {
   std::vector<bool> all(inst.g.node_count(), true);
   EXPECT_TRUE(is_wcds(inst.g, all));
   EXPECT_TRUE(is_cds(inst.g, all));
+}
+
+TEST(WeaklyConnected, DisconnectedGraphIsNeverWeaklyConnected) {
+  // Judged over all of V: each path is dominated and weakly connected on its
+  // own, but g (and so the weakly induced subgraph) has two components.
+  const Graph g = from_edges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
+  std::vector<bool> s(6, false);
+  s[1] = s[4] = true;
+  EXPECT_TRUE(is_dominating(g, s));
+  EXPECT_FALSE(is_weakly_connected(g, s));
+  EXPECT_FALSE(is_wcds(g, s));
+}
+
+TEST(WeaklyConnected, ShortMasksThrow) {
+  // A mask shorter than the node count used to be read past its end.
+  const Graph g = from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
+  const std::vector<bool> s{true, false};
+  EXPECT_THROW((void)is_dominating(g, s), std::invalid_argument);
+  EXPECT_THROW((void)is_weakly_connected(g, s), std::invalid_argument);
+  EXPECT_THROW((void)is_wcds(g, s), std::invalid_argument);
+  EXPECT_THROW((void)is_cds(g, s), std::invalid_argument);
 }
 
 TEST(ExtractSpanner, KeepsExactlyIncidentEdges) {
