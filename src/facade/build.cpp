@@ -78,9 +78,12 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
       report.stats = std::move(run.stats);
       report.mis = mis_from_members(report.result.mis_dominators, n);
       // The MIS fixpoint is timing-independent, so the centralized list
-      // computation reproduces the protocol's dominator knowledge (the
-      // differential suite pins this down).
+      // computation reproduces the protocol's 1- and 2-hop dominator
+      // knowledge (the differential suite pins this down).  The 3-hop
+      // lists depend on which SELECTIONs the run made: they come from the
+      // protocol nodes themselves.
       report.lists = compute_dominator_lists(g, report.mis);
+      report.lists.three_hop_rows = std::move(run.three_hop);
       break;
     }
   }

@@ -96,8 +96,9 @@ struct BuildReport {
   mis::MisResult mis;
 
   // Algorithm II modes: per-node 1Hop/2Hop/3HopDomLists.  For the protocol
-  // mode these are recomputed centrally from the (timing-independent) MIS
-  // fixpoint; empty for Algorithm I modes.
+  // mode the 1- and 2-hop lists are recomputed centrally from the
+  // (timing-independent) MIS fixpoint and the 3-hop lists are the protocol
+  // nodes' own, both directions.  Empty (no rows) for Algorithm I modes.
   DominatorLists lists;
 
   // Protocol modes: the sim's cost accounting (paper message/time

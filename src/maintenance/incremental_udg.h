@@ -2,12 +2,15 @@
 //
 // DynamicWcds's radio environment: positions, on/off flags, a grid-cell
 // index of positions and one sorted adjacency row per node.  Cells are
-// range x range and keyed exactly like udg::build_udg's grid, and pairs are
-// judged by the same geom::within_range predicate, so after any sequence
-// of events the rows equal udg::build_udg over the current positions with
-// every edge at an inactive node removed.  A move or on/off event rescans
-// only the 3x3 cells around the node and rewrites only its row and the rows
-// of its old and new neighbors: O(local density), independent of n.
+// range x range and a point lands in the same cell (udg::cell_index) as in
+// udg::build_udg's grid.  build_udg lays its cells out flat, once; this
+// index keeps a hash from udg::cell_key to the cell's nodes instead, so an
+// event can move one node between cells.  Pairs are judged by the same
+// geom::within_range predicate, so after any sequence of events the rows
+// equal udg::build_udg over the current positions with every edge at an
+// inactive node removed.  A move or on/off event rescans only the 3x3 cells
+// around the node and rewrites only its row and the rows of its old and new
+// neighbors: O(local density), independent of n.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,11 @@
 #include "protocols/algorithm2_protocol.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "check/audit.h"
 #include "check/check.h"
@@ -33,9 +36,12 @@ bool insert_unique(std::vector<T>& v, const T& value) {
   return true;
 }
 
-template <typename T>
-bool contains_sorted(const std::vector<T>& v, const T& value) {
-  return std::binary_search(v.begin(), v.end(), value);
+// One scratch buffer per thread for outgoing list payloads: the runtime
+// copies a payload out before broadcast returns.
+std::vector<std::uint32_t>& payload_scratch() {
+  thread_local std::vector<std::uint32_t> payload;
+  payload.clear();
+  return payload;
 }
 
 }  // namespace
@@ -81,12 +87,36 @@ void Algorithm2Node::mark_slot(const sim::Context& ctx, NodeId from,
   }
 }
 
+std::vector<NodeId> Algorithm2Node::one_hop_doms() const {
+  std::vector<NodeId> doms;
+  for (const DomIndexEntry& e : dom_index_) {
+    if ((e.lists & kInOneHop) != 0) doms.push_back(e.dom);
+  }
+  return doms;
+}
+
 Algorithm2Node::DomIndexEntry& Algorithm2Node::index_entry(NodeId dom) {
+  if (dom_index_.capacity() == 0) {
+    // Sized once, at the first entry, from the unit-disk bounds: a gray
+    // node indexes its 1- and 2-hop dominators (Lemmas 1 and 2), an
+    // MIS-dominator its 2- and 3-hop ones (Lemma 2: at most 47 within three
+    // hops).  A node's first entry comes when its own color is settled.
+    dom_index_.reserve(mis_dominator_ ? check::kLemma2ThreeHopBound
+                                      : check::kLemma1MaxMisNeighbors +
+                                            check::kLemma2TwoHopBound);
+  }
   const auto it = std::lower_bound(
       dom_index_.begin(), dom_index_.end(), dom,
       [](const DomIndexEntry& e, NodeId key) { return e.dom < key; });
   if (it != dom_index_.end() && it->dom == dom) return *it;
   return *dom_index_.insert(it, DomIndexEntry{dom, 0});
+}
+
+void Algorithm2Node::add_three_hop(const core::ThreeHopEntry& entry) {
+  if (three_hop_doms_.capacity() == 0) {
+    three_hop_doms_.reserve(check::kLemma2ThreeHopBound);
+  }
+  three_hop_doms_.push_back(entry);
 }
 
 void Algorithm2Node::maybe_become_dominator(sim::Context& ctx) {
@@ -111,7 +141,12 @@ void Algorithm2Node::maybe_send_one_hop(sim::Context& ctx) {
   if (color_ != Color::kGray || sent_one_hop_) return;
   if (colors_known_ != slot_flags_.size()) return;
   sent_one_hop_ = true;
-  ctx.broadcast(kMsgOneHopDoms, one_hop_doms_);
+  // The index is sorted by dom, so the 1HopDomList goes out ascending.
+  std::vector<std::uint32_t>& payload = payload_scratch();
+  for (const DomIndexEntry& e : dom_index_) {
+    if ((e.lists & kInOneHop) != 0) payload.push_back(e.dom);
+  }
+  ctx.broadcast(kMsgOneHopDoms, payload);
   // All gray neighbors may already have reported (possible when this node
   // grayed late); re-check the 2-hop trigger.
   maybe_send_two_hop(ctx);
@@ -123,10 +158,7 @@ void Algorithm2Node::maybe_send_two_hop(sim::Context& ctx) {
   // Rule 7: heard 1-HOP-DOMINATORS from each gray neighbor.
   if (grays_missing_one_hop_ != 0) return;
   sent_two_hop_ = true;
-  // One scratch buffer per thread: the runtime copies the payload out
-  // before broadcast returns.
-  thread_local std::vector<std::uint32_t> payload;
-  payload.clear();
+  std::vector<std::uint32_t>& payload = payload_scratch();
   for (const core::TwoHopEntry& e : two_hop_doms_) {
     payload.push_back(e.dom);
     payload.push_back(e.via);
@@ -139,7 +171,7 @@ void Algorithm2Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
     case kMsgMisDominator: {
       // Rule 2: first dominator heard grays a white node; every dominator
       // heard lands in the 1HopDomList.
-      insert_unique(one_hop_doms_, msg.src);
+      index_entry(msg.src).lists |= kInOneHop;
       if (color_ == Color::kWhite) {
         color_ = Color::kGray;
         ctx.broadcast(kMsgGray);
@@ -159,12 +191,15 @@ void Algorithm2Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
       mark_slot(ctx, msg.src, kOneHopHeard);
       for (std::uint32_t dom : msg.payload) {
         if (dom == ctx.self()) continue;
-        if (contains_sorted(one_hop_doms_, NodeId{dom})) continue;
         DomIndexEntry& entry = index_entry(dom);
+        if ((entry.lists & kInOneHop) != 0) continue;
         // Rules 5/6: record the 2-hop dominator with the reporting neighbor
         // as the intermediate; one entry per dominator (first heard wins).
         if ((entry.lists & kInTwoHop) == 0) {
           entry.lists |= kInTwoHop;
+          if (two_hop_doms_.capacity() == 0) {
+            two_hop_doms_.reserve(check::kLemma2TwoHopBound);
+          }
           two_hop_doms_.push_back({dom, msg.src});
         }
         // Rule 6 tail: a dominator found at 2 hops cancels any tentative
@@ -186,11 +221,10 @@ void Algorithm2Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
         const NodeId w = msg.payload[i];
         const NodeId x = msg.payload[i + 1];
         if (w == ctx.self() || ctx.self() >= w) continue;
-        if (contains_sorted(one_hop_doms_, w)) continue;
         DomIndexEntry& entry = index_entry(w);
-        if (entry.lists != 0) continue;  // known at 2 or 3 hops
+        if (entry.lists != 0) continue;  // known at 1, 2 or 3 hops
         entry.lists = kInThreeHop;
-        three_hop_doms_.push_back({w, msg.src, x});
+        add_three_hop({w, msg.src, x});
         ctx.unicast(msg.src, kMsgSelection, {ctx.self(), msg.src, x, w});
       }
       break;
@@ -229,7 +263,7 @@ void Algorithm2Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
       DomIndexEntry& entry = index_entry(u);
       if ((entry.lists & kInThreeHop) == 0) {
         entry.lists |= kInThreeHop;
-        three_hop_doms_.push_back({u, x, v});
+        add_three_hop({u, x, v});
       }
       break;
     }
@@ -286,8 +320,16 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
     }
     if (rec != nullptr) rec->metrics().set("sim/shards", 1.0);
     obs::PhaseTimer extract_timer(rec, "alg2/extract");
+    std::vector<std::uint32_t> three_hop_counts(n);
+    for (NodeId u = 0; u < n; ++u) {
+      three_hop_counts[u] = static_cast<std::uint32_t>(
+          as_algorithm2(runtime, u, hardened).three_hop_doms().size());
+    }
+    run.three_hop = graph::FlatRows<core::ThreeHopEntry>::sized(three_hop_counts);
     for (NodeId u = 0; u < n; ++u) {
       const auto& node = as_algorithm2(runtime, u, hardened);
+      std::ranges::copy(node.three_hop_doms(),
+                        run.three_hop.mutable_row(u).begin());
       if (node.is_mis_dominator()) {
         r.mis_dominators.push_back(u);
         r.mask[u] = true;
@@ -308,6 +350,10 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
     // dominator lists the single-runtime scan would have produced.
     enum : std::uint8_t { kRoleNone = 0, kRoleMis = 1, kRoleAdditional = 2 };
     std::vector<std::uint8_t> role(n, kRoleNone);
+    // Each shard also keeps its members' 3HopDomLists, concatenated in
+    // member order, and their lengths in disjoint slots of a shared array.
+    std::vector<std::uint32_t> three_hop_counts(n, 0);
+    std::vector<std::vector<core::ThreeHopEntry>> shard_three_hop(shard_count);
     std::vector<sim::ShardOutcome> outcomes(shard_count);
     std::vector<fault::Injector::Counters> fault_counters(
         hardened ? shard_count : 0);
@@ -336,6 +382,11 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
                 } else if (node.is_additional_dominator()) {
                   role[u] = kRoleAdditional;
                 }
+                const auto& three_hop = node.three_hop_doms();
+                three_hop_counts[u] =
+                    static_cast<std::uint32_t>(three_hop.size());
+                shard_three_hop[c].insert(shard_three_hop[c].end(),
+                                          three_hop.begin(), three_hop.end());
               }
               if (hardened) {
                 fault_counters[c] = injector->counters();
@@ -364,6 +415,15 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
       fault::record_transport_metrics(transport_total, rec);
     }
     obs::PhaseTimer extract_timer(rec, "alg2/extract");
+    run.three_hop = graph::FlatRows<core::ThreeHopEntry>::sized(three_hop_counts);
+    for (std::size_t c = 0; c < shard_count; ++c) {
+      auto next = shard_three_hop[c].cbegin();
+      for (NodeId u : plan.shard(c)) {
+        const auto row = run.three_hop.mutable_row(u);
+        std::copy(next, next + row.size(), row.begin());
+        next += static_cast<std::ptrdiff_t>(row.size());
+      }
+    }
     for (NodeId u = 0; u < n; ++u) {
       if (role[u] == kRoleMis) {
         r.mis_dominators.push_back(u);

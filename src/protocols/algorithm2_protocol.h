@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/flat_rows.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "obs/recorder.h"
@@ -72,9 +73,8 @@ class Algorithm2Node final : public sim::ProtocolNode {
   [[nodiscard]] bool is_gray() const {
     return color_ == Color::kGray && !additional_;
   }
-  [[nodiscard]] const std::vector<NodeId>& one_hop_doms() const {
-    return one_hop_doms_;
-  }
+  // The 1HopDomList, ascending (built from the dominator index).
+  [[nodiscard]] std::vector<NodeId> one_hop_doms() const;
   [[nodiscard]] const std::vector<core::TwoHopEntry>& two_hop_doms() const {
     return two_hop_doms_;
   }
@@ -93,7 +93,11 @@ class Algorithm2Node final : public sim::ProtocolNode {
     kOneHopHeard = 4,  // 1-HOP-DOMINATORS heard
   };
   // Which dominator lists hold an entry for a dominator (dom_index_).
-  enum ListFlag : std::uint8_t { kInTwoHop = 1, kInThreeHop = 2 };
+  enum ListFlag : std::uint8_t {
+    kInTwoHop = 1,
+    kInThreeHop = 2,
+    kInOneHop = 4,  // the 1HopDomList is the index's entries with this flag
+  };
   struct DomIndexEntry {
     NodeId dom;
     std::uint8_t lists;
@@ -108,6 +112,7 @@ class Algorithm2Node final : public sim::ProtocolNode {
   void note_color_heard(sim::Context& ctx, NodeId from);
   // The dom_index_ entry for `dom`, inserted with no lists if absent.
   DomIndexEntry& index_entry(NodeId dom);
+  void add_three_hop(const core::ThreeHopEntry& entry);
 
   Color color_ = Color::kWhite;
   bool mis_dominator_ = false;
@@ -124,12 +129,15 @@ class Algorithm2Node final : public sim::ProtocolNode {
   std::uint32_t colors_known_ = 0;
   std::uint32_t grays_missing_one_hop_ = 0;
 
-  std::vector<NodeId> one_hop_doms_;
-  // Insertion order is wire order (2-HOP-DOMINATORS lists entries as they
-  // were learned), so membership goes through the sorted dom_index_.
+  // The dominator lists are sized once, at their first entry, from the
+  // unit-disk bounds of Lemmas 1 and 2 (check/audit.h), so on a unit-disk
+  // graph none of them reallocates as it grows; elsewhere they still grow
+  // as needed.  Insertion order is wire order (2-HOP-DOMINATORS lists
+  // entries as they were learned), so membership goes through dom_index_,
+  // which is sorted by dom and also holds the 1HopDomList (kInOneHop).
   std::vector<core::TwoHopEntry> two_hop_doms_;
   std::vector<core::ThreeHopEntry> three_hop_doms_;
-  std::vector<DomIndexEntry> dom_index_;  // sorted by dom
+  std::vector<DomIndexEntry> dom_index_;
 
   // SELECTION payloads already confirmed; makes rule 9 duplicate-safe (a
   // replayed SELECTION must not re-broadcast the confirmation).  Sorted.
@@ -139,6 +147,11 @@ class Algorithm2Node final : public sim::ProtocolNode {
 struct DistributedWcdsRun {
   core::WcdsResult wcds;
   sim::RunStats stats;
+  // Every node's 3HopDomList as the run left it: each MIS-dominator's
+  // forward entries (from its SELECTIONs) and reverse ones (from
+  // ADDITIONAL-FORWARD), in the order it learned them; empty rows at the
+  // other nodes.
+  graph::FlatRows<core::ThreeHopEntry> three_hop;
 };
 
 // Build the WCDS by running the protocol to quiescence on g.  The protocol

@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "check/check.h"
+
 namespace wcds::routing {
 
 namespace {
@@ -21,12 +23,16 @@ ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
   // Clusterhead assignment: self for heads, lowest-ID 1-hop MIS-dominator
   // otherwise (the 1HopDomList is sorted).
   const core::DominatorLists& lists = wcds.lists();
+  WCDS_REQUIRE(lists.node_count() == n,
+               "ClusterheadRouter: the dominator lists cover "
+                   << lists.node_count() << " nodes but the graph has " << n
+                   << " (only an Algorithm II build fills them)");
   clusterhead_.assign(n, kInvalidNode);
   for (NodeId u = 0; u < n; ++u) {
     if (index_[u] != kNoHead) {
       clusterhead_[u] = u;
-    } else if (!lists.one_hop[u].empty()) {
-      clusterhead_[u] = lists.one_hop[u].front();
+    } else if (!lists.one_hop(u).empty()) {
+      clusterhead_[u] = lists.one_hop(u).front();
     } else {
       throw std::invalid_argument(
           "ClusterheadRouter: node without a 1-hop dominator (S must "
@@ -35,26 +41,32 @@ ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
   }
 
   // Overlay edges: 2-hop pairs from the 2HopDomLists of the heads, 3-hop
-  // pairs from the (bidirectional) 3HopDomLists Algorithm II populated.
-  overlay_.assign(heads_.size(), {});
-  const auto add_edge = [&](NodeId a, NodeId b, NodeId via1, NodeId via2) {
-    auto& row = overlay_[index_[a]];
-    const std::uint32_t to = index_[b];
-    if (std::any_of(row.begin(), row.end(),
-                    [&](const OverlayEdge& e) { return e.to == to; })) {
-      return;
-    }
-    row.push_back({to, via1, via2});
-    ++overlay_edges_;
-  };
+  // pairs from the (bidirectional) 3HopDomLists Algorithm II populated, one
+  // row per head in head order.  A row keeps the first edge to each head:
+  // seen[b] == a + 1 once head b is in head a's row.
+  const std::size_t h = heads_.size();
+  std::size_t listed = 0;
   for (NodeId a : heads_) {
-    for (const core::TwoHopEntry& e : lists.two_hop[a]) {
-      add_edge(a, e.dom, e.via, kInvalidNode);
-    }
-    for (const core::ThreeHopEntry& e : lists.three_hop[a]) {
-      add_edge(a, e.dom, e.via1, e.via2);
-    }
+    listed += lists.two_hop(a).size() + lists.three_hop(a).size();
   }
+  overlay_.reset(h, listed);
+  std::vector<std::uint32_t> seen(h, 0);
+  for (std::uint32_t a = 0; a < h; ++a) {
+    const auto add_edge = [&](NodeId b, NodeId via1, NodeId via2) {
+      const std::uint32_t to = index_[b];
+      if (seen[to] == a + 1) return;
+      seen[to] = a + 1;
+      overlay_.push_back({to, via1, via2});
+    };
+    for (const core::TwoHopEntry& e : lists.two_hop(heads_[a])) {
+      add_edge(e.dom, e.via, kInvalidNode);
+    }
+    for (const core::ThreeHopEntry& e : lists.three_hop(heads_[a])) {
+      add_edge(e.dom, e.via1, e.via2);
+    }
+    overlay_.close_row();
+  }
+  overlay_edges_ = overlay_.entry_count();
 
   // Routing tables: BFS per head over the overlay.  The same traversal
   // yields the overlay hop distances, kept for candidate ordering in the
@@ -62,7 +74,6 @@ ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
   // next_ doubles as the BFS's first-hop array: a head reached from src
   // inherits the first hop of the head that discovered it, so the whole
   // build is O(h * (h + E)) with no walk back up the BFS tree.
-  const std::size_t h = heads_.size();
   next_.assign(h * h, kNoHead);
   dist_.assign(h * h, kUnreachableDistance);
   std::vector<std::uint32_t> frontier(h);
@@ -106,7 +117,7 @@ std::uint32_t ClusterheadRouter::overlay_distance(NodeId from_head,
 
 ClusterheadRouter::Leg ClusterheadRouter::leg(std::uint32_t from_idx,
                                                std::uint32_t to_idx) const {
-  const auto& row = overlay_[from_idx];
+  const auto row = overlay_[from_idx];
   const auto it = std::find_if(
       row.begin(), row.end(),
       [&](const OverlayEdge& e) { return e.to == to_idx; });

@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/flat_rows.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "routing/router.h"
@@ -33,7 +34,8 @@ class ClusterheadRouter final : public Router {
   // Builds clusterhead assignments, the overlay and the routing tables from
   // an Algorithm II run on g.  Both arguments are borrowed: `g` and the
   // view's backing storage must outlive the router.  The dominator lists
-  // are only read during construction.
+  // are only read during construction; throws std::invalid_argument unless
+  // they cover every node of g (an Algorithm I report has none).
   ClusterheadRouter(const graph::Graph& g, core::Algorithm2View wcds);
 
   // Route a unicast packet.  Adjacent pairs use the direct edge; everything
@@ -121,13 +123,13 @@ class ClusterheadRouter final : public Router {
   std::vector<NodeId> heads_;          // MIS-dominators, ascending
   std::vector<std::uint32_t> index_;   // node -> dense head index
   // Per ordered head pair: the intermediate(s), or empty if not an overlay
-  // edge.  Stored sparsely per head.
+  // edge.  One flat row per head (by dense head index), in list order.
   struct OverlayEdge {
-    std::uint32_t to;                  // dense head index
+    std::uint32_t to = 0;              // dense head index
     NodeId via1 = kInvalidNode;        // always set
     NodeId via2 = kInvalidNode;        // set for 3-hop edges
   };
-  std::vector<std::vector<OverlayEdge>> overlay_;
+  graph::FlatRows<OverlayEdge> overlay_;
   std::size_t overlay_edges_ = 0;
   // next_[a * heads + b]: dense index of the next head after a toward b.
   std::vector<std::uint32_t> next_;

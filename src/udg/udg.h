@@ -4,7 +4,13 @@
 // builders are provided:
 //  - build_udg_reference: O(n^2) pair scan, the obviously-correct oracle;
 //  - build_udg:           grid-bucket builder, expected O(n + m) for bounded
-//                         density, used everywhere at scale.
+//                         density, used everywhere at scale.  It buckets the
+//                         nodes by cell with a counting sort (so the cell
+//                         order of the nodes falls out of the build) and
+//                         writes the rows straight into the CSR arrays: a
+//                         constant number of allocations whatever n is.  A
+//                         bounding box of more than a few cells per node
+//                         sorts the occupied cells instead: O(n log n).
 // Tests assert both produce identical graphs.
 #pragma once
 
@@ -27,7 +33,8 @@ namespace wcds::udg {
 
 // build_udg's grid: cells are range x range, so only the 3x3 block of cells
 // around a point can hold its in-range partners.  Shared with
-// maintenance::IncrementalUdg, which must bucket points exactly the same way.
+// maintenance::IncrementalUdg, which must bucket points exactly the same way
+// (it keys a hash of cells with cell_key).
 // The caller guarantees the floored value fits in int32 (check_position).
 [[nodiscard]] inline std::int32_t cell_index(double coordinate,
                                              double inverse_range) {

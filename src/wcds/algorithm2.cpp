@@ -1,6 +1,8 @@
 #include "wcds/algorithm2.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "check/audit.h"
@@ -9,65 +11,70 @@
 #include "obs/recorder.h"
 
 namespace wcds::core {
-namespace {
-
-// True iff `lists.one_hop[u]` (sorted) contains `d`.
-bool in_one_hop(const DominatorLists& lists, NodeId u, NodeId d) {
-  const auto& row = lists.one_hop[u];
-  return std::binary_search(row.begin(), row.end(), d);
-}
-
-bool in_two_hop(const DominatorLists& lists, NodeId u, NodeId d) {
-  return std::any_of(lists.two_hop[u].begin(), lists.two_hop[u].end(),
-                     [&](const TwoHopEntry& e) { return e.dom == d; });
-}
-
-}  // namespace
 
 DominatorLists compute_dominator_lists(const graph::Graph& g,
                                        const mis::MisResult& s) {
   const std::size_t n = g.node_count();
   DominatorLists lists;
-  lists.one_hop.assign(n, {});
-  lists.two_hop.assign(n, {});
-  lists.three_hop.assign(n, {});
 
-  // Rows are sized exactly before they are filled: one allocation per
-  // non-empty row.
+  // 1HopDomLists: each row in neighbor-row order, so ascending.  Every
+  // dominator appears in the row of each of its neighbors, which sizes the
+  // entry array exactly.
+  std::size_t one_hop_total = 0;
+  for (NodeId d : s.members) one_hop_total += g.degree(d);
+  lists.one_hop_rows.reset(n, one_hop_total);
   for (NodeId u = 0; u < n; ++u) {
-    const auto row = g.neighbors(u);
-    auto& out = lists.one_hop[u];
-    out.reserve(static_cast<std::size_t>(
-        std::count_if(row.begin(), row.end(),
-                      [&](NodeId v) { return s.mask[v]; })));
-    for (NodeId v : row) {
-      if (s.mask[v]) out.push_back(v);
+    for (NodeId v : g.neighbors(u)) {
+      if (s.mask[v]) lists.one_hop_rows.push_back(v);
     }
-    // neighbors() is sorted, so one_hop is sorted.
+    lists.one_hop_rows.close_row();
   }
 
   // A dominator d is in u's 2HopDomList iff d is not u, not adjacent to u,
   // and reachable through some neighbor v of u.  One entry per dominator,
   // with the smallest intermediate, mirroring a deterministic run of the
-  // distributed "1-HOP-DOMINATORS" exchange.
-  std::vector<TwoHopEntry> found;  // reused across nodes
+  // distributed "1-HOP-DOMINATORS" exchange.  Each dominator d, ascending,
+  // stamps itself and its neighbors (mark[x] == d + 1), then walks its
+  // neighbors v ascending and their rows: the first v to reach an unstamped
+  // node u is u's smallest via to d, and u is stamped.  So every row comes
+  // out ascending by dom with no sort.  Row u is first written into room
+  // for every visit it gets, one per (v, d) pair with v a neighbor and d in
+  // v's 1HopDomList.  The k-th visit writes at most k - 1 slots in, so it
+  // writes its entry unconditionally and keeps it only when the stamp was
+  // new.  The rows are then copied tight.
+  std::vector<std::uint32_t> room(n + 1, 0);
   for (NodeId u = 0; u < n; ++u) {
-    found.clear();
+    room[u + 1] = room[u];
     for (NodeId v : g.neighbors(u)) {
-      for (NodeId d : lists.one_hop[v]) {
-        if (d == u || in_one_hop(lists, u, d)) continue;
-        found.push_back({d, v});
+      room[u + 1] += static_cast<std::uint32_t>(lists.one_hop(v).size());
+    }
+  }
+  std::vector<TwoHopEntry> staged(room[n]);
+  std::vector<std::uint32_t> fill(room.begin(), room.end() - 1);
+  std::vector<std::uint32_t> mark(n, 0);
+  for (NodeId d = 0; d < n; ++d) {
+    if (!s.mask[d]) continue;
+    const std::uint32_t tag = d + 1;
+    mark[d] = tag;
+    for (NodeId v : g.neighbors(d)) mark[v] = tag;
+    for (NodeId v : g.neighbors(d)) {
+      for (NodeId u : g.neighbors(v)) {
+        staged[fill[u]] = {d, v};
+        fill[u] += static_cast<std::uint32_t>(mark[u] != tag);
+        mark[u] = tag;
       }
     }
-    std::sort(found.begin(), found.end());
-    // Keep the first (smallest via) entry per dominator.
-    found.erase(std::unique(found.begin(), found.end(),
-                            [](const TwoHopEntry& a, const TwoHopEntry& b) {
-                              return a.dom == b.dom;
-                            }),
-                found.end());
-    lists.two_hop[u].assign(found.begin(), found.end());
   }
+  for (NodeId u = 0; u < n; ++u) fill[u] -= room[u];  // now the row lengths
+  lists.two_hop_rows = graph::FlatRows<TwoHopEntry>::sized(fill);
+  for (NodeId u = 0; u < n; ++u) {
+    const auto first = staged.begin() + room[u];
+    std::copy(first, first + fill[u], lists.two_hop_rows.mutable_row(u).begin());
+  }
+
+  // No 3-hop knowledge yet: n empty rows.
+  const std::vector<std::uint32_t> none(n, 0);
+  lists.three_hop_rows = graph::FlatRows<ThreeHopEntry>::sized(none);
   return lists;
 }
 
@@ -81,6 +88,7 @@ Algorithm2Output algorithm2(const graph::Graph& g,
   Algorithm2Output out;
   out.mis = mis::greedy_mis_by_id(g);
   out.lists = compute_dominator_lists(g, out.mis);
+  const DominatorLists& lists = out.lists;
 
   const std::size_t n = g.node_count();
   std::vector<bool> additional(n, false);
@@ -89,23 +97,28 @@ Algorithm2Output algorithm2(const graph::Graph& g,
   // away with id(u) < id(w), pick one intermediate path u-v-x-w and promote
   // v to additional-dominator.  Candidates come from the 2HopDomLists of u's
   // neighbors, exactly as the distributed 2-HOP-DOMINATORS exchange surfaces
-  // them.
+  // them; near[d] == u + 1 marks d as within two hops of u (or u itself).
+  struct Candidate {
+    NodeId w, v, x;
+  };
+  struct Bridge {
+    NodeId u, w, v, x;
+  };
+  std::vector<std::uint32_t> near(n, 0);
+  std::vector<Candidate> candidates;  // reused across dominators
+  std::vector<Bridge> bridges;        // in selection order
   std::vector<NodeId> mis_sorted = out.mis.members;
   std::sort(mis_sorted.begin(), mis_sorted.end());
   for (NodeId u : mis_sorted) {
-    // Collect candidates per 3-hop dominator w: pairs (v, x).
-    struct Candidate {
-      NodeId w, v, x;
-    };
-    std::vector<Candidate> candidates;
+    const std::uint32_t tag = u + 1;
+    near[u] = tag;
+    for (NodeId d : lists.one_hop(u)) near[d] = tag;
+    for (const TwoHopEntry& e : lists.two_hop(u)) near[e.dom] = tag;
+    candidates.clear();
     for (NodeId v : g.neighbors(u)) {
-      for (const TwoHopEntry& e : out.lists.two_hop[v]) {
-        const NodeId w = e.dom;
-        if (w == u || u >= w) continue;
-        if (in_one_hop(out.lists, u, w) || in_two_hop(out.lists, u, w)) {
-          continue;  // closer than three hops
-        }
-        candidates.push_back({w, v, e.via});
+      for (const TwoHopEntry& e : lists.two_hop(v)) {
+        if (e.dom < u || near[e.dom] == tag) continue;  // closer than 3 hops
+        candidates.push_back({e.dom, v, e.via});
       }
     }
     std::sort(candidates.begin(), candidates.end(),
@@ -136,11 +149,25 @@ Algorithm2Output algorithm2(const graph::Graph& g,
                                                << "-" << c.w
                                                << " is not a 3-hop path");
       additional[c.v] = true;
-      out.lists.three_hop[u].push_back({c.w, c.v, c.x});
-      // The ADDITIONAL-DOMINATOR confirmation gives w the reverse entry.
-      out.lists.three_hop[c.w].push_back({u, c.x, c.v});
+      bridges.push_back({u, c.w, c.v, c.x});
       i = j;
     }
+  }
+
+  // 3HopDomLists: u gets the forward entry and, by the ADDITIONAL-DOMINATOR
+  // confirmation, w the reverse one.  Filling the rows in selection order
+  // gives each dominator its reverse entries (from lower-ID dominators,
+  // selected earlier) before its own forward ones.
+  std::vector<std::uint32_t> fill(n, 0);
+  for (const Bridge& b : bridges) {
+    ++fill[b.u];
+    ++fill[b.w];
+  }
+  out.lists.three_hop_rows = graph::FlatRows<ThreeHopEntry>::sized(fill);
+  std::fill(fill.begin(), fill.end(), 0);
+  for (const Bridge& b : bridges) {
+    out.lists.three_hop_rows.mutable_row(b.u)[fill[b.u]++] = {b.w, b.v, b.x};
+    out.lists.three_hop_rows.mutable_row(b.w)[fill[b.w]++] = {b.u, b.x, b.v};
   }
 
   WcdsResult& r = out.result;

@@ -8,11 +8,19 @@
 // (Theorem 11).
 //
 // The per-node 1Hop/2Hop/3HopDomLists mirror the state of the distributed
-// protocol and feed the clusterhead routing layer (src/routing).
+// protocol and feed the clusterhead routing layer (src/routing).  By Lemmas
+// 1 and 2 a node's rows in a unit-disk graph hold at most 5, 23 and 47
+// entries, so each list is one flat table (graph::FlatRows: an offset
+// array and one entry array), filled with the help of stamp arrays rather
+// than per-node vectors and membership scans: a constant number of
+// allocations per table, whatever n is.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
+#include "graph/flat_rows.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "mis/mis.h"
@@ -21,17 +29,34 @@
 namespace wcds::core {
 
 // The paper's per-node dominator knowledge after the information-exchange
-// rounds.  one_hop/two_hop are kept for every node; three_hop only carries
-// entries at MIS-dominators (empty elsewhere).
+// rounds.  one_hop/two_hop rows are kept for every node; three_hop rows
+// only carry entries at MIS-dominators (empty elsewhere).  Row order:
+// one_hop ascending; two_hop ascending by dom; three_hop as the entries
+// were learned — for algorithm2(), the reverse entries from lower-ID
+// dominators first, then the node's own forward entries by dom.
 struct DominatorLists {
-  std::vector<std::vector<NodeId>> one_hop;
-  std::vector<std::vector<TwoHopEntry>> two_hop;
-  std::vector<std::vector<ThreeHopEntry>> three_hop;
+  graph::FlatRows<NodeId> one_hop_rows;
+  graph::FlatRows<TwoHopEntry> two_hop_rows;
+  graph::FlatRows<ThreeHopEntry> three_hop_rows;
+
+  // The number of nodes the rows cover (0 for an empty set of lists).
+  [[nodiscard]] std::size_t node_count() const {
+    return one_hop_rows.row_count();
+  }
+  [[nodiscard]] std::span<const NodeId> one_hop(NodeId u) const {
+    return one_hop_rows[u];
+  }
+  [[nodiscard]] std::span<const TwoHopEntry> two_hop(NodeId u) const {
+    return two_hop_rows[u];
+  }
+  [[nodiscard]] std::span<const ThreeHopEntry> three_hop(NodeId u) const {
+    return three_hop_rows[u];
+  }
 };
 
 // Populate one_hop (adjacent MIS-dominators) and two_hop (MIS-dominators at
 // exactly two hops, one entry per dominator with the smallest intermediate)
-// for every node, given the MIS S.
+// for every node, given the MIS S; three_hop has n empty rows.
 [[nodiscard]] DominatorLists compute_dominator_lists(const graph::Graph& g,
                                                      const mis::MisResult& s);
 

@@ -17,19 +17,19 @@ TEST(DominatorLists, PathGraph) {
   const auto g = graph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   const auto s = mis::greedy_mis_by_id(g);
   const auto lists = compute_dominator_lists(g, s);
-  EXPECT_EQ(lists.one_hop[1], (std::vector<NodeId>{0, 2}));
-  EXPECT_EQ(lists.one_hop[0], (std::vector<NodeId>{}));
-  ASSERT_EQ(lists.two_hop[0].size(), 1u);
-  EXPECT_EQ(lists.two_hop[0][0].dom, 2u);
-  EXPECT_EQ(lists.two_hop[0][0].via, 1u);
+  EXPECT_EQ(testing::to_vector(lists.one_hop(1)), (std::vector<NodeId>{0, 2}));
+  EXPECT_TRUE(lists.one_hop(0).empty());
+  ASSERT_EQ(lists.two_hop(0).size(), 1u);
+  EXPECT_EQ(lists.two_hop(0)[0].dom, 2u);
+  EXPECT_EQ(lists.two_hop(0)[0].via, 1u);
   // Node 1 is adjacent to 0 and 2; its only 2-hop dominator is 4 (via 3)?
   // 1's neighbors are 0 and 2; 2's 1HopDomList is empty (2 is a dominator)...
   // entries come from *gray* neighbors' lists; via node 2 nothing, via 0
   // nothing.  1 has no gray neighbor, so no 2-hop dominators.
-  EXPECT_TRUE(lists.two_hop[1].empty());
+  EXPECT_TRUE(lists.two_hop(1).empty());
   // Node 3 (gray) sees dominator 0 via 1?  3's neighbors: 2 (dominator,
   // one_hop empty) and 4 (dominator).  So two_hop[3] is empty too.
-  EXPECT_TRUE(lists.two_hop[3].empty());
+  EXPECT_TRUE(lists.two_hop(3).empty());
 }
 
 TEST(Algorithm2, RejectsEmptyAndDisconnected) {
@@ -83,14 +83,14 @@ TEST(Algorithm2, ThreeHopPairGetsBridged) {
   EXPECT_EQ(out.result.additional_dominators[0], 6u);
   EXPECT_TRUE(audit_result(g, out.result));
   // 0 carries the forward entry, 4 the reverse.
-  ASSERT_EQ(out.lists.three_hop[0].size(), 1u);
-  EXPECT_EQ(out.lists.three_hop[0][0].dom, 4u);
-  EXPECT_EQ(out.lists.three_hop[0][0].via1, 6u);
-  EXPECT_EQ(out.lists.three_hop[0][0].via2, 5u);
-  ASSERT_EQ(out.lists.three_hop[4].size(), 1u);
-  EXPECT_EQ(out.lists.three_hop[4][0].dom, 0u);
-  EXPECT_EQ(out.lists.three_hop[4][0].via1, 5u);
-  EXPECT_EQ(out.lists.three_hop[4][0].via2, 6u);
+  ASSERT_EQ(out.lists.three_hop(0).size(), 1u);
+  EXPECT_EQ(out.lists.three_hop(0)[0].dom, 4u);
+  EXPECT_EQ(out.lists.three_hop(0)[0].via1, 6u);
+  EXPECT_EQ(out.lists.three_hop(0)[0].via2, 5u);
+  ASSERT_EQ(out.lists.three_hop(4).size(), 1u);
+  EXPECT_EQ(out.lists.three_hop(4)[0].dom, 0u);
+  EXPECT_EQ(out.lists.three_hop(4)[0].via1, 5u);
+  EXPECT_EQ(out.lists.three_hop(4)[0].via2, 6u);
 }
 
 TEST(Algorithm2, MisMatchesGreedyById) {
@@ -119,7 +119,7 @@ TEST_P(Algorithm2Sweep, ProducesAuditedWcds) {
   EXPECT_TRUE(mis::is_maximal_independent_set(inst.g, mis_mask));
   // Every 3-hop entry is a real path u - via1 - via2 - dom.
   for (NodeId u : out.result.mis_dominators) {
-    for (const ThreeHopEntry& e : out.lists.three_hop[u]) {
+    for (const ThreeHopEntry& e : out.lists.three_hop(u)) {
       EXPECT_TRUE(inst.g.has_edge(u, e.via1));
       EXPECT_TRUE(inst.g.has_edge(e.via1, e.via2));
       EXPECT_TRUE(inst.g.has_edge(e.via2, e.dom));
@@ -137,7 +137,7 @@ TEST_P(Algorithm2Sweep, EveryThreeHopMisPairBridged) {
     const auto dist = graph::bfs_distances(inst.g, a);
     for (NodeId b : out.result.mis_dominators) {
       if (b <= a || dist[b] != 3) continue;
-      const auto& entries = out.lists.three_hop[a];
+      const auto entries = out.lists.three_hop(a);
       const bool bridged =
           std::any_of(entries.begin(), entries.end(),
                       [&](const ThreeHopEntry& e) { return e.dom == b; });

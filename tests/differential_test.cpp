@@ -71,13 +71,14 @@ TEST(Differential, DistributedAlgorithm2ListsMatchCentralized) {
       const auto& node =
           static_cast<const protocols::Algorithm2Node&>(runtime.node(u));
       // 1-hop lists are exactly equal (both sorted).
-      EXPECT_EQ(node.one_hop_doms(), central.lists.one_hop[u]) << "node " << u;
+      EXPECT_EQ(node.one_hop_doms(), testing::to_vector(central.lists.one_hop(u)))
+          << "node " << u;
       // 2-hop dominator sets are equal.
       std::vector<NodeId> dist_doms;
       for (const auto& e : node.two_hop_doms()) dist_doms.push_back(e.dom);
       std::sort(dist_doms.begin(), dist_doms.end());
       std::vector<NodeId> cent_doms;
-      for (const auto& e : central.lists.two_hop[u]) cent_doms.push_back(e.dom);
+      for (const auto& e : central.lists.two_hop(u)) cent_doms.push_back(e.dom);
       std::sort(cent_doms.begin(), cent_doms.end());
       EXPECT_EQ(dist_doms, cent_doms) << "node " << u;
       // Every distributed 2-hop intermediate names a real 2-hop path.
@@ -157,9 +158,9 @@ TEST(Differential, FacadeMatchesDirectEntrypoints) {
               d2c.result.additional_dominators)
         << seed;
     EXPECT_EQ(f2c.mis.members, d2c.mis.members) << seed;
-    EXPECT_EQ(f2c.lists.one_hop, d2c.lists.one_hop) << seed;
-    EXPECT_EQ(f2c.lists.two_hop, d2c.lists.two_hop) << seed;
-    EXPECT_EQ(f2c.lists.three_hop, d2c.lists.three_hop) << seed;
+    EXPECT_EQ(f2c.lists.one_hop_rows, d2c.lists.one_hop_rows) << seed;
+    EXPECT_EQ(f2c.lists.two_hop_rows, d2c.lists.two_hop_rows) << seed;
+    EXPECT_EQ(f2c.lists.three_hop_rows, d2c.lists.three_hop_rows) << seed;
 
     options.algorithm = core::BuildAlgorithm::kAlgorithm1Protocol;
     const auto f1p = core::build(inst.g, options);
@@ -217,7 +218,7 @@ TEST(Differential, ReuseSelectionStillBridgesEverything) {
       const auto dist = graph::bfs_distances(inst.g, a);
       for (NodeId b : out.result.mis_dominators) {
         if (b <= a || dist[b] != 3) continue;
-        const auto& entries = out.lists.three_hop[a];
+        const auto entries = out.lists.three_hop(a);
         EXPECT_TRUE(std::any_of(
             entries.begin(), entries.end(),
             [&](const core::ThreeHopEntry& e) { return e.dom == b; }))

@@ -95,7 +95,7 @@ TEST(Facade, Algorithm2ViewFeedsTheRouter) {
   const auto inst = testing::connected_udg(80, 9.0, 6);
   const auto report =
       build_mode(inst.g, core::BuildAlgorithm::kAlgorithm2Central);
-  EXPECT_EQ(report.lists.one_hop.size(), inst.g.node_count());
+  EXPECT_EQ(report.lists.node_count(), inst.g.node_count());
   // The view borrows the report's storage — no copies on the serving path.
   const core::Algorithm2View view = report.algorithm2_view();
   EXPECT_EQ(&view.result(), &report.result);
@@ -104,6 +104,55 @@ TEST(Facade, Algorithm2ViewFeedsTheRouter) {
   const routing::ClusterheadRouter router(inst.g, view);
   const auto route = router.route(0, inst.g.node_count() - 1);
   EXPECT_TRUE(route.delivered);
+}
+
+TEST(Facade, ProtocolAlgorithm2ViewFeedsTheRouter) {
+  // The protocol mode's 3HopDomLists come from the protocol nodes, so the
+  // router over its view has every overlay edge the run bridged.
+  for (const std::uint64_t seed : {1u, 2u, 5u}) {
+    const auto inst = testing::connected_udg(300, 10.0, seed);
+    const auto report =
+        build_mode(inst.g, core::BuildAlgorithm::kAlgorithm2Protocol);
+    ASSERT_EQ(report.lists.node_count(), inst.g.node_count());
+    std::vector<bool> additional(inst.g.node_count(), false);
+    for (const NodeId v : report.result.additional_dominators) {
+      additional[v] = true;
+    }
+    std::size_t entries = 0;
+    for (NodeId u = 0; u < inst.g.node_count(); ++u) {
+      for (const core::ThreeHopEntry& e : report.lists.three_hop(u)) {
+        ++entries;
+        EXPECT_TRUE(report.mis.mask[u]) << seed << ": node " << u;
+        EXPECT_TRUE(inst.g.has_edge(u, e.via1) &&
+                    inst.g.has_edge(e.via1, e.via2) &&
+                    inst.g.has_edge(e.via2, e.dom))
+            << seed << ": " << u << "-" << e.via1 << "-" << e.via2 << "-"
+            << e.dom;
+        EXPECT_TRUE(additional[e.via1] || additional[e.via2])
+            << seed << ": " << u << "-" << e.via1 << "-" << e.via2 << "-"
+            << e.dom;
+      }
+    }
+    EXPECT_GT(entries, 0u) << seed;
+    const routing::ClusterheadRouter router(inst.g, report.algorithm2_view());
+    std::size_t undelivered = 0;
+    for (NodeId src = 0; src < inst.g.node_count(); src += 7) {
+      for (NodeId dst = 0; dst < inst.g.node_count(); dst += 5) {
+        if (!router.route(src, dst).delivered) ++undelivered;
+      }
+    }
+    EXPECT_EQ(undelivered, 0u) << seed;
+  }
+}
+
+TEST(Facade, RouterRejectsAnAlgorithm1Report) {
+  // Algorithm I fills no dominator lists: a named error, not a wild read.
+  const auto inst = testing::connected_udg(80, 9.0, 6);
+  const auto report =
+      build_mode(inst.g, core::BuildAlgorithm::kAlgorithm1Central);
+  EXPECT_EQ(report.lists.node_count(), 0u);
+  EXPECT_THROW(routing::ClusterheadRouter(inst.g, report.algorithm2_view()),
+               std::invalid_argument);
 }
 
 TEST(Facade, OwningAlgorithm2OutputStillConverts) {
@@ -119,16 +168,17 @@ TEST(Facade, OwningAlgorithm2OutputStillConverts) {
 }
 
 TEST(Facade, ProtocolAlgorithm2ListsMatchCentralized) {
-  // The protocol mode recomputes the dominator lists centrally from the
-  // timing-independent MIS fixpoint — they must agree with the centralized
-  // mode's lists wholesale.
+  // The protocol mode recomputes the 1- and 2-hop dominator lists centrally
+  // from the timing-independent MIS fixpoint — they must agree with the
+  // centralized mode's lists wholesale.
   const auto inst = testing::connected_udg(80, 9.0, 7);
   const auto central =
       build_mode(inst.g, core::BuildAlgorithm::kAlgorithm2Central);
   const auto protocol =
       build_mode(inst.g, core::BuildAlgorithm::kAlgorithm2Protocol);
   EXPECT_EQ(protocol.result.mis_dominators, central.result.mis_dominators);
-  EXPECT_EQ(protocol.lists.one_hop, central.lists.one_hop);
+  EXPECT_EQ(protocol.lists.one_hop_rows, central.lists.one_hop_rows);
+  EXPECT_EQ(protocol.lists.two_hop_rows, central.lists.two_hop_rows);
 }
 
 TEST(Facade, RecorderSnapshotCapturesBuildMetrics) {

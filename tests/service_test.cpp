@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <fstream>
 #include <vector>
 
@@ -124,6 +125,19 @@ TEST(Registry, UniformRegistryIsDeterministicAndWellFormed) {
     ASSERT_EQ(sa.size(), 3u);
     EXPECT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin()));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Construction contract
+
+TEST(Serving, RejectsDominatorListsThatDoNotCoverTheGraph) {
+  // An Algorithm I build leaves the lists empty; the engine's router must
+  // name the problem instead of reading rows that do not exist.
+  const auto sc = make_scenario(120, 10.0, 4, 16, 2);
+  const core::DominatorLists none;
+  const core::Algorithm2View view(sc.wcds.result, sc.wcds.mis, none);
+  EXPECT_THROW(ServingEngine(sc.inst.g, view, sc.registry),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -120,6 +120,8 @@ void expect_same_wcds(const Run& a, const Run& b) {
     EXPECT_EQ(a.leader, b.leader);
     EXPECT_EQ(a.leaders, b.leaders);
     EXPECT_EQ(a.levels, b.levels);
+  } else {
+    EXPECT_EQ(a.three_hop, b.three_hop);
   }
 }
 
@@ -315,6 +317,42 @@ TEST(Sharding, MatchesInterleavedGlobalOracle) {
       EXPECT_EQ(restricted[i].src, outcome.trace[i].src);
       EXPECT_EQ(restricted[i].dst, outcome.trace[i].dst);
       EXPECT_EQ(restricted[i].message_type, outcome.trace[i].message_type);
+    }
+  }
+}
+
+// run_algorithm2 hands back every node's 3HopDomList in a flat table: on
+// the sharded path each shard's lists are gathered by member, so they must
+// equal the lists the nodes of one interleaved Runtime hold (unit delays,
+// no faults: each component runs exactly as in isolation).  The connected
+// single-runtime path is checked the same way.
+TEST(Sharding, Algorithm2ThreeHopListsMatchTheNodes) {
+  const sim::Runtime::NodeFactory factory =
+      [](NodeId) -> std::unique_ptr<sim::ProtocolNode> {
+    return std::make_unique<protocols::Algorithm2Node>();
+  };
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const testing::Instance instances[] = {
+        multi_component_udg(3, 60, 9.0, seed),
+        testing::connected_udg(150, 9.0, seed)};
+    for (const testing::Instance& inst : instances) {
+      const auto run = protocols::run_algorithm2(
+          inst.g, sim::DelayModel::unit(), nullptr, nullptr,
+          sim::ExecutionPolicy::kComponentSharded, 2);
+      sim::Runtime oracle(inst.g, factory);
+      ASSERT_TRUE(oracle.run().quiescent);
+      ASSERT_EQ(run.three_hop.row_count(), inst.g.node_count());
+      std::size_t entries = 0;
+      for (NodeId u = 0; u < inst.g.node_count(); ++u) {
+        const auto& node =
+            static_cast<const protocols::Algorithm2Node&>(oracle.node(u));
+        EXPECT_EQ(testing::to_vector(run.three_hop[u]), node.three_hop_doms())
+            << "node " << u;
+        entries += node.three_hop_doms().size();
+      }
+      EXPECT_EQ(run.three_hop.entry_count(), entries);
+      EXPECT_GT(entries, 0u);
     }
   }
 }

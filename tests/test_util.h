@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -32,6 +33,13 @@ inline Instance connected_udg(std::uint32_t count, double expected_degree,
   }
   throw std::runtime_error(
       "connected_udg: no connected instance found; density too low");
+}
+
+// A row of a flat table (graph::FlatRows, core::DominatorLists) as a
+// vector, for EXPECT_EQ against a literal or another container.
+template <typename T>
+std::vector<T> to_vector(std::span<const T> row) {
+  return std::vector<T>(row.begin(), row.end());
 }
 
 // The paper's Figure 2 example shape: a 9-node graph whose WCDS is {1, 2}.

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "geom/rng.h"
 #include "geom/workload.h"
 #include "graph/bfs.h"
 #include "udg/udg.h"
@@ -102,6 +104,64 @@ INSTANTIATE_TEST_SUITE_P(
                                          geom::WorkloadKind::kCorridor,
                                          geom::WorkloadKind::kRing),
                        ::testing::Values(1u, 2u, 3u)));
+
+// Rows equal to the O(n^2) oracle's, row by row (not just the edge set).
+void expect_matches_reference(const std::vector<geom::Point>& pts,
+                              double range = 1.0) {
+  const auto grid = build_udg(pts, range);
+  const auto ref = build_udg_reference(pts, range);
+  ASSERT_EQ(grid.node_count(), ref.node_count());
+  EXPECT_EQ(grid.edges(), ref.edges());
+  for (NodeId u = 0; u < ref.node_count(); ++u) {
+    const auto a = grid.neighbors(u);
+    const auto b = ref.neighbors(u);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "row " << u;
+  }
+}
+
+TEST(UdgEquivalence, FarFlungSparseInstanceMatchesReference) {
+  // Four clusters a million ranges apart: the bounding box spans ~10^12
+  // cells for 160 nodes, so build_udg buckets by sorted cell keys instead
+  // of a dense cell array.  Negative coordinates included.
+  geom::Xoshiro256ss rng(11);
+  const geom::Point centers[] = {
+      {0.0, 0.0}, {1e6, 1e6}, {-7.5e5, 3e5}, {2e5, -9e5}};
+  std::vector<geom::Point> pts;
+  for (int k = 0; k < 40; ++k) {
+    for (const geom::Point& c : centers) {
+      pts.push_back({c.x + rng.next_double(-2.5, 2.5),
+                     c.y + rng.next_double(-2.5, 2.5)});
+    }
+  }
+  expect_matches_reference(pts);
+  expect_matches_reference(pts, 1.7);
+  const auto g = build_udg(pts);
+  EXPECT_GE(analyze(g).components, 4u);
+}
+
+TEST(UdgEquivalence, CoincidentPointsMatchReference) {
+  // Repeated positions (distance 0) and partners exactly one range apart
+  // on cell boundaries, in the dense layout and in the sparse one.
+  std::vector<geom::Point> dense;
+  for (int x = 0; x < 5; ++x) {
+    for (int y = 0; y < 4; ++y) {
+      for (int copy = 0; copy < 3; ++copy) {
+        dense.push_back({static_cast<double>(x), static_cast<double>(y)});
+      }
+    }
+  }
+  dense.push_back({2.5, 1.5});
+  dense.push_back({2.5, 1.5});
+  expect_matches_reference(dense);
+  const auto g = build_udg(dense);
+  EXPECT_TRUE(g.has_edge(0, 1));  // coincident copies are adjacent
+  EXPECT_TRUE(g.has_edge(0, 3));  // (0,0)-(0,1): exactly one range
+
+  std::vector<geom::Point> sparse = dense;
+  for (int copy = 0; copy < 4; ++copy) sparse.push_back({-3e6, 5e6});
+  expect_matches_reference(sparse);
+}
 
 TEST(Udg, AnalyzeStats) {
   const std::vector<geom::Point> pts{
