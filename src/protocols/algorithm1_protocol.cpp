@@ -29,7 +29,6 @@ const Algorithm1Node& as_algorithm1(const sim::Runtime& runtime, NodeId u,
 const char* algorithm1_message_name(sim::MessageType type) {
   switch (type) {
     case kMsgCandidate: return "CANDIDATE";
-    case kMsgResp: return "RESP";
     case kMsgCompleteA: return "COMPLETE-A";
     case kMsgLevel: return "LEVEL";
     case kMsgCompleteB: return "COMPLETE-B";
@@ -41,7 +40,6 @@ const char* algorithm1_message_name(sim::MessageType type) {
 
 void Algorithm1Node::on_start(sim::Context& ctx) {
   neighbors_.assign(ctx.neighbors().size(), NeighborState{});
-  started_ = true;
   best_cid_ = ctx.self();
   parent_ = kInvalidNode;
   if (ctx.neighbors().empty()) {
@@ -49,23 +47,23 @@ void Algorithm1Node::on_start(sim::Context& ctx) {
     become_leader(ctx);
     return;
   }
-  ctx.broadcast(kMsgCandidate, {best_cid_});
+  ctx.broadcast(kMsgCandidate, {best_cid_, kInvalidNode});
 }
 
 void Algorithm1Node::adopt(sim::Context& ctx, std::uint32_t cid,
                            NodeId new_parent) {
   best_cid_ = cid;
   parent_ = new_parent;
-  resp_received_ = 0;
+  echoes_ = 0;
   children_ = 0;
   children_complete_ = 0;
   sent_complete_a_ = false;
-  ctx.broadcast(kMsgCandidate, {cid});
+  ctx.broadcast(kMsgCandidate, {cid, new_parent});
 }
 
 void Algorithm1Node::maybe_complete_wave(sim::Context& ctx) {
   if (sent_complete_a_) return;
-  if (resp_received_ != ctx.neighbors().size()) return;
+  if (echoes_ != ctx.neighbors().size()) return;
   if (children_complete_ != children_) return;
   sent_complete_a_ = true;
   if (parent_ != kInvalidNode) {
@@ -144,31 +142,23 @@ void Algorithm1Node::maybe_turn_black(sim::Context& ctx) {
   ctx.broadcast(kMsgBlack);
 }
 
-// Every counting handler is duplicate-safe: a replayed RESP, COMPLETE-A,
-// LEVEL, COMPLETE-B or GRAY finds its neighbor slot already marked and
-// counts nothing, so a duplicating radio cannot push a counter past the
-// number of neighbors or children it waits for.
+// Every counting handler is duplicate-safe: a replayed CANDIDATE,
+// COMPLETE-A, LEVEL, COMPLETE-B or GRAY finds its neighbor slot already
+// marked and counts nothing, so a duplicating radio cannot push a counter
+// past the number of neighbors or children it waits for.
 void Algorithm1Node::on_receive(sim::Context& ctx, const sim::Message& msg) {
   switch (msg.type) {
     case kMsgCandidate: {
+      // The sender is in wave cid: that is the echo this node's wave waits
+      // for, and a child's echo names this node as its parent.
       const std::uint32_t cid = msg.payload[0];
-      if (cid < best_cid_) {
-        adopt(ctx, cid, msg.src);
-        ctx.unicast(msg.src, kMsgResp, {cid, 1});
-      } else if (cid == best_cid_) {
-        ctx.unicast(msg.src, kMsgResp, {cid, 0});
-      }
-      // cid > best: suppress; that wave is extinct here.
-      break;
-    }
-    case kMsgResp: {
-      const std::uint32_t cid = msg.payload[0];
-      if (cid != best_cid_) break;  // stale wave
+      if (cid > best_cid_) break;  // suppress: that wave is extinct here
+      if (cid < best_cid_) adopt(ctx, cid, msg.src);
       NeighborState& from = neighbors_[ctx.neighbor_slot(msg.src)];
-      if (from.resp_cid == cid) break;  // replay
-      from.resp_cid = cid;
-      ++resp_received_;
-      if (msg.payload[1] == 1) ++children_;
+      if (from.echo_cid == cid) break;  // replay
+      from.echo_cid = cid;
+      ++echoes_;
+      if (msg.payload[1] == ctx.self()) ++children_;
       maybe_complete_wave(ctx);
       break;
     }

@@ -2,14 +2,21 @@
 //
 // Three phases, chained by the elected leader:
 //
-//  A. Leader Election + spanning tree.  Extinction-with-echo in the style of
+//  A. Leader Election + spanning tree.  Extinction with echo in the style of
 //     Cidon & Mokryn [9]: every node floods a CANDIDATE wave carrying its ID;
 //     nodes adopt the smallest candidate seen (parent := first sender of the
-//     winning wave, which under unit delays yields a BFS tree), answer each
-//     CANDIDATE broadcast with a RESP (joined or not), suppress waves larger
-//     than their current best, and convergecast COMPLETE up the adoption
-//     tree.  The node whose own wave completes is the leader.  Expected
-//     O(n log n) messages for random IDs; O(n) time.
+//     winning wave, which under unit delays yields a BFS tree), suppress
+//     waves larger than their current best, and convergecast COMPLETE up the
+//     adoption tree.  The echo is passive: CANDIDATE carries [cid, parent],
+//     so a neighbor's own CANDIDATE(cid) broadcast tells this node that the
+//     neighbor is in wave cid (and, if parent names this node, that it is a
+//     child).  A node completes its wave once every neighbor has been heard
+//     in it and every child's subtree reported; the node whose own wave
+//     completes is the leader.  A completed wave has been heard at every
+//     neighbor of every node in it, so it spans the whole component and
+//     only the component minimum's wave can complete.  One broadcast per
+//     adoption and no reply traffic; expected O(n log n) messages for random
+//     IDs; O(n) time.
 //
 //  B. Level Calculation.  The leader announces LEVEL 0; every node sets
 //     level := parent's announced level + 1 upon its parent's announcement,
@@ -41,8 +48,8 @@ namespace wcds::protocols {
 
 // Enumerator values are stable wire/stats ids, not packing constants.
 enum Algorithm1MessageType : sim::MessageType {
-  kMsgCandidate = 20,   // broadcast [cid]
-  kMsgResp = 21,        // unicast   [cid, joined]
+  kMsgCandidate = 20,   // broadcast [cid, parent]
+  // 21 was RESP, a unicast echo per CANDIDATE; retired, never reused.
   kMsgCompleteA = 22,   // unicast   [cid]
   kMsgLevel = 23,       // broadcast [level]   wcds-lint: allow(paper-constant)
   kMsgCompleteB = 24,   // unicast   []        wcds-lint: allow(paper-constant)
@@ -85,11 +92,12 @@ class Algorithm1Node final : public sim::ProtocolNode {
   static constexpr std::uint32_t kNoCid = 0xFFFFFFFFu;
 
   // What this node knows about one neighbor, indexed by the neighbor's slot
-  // in this node's sorted neighbor row.  The wave tags make RESP and
-  // COMPLETE-A count once per (neighbor, wave): a wave's cid never returns
-  // once abandoned, so no reset is needed when a smaller wave is adopted.
+  // in this node's sorted neighbor row.  The wave tags make the CANDIDATE
+  // echo and COMPLETE-A count once per (neighbor, wave): a wave's cid never
+  // returns once abandoned, so no reset is needed when a smaller wave is
+  // adopted.
   struct NeighborState {
-    std::uint32_t resp_cid = kNoCid;      // wave whose RESP was counted
+    std::uint32_t echo_cid = kNoCid;      // wave whose CANDIDATE was counted
     std::uint32_t complete_cid = kNoCid;  // wave whose COMPLETE-A was counted
     std::uint32_t level = kNoLevel;       // announced LEVEL
     bool complete_b = false;              // COMPLETE-B counted
@@ -104,11 +112,10 @@ class Algorithm1Node final : public sim::ProtocolNode {
   // Phase A state.
   std::uint32_t best_cid_ = 0;
   NodeId parent_ = kInvalidNode;
-  std::size_t resp_received_ = 0;
+  std::size_t echoes_ = 0;  // neighbors heard in wave best_cid_
   std::size_t children_ = 0;
   std::size_t children_complete_ = 0;
   bool sent_complete_a_ = false;
-  bool started_ = false;
   bool leader_ = false;
 
   // Phase B state.

@@ -56,8 +56,9 @@ Runtime::Runtime(const graph::Graph& g, const NodeFactory& factory,
                    "Runtime: factory returned null node for " << u);
     }
   }
-  // Mirror slots over the active rows: each undirected edge is resolved
-  // once, from its smaller endpoint, by one search of the larger one's row.
+  // Mirror slots over the active rows, in one ascending pass: rows are
+  // sorted and the active set is closed under adjacency, so u's index in
+  // v's row is the number of v's neighbors visited before u.
   mirror_base_.assign(g.node_count(), 0);
   std::size_t slots = 0;
   for (NodeId u = 0; u < g.node_count(); ++u) {
@@ -66,18 +67,11 @@ Runtime::Runtime(const graph::Graph& g, const NodeFactory& factory,
     slots += g.degree(u);
   }
   mirror_.resize(slots);
+  std::vector<std::uint32_t> cursor(g.node_count(), 0);
   for (NodeId u = 0; u < g.node_count(); ++u) {
     if (nodes_[u] == nullptr) continue;
-    const auto row = g.neighbors(u);
-    for (std::uint32_t i = 0; i < row.size(); ++i) {
-      const NodeId v = row[i];
-      if (v < u) continue;
-      const auto other = g.neighbors(v);
-      const auto j = static_cast<std::uint32_t>(
-          std::lower_bound(other.begin(), other.end(), u) - other.begin());
-      mirror_[mirror_base_[u] + i] = j;
-      mirror_[mirror_base_[v] + j] = i;
-    }
+    std::uint32_t* mirror = mirror_.data() + mirror_base_[u];
+    for (const NodeId v : g.neighbors(u)) *mirror++ = cursor[v]++;
   }
 }
 

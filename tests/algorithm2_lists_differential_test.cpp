@@ -5,9 +5,7 @@
 // densities.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
-#include <numbers>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -15,11 +13,9 @@
 
 #include "algorithm2_reference.h"
 #include "geom/workload.h"
-#include "graph/bfs.h"
 #include "graph/flat_rows.h"
 #include "mis/mis.h"
 #include "test_util.h"
-#include "udg/udg.h"
 #include "wcds/algorithm2.h"
 
 namespace wcds::core {
@@ -29,33 +25,6 @@ using geom::WorkloadKind;
 using Selection = Algorithm2Options::Selection;
 
 constexpr std::uint32_t kNodes = 400;
-
-// A connected deployment of `kind` at roughly `degree` expected neighbors:
-// the side starts where the family's area gives that density and shrinks 3%
-// per disconnected draw, so the instance is a pure function of the cell.
-graph::Graph connected_workload(WorkloadKind kind, double degree,
-                                std::uint64_t seed) {
-  geom::WorkloadParams params;
-  params.kind = kind;
-  params.count = kNodes;
-  params.seed = seed;
-  // Area per unit of side^2 for each family (corridor: side x aspect*side;
-  // ring: the annulus of outer radius side / 2).
-  double area_factor = 1.0;
-  if (kind == WorkloadKind::kCorridor) area_factor = params.aspect;
-  if (kind == WorkloadKind::kRing) {
-    area_factor = std::numbers::pi / 4.0 *
-                  (1.0 - params.ring_inner * params.ring_inner);
-  }
-  params.side = std::sqrt(kNodes * std::numbers::pi / (degree * area_factor));
-  for (int attempt = 0; attempt < 400; ++attempt) {
-    graph::Graph g = udg::build_udg(geom::generate(params));
-    if (graph::is_connected(g)) return g;
-    params.side *= 0.97;
-  }
-  ADD_FAILURE() << "no connected " << geom::to_string(kind) << " instance";
-  return {};
-}
 
 template <typename T>
 void expect_rows_equal(const graph::FlatRows<T>& flat,
@@ -73,7 +42,7 @@ class Algorithm2ListsDifferential
  protected:
   void SetUp() override {
     const auto [kind, seed, degree] = GetParam();
-    g_ = connected_workload(kind, degree, seed);
+    g_ = testing::connected_workload(kind, kNodes, degree, seed);
     ASSERT_GT(g_.node_count(), 0u);
   }
   graph::Graph g_;

@@ -234,10 +234,11 @@ TEST(FaultIdempotence, RawAlgorithm2SurvivesDuplication) {
   EXPECT_EQ(mis, clean.wcds.mis_dominators);
 }
 
-// The same without the hardened transport for Algorithm I: RESP,
-// COMPLETE-A and COMPLETE-B count once per neighbor slot, so replayed copies
-// cannot push a wave's counters past the neighbors it waits for (which used
-// to stall every wave and quiesce with no leader and an empty backbone).
+// The same without the hardened transport for Algorithm I: CANDIDATE
+// echoes, COMPLETE-A and COMPLETE-B count once per neighbor slot, so
+// replayed copies cannot push a wave's counters past the neighbors it waits
+// for (which used to stall every wave and quiesce with no leader and an
+// empty backbone).
 // Each run elects exactly one leader and marks an audit-clean level-ranked
 // MIS, the same one as the fault-free run.
 TEST(FaultIdempotence, RawAlgorithm1SurvivesDuplication) {

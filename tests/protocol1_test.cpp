@@ -101,13 +101,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Protocol1, MessageComplexityNearLinearithmic) {
   // Theorem 12 context: leader election dominates with O(n log n) expected
-  // messages; marking/levels are linear.  Check a generous c * n * log2(n)
-  // envelope and that growth is clearly superlinear-tolerant but far from
-  // quadratic.
+  // messages; marking/levels are linear.  One CANDIDATE broadcast per
+  // adoption and no reply traffic measure 1.31 n log2(n) at n = 100 and
+  // 1.12 at n = 400 on these instances; the bound leaves ~50% headroom.
+  // The retired RESP echo cost 3-4 n log2(n) and would fail it.
   for (const std::uint32_t n : {100u, 400u}) {
     const auto inst = testing::connected_udg(n, 8.0, 7);
     const auto run = run_algorithm1(inst.g);
-    const double bound = 40.0 * n * std::log2(static_cast<double>(n));
+    const double bound = 2.0 * n * std::log2(static_cast<double>(n));
     EXPECT_LE(static_cast<double>(run.stats.transmissions), bound);
   }
 }
@@ -116,7 +117,10 @@ TEST(Protocol1, PhaseMessageTypesAllPresent) {
   const auto inst = testing::connected_udg(120, 8.0, 11);
   const auto run = run_algorithm1(inst.g);
   EXPECT_GT(run.stats.per_type.at(kMsgCandidate), 0u);
-  EXPECT_GT(run.stats.per_type.at(kMsgResp), 0u);
+  // The election echo rides on the CANDIDATE broadcasts: the retired RESP
+  // unicast (wire id 21) is never sent.
+  constexpr sim::MessageType kRetiredResp = 21;
+  EXPECT_FALSE(run.stats.per_type.contains(kRetiredResp));
   EXPECT_GT(run.stats.per_type.at(kMsgCompleteA), 0u);
   EXPECT_GT(run.stats.per_type.at(kMsgLevel), 0u);
   EXPECT_GT(run.stats.per_type.at(kMsgCompleteB), 0u);

@@ -8,8 +8,9 @@
 // Both protocols, unit delays, audits off, at n = 1024 and n = 4096 and
 // the whole-path benchmark's density (expected degree 16), must stay at or
 // below their ceiling of allocations per node: Algorithm I keeps a
-// neighbor-slot table per node, Algorithm II also its dominator lists,
-// each sized once at its first entry (about five per node in all).
+// neighbor-slot table per node (about two per node in all, node included),
+// Algorithm II also its dominator lists, each sized once at its first entry
+// (about five per node in all).
 #include <cstdint>
 #include <string>
 
@@ -24,7 +25,7 @@
 namespace wcds::protocols {
 namespace {
 
-constexpr double kMaxPerNodeAlgorithm1 = 5.0;
+constexpr double kMaxPerNodeAlgorithm1 = 3.0;
 constexpr double kMaxPerNodeAlgorithm2 = 6.0;
 
 // Heap allocations per node made by one `run` on a connected n-node

@@ -150,45 +150,49 @@ std::uint64_t run_cell(const graph::Graph& g, const Cell& cell) {
 }
 
 // Digests pinned before the allocation-free send path and the neighbor-slot
-// handler state replaced the vector payloads and sorted-vector sets.
+// handler state replaced the vector payloads and sorted-vector sets.  The
+// Algorithm I cells were re-pinned once since, when the election echo moved
+// from RESP unicasts onto the CANDIDATE broadcasts (a protocol change: the
+// messages differ; algorithm1_differential_test shows the outcome under
+// unit delays does not).
 const Cells& pinned() {
   static const Cells cells = {
-      {"alg1/n1024/s1/uniform/raw", 0x7218bf4e5e2ff0b0ULL},
-      {"alg1/n1024/s1/unit/raw", 0x80e026298341fe0cULL},
-      {"alg1/n1024/s2/uniform/raw", 0xa0afd0c5e51736fdULL},
-      {"alg1/n1024/s2/unit/raw", 0xfbf7d2a95dce8fb9ULL},
-      {"alg1/n1024/s3/uniform/raw", 0x949aee1a460e6280ULL},
-      {"alg1/n1024/s3/unit/raw", 0xce88bbe5a9ad0880ULL},
-      {"alg1/n256/s1/uniform/raw", 0x7f027845ea26f0b4ULL},
-      {"alg1/n256/s1/unit/raw", 0x862953141f5c4d0eULL},
-      {"alg1/n256/s2/uniform/raw", 0x1812496c81698ffULL},
-      {"alg1/n256/s2/unit/raw", 0x7fd57ccaa2b371feULL},
-      {"alg1/n256/s3/uniform/raw", 0x93acae668ba48f6aULL},
-      {"alg1/n256/s3/unit/raw", 0xdd94bc0c4ff4fcbcULL},
-      {"alg1/n64/s1/uniform/raw", 0x83ab08fc3eefb03bULL},
-      {"alg1/n64/s1/unit/raw", 0x77c0dc3e1a1e432fULL},
-      {"alg1/n64/s2/uniform/raw", 0x633fcb146ac9c5faULL},
-      {"alg1/n64/s2/unit/raw", 0xcc7a837224834fd1ULL},
-      {"alg1/n64/s3/uniform/raw", 0xb36e1ea922a7c6b9ULL},
-      {"alg1/n64/s3/unit/raw", 0x8c72be055317e9cfULL},
-      {"alg1/n1024/s1/uniform/lossy", 0x3300bfbf0024addeULL},
-      {"alg1/n1024/s1/unit/lossy", 0xd5cf099658c9ab49ULL},
-      {"alg1/n1024/s2/uniform/lossy", 0xc33d266022a03fe6ULL},
-      {"alg1/n1024/s2/unit/lossy", 0x29d497f08ad48450ULL},
-      {"alg1/n1024/s3/uniform/lossy", 0xc8fecf113f2aa660ULL},
-      {"alg1/n1024/s3/unit/lossy", 0x8898e389c659e71dULL},
-      {"alg1/n256/s1/uniform/lossy", 0xd351383d1cffa9b9ULL},
-      {"alg1/n256/s1/unit/lossy", 0xf55e72adc54215bfULL},
-      {"alg1/n256/s2/uniform/lossy", 0x7aea700b3f6df24bULL},
-      {"alg1/n256/s2/unit/lossy", 0xf4c1848be6c72b56ULL},
-      {"alg1/n256/s3/uniform/lossy", 0xcc31ca6166e497a7ULL},
-      {"alg1/n256/s3/unit/lossy", 0x9af1617f21d71580ULL},
-      {"alg1/n64/s1/uniform/lossy", 0xadc9eeebaafddd87ULL},
-      {"alg1/n64/s1/unit/lossy", 0xfea8aa809ff64594ULL},
-      {"alg1/n64/s2/uniform/lossy", 0xe0ceda409c2fe218ULL},
-      {"alg1/n64/s2/unit/lossy", 0xf279386a26963dffULL},
-      {"alg1/n64/s3/uniform/lossy", 0xb6edb6396062d253ULL},
-      {"alg1/n64/s3/unit/lossy", 0x7d2a2f37955df271ULL},
+      {"alg1/n1024/s1/uniform/raw", 0x97b9635ec644bb68ULL},
+      {"alg1/n1024/s1/unit/raw", 0xd0bc181e65b99b38ULL},
+      {"alg1/n1024/s2/uniform/raw", 0xa42f4fe9ea9361daULL},
+      {"alg1/n1024/s2/unit/raw", 0xb0d311687b414638ULL},
+      {"alg1/n1024/s3/uniform/raw", 0x20bedf38d1740a74ULL},
+      {"alg1/n1024/s3/unit/raw", 0x786c1a0cedb5f932ULL},
+      {"alg1/n256/s1/uniform/raw", 0xb3871fb0b943858aULL},
+      {"alg1/n256/s1/unit/raw", 0xdb046e3d38bc109cULL},
+      {"alg1/n256/s2/uniform/raw", 0x5bc69acce282c03bULL},
+      {"alg1/n256/s2/unit/raw", 0x70e8da761a21d2beULL},
+      {"alg1/n256/s3/uniform/raw", 0x34168a4f92e0d225ULL},
+      {"alg1/n256/s3/unit/raw", 0x1f46071019643f30ULL},
+      {"alg1/n64/s1/uniform/raw", 0x13172171fe03ff04ULL},
+      {"alg1/n64/s1/unit/raw", 0xabb24f785ca1d541ULL},
+      {"alg1/n64/s2/uniform/raw", 0xf2a5343d1aeaca2ULL},
+      {"alg1/n64/s2/unit/raw", 0x4a627922d985d5d4ULL},
+      {"alg1/n64/s3/uniform/raw", 0x78620a89ece0ad0ULL},
+      {"alg1/n64/s3/unit/raw", 0x6c9d2bb5984e90b9ULL},
+      {"alg1/n1024/s1/uniform/lossy", 0xd16805503e664de0ULL},
+      {"alg1/n1024/s1/unit/lossy", 0xa28b30cfd6b3e272ULL},
+      {"alg1/n1024/s2/uniform/lossy", 0xe5eeab22e4599638ULL},
+      {"alg1/n1024/s2/unit/lossy", 0xa5ef51c3fedc0f28ULL},
+      {"alg1/n1024/s3/uniform/lossy", 0x1788ebfccac56e5aULL},
+      {"alg1/n1024/s3/unit/lossy", 0xa13d11662d4f7f5cULL},
+      {"alg1/n256/s1/uniform/lossy", 0x8f844f01e62868dcULL},
+      {"alg1/n256/s1/unit/lossy", 0x24b7ff70b8e71efaULL},
+      {"alg1/n256/s2/uniform/lossy", 0xf65c018c379c2e3bULL},
+      {"alg1/n256/s2/unit/lossy", 0x8ae38739f651da3eULL},
+      {"alg1/n256/s3/uniform/lossy", 0x44e4565402cb36c5ULL},
+      {"alg1/n256/s3/unit/lossy", 0x272a39d6fb168302ULL},
+      {"alg1/n64/s1/uniform/lossy", 0x51a4aaaa94c9ce9cULL},
+      {"alg1/n64/s1/unit/lossy", 0xb439c4118546b19fULL},
+      {"alg1/n64/s2/uniform/lossy", 0x9d342a327302745cULL},
+      {"alg1/n64/s2/unit/lossy", 0x26f1ee1b7730136dULL},
+      {"alg1/n64/s3/uniform/lossy", 0xe9d2d6eb932c42c6ULL},
+      {"alg1/n64/s3/unit/lossy", 0x531ec19231b0475ULL},
       {"alg2/n1024/s1/uniform/raw", 0x7191f67824c0a22eULL},
       {"alg2/n1024/s1/unit/raw", 0xb58550505f234270ULL},
       {"alg2/n1024/s2/uniform/raw", 0xf5bb39c64f21f934ULL},

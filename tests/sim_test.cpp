@@ -2,15 +2,19 @@
 // quiescence, timers and resumed runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "geom/point.h"
 #include "graph/graph.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
 #include "sim/runtime.h"
+#include "sim/shard_plan.h"
 #include "test_util.h"
+#include "udg/udg.h"
 
 namespace wcds::sim {
 namespace {
@@ -279,6 +283,59 @@ TEST(Runtime, NullFactoryRejected) {
                  return nullptr;
                }),
                std::invalid_argument);
+}
+
+
+// Every node broadcasts once; each delivered copy carries its sender's slot
+// in the recipient's row (the runtime's mirror slots), which
+// Context::neighbor_slot(msg.src) returns without a search.  It must be
+// the slot a search of the row finds.
+class SenderSlotNode final : public ProtocolNode {
+ public:
+  void on_start(Context& ctx) override {
+    if (!ctx.neighbors().empty()) ctx.broadcast(1);
+  }
+  void on_receive(Context& ctx, const Message& msg) override {
+    const auto row = ctx.neighbors();
+    const auto searched = static_cast<std::size_t>(
+        std::lower_bound(row.begin(), row.end(), msg.src) - row.begin());
+    if (ctx.neighbor_slot(msg.src) != searched) ++mismatches_;
+    ++received_;
+  }
+  std::uint64_t mismatches_ = 0;
+  std::uint64_t received_ = 0;
+};
+
+TEST(Runtime, CarriedSenderSlotsMatchTheRows) {
+  // Two separated deployments with interleaved ids, run whole and as one
+  // component (the active subset a shard uses).
+  auto a = wcds::testing::connected_udg(80, 9.0, 1);
+  const auto b = wcds::testing::connected_udg(80, 9.0, 2);
+  std::vector<geom::Point> points;
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    points.push_back(a.points[i]);
+    points.push_back({b.points[i].x + 1000.0, b.points[i].y});
+  }
+  const graph::Graph g = udg::build_udg(points);
+  const ShardPlan plan = ShardPlan::build(g);
+  ASSERT_EQ(plan.shard_count(), 2u);
+  const std::vector<NodeId> component(plan.shard(1).begin(),
+                                      plan.shard(1).end());
+  for (const std::vector<NodeId>& active :
+       {std::vector<NodeId>{}, component}) {
+    Runtime rt(g, [](NodeId) { return std::make_unique<SenderSlotNode>(); },
+               DelayModel::unit(), nullptr, nullptr, active);
+    const auto stats = rt.run();
+    std::uint64_t received = 0;
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+      const auto* node = static_cast<const SenderSlotNode*>(rt.node_if(u));
+      if (node == nullptr) continue;
+      EXPECT_EQ(node->mismatches_, 0u) << "node " << u;
+      received += node->received_;
+    }
+    EXPECT_EQ(received, stats.deliveries);
+    EXPECT_GT(received, 0u);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "geom/point.h"
@@ -33,6 +36,35 @@ inline Instance connected_udg(std::uint32_t count, double expected_degree,
   }
   throw std::runtime_error(
       "connected_udg: no connected instance found; density too low");
+}
+
+// A *connected* deployment of `kind` at roughly `degree` expected
+// neighbors: the side starts where the family's area gives that density and
+// shrinks 3% per disconnected draw, so the instance is a pure function of
+// its arguments.
+inline graph::Graph connected_workload(geom::WorkloadKind kind,
+                                       std::uint32_t count, double degree,
+                                       std::uint64_t seed) {
+  geom::WorkloadParams params;
+  params.kind = kind;
+  params.count = count;
+  params.seed = seed;
+  // Area per unit of side^2 for each family (corridor: side x aspect*side;
+  // ring: the annulus of outer radius side / 2).
+  double area_factor = 1.0;
+  if (kind == geom::WorkloadKind::kCorridor) area_factor = params.aspect;
+  if (kind == geom::WorkloadKind::kRing) {
+    area_factor = std::numbers::pi / 4.0 *
+                  (1.0 - params.ring_inner * params.ring_inner);
+  }
+  params.side = std::sqrt(count * std::numbers::pi / (degree * area_factor));
+  for (int attempt = 0; attempt < 400; ++attempt) {
+    graph::Graph g = udg::build_udg(geom::generate(params));
+    if (graph::is_connected(g)) return g;
+    params.side *= 0.97;
+  }
+  throw std::runtime_error("connected_workload: no connected " +
+                           geom::to_string(kind) + " instance");
 }
 
 // A row of a flat table (graph::FlatRows, core::DominatorLists) as a

@@ -6,7 +6,11 @@
 // digests produced by the event queue this runtime replaced (two-bucket
 // calendar, binary heap, timer heap, and the std::map reference queue they
 // were differentially tested against), so any change in delivery order,
-// timing, queue depth or accounting shows up as a digest mismatch.
+// timing, queue depth or accounting shows up as a digest mismatch.  The
+// Algorithm I cells were re-pinned once since, when the election echo moved
+// from RESP unicasts onto the CANDIDATE broadcasts: fewer messages, so
+// different traces and stats (algorithm1_differential_test holds the
+// unit-delay outcome to the old protocol's).
 //
 // The cells cover the runtime-queue matrix (8 seeds x 2 algorithms x unit
 // and uniform delays, plus the four facade modes), the fault matrix
@@ -197,175 +201,175 @@ std::uint64_t churn_digest(std::uint32_t n, double degree,
 }
 
 const Cells kRuntimeQueuePinned = {
-    {"seed1/alg1/async", 0xfdf36a87b8eaf111ULL},
-    {"seed1/alg1/unit", 0xc178030c7a811047ULL},
+    {"seed1/alg1/async", 0x1b3fb723cbf79b81ULL},
+    {"seed1/alg1/unit", 0xa81bef7fcc8f0115ULL},
     {"seed1/alg2/async", 0x58d9547e439be3f3ULL},
     {"seed1/alg2/unit", 0xd60891c0c8313bb2ULL},
-    {"seed2/alg1/async", 0x20886e40ef5bf45dULL},
-    {"seed2/alg1/unit", 0xb3216b8fc90aa7b8ULL},
+    {"seed2/alg1/async", 0x89c5935f0fb0fc0eULL},
+    {"seed2/alg1/unit", 0x646ece4ecb7ab3b8ULL},
     {"seed2/alg2/async", 0x2f92540114672c2eULL},
     {"seed2/alg2/unit", 0xbb4ea0be48db393fULL},
-    {"seed3/alg1/async", 0xc0a43973cd76b33bULL},
-    {"seed3/alg1/unit", 0x376105f612499234ULL},
+    {"seed3/alg1/async", 0x7bb42607a45d5adULL},
+    {"seed3/alg1/unit", 0xeb0ca89334a65dd0ULL},
     {"seed3/alg2/async", 0x797c3c421043438eULL},
     {"seed3/alg2/unit", 0x326a2d2837547f1fULL},
-    {"seed4/alg1/async", 0xb3947285700dcb7bULL},
-    {"seed4/alg1/unit", 0x11e61a7185d4bc03ULL},
+    {"seed4/alg1/async", 0xff838e052f57047ULL},
+    {"seed4/alg1/unit", 0x34278ca33ae1972eULL},
     {"seed4/alg2/async", 0xdb43125bcfb5552cULL},
     {"seed4/alg2/unit", 0x848ddaa0b3ccf9b6ULL},
-    {"seed5/alg1/async", 0x2693333ff8954955ULL},
-    {"seed5/alg1/unit", 0xa29d1e7c579ae2c6ULL},
+    {"seed5/alg1/async", 0xe2e5d158cd9d9f22ULL},
+    {"seed5/alg1/unit", 0xfc67372a3eb1f4e1ULL},
     {"seed5/alg2/async", 0x4c976d9ce0ed6cb5ULL},
     {"seed5/alg2/unit", 0x9f7bfbaf959a4d46ULL},
-    {"seed6/alg1/async", 0x705f2ed42b7b7cdeULL},
-    {"seed6/alg1/unit", 0xddb9fd851471c78dULL},
+    {"seed6/alg1/async", 0x286157108783af9bULL},
+    {"seed6/alg1/unit", 0x7522da77e2f07e69ULL},
     {"seed6/alg2/async", 0x42fad9d71abf98a4ULL},
     {"seed6/alg2/unit", 0xfca1c4ef46456d1bULL},
-    {"seed7/alg1/async", 0x45300b4e051f8483ULL},
-    {"seed7/alg1/unit", 0x7f075db076299d4fULL},
+    {"seed7/alg1/async", 0x733d785bcb9caffeULL},
+    {"seed7/alg1/unit", 0xab02f2a74e9fa75eULL},
     {"seed7/alg2/async", 0xb632632a3023353ULL},
     {"seed7/alg2/unit", 0xb3dfbc16109beef1ULL},
-    {"seed8/alg1/async", 0x5fcb7cbf5fed9156ULL},
-    {"seed8/alg1/unit", 0x7e678decaacb262ULL},
+    {"seed8/alg1/async", 0x606b6d57cf13e752ULL},
+    {"seed8/alg1/unit", 0x9d835a193e8f783ULL},
     {"seed8/alg2/async", 0x7ae998eb370b77e7ULL},
     {"seed8/alg2/unit", 0x46c538e390b2691fULL},
 };
 
 const Cells kFacadePinned = {
     {"facade/algorithm1-central", 0x7fe8a4f5a8d7b7a7ULL},
-    {"facade/algorithm1-protocol", 0x61a61ecbfb0ddabfULL},
+    {"facade/algorithm1-protocol", 0x604d5318435d3e7aULL},
     {"facade/algorithm2-central", 0xc8b37e21b06bfd93ULL},
     {"facade/algorithm2-protocol", 0x75f7b931e1333050ULL},
 };
 
 const Cells kFaultPinned = {
     {"blackout", 0x21fc1bfbf0fc969fULL},
-    {"chaos/seed1/alg1", 0x6bc3852111c1d60eULL},
+    {"chaos/seed1/alg1", 0xa552400c7e124937ULL},
     {"chaos/seed1/alg2", 0xc7ce7229e3fc3705ULL},
-    {"chaos/seed2/alg1", 0x403f73e91805d4c5ULL},
+    {"chaos/seed2/alg1", 0x218303b7822a2a00ULL},
     {"chaos/seed2/alg2", 0x48a019eb921bffc2ULL},
-    {"chaos/seed3/alg1", 0x53a0f20a160f2a86ULL},
+    {"chaos/seed3/alg1", 0x5a642bdcdad449ebULL},
     {"chaos/seed3/alg2", 0xfe36dcb0f1433956ULL},
-    {"chaos/seed4/alg1", 0xeffd586e1eced224ULL},
+    {"chaos/seed4/alg1", 0xb123e6a80b4f14bfULL},
     {"chaos/seed4/alg2", 0x400e5e1004a00271ULL},
-    {"chaos/seed5/alg1", 0x911d877bf559ce3cULL},
+    {"chaos/seed5/alg1", 0xea23131ddc1d2029ULL},
     {"chaos/seed5/alg2", 0x9bdbd699720b67edULL},
-    {"chaos/seed6/alg1", 0x5ebc3b2cf13d3f71ULL},
+    {"chaos/seed6/alg1", 0x67f4cc91fa252ab3ULL},
     {"chaos/seed6/alg2", 0xad0b4b408333c864ULL},
-    {"chaos/seed7/alg1", 0xcc07f9e743fa153cULL},
+    {"chaos/seed7/alg1", 0x401cf2f787a5a39dULL},
     {"chaos/seed7/alg2", 0xd9df88a1ecbe4ddcULL},
-    {"chaos/seed8/alg1", 0xf9364688dcabac55ULL},
+    {"chaos/seed8/alg1", 0x440f9880644b78d0ULL},
     {"chaos/seed8/alg2", 0x9599048477562c12ULL},
-    {"chaos_async/seed1/alg1", 0x75720afbab71ab07ULL},
+    {"chaos_async/seed1/alg1", 0xf41f7dbf32031585ULL},
     {"chaos_async/seed1/alg2", 0x86c5e97a0b4c6657ULL},
-    {"chaos_async/seed2/alg1", 0x6e888db3d6576db9ULL},
+    {"chaos_async/seed2/alg1", 0x65851c320402f255ULL},
     {"chaos_async/seed2/alg2", 0xb741e751e1a41df3ULL},
-    {"chaos_async/seed3/alg1", 0x6b01d052382f37baULL},
+    {"chaos_async/seed3/alg1", 0xf2040f9613b32f13ULL},
     {"chaos_async/seed3/alg2", 0xf0e3dc4c7cf31ea6ULL},
-    {"chaos_async/seed4/alg1", 0x83a4ba60ed61d2d5ULL},
+    {"chaos_async/seed4/alg1", 0xa28698f6acd168b1ULL},
     {"chaos_async/seed4/alg2", 0x7ac75426e46e0480ULL},
-    {"chaos_async/seed5/alg1", 0x8240a08b6ebf9a3fULL},
+    {"chaos_async/seed5/alg1", 0xe165c3d4af7a984fULL},
     {"chaos_async/seed5/alg2", 0x9f1e2829e2fea462ULL},
-    {"chaos_async/seed6/alg1", 0x265e88aa9bf71274ULL},
+    {"chaos_async/seed6/alg1", 0x2d7fcb6135e58c70ULL},
     {"chaos_async/seed6/alg2", 0x6b7b99005a5fe7c5ULL},
-    {"chaos_async/seed7/alg1", 0xa48035205b159a30ULL},
+    {"chaos_async/seed7/alg1", 0xa40f817989c0918bULL},
     {"chaos_async/seed7/alg2", 0xcc50256ef058c3b6ULL},
-    {"chaos_async/seed8/alg1", 0xbadef8567ef2cc17ULL},
+    {"chaos_async/seed8/alg1", 0x4b01fb6b28b4e7e1ULL},
     {"chaos_async/seed8/alg2", 0x24e5d3add8134c5aULL},
-    {"chaos_facade/alg1", 0x5b0f51e8ec9c75b6ULL},
+    {"chaos_facade/alg1", 0x1df777318cd5eec4ULL},
     {"chaos_facade/alg2", 0x6f43306958430d32ULL},
-    {"lossy/seed1/alg1", 0x82b08c0b3e62ca21ULL},
+    {"lossy/seed1/alg1", 0x8c47300c8db707bULL},
     {"lossy/seed1/alg2", 0x2353dc7b69ca371bULL},
-    {"lossy/seed2/alg1", 0xc0f1ec210ddb87a5ULL},
+    {"lossy/seed2/alg1", 0xfd4d39a480f9ba4bULL},
     {"lossy/seed2/alg2", 0x7b5587b56cb53b49ULL},
-    {"lossy/seed3/alg1", 0x98678fbdd6030e29ULL},
+    {"lossy/seed3/alg1", 0xf3c0d67341dc2448ULL},
     {"lossy/seed3/alg2", 0x5e1c65f3ef3719c0ULL},
-    {"lossy/seed4/alg1", 0xae60d58a82e71654ULL},
+    {"lossy/seed4/alg1", 0xf6fe11e4b4269962ULL},
     {"lossy/seed4/alg2", 0x4602b7793e20f6a0ULL},
-    {"lossy/seed5/alg1", 0x9fad1f678040c21fULL},
+    {"lossy/seed5/alg1", 0xa89d5b5b0203d1a6ULL},
     {"lossy/seed5/alg2", 0xd413cd3668778a2eULL},
-    {"lossy/seed6/alg1", 0x35c9c354cc1773efULL},
+    {"lossy/seed6/alg1", 0xa656bd22d589f4c7ULL},
     {"lossy/seed6/alg2", 0x9ec9f3aa9aed029dULL},
-    {"lossy/seed7/alg1", 0x108a3e438c585d92ULL},
+    {"lossy/seed7/alg1", 0x97d9f13c0f5951b1ULL},
     {"lossy/seed7/alg2", 0xe0c2a80f9aeed1fULL},
-    {"lossy/seed8/alg1", 0x7e45d714ebe075acULL},
+    {"lossy/seed8/alg1", 0xc386b02041d58a6dULL},
     {"lossy/seed8/alg2", 0xbbb01cccab8cd6aULL},
-    {"null/alg1/async", 0xcf4ddcdedc073101ULL},
-    {"null/alg1/unit", 0xd56449d9733be848ULL},
+    {"null/alg1/async", 0xe69c60901f7df1ccULL},
+    {"null/alg1/unit", 0x3162c604118682b1ULL},
     {"null/alg2/async", 0x66080574a424f0fcULL},
     {"null/alg2/unit", 0x6ec1bc313deeac2fULL},
     {"raw_duplication", 0xf6d71162c0bc7364ULL},
-    {"trivial/alg1/async", 0xcf4ddcdedc073101ULL},
-    {"trivial/alg1/unit", 0xd56449d9733be848ULL},
+    {"trivial/alg1/async", 0xe69c60901f7df1ccULL},
+    {"trivial/alg1/unit", 0x3162c604118682b1ULL},
     {"trivial/alg2/async", 0x66080574a424f0fcULL},
     {"trivial/alg2/unit", 0x6ec1bc313deeac2fULL},
 };
 
 const Cells kShardingPinned = {
     {"blackout_split", 0xb6c1ad03dccd9d74ULL},
-    {"seed1/async/faulty/alg1", 0x1114aa1c74c988bULL},
+    {"seed1/async/faulty/alg1", 0xdfdc0f6645f63182ULL},
     {"seed1/async/faulty/alg2", 0x16960ec08202cbdbULL},
-    {"seed1/async/perfect/alg1", 0x7ef5c220ef20e76bULL},
+    {"seed1/async/perfect/alg1", 0xe1dc191d442ac0cfULL},
     {"seed1/async/perfect/alg2", 0xf4af861237019e86ULL},
-    {"seed1/unit/faulty/alg1", 0x2fe4b18eb6c8a261ULL},
+    {"seed1/unit/faulty/alg1", 0x4da79d714cd74626ULL},
     {"seed1/unit/faulty/alg2", 0x5aeed635ff3f1157ULL},
-    {"seed1/unit/perfect/alg1", 0x70611f3b71115efdULL},
+    {"seed1/unit/perfect/alg1", 0x1bbe8d9a7be02dbeULL},
     {"seed1/unit/perfect/alg2", 0xe77a9f3cfaa1c2f7ULL},
-    {"seed2/async/faulty/alg1", 0x806534feb2b43d11ULL},
+    {"seed2/async/faulty/alg1", 0x8cc04a3b71ea2fb2ULL},
     {"seed2/async/faulty/alg2", 0xa74d627f47468c41ULL},
-    {"seed2/async/perfect/alg1", 0x2a8263ae6fda273ULL},
+    {"seed2/async/perfect/alg1", 0x50c9b2ac02235f21ULL},
     {"seed2/async/perfect/alg2", 0xccbed949dd40f94eULL},
-    {"seed2/unit/faulty/alg1", 0xb4ee62c803f4834aULL},
+    {"seed2/unit/faulty/alg1", 0x87e15ef94ababbbaULL},
     {"seed2/unit/faulty/alg2", 0x25c0b15526d59014ULL},
-    {"seed2/unit/perfect/alg1", 0xd42528f7b0210b7ULL},
+    {"seed2/unit/perfect/alg1", 0x41a718e4ac64b75fULL},
     {"seed2/unit/perfect/alg2", 0xaf21d078dea7ababULL},
-    {"seed3/async/faulty/alg1", 0x8ea9797e29a666bdULL},
+    {"seed3/async/faulty/alg1", 0x17b0ce002f500ddbULL},
     {"seed3/async/faulty/alg2", 0xa2bdbf9c54fb222aULL},
-    {"seed3/async/perfect/alg1", 0x3ad74f591be250a9ULL},
+    {"seed3/async/perfect/alg1", 0x884b7b87b474ade4ULL},
     {"seed3/async/perfect/alg2", 0xfb2900faa60ef6c8ULL},
-    {"seed3/unit/faulty/alg1", 0xa5c6077a12cd2e5ULL},
+    {"seed3/unit/faulty/alg1", 0x3d3840a51d0638f9ULL},
     {"seed3/unit/faulty/alg2", 0xcfd471aa97edb8a0ULL},
-    {"seed3/unit/perfect/alg1", 0xc3b831344038e837ULL},
+    {"seed3/unit/perfect/alg1", 0xaa4b6e8a47cdf77aULL},
     {"seed3/unit/perfect/alg2", 0x6429cee532ab7b0dULL},
-    {"seed4/async/faulty/alg1", 0x2c68ef7b8682ff51ULL},
+    {"seed4/async/faulty/alg1", 0xb9296e290079754aULL},
     {"seed4/async/faulty/alg2", 0x2769cd821ad14318ULL},
-    {"seed4/async/perfect/alg1", 0x5950e930ca6967daULL},
+    {"seed4/async/perfect/alg1", 0x9afe3290919b06a8ULL},
     {"seed4/async/perfect/alg2", 0x79a8ab7f2efab9c0ULL},
-    {"seed4/unit/faulty/alg1", 0x9d4b53b82b7f4b52ULL},
+    {"seed4/unit/faulty/alg1", 0xaa83cb807b79faa2ULL},
     {"seed4/unit/faulty/alg2", 0x61b81f1d88e33b6cULL},
-    {"seed4/unit/perfect/alg1", 0x53e6878f9651fe2bULL},
+    {"seed4/unit/perfect/alg1", 0xbe4656fcc74de5fULL},
     {"seed4/unit/perfect/alg2", 0xd9afe452b6c5ebd0ULL},
-    {"seed5/async/faulty/alg1", 0xbc64ebd97b93b674ULL},
+    {"seed5/async/faulty/alg1", 0xbc54b96f91e5eb09ULL},
     {"seed5/async/faulty/alg2", 0x833adf38e854aae3ULL},
-    {"seed5/async/perfect/alg1", 0xb2694e8caea5b2d5ULL},
+    {"seed5/async/perfect/alg1", 0x9bae45d277036acfULL},
     {"seed5/async/perfect/alg2", 0xb9e7d2683f75ec8aULL},
-    {"seed5/unit/faulty/alg1", 0x23f5c6f30b328d43ULL},
+    {"seed5/unit/faulty/alg1", 0x53662a0b49e6ab49ULL},
     {"seed5/unit/faulty/alg2", 0x5a778d5db92485f0ULL},
-    {"seed5/unit/perfect/alg1", 0x58841b3ae642e188ULL},
+    {"seed5/unit/perfect/alg1", 0x452a146960d035b7ULL},
     {"seed5/unit/perfect/alg2", 0x3f9234bfe3033a35ULL},
-    {"seed6/async/faulty/alg1", 0x1ec8b325668343ecULL},
+    {"seed6/async/faulty/alg1", 0x7f120a56b9cf19eaULL},
     {"seed6/async/faulty/alg2", 0xe005fcaa9c64ca0eULL},
-    {"seed6/async/perfect/alg1", 0xe71cd914ece87a2fULL},
+    {"seed6/async/perfect/alg1", 0xb1298475b346fdb2ULL},
     {"seed6/async/perfect/alg2", 0xa28fd934a0b5188ULL},
-    {"seed6/unit/faulty/alg1", 0xca4d8487f422a5e2ULL},
+    {"seed6/unit/faulty/alg1", 0xe5247228a68f2ab8ULL},
     {"seed6/unit/faulty/alg2", 0xfb738eb2d53734dfULL},
-    {"seed6/unit/perfect/alg1", 0xeafd96b88ba58cb6ULL},
+    {"seed6/unit/perfect/alg1", 0xbce4ac9fc7243edaULL},
     {"seed6/unit/perfect/alg2", 0x339c44ffdb785067ULL},
-    {"seed7/async/faulty/alg1", 0x708550b5921ceb57ULL},
+    {"seed7/async/faulty/alg1", 0xbfdc3ad6d17a41e2ULL},
     {"seed7/async/faulty/alg2", 0x4610dd776f3171e3ULL},
-    {"seed7/async/perfect/alg1", 0xbdd3177d36a3903ULL},
+    {"seed7/async/perfect/alg1", 0x775fb61467cca3a3ULL},
     {"seed7/async/perfect/alg2", 0xa7d2e82d5c53dd0ULL},
-    {"seed7/unit/faulty/alg1", 0xb66a7a3055406faULL},
+    {"seed7/unit/faulty/alg1", 0xe5e28441decb0c61ULL},
     {"seed7/unit/faulty/alg2", 0x863344ef6a70cbaaULL},
-    {"seed7/unit/perfect/alg1", 0x3c1a4d9373a20d79ULL},
+    {"seed7/unit/perfect/alg1", 0x7bfb9e88ebb2761aULL},
     {"seed7/unit/perfect/alg2", 0xb4851b86395a234eULL},
-    {"seed8/async/faulty/alg1", 0x5ef81b86a39e4debULL},
+    {"seed8/async/faulty/alg1", 0x4bb22b31510cb8b1ULL},
     {"seed8/async/faulty/alg2", 0x1ff51e7ecff412deULL},
-    {"seed8/async/perfect/alg1", 0xb2f372757912baf1ULL},
+    {"seed8/async/perfect/alg1", 0xcea3fa63308ffef7ULL},
     {"seed8/async/perfect/alg2", 0xd7a449157433bdeULL},
-    {"seed8/unit/faulty/alg1", 0xf19fdf9d40161f2ULL},
+    {"seed8/unit/faulty/alg1", 0x84be08a1ce640eb3ULL},
     {"seed8/unit/faulty/alg2", 0xc6e47f54dc8a42b7ULL},
-    {"seed8/unit/perfect/alg1", 0xf1aad609e451c193ULL},
+    {"seed8/unit/perfect/alg1", 0xb4185e677064ed87ULL},
     {"seed8/unit/perfect/alg2", 0xdf3e55e2353f8201ULL},
 };
 
