@@ -1,7 +1,6 @@
 #include "maintenance/dynamic_wcds.h"
 
 #include <algorithm>
-#include <span>
 
 #include "check/audit.h"
 #include "check/check.h"
@@ -22,22 +21,6 @@ constexpr std::uint8_t kAffected = 4;    // in affected_
 constexpr std::uint8_t kOwnBall = 8;     // re-derives its bridges by a ball
 constexpr std::uint8_t kPromoted = 16;   // promoted by this event
 
-// Whether two ascending rows share an element.
-bool rows_meet(std::span<const NodeId> x, std::span<const NodeId> y) {
-  auto i = x.begin();
-  auto j = y.begin();
-  while (i != x.end() && j != y.end()) {
-    if (*i < *j) {
-      ++i;
-    } else if (*j < *i) {
-      ++j;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 DynamicWcds::DynamicWcds(std::vector<geom::Point> points, double range)
@@ -46,7 +29,8 @@ DynamicWcds::DynamicWcds(std::vector<geom::Point> points, double range)
       bridges_(graph_.node_count()),
       via_count_(graph_.node_count(), 0),
       recorder_(obs::global_recorder()),
-      marks_(graph_.node_count()) {
+      marks_(graph_.node_count()),
+      near_b_(graph_.node_count(), 0) {
   obs::PhaseTimer build_timer(recorder_, "maintenance/initial_build");
   // With no dominator yet, the whole-network repair promotes greedily
   // lowest-ID-first (Algorithm II's ranking), then bridges every 3-hop MIS
@@ -58,16 +42,19 @@ DynamicWcds::DynamicWcds(std::vector<geom::Point> points, double range)
 std::vector<NodeId> DynamicWcds::dominators() const {
   std::vector<NodeId> result;
   for (NodeId u = 0; u < node_count(); ++u) {
-    if (mis_[u] || via_count_[u] > 0) result.push_back(u);
+    const NodeId s = graph_.slot_of(u);
+    if (mis_[s] || via_count_[s] > 0) result.push_back(u);
   }
   return result;
 }
 
 std::map<std::pair<NodeId, NodeId>, NodeId> DynamicWcds::bridges() const {
   std::map<std::pair<NodeId, NodeId>, NodeId> result;
-  for (NodeId u = 0; u < node_count(); ++u) {
-    for (const Bridge& bridge : bridges_[u]) {
-      if (bridge.a == u) result.emplace(std::pair{u, bridge.b}, bridge.via);
+  for (NodeId s = 0; s < node_count(); ++s) {
+    for (const Bridge& bridge : bridges_[s]) {
+      if (bridge.a == s) {
+        result.emplace(std::pair{name(s), name(bridge.b)}, name(bridge.via));
+      }
     }
   }
   return result;
@@ -86,15 +73,12 @@ void DynamicWcds::add_bridge(const Bridge& bridge) {
   ++via_count_[bridge.via];
 }
 
-void DynamicWcds::erase_bridge(Bridge bridge) {
-  for (const NodeId endpoint : {bridge.a, bridge.b}) {
-    auto& list = bridges_[endpoint];
-    *std::find_if(list.begin(), list.end(), [&](const Bridge& x) {
-      return x.a == bridge.a && x.b == bridge.b;
-    }) = list.back();
-    list.pop_back();
-  }
-  --via_count_[bridge.via];
+void DynamicWcds::erase_listing(NodeId endpoint, const Bridge& bridge) {
+  auto& list = bridges_[endpoint];
+  *std::find_if(list.begin(), list.end(), [&](const Bridge& x) {
+    return x.a == bridge.a && x.b == bridge.b;
+  }) = list.back();
+  list.pop_back();
 }
 
 bool DynamicWcds::bridge_valid(NodeId a, NodeId b, NodeId v) const {
@@ -149,12 +133,21 @@ void DynamicWcds::begin_event(NodeId u) {
   }
 }
 
-NodeId DynamicWcds::row_via(NodeId a, NodeId b) const {
+NodeId DynamicWcds::row_via(NodeId a, NodeId b) {
+  // Stamp N(b) once; then every membership test below is one array read.
+  if (++near_b_epoch_ == 0) {  // wrapped: no old stamp may alias the epoch
+    std::fill(near_b_.begin(), near_b_.end(), 0);
+    near_b_epoch_ = 1;
+  }
+  for (const NodeId x : graph_.neighbors(b)) near_b_[x] = near_b_epoch_;
   const auto row_a = graph_.neighbors(a);
-  const auto row_b = graph_.neighbors(b);
-  if (rows_meet(row_a, row_b)) return kInvalidNode;
+  for (const NodeId v : row_a) {
+    if (near_b_[v] == near_b_epoch_) return kInvalidNode;  // common neighbor
+  }
   for (const NodeId v : row_a) {  // ascending: the first hit is the smallest
-    if (rows_meet(graph_.neighbors(v), row_b)) return v;
+    for (const NodeId x : graph_.neighbors(v)) {
+      if (near_b_[x] == near_b_epoch_) return v;
+    }
   }
   return kInvalidNode;
 }
@@ -165,7 +158,7 @@ void DynamicWcds::bridge_pairs_by_ball(NodeId a, RepairReport& report) {
   for (const NodeId b : ball) {
     if (!mis_[b] || bfs_.distance(b) != 3) continue;
     const Mark partner = peek(b);
-    if ((partner.flags & kAffected) != 0 && b < a) {
+    if ((partner.flags & kAffected) != 0 && before(b, a)) {
       // b derives the pair; without a ball of its own it learns of a here.
       if ((partner.flags & kOwnBall) == 0) {
         incoming_.push_back({b, a, kInvalidNode});
@@ -181,12 +174,12 @@ void DynamicWcds::bridge_pairs_by_ball(NodeId a, RepairReport& report) {
       if (bfs_.distance(x) != 2) continue;
       for (const NodeId v : graph_.neighbors(x)) {
         if (bfs_.distance(v) == 1) {
-          best_v = std::min(best_v, v);
-          break;  // rows ascend: the first hit is x's smallest v
+          if (best_v == kInvalidNode || before(v, best_v)) best_v = v;
+          break;  // rows ascend by name: the first hit is x's smallest v
         }
       }
     }
-    add_bridge({std::min(a, b), std::max(a, b), best_v});
+    add_bridge(before(a, b) ? Bridge{a, b, best_v} : Bridge{b, a, best_v});
     ++report.bridges_changed;
   }
 }
@@ -233,11 +226,21 @@ void DynamicWcds::rebridge(NodeId u, RepairReport& report) {
           {a, bridge.a == a ? bridge.b : bridge.a, bridge.via});
     }
   }
+  // Drop every bridge with an endpoint in affected_.  One between two
+  // affected nodes is counted once, at its endpoint a, and leaves with both
+  // lists; only an unaffected partner's list is searched.
   for (const NodeId a : affected_) {
-    while (!bridges_[a].empty()) {
-      erase_bridge(bridges_[a].back());
+    for (const Bridge& bridge : bridges_[a]) {
+      const NodeId partner = bridge.a == a ? bridge.b : bridge.a;
+      if ((peek(partner).flags & kAffected) == 0) {
+        erase_listing(partner, bridge);
+      } else if (bridge.a != a) {
+        continue;
+      }
+      --via_count_[bridge.via];
       ++report.bridges_changed;
     }
+    bridges_[a].clear();
   }
 
   for (const NodeId a : affected_) {
@@ -246,8 +249,9 @@ void DynamicWcds::rebridge(NodeId u, RepairReport& report) {
 
   const auto derive = [&](NodeId a, NodeId b, NodeId old_via) {
     if (!mis_[b]) return;  // demoted
-    if ((peek(b).flags & kAffected) != 0 && b < a) return;  // b derives it
-    const auto [lo, hi] = std::minmax(a, b);
+    // b derives it.
+    if ((peek(b).flags & kAffected) != 0 && before(b, a)) return;
+    const auto [lo, hi] = before(a, b) ? std::pair{a, b} : std::pair{b, a};
     if (find_bridge(lo, hi) != nullptr) return;  // in snapshot_ and incoming_
     const Mark ma = peek(a);
     const Mark mb = peek(b);
@@ -272,7 +276,9 @@ RepairReport DynamicWcds::repair(NodeId u) {
   // network in whole-network mode.
   if (u == kInvalidNode) {
     next_epoch();
-    for (NodeId v = 0; v < node_count(); ++v) add_member(region_, v, kRegion);
+    for (NodeId v = 0; v < node_count(); ++v) {
+      add_member(region_, graph_.slot_of(v), kRegion);
+    }
   } else {
     const auto ball = bfs_.run(graph_, u, 3);
     report.searched = region_.size() + ball.size();  // both event balls
@@ -280,7 +286,7 @@ RepairReport DynamicWcds::repair(NodeId u) {
       mark(v).d_new = static_cast<std::uint8_t>(bfs_.distance(v));
       add_member(region_, v, kRegion);
     }
-    std::sort(region_.begin(), region_.end());
+    std::sort(region_.begin(), region_.end(), by_name());
   }
 
   // 1. Resolve MIS conflicts (adjacent dominators): demote the higher ID.
@@ -291,7 +297,7 @@ RepairReport DynamicWcds::repair(NodeId u) {
     for (const NodeId v : region_) {
       if (!mis_[v] || !graph_.is_active(v)) continue;
       for (const NodeId w : graph_.neighbors(v)) {
-        if (mis_[w] && w > v) {
+        if (mis_[w] && before(v, w)) {
           mis_[w] = false;
           demoted_.push_back(w);
           conflict = true;
@@ -321,7 +327,7 @@ RepairReport DynamicWcds::repair(NodeId u) {
     }
   }
   if (candidates_.size() > region_.size()) {
-    std::sort(candidates_.begin(), candidates_.end());
+    std::sort(candidates_.begin(), candidates_.end(), by_name());
   }
   promoted_.clear();
   for (const NodeId v : candidates_) {
@@ -357,7 +363,7 @@ RepairReport DynamicWcds::repair(NodeId u) {
     }
   }
   for (const NodeId d : demoted_) add_member(affected_, d, kAffected);
-  std::sort(affected_.begin(), affected_.end());
+  std::sort(affected_.begin(), affected_.end(), by_name());
   rebridge(u, report);
 
   report.region_size = region_.size();
@@ -367,9 +373,10 @@ RepairReport DynamicWcds::repair(NodeId u) {
 RepairReport DynamicWcds::move_node(NodeId u, const geom::Point& destination) {
   WCDS_REQUIRE_BOUNDS(u < node_count(), "move_node: bad id " << u);
   obs::PhaseTimer event_timer(recorder_, "maintenance/move_node");
-  begin_event(u);
-  graph_.relocate(u, destination);
-  const RepairReport report = repair(u);
+  const NodeId s = graph_.slot_of(u);
+  begin_event(s);
+  graph_.relocate(s, destination);
+  const RepairReport report = repair(s);
   event_timer.stop();
   record_event("move_node", report);
   maybe_audit("move_node");
@@ -380,9 +387,10 @@ RepairReport DynamicWcds::deactivate(NodeId u) {
   WCDS_REQUIRE_BOUNDS(u < node_count(), "deactivate: bad id " << u);
   if (!is_active(u)) return {};
   obs::PhaseTimer event_timer(recorder_, "maintenance/deactivate");
-  begin_event(u);
-  graph_.set_active(u, false);
-  const RepairReport report = repair(u);
+  const NodeId s = graph_.slot_of(u);
+  begin_event(s);
+  graph_.set_active(s, false);
+  const RepairReport report = repair(s);
   event_timer.stop();
   record_event("deactivate", report);
   maybe_audit("deactivate");
@@ -393,9 +401,10 @@ RepairReport DynamicWcds::activate(NodeId u) {
   WCDS_REQUIRE_BOUNDS(u < node_count(), "activate: bad id " << u);
   if (is_active(u)) return {};
   obs::PhaseTimer event_timer(recorder_, "maintenance/activate");
-  begin_event(u);  // an inactive node's ball is itself
-  graph_.set_active(u, true);
-  const RepairReport report = repair(u);
+  const NodeId s = graph_.slot_of(u);
+  begin_event(s);  // an inactive node's ball is itself
+  graph_.set_active(s, true);
+  const RepairReport report = repair(s);
   event_timer.stop();
   record_event("activate", report);
   maybe_audit("activate");
@@ -440,27 +449,34 @@ void DynamicWcds::maybe_audit(const char* event) const {
   for (NodeId u : result.dominators) {
     result.mask[u] = true;
     result.color[u] = core::NodeColor::kBlack;
-    (mis_[u] ? result.mis_dominators : result.additional_dominators)
+    (mis_[graph_.slot_of(u)] ? result.mis_dominators
+                             : result.additional_dominators)
         .push_back(u);
   }
+  const std::vector<bool> active = graph_.active_mask();
   check::AuditOptions options;
   options.unit_disk = true;  // the active graph is a UDG by construction
-  options.active = &graph_.active_mask();
+  options.active = &active;
   const graph::Graph g = graph_.materialize();
   check::audit_invariants(g, result, options);
   // The maintenance-specific contract on top of the paper invariants.
-  WCDS_CHECK(audit(g).bridges_complete,
+  WCDS_CHECK(audit(g, active).bridges_complete,
              "Section 4.2 (maintenance): unbridged 3-hop MIS pair after "
                  << event);
 }
 
-Audit DynamicWcds::audit(const graph::Graph& g) const {
-  const std::vector<bool>& active = graph_.active_mask();
-  std::vector<NodeId> mis_members;
+Audit DynamicWcds::audit(const graph::Graph& g,
+                         const std::vector<bool>& active) const {
+  // Everything below is by name, like `g` and `active`.
+  std::vector<bool> mis(node_count());
   std::vector<bool> dominator(node_count());
+  for (NodeId s = 0; s < node_count(); ++s) {
+    mis[name(s)] = mis_[s];
+    dominator[name(s)] = mis_[s] || via_count_[s] > 0;
+  }
+  std::vector<NodeId> mis_members;
   for (NodeId u = 0; u < node_count(); ++u) {
-    if (mis_[u] && active[u]) mis_members.push_back(u);
-    dominator[u] = mis_[u] || via_count_[u] > 0;
+    if (mis[u] && active[u]) mis_members.push_back(u);
   }
   const check::WcdsSweep backbone = check::sweep_wcds(g, dominator, &active);
   bool bridged = true;  // every 3-hop MIS pair holds a valid bridge record
@@ -468,13 +484,15 @@ Audit DynamicWcds::audit(const graph::Graph& g) const {
       g, mis_members, backbone.components,
       [&](NodeId a, NodeId b, HopCount hops) {
         if (hops != 3 || b < a) return;
-        const Bridge* bridge = find_bridge(a, b);
+        const NodeId sa = graph_.slot_of(a);
+        const NodeId sb = graph_.slot_of(b);
+        const Bridge* bridge = find_bridge(sa, sb);
         bridged = bridged && bridge != nullptr &&
-                  bridge_valid(a, b, bridge->via);
+                  bridge_valid(sa, sb, bridge->via);
       });
   return {.mis_independent = balls.adjacent == kInvalidNode,
           .mis_maximal =
-              mis::first_undominated(g, mis_, &active) == kInvalidNode,
+              mis::first_undominated(g, mis, &active) == kInvalidNode,
           .bridges_complete = bridged,
           .weakly_connected = backbone.unreached == kInvalidNode};
 }

@@ -22,6 +22,13 @@
 //    list (the argument is in DynamicWcds::rebridge);
 //  * the event path keeps its sets in epoch-marked member vectors, so in
 //    steady state it makes no heap allocation;
+//  * state lives by storage slot (IncrementalUdg): mis_, bridges_ (whose
+//    entries hold slots), via_count_, marks_, row_via's stamps and the
+//    LocalBfs scratch, so the state of one ball sits in a few short slot
+//    runs.  Names decide everything else: the lower ID wins a conflict,
+//    promotion runs ascending by ID, a bridge is stored as (a, b) with
+//    name a < name b and takes the via of smallest name, and every public
+//    method takes and returns names;
 //  * invariants after every event: S is an MIS of the active graph, every
 //    3-hop MIS pair is bridged by an additional-dominator, and hence
 //    S + C is a WCDS of every connected component.
@@ -90,10 +97,14 @@ class DynamicWcds {
   [[nodiscard]] graph::Graph active_graph() const {
     return graph_.materialize();
   }
-  [[nodiscard]] bool is_active(NodeId u) const { return graph_.is_active(u); }
-  [[nodiscard]] bool is_mis_dominator(NodeId u) const { return mis_[u]; }
+  [[nodiscard]] bool is_active(NodeId u) const {
+    return graph_.is_active(graph_.slot_of(u));
+  }
+  [[nodiscard]] bool is_mis_dominator(NodeId u) const {
+    return mis_[graph_.slot_of(u)];
+  }
   [[nodiscard]] bool is_additional_dominator(NodeId u) const {
-    return via_count_[u] > 0;
+    return via_count_[graph_.slot_of(u)] > 0;
   }
   [[nodiscard]] std::vector<NodeId> dominators() const;  // S + C, ascending
   // (a, b) with a < b, both MIS and exactly 3 hops apart -> the additional
@@ -102,13 +113,15 @@ class DynamicWcds {
   [[nodiscard]] std::map<std::pair<NodeId, NodeId>, NodeId> bridges() const;
   [[nodiscard]] std::size_t node_count() const { return graph_.node_count(); }
   [[nodiscard]] const geom::Point& position(NodeId u) const {
-    return graph_.position(u);
+    return graph_.position(graph_.slot_of(u));
   }
 
   // Full global invariant check (test oracle; not part of the repair path):
   // the shared checker (check/audit.h) on one active-graph snapshot, whose
   // MIS balls also check the bridge records.  Never raises.
-  [[nodiscard]] Audit audit() const { return audit(graph_.materialize()); }
+  [[nodiscard]] Audit audit() const {
+    return audit(graph_.materialize(), graph_.active_mask());
+  }
 
   // Liveness watchdog: audit the maintained invariants and, when any fail,
   // run a repair pass seeded at every node.  Per-event localized repairs
@@ -119,14 +132,28 @@ class DynamicWcds {
   RepairReport watchdog();
 
  private:
-  friend class DynamicWcdsTestPeer;  // tests seed state corruptions
+  // Tests seed state corruptions and call row_via (dynamic_wcds_peer.h).
+  friend class DynamicWcdsTestPeer;
+
+  // Private methods and members take and hold slots unless they say
+  // otherwise.
 
   // Debug/test tripwire: runs check::audit_invariants (unit-disk bounds,
   // active-node scope) and the bridge audit on one snapshot after `event`.
   // No-op unless check::audits_enabled().
   void maybe_audit(const char* event) const;
-  // audit() of `g`, a snapshot of the active graph.
-  [[nodiscard]] Audit audit(const graph::Graph& g) const;
+  // audit() of `g` and `active`, snapshots of the active graph and the
+  // on/off flags (by name).
+  [[nodiscard]] Audit audit(const graph::Graph& g,
+                            const std::vector<bool>& active) const;
+  // Names order every rank and tie-break; slots only address storage.
+  [[nodiscard]] NodeId name(NodeId s) const { return graph_.name_of(s); }
+  [[nodiscard]] bool before(NodeId s, NodeId t) const {
+    return name(s) < name(t);
+  }
+  [[nodiscard]] auto by_name() const {
+    return [this](NodeId s, NodeId t) { return before(s, t); };
+  }
   // Invalidates every mark and empties region_.
   void next_epoch();
   // Starts an event at `u`: a new mark epoch, and u's 3-hop ball in the
@@ -148,10 +175,12 @@ class DynamicWcds {
   void bridge_pairs_by_ball(NodeId a, RepairReport& report);
   // The smallest v in N(a) on a path a-v-x-b, or kInvalidNode when there is
   // none or a and b share a neighbor (then they are not 3 hops apart).
-  [[nodiscard]] NodeId row_via(NodeId a, NodeId b) const;
+  // Stamps N(b) in near_b_, so each membership test is O(1).
+  [[nodiscard]] NodeId row_via(NodeId a, NodeId b);
   [[nodiscard]] bool bridge_valid(NodeId a, NodeId b, NodeId v) const;
 
-  // A bridge between MIS nodes a < b, 3 hops apart, through `via`.
+  // A bridge between MIS nodes a and b (name a < name b), 3 hops apart,
+  // through `via`.
   struct Bridge {
     NodeId a;
     NodeId b;
@@ -160,7 +189,8 @@ class DynamicWcds {
   // The bridge of pair (a, b), or null: a scan of a's short list.
   [[nodiscard]] const Bridge* find_bridge(NodeId a, NodeId b) const;
   void add_bridge(const Bridge& bridge);
-  void erase_bridge(Bridge bridge);
+  // Removes `bridge` from the list of `endpoint`, one of its two endpoints.
+  void erase_listing(NodeId endpoint, const Bridge& bridge);
 
   // Per-node event state, valid only while `epoch` equals epoch_: a new
   // event invalidates every mark by bumping epoch_, in O(1).
@@ -204,6 +234,10 @@ class DynamicWcds {
   std::vector<NodeId> affected_;    // nodes whose bridges are re-derived
   std::vector<Partner> snapshot_;   // pre-event bridges of affected_ nodes
   std::vector<Partner> incoming_;   // partners found by other nodes' balls
+  // row_via's stamps: near_b_[x] == near_b_epoch_ <=> x is in N(b) for the
+  // current call.
+  std::vector<std::uint32_t> near_b_;
+  std::uint32_t near_b_epoch_ = 0;
 };
 
 }  // namespace wcds::maintenance

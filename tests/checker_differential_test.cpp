@@ -17,6 +17,7 @@
 #include "check/check.h"
 #include "checker_reference.h"
 #include "churn_mix.h"
+#include "dynamic_wcds_peer.h"
 #include "geom/rng.h"
 #include "geom/workload.h"
 #include "graph/spanning_tree.h"
@@ -31,18 +32,6 @@
 #include "wcds/algorithm2.h"
 #include "wcds/resilient.h"
 #include "wcds/verify.h"
-
-namespace wcds::maintenance {
-
-// Seeds the state corruptions the event interface cannot produce.
-class DynamicWcdsTestPeer {
- public:
-  static void set_mis(DynamicWcds& net, NodeId u, bool in_mis) {
-    net.mis_[u] = in_mis;
-  }
-};
-
-}  // namespace wcds::maintenance
 
 namespace wcds::testing {
 namespace {

@@ -3,15 +3,21 @@
 // it replaced (maintenance_reference.h).  After every event both must hold
 // the same MIS, bridges and dominators, report the same RepairReport, and
 // the maintained graph must equal udg::build_udg over the active nodes.
+// The stamp-based bridge search row_via is checked against the merge walk
+// it replaced (reference_row_via) on every MIS pair within 3 hops.
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "churn_mix.h"
+#include "dynamic_wcds_peer.h"
 #include "geom/rng.h"
 #include "geom/workload.h"
+#include "graph/local_bfs.h"
 #include "maintenance/crash_schedule.h"
 #include "maintenance/dynamic_wcds.h"
 #include "maintenance_reference.h"
@@ -21,6 +27,7 @@ namespace wcds::testing {
 namespace {
 
 using maintenance::DynamicWcds;
+using maintenance::DynamicWcdsTestPeer;
 using maintenance::RepairReport;
 
 // udg::build_udg over all positions with every edge at an inactive node
@@ -134,6 +141,75 @@ TEST(MaintenanceDifferential, BenchmarkChurnMix) {
     lock.step("churn event " + std::to_string(e),
               [&](auto& net) { return apply(net, event); });
   }
+}
+
+// DynamicWcds::row_via against the merge-walk oracle on every MIS pair
+// (a, b) within 3 hops of each other, both ways round; returns the number
+// of pairs compared.
+std::size_t expect_row_via_matches(DynamicWcds& net, const std::string& what) {
+  const graph::Graph g = net.active_graph();
+  graph::LocalBfs bfs;
+  std::size_t pairs = 0;
+  for (NodeId a = 0; a < g.node_count(); ++a) {
+    if (!net.is_mis_dominator(a)) continue;
+    for (const NodeId b : bfs.run(g, a, 3)) {
+      if (b == a || !net.is_mis_dominator(b)) continue;
+      EXPECT_EQ(DynamicWcdsTestPeer::row_via(net, a, b),
+                reference_row_via(g, a, b))
+          << what << ": a=" << a << " b=" << b;
+      ++pairs;
+    }
+    if (::testing::Test::HasFailure()) break;  // report the first mismatch
+  }
+  return pairs;
+}
+
+// The same 500 events; after each one row_via must agree with the oracle.
+TEST(MaintenanceDifferential, RowViaMatchesMergeWalkOnChurn) {
+  const AuditsOff audits_off;
+  const auto points = churn_deployment(4096, 41);
+  DynamicWcds net(points);
+  ChurnMix mix(43, points);
+  EXPECT_GT(expect_row_via_matches(net, "construction"), 0u);
+  for (int e = 0; e < 500 && !HasFailure(); ++e) {
+    (void)apply(net, mix.next(net));
+    expect_row_via_matches(net, "churn event " + std::to_string(e));
+  }
+}
+
+// row_via's stamps wrap around: stamps left from before the wrap must not
+// read as marks of the new epoch.  N(b) is stamped with epoch 1 for an MIS
+// node b two hops from a; after the wrap, epoch 1 comes back for a pair
+// (a, c) three hops apart, where a stale mark would fake a common neighbor.
+TEST(MaintenanceDifferential, RowViaSurvivesStampWrap) {
+  const auto points = churn_deployment(300, 5, 12.0);
+  DynamicWcds net(points);
+  const graph::Graph g = net.active_graph();
+  graph::LocalBfs bfs;
+  NodeId a = 0;
+  NodeId b = kInvalidNode;
+  NodeId c = kInvalidNode;
+  for (; a < g.node_count(); ++a) {
+    if (!net.is_mis_dominator(a)) continue;
+    b = c = kInvalidNode;
+    for (const NodeId v : bfs.run(g, a, 3)) {
+      if (!net.is_mis_dominator(v)) continue;
+      if (bfs.distance(v) == 2 && b == kInvalidNode) b = v;
+      if (bfs.distance(v) == 3 && c == kInvalidNode) c = v;
+    }
+    if (b != kInvalidNode && c != kInvalidNode) break;
+  }
+  ASSERT_LT(a, g.node_count());
+  const NodeId want = reference_row_via(g, a, c);
+  ASSERT_NE(want, kInvalidNode);
+
+  DynamicWcdsTestPeer::set_row_via_epoch(net, 0);
+  EXPECT_EQ(DynamicWcdsTestPeer::row_via(net, a, b), kInvalidNode);
+  DynamicWcdsTestPeer::set_row_via_epoch(
+      net, std::numeric_limits<std::uint32_t>::max() - 1);
+  EXPECT_EQ(DynamicWcdsTestPeer::row_via(net, a, c), want);  // last epoch
+  EXPECT_EQ(DynamicWcdsTestPeer::row_via(net, a, c), want);  // wrapped to 1
+  EXPECT_GT(expect_row_via_matches(net, "after the wrap"), 2u);
 }
 
 // Moves far out of range isolate nodes (new grid cells, empty rows), a

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <queue>
 #include <set>
+#include <span>
 
 #include "check/check.h"
 #include "graph/bfs.h"
@@ -43,7 +44,33 @@ std::vector<NodeId> truncated_ball(const graph::Graph& g, NodeId center,
   return members;
 }
 
+// Whether two ascending rows share an element.
+bool rows_meet(std::span<const NodeId> x, std::span<const NodeId> y) {
+  auto i = x.begin();
+  auto j = y.begin();
+  while (i != x.end() && j != y.end()) {
+    if (*i < *j) {
+      ++i;
+    } else if (*j < *i) {
+      ++j;
+    } else {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
+
+NodeId reference_row_via(const graph::Graph& g, NodeId a, NodeId b) {
+  const auto row_a = g.neighbors(a);
+  const auto row_b = g.neighbors(b);
+  if (rows_meet(row_a, row_b)) return kInvalidNode;
+  for (const NodeId v : row_a) {  // ascending: the first hit is the smallest
+    if (rows_meet(g.neighbors(v), row_b)) return v;
+  }
+  return kInvalidNode;
+}
 
 ReferenceDynamicWcds::ReferenceDynamicWcds(std::vector<geom::Point> points,
                                            double range)

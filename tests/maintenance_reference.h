@@ -17,6 +17,13 @@
 
 namespace wcds::testing {
 
+// The bridge search DynamicWcds::row_via(a, b) replaced: on a graph with
+// ascending rows, the smallest v in N(a) on a path a-v-x-b, or kInvalidNode
+// when there is none or a and b share a neighbor.  One sorted merge walk of
+// N(b) against N(a), then against N(v) for each v in N(a).
+[[nodiscard]] NodeId reference_row_via(const graph::Graph& g, NodeId a,
+                                       NodeId b);
+
 class ReferenceDynamicWcds {
  public:
   explicit ReferenceDynamicWcds(std::vector<geom::Point> points,

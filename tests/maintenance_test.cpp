@@ -1,6 +1,7 @@
 // Dynamic WCDS maintenance: invariants after every mobility event, locality
-// of repairs.
+// of repairs, and IncrementalUdg's name/slot layout.
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,8 @@
 #include "geom/workload.h"
 #include "maintenance/crash_schedule.h"
 #include "maintenance/dynamic_wcds.h"
+#include "maintenance/incremental_udg.h"
+#include "udg/udg.h"
 
 namespace wcds::maintenance {
 namespace {
@@ -234,6 +237,60 @@ TEST(DynamicWcds, SearchedWorkTracksTheRegion) {
                                   static_cast<double>(region)));
     EXPECT_GE(searched, region) << "n = " << n;
     EXPECT_LE(searched, 5 * region) << "n = " << n;
+  }
+}
+
+// IncrementalUdg's name/slot split after a scripted mix of moves (within a
+// cell, across cells and far away), radio off and radio on: the rows equal
+// udg::build_udg over the current active positions, every row ascends by
+// name, slot_of and name_of are inverse, and no event re-slots a node.
+TEST(IncrementalUdg, SlotLayoutHoldsThroughEvents) {
+  const auto points = testing::churn_deployment(600, 21, 12.0);
+  IncrementalUdg net(points, 1.0);
+  const std::size_t n = net.node_count();
+  std::vector<NodeId> initial_slot(n);
+  for (NodeId u = 0; u < n; ++u) initial_slot[u] = net.slot_of(u);
+
+  geom::Xoshiro256ss rng(23);
+  std::vector<bool> active(n, true);
+  std::size_t cell_crossings = 0;
+  for (int e = 0; e < 400; ++e) {
+    const auto u = static_cast<NodeId>(rng.next_below(n));
+    const NodeId s = net.slot_of(u);
+    const auto kind = rng.next_below(10);
+    if (kind == 8) {
+      active[u] = !active[u];
+      net.set_active(s, active[u]);
+    } else {
+      geom::Point p = net.position(s);
+      const double reach = kind == 9 ? 50.0 : 0.7;
+      const geom::Point q{p.x + rng.next_double(-reach, reach),
+                          p.y + rng.next_double(-reach, reach)};
+      cell_crossings += std::floor(p.x) != std::floor(q.x) ||
+                        std::floor(p.y) != std::floor(q.y);
+      net.relocate(s, q);
+    }
+    ASSERT_EQ(net.slot_of(u), s) << "event " << e << " re-slotted " << u;
+  }
+  EXPECT_GT(cell_crossings, 50U);
+
+  std::vector<geom::Point> now(n);
+  for (NodeId u = 0; u < n; ++u) now[u] = net.position(net.slot_of(u));
+  std::vector<std::pair<NodeId, NodeId>> want;
+  for (const auto& [u, v] : udg::build_udg(now).edges()) {
+    if (active[u] && active[v]) want.emplace_back(u, v);
+  }
+  EXPECT_EQ(net.materialize().edges(), want);
+  EXPECT_EQ(net.active_mask(), active);
+
+  for (NodeId s = 0; s < n; ++s) {
+    ASSERT_EQ(net.slot_of(net.name_of(s)), s);
+    ASSERT_EQ(net.slot_of(net.name_of(s)), initial_slot[net.name_of(s)]);
+    const auto row = net.neighbors(s);
+    for (std::size_t i = 1; i < row.size(); ++i) {
+      ASSERT_LT(net.name_of(row[i - 1]), net.name_of(row[i]))
+          << "row of slot " << s;
+    }
   }
 }
 
