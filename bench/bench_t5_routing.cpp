@@ -21,7 +21,7 @@ void print_tables() {
                 "T5: routing strategies (1000 random pairs per row)");
   bench::Table table({"n", "deg", "strategy", "heads", "overlay E",
                       "delivered", "mean stretch", "worst stretch",
-                      "table entries"});
+                      "distance entries"});
   for (const std::uint32_t n : {300u, 600u, 1200u}) {
     for (const double deg : {8.0, 16.0}) {
       const auto inst = bench::connected_instance(n, deg, 1);
@@ -54,8 +54,9 @@ void print_tables() {
                                         static_cast<double>(opt));
           }
         }
-        // State columns are a clusterhead-table property; greedy geographic
-        // keeps no routing state at all.
+        // State columns are a clusterhead-table property (the entries are
+        // overlay distances, which the next clusterhead is read off);
+        // greedy geographic keeps no routing state at all.
         std::string heads = "-", overlay = "-", entries = "-";
         if (strategy == routing::Strategy::kClusterhead) {
           const auto& ch =
@@ -80,8 +81,8 @@ void print_tables() {
   std::cout << "\nExpected shape: clusterhead routing delivers 100% with "
                "mean stretch\n~1.2-1.5 and worst stretch bounded by the "
                "Theorem 11 envelope plus the two\nclusterhead detour hops, "
-               "holding state only at the |S| clusterheads (|S|^2\nentries "
-               "total); greedy geographic holds no state but strands some "
+               "holding state only at the |S| clusterheads (|S|^2\ndistance "
+               "entries total); greedy geographic holds no state but strands some "
                "pairs in\nlocal minima at low degree.\n";
 }
 

@@ -45,10 +45,10 @@ void set_gauge(const std::string& name, double value) {
 void print_event_cost_table() {
   constexpr int kWarmup = 200;
   constexpr int kBatch = 1000;
-  constexpr int kBatches = 3;
+  constexpr int kBatches = 7;
   bench::banner(std::cout,
                 "T6d: per-event maintenance cost vs n (expected degree 12, "
-                "median of 3 x 1000 events)");
+                "median of 7 x 1000 events)");
   bench::Table table({"n", "initial build ms", "us/event", "mean region",
                       "searched/event", "audit() ms"});
   for (const std::uint32_t n : {1u << 12, 1u << 14, 1u << 16, 1u << 18}) {

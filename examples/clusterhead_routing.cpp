@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     const auto& ch = static_cast<const routing::ClusterheadRouter&>(*router);
     std::cout << "clusterheads: " << ch.clusterhead_count()
               << "; overlay edges: " << ch.overlay_edge_count()
-              << "; routing-table entries: " << ch.table_entries()
+              << "; distance-table entries: " << ch.table_entries()
               << " (held at dominators only)\n";
   }
   std::cout << "\n";

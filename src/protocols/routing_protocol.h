@@ -1,7 +1,8 @@
 // Distributed packet forwarding over the WCDS spanner (paper, Section 4.2).
 //
 // Control plane: an Algorithm II run provides every node's clusterhead and
-// every clusterhead's next-clusterhead table (installed at construction —
+// every clusterhead's routing state, its overlay row and overlay distances,
+// from which it reads the next clusterhead (installed at construction —
 // the paper says "the MIS-dominators (clusterheads) maintain the routing
 // tables").  Data plane, message by message on the simulator:
 //

@@ -1,7 +1,6 @@
 #include "routing/clusterhead_routing.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "check/check.h"
@@ -68,18 +67,42 @@ ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
   }
   overlay_edges_ = overlay_.entry_count();
 
-  // Routing tables: BFS per head over the overlay.  The same traversal
-  // yields the overlay hop distances, kept for candidate ordering in the
-  // service layer (nearest advertising domain first).  Each head's row of
-  // next_ doubles as the BFS's first-hop array: a head reached from src
-  // inherits the first hop of the head that discovered it, so the whole
-  // build is O(h * (h + E)) with no walk back up the BFS tree.
-  next_.assign(h * h, kNoHead);
+  // The next-clusterhead rule reads the distance *to* head b off b's own
+  // row, so every overlay edge needs its reverse.  Checked in O(E) against
+  // the transposed rows: when each row's targets lie in its in-row, the
+  // sizes add up to E on both sides and the rows are equal.
+  std::vector<std::uint32_t> in_degree(h, 0);
+  for (std::uint32_t a = 0; a < h; ++a) {
+    for (const OverlayEdge& e : overlay_[a]) ++in_degree[e.to];
+  }
+  auto in_rows = graph::FlatRows<std::uint32_t>::sized(in_degree);
+  for (std::uint32_t a = 0; a < h; ++a) {
+    for (const OverlayEdge& e : overlay_[a]) {
+      in_rows.mutable_row(e.to)[--in_degree[e.to]] = a;
+    }
+  }
+  std::fill(seen.begin(), seen.end(), 0);
+  for (std::uint32_t b = 0; b < h; ++b) {
+    for (const std::uint32_t a : in_rows[b]) seen[a] = b + 1;
+    for (const OverlayEdge& e : overlay_[b]) {
+      WCDS_REQUIRE(seen[e.to] == b + 1,
+                   "ClusterheadRouter: head "
+                       << heads_[b] << " lists head " << heads_[e.to]
+                       << " as an overlay neighbor but not the reverse");
+    }
+  }
+
+  // Distance table: BFS per head over the overlay, kept for the next-
+  // clusterhead rule and for candidate ordering in the service layer
+  // (nearest advertising domain first).  A shortest path has at most h - 1
+  // edges, so the distances fit below kUnreachableDistance.
+  WCDS_REQUIRE(h < kUnreachableDistance,
+               "ClusterheadRouter: " << h << " clusterheads overflow the "
+                                        "16-bit distance table");
   dist_.assign(h * h, kUnreachableDistance);
   std::vector<std::uint32_t> frontier(h);
   for (std::uint32_t src = 0; src < h; ++src) {
-    std::uint32_t* const first = &next_[src * h];
-    std::uint16_t* const dist = &dist_[src * h];
+    std::uint16_t* const dist = &dist_[static_cast<std::size_t>(src) * h];
     dist[src] = 0;
     frontier[0] = src;
     std::size_t tail = 1;
@@ -87,9 +110,7 @@ ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
       const std::uint32_t a = frontier[at];
       for (const OverlayEdge& e : overlay_[a]) {
         if (dist[e.to] != kUnreachableDistance) continue;  // visited
-        dist[e.to] = static_cast<std::uint16_t>(std::min<std::uint32_t>(
-            dist[a] + 1u, kUnreachableDistance - 1u));
-        first[e.to] = a == src ? e.to : first[a];
+        dist[e.to] = static_cast<std::uint16_t>(dist[a] + 1);
         frontier[tail++] = e.to;
       }
     }
@@ -102,7 +123,7 @@ NodeId ClusterheadRouter::next_clusterhead(NodeId from_head,
   const std::uint32_t to = index_[to_head];
   if (from == kNoHead || to == kNoHead) return kInvalidNode;
   if (from == to) return from_head;
-  const std::uint32_t step = next_[from * heads_.size() + to];
+  const std::uint32_t step = next_head_index(from, to);
   return step == kNoHead ? kInvalidNode : heads_[step];
 }
 
@@ -111,7 +132,7 @@ std::uint32_t ClusterheadRouter::overlay_distance(NodeId from_head,
   const std::uint32_t from = index_[from_head];
   const std::uint32_t to = index_[to_head];
   if (from == kNoHead || to == kNoHead) return kNoHead;
-  const std::uint16_t d = dist_[from * heads_.size() + to];
+  const std::uint16_t d = distance_row(from)[to];
   return d == kUnreachableDistance ? kNoHead : d;
 }
 
@@ -156,13 +177,12 @@ Route ClusterheadRouter::route(NodeId src, NodeId dst) const {
   std::uint32_t at = index_[src_head];
   const std::uint32_t goal = index_[dst_head];
   while (at != goal) {
-    const std::uint32_t step = next_head_index(at, goal);
-    if (step == kNoHead) return r;  // overlay disconnected: undeliverable
-    const Leg edge = leg(at, step);
-    r.path.push_back(edge.via1);
-    if (edge.via2 != kInvalidNode) r.path.push_back(edge.via2);
-    r.path.push_back(heads_[step]);
-    at = step;
+    const Hop hop = next_hop(at, goal);
+    if (hop.head == kNoHead) return r;  // overlay disconnected: undeliverable
+    r.path.push_back(hop.leg.via1);
+    if (hop.leg.via2 != kInvalidNode) r.path.push_back(hop.leg.via2);
+    r.path.push_back(heads_[hop.head]);
+    at = hop.head;
   }
   if (dst != dst_head) r.path.push_back(dst);
   r.delivered = true;

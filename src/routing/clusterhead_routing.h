@@ -13,8 +13,13 @@
 // Concretely: the clusterhead overlay graph H has the MIS-dominators as
 // vertices and an edge per 2-hop pair (expanded through the 2HopDomList
 // intermediate) and per bridged 3-hop pair (expanded through the selected
-// additional-dominator path u-v-x-w).  Next-clusterhead tables are built by
-// BFS per clusterhead over H.  Every expanded hop is a black (spanner) edge.
+// additional-dominator path u-v-x-w).  H is symmetric, and one BFS per
+// clusterhead over H fills an h x h table of overlay hop distances.  There
+// is no separate next-hop table: the next clusterhead from a toward b is the
+// first head in a's overlay row, in row order, that is one hop closer to b.
+// That is exactly the first hop a FIFO BFS from a assigns to b, because the
+// BFS frontier is ordered by the row index of its first hops.  Every
+// expanded hop is a black (spanner) edge.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +36,13 @@ namespace wcds::routing {
 
 class ClusterheadRouter final : public Router {
  public:
-  // Builds clusterhead assignments, the overlay and the routing tables from
+  // Builds clusterhead assignments, the overlay and the distance table from
   // an Algorithm II run on g.  Both arguments are borrowed: `g` and the
   // view's backing storage must outlive the router.  The dominator lists
   // are only read during construction; throws std::invalid_argument unless
-  // they cover every node of g (an Algorithm I report has none).
+  // they cover every node of g (an Algorithm I report has none) and every
+  // overlay edge they yield has its reverse (the next-clusterhead rule reads
+  // distances to a head off that head's own row).
   ClusterheadRouter(const graph::Graph& g, core::Algorithm2View wcds);
 
   // Route a unicast packet.  Adjacent pairs use the direct edge; everything
@@ -52,7 +59,8 @@ class ClusterheadRouter final : public Router {
 
   // The next clusterhead after head `from` on the overlay path toward head
   // `to`; kInvalidNode if unreachable.  This is exactly the routing-table
-  // entry the paper stores at each MIS-dominator.
+  // entry the paper stores at each MIS-dominator, read off the distance
+  // table by the rule in the header comment.
   [[nodiscard]] NodeId next_clusterhead(NodeId from_head, NodeId to_head) const;
 
   // Expand the overlay edge from head `from` to its overlay-neighbor head
@@ -67,6 +75,13 @@ class ClusterheadRouter final : public Router {
   struct Leg {
     NodeId via1 = kInvalidNode;
     NodeId via2 = kInvalidNode;
+  };
+
+  // One entry of a head's overlay row: the neighbor head and the leg to it.
+  struct OverlayEdge {
+    std::uint32_t to = 0;              // dense head index
+    NodeId via1 = kInvalidNode;        // always set
+    NodeId via2 = kInvalidNode;        // set for 3-hop edges
   };
 
   [[nodiscard]] bool is_clusterhead(NodeId u) const {
@@ -87,23 +102,45 @@ class ClusterheadRouter final : public Router {
 
   // Dense-index forms of the table accessors, for per-request hot paths that
   // already hold head indices.  distance_row(a)[b] is the overlay hop count
-  // from head a to head b, kUnreachableDistance if unreachable: one
-  // contiguous row, so a scan over candidate heads reads a single table
-  // row.  next_head_index(a, b) is the dense index of the next head after a
-  // toward b (0xFFFFFFFF if unreachable or a == b), and leg(a, b) the
-  // intermediates of overlay edge a -> b (std::logic_error if a -> b is
-  // not an overlay edge).
+  // from head a to head b (equal to that from b to a), kUnreachableDistance
+  // if unreachable: one contiguous row, so a scan over candidate heads reads
+  // a single table row.  next_hop(a, b) is the next head after a toward b
+  // (head 0xFFFFFFFF if unreachable or a == b) together with the leg of that
+  // overlay edge, found in one scan of a's overlay row against b's distance
+  // row; next_head_index(a, b) is its head.  leg(a, b) is the intermediates
+  // of overlay edge a -> b (std::logic_error if a -> b is not an overlay
+  // edge), and overlay_row(a) head a's overlay edges in row order.
   static constexpr std::uint16_t kUnreachableDistance = 0xFFFFu;
   [[nodiscard]] std::span<const std::uint16_t> distance_row(
       std::uint32_t head_idx) const {
     return std::span<const std::uint16_t>(dist_).subspan(
         static_cast<std::size_t>(head_idx) * heads_.size(), heads_.size());
   }
+  struct Hop {
+    std::uint32_t head = 0xFFFFFFFFu;  // dense head index
+    Leg leg;
+  };
+  [[nodiscard]] Hop next_hop(std::uint32_t from_idx,
+                             std::uint32_t to_idx) const {
+    // The overlay is symmetric, so b's own row holds every head's distance
+    // to b, and a walk toward b reads that one row at every hop.
+    const std::span<const std::uint16_t> to_b = distance_row(to_idx);
+    const std::uint32_t d = to_b[from_idx];
+    if (d == 0 || d == kUnreachableDistance) return {};
+    for (const OverlayEdge& e : overlay_[from_idx]) {
+      if (to_b[e.to] + 1u == d) return {e.to, {e.via1, e.via2}};
+    }
+    return {};  // not reached: a head at distance d has a neighbor at d - 1
+  }
   [[nodiscard]] std::uint32_t next_head_index(std::uint32_t from_idx,
                                               std::uint32_t to_idx) const {
-    return next_[static_cast<std::size_t>(from_idx) * heads_.size() + to_idx];
+    return next_hop(from_idx, to_idx).head;
   }
   [[nodiscard]] Leg leg(std::uint32_t from_idx, std::uint32_t to_idx) const;
+  [[nodiscard]] std::span<const OverlayEdge> overlay_row(
+      std::uint32_t head_idx) const {
+    return overlay_[head_idx];
+  }
 
   // Diagnostics for experiment T5.
   [[nodiscard]] std::size_t clusterhead_count() const {
@@ -112,7 +149,8 @@ class ClusterheadRouter final : public Router {
   [[nodiscard]] std::size_t overlay_edge_count() const {
     return overlay_edges_;
   }
-  // Total next-hop table entries held across all clusterheads.
+  // Total overlay-distance table entries held across all clusterheads (one
+  // per ordered head pair; the next clusterhead is read off them).
   [[nodiscard]] std::size_t table_entries() const {
     return heads_.size() * heads_.size();
   }
@@ -122,17 +160,10 @@ class ClusterheadRouter final : public Router {
   std::vector<NodeId> clusterhead_;
   std::vector<NodeId> heads_;          // MIS-dominators, ascending
   std::vector<std::uint32_t> index_;   // node -> dense head index
-  // Per ordered head pair: the intermediate(s), or empty if not an overlay
-  // edge.  One flat row per head (by dense head index), in list order.
-  struct OverlayEdge {
-    std::uint32_t to = 0;              // dense head index
-    NodeId via1 = kInvalidNode;        // always set
-    NodeId via2 = kInvalidNode;        // set for 3-hop edges
-  };
+  // Overlay edges, one flat row per head (by dense head index), in list
+  // order; the row order fixes which shortest path next_hop takes.
   graph::FlatRows<OverlayEdge> overlay_;
   std::size_t overlay_edges_ = 0;
-  // next_[a * heads + b]: dense index of the next head after a toward b.
-  std::vector<std::uint32_t> next_;
   // dist_[a * heads + b]: overlay hop count from a to b
   // (kUnreachableDistance if unreachable).
   std::vector<std::uint16_t> dist_;

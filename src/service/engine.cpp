@@ -115,51 +115,66 @@ ServingEngine::ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
     domain[u] = router_.head_index(router_.clusterhead(u));
   }
 
-  // Exact per-domain provider tables as one CSR over (head, service).
-  prov_off_.assign(heads * services + 1, 0);
+  // Each node's services in one block: the local and neighbor steps read
+  // these rows, not the registry's per-node vectors.
+  node_services_.reset(n, registry.advertisement_count());
   for (NodeId u = 0; u < n; ++u) {
     for (const ServiceId s : registry.services_at(u)) {
-      ++prov_off_[domain[u] * services + s + 1];
+      node_services_.push_back(s);
+    }
+    node_services_.close_row();
+  }
+
+  // Exact per-domain provider rows: every advertisement laid out in its
+  // domain's row, each row sorted by (service, provider), and the first
+  // entry per service kept -- the domain's smallest provider.
+  std::vector<std::uint32_t> fill(heads, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    fill[domain[u]] += static_cast<std::uint32_t>(node_services_[u].size());
+  }
+  auto advertised = graph::FlatRows<DomainProvider>::sized(fill);
+  for (NodeId u = 0; u < n; ++u) {
+    const std::span<DomainProvider> row = advertised.mutable_row(domain[u]);
+    for (const ServiceId s : node_services_[u]) {
+      row[--fill[domain[u]]] = {s, u};
     }
   }
-  for (std::size_t i = 1; i < prov_off_.size(); ++i) {
-    prov_off_[i] += prov_off_[i - 1];
-  }
-  prov_.resize(registry.advertisement_count());
-  std::vector<std::uint32_t> cursor(prov_off_.begin(), prov_off_.end() - 1);
-  for (NodeId u = 0; u < n; ++u) {  // ascending u => sorted provider runs
-    for (const ServiceId s : registry.services_at(u)) {
-      prov_[cursor[domain[u] * services + s]++] = u;
+  providers_.reset(heads, advertised.entry_count());
+  for (std::size_t h = 0; h < heads; ++h) {
+    const std::span<DomainProvider> row = advertised.mutable_row(h);
+    std::sort(row.begin(), row.end(),
+              [](const DomainProvider& x, const DomainProvider& y) {
+                return x.service != y.service ? x.service < y.service
+                                              : x.provider < y.provider;
+              });
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (i == 0 || row[i].service != row[i - 1].service) {
+        providers_.push_back(row[i]);
+      }
     }
+    providers_.close_row();
   }
 
   // Clusterhead Bloom summaries: one insertion per distinct (domain,
   // service) advertisement, sized to the domain's distinct service count.
   blooms_.reserve(heads);
   for (std::size_t h = 0; h < heads; ++h) {
-    std::size_t distinct = 0;
-    for (std::size_t s = 0; s < services; ++s) {
-      const std::size_t cell = h * services + s;
-      if (prov_off_[cell + 1] > prov_off_[cell]) ++distinct;
-    }
-    BloomFilter bloom(opts_.bloom, distinct);
-    for (std::size_t s = 0; s < services; ++s) {
-      const std::size_t cell = h * services + s;
-      if (prov_off_[cell + 1] > prov_off_[cell]) {
-        bloom.insert(registry.key(static_cast<ServiceId>(s)));
-      }
+    BloomFilter bloom(opts_.bloom, providers_[h].size());
+    for (const DomainProvider& e : providers_[h]) {
+      bloom.insert(registry.key(e.service));
     }
     blooms_.push_back(std::move(bloom));
   }
 
   // Bloom-positive domains per service: the candidate universe a requesting
   // clusterhead works through (includes false positives by design).
-  advertisers_.assign(services, {});
+  advertisers_.reset(services, providers_.entry_count());
   for (std::size_t s = 0; s < services; ++s) {
     const std::uint64_t key = registry.key(static_cast<ServiceId>(s));
     for (std::uint32_t h = 0; h < heads; ++h) {
-      if (blooms_[h].may_contain(key)) advertisers_[s].push_back(h);
+      if (blooms_[h].may_contain(key)) advertisers_.push_back(h);
     }
+    advertisers_.close_row();
   }
 
   // Fault plan digestion: crash windows per node, per-link drop table.
@@ -235,29 +250,37 @@ bool ServingEngine::walk_overlay(std::uint32_t from, std::uint32_t to,
                                  Outcome& out) const {
   const std::span<const NodeId> heads = router_.heads();
   while (from != to) {
-    const std::uint32_t step = router_.next_head_index(from, to);
-    if (step == kNoHeadIndex) return false;  // overlay disconnected
-    const routing::ClusterheadRouter::Leg leg = router_.leg(from, step);
+    const routing::ClusterheadRouter::Hop hop = router_.next_hop(from, to);
+    if (hop.head == kNoHeadIndex) return false;  // overlay disconnected
     NodeId prev = heads[from];
-    if (!transmit(prev, leg.via1, rng, now, out)) return false;
-    prev = leg.via1;
-    if (leg.via2 != kInvalidNode) {
-      if (!transmit(prev, leg.via2, rng, now, out)) return false;
-      prev = leg.via2;
+    if (!transmit(prev, hop.leg.via1, rng, now, out)) return false;
+    prev = hop.leg.via1;
+    if (hop.leg.via2 != kInvalidNode) {
+      if (!transmit(prev, hop.leg.via2, rng, now, out)) return false;
+      prev = hop.leg.via2;
     }
-    if (!transmit(prev, heads[step], rng, now, out)) return false;
-    from = step;
+    if (!transmit(prev, heads[hop.head], rng, now, out)) return false;
+    from = hop.head;
   }
   return true;
 }
 
 NodeId ServingEngine::domain_provider(std::uint32_t head_index,
                                       ServiceId service) const {
-  const std::size_t cell =
-      static_cast<std::size_t>(head_index) * registry_.service_count() +
-      service;
-  if (prov_off_[cell + 1] == prov_off_[cell]) return kInvalidNode;
-  return prov_[prov_off_[cell]];  // smallest node id in the domain
+  const std::span<const DomainProvider> row = providers_[head_index];
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), service,
+      [](const DomainProvider& e, ServiceId s) { return e.service < s; });
+  return it != row.end() && it->service == service ? it->provider
+                                                   : kInvalidNode;
+}
+
+bool ServingEngine::offers(NodeId node, ServiceId service) const {
+  // A node advertises a handful of services, and the neighbor step asks
+  // every neighbor of the source: on rows that short a linear scan beats
+  // the unpredictable branches of a binary search.
+  const std::span<const ServiceId> row = node_services_[node];
+  return std::find(row.begin(), row.end(), service) != row.end();
 }
 
 Outcome ServingEngine::serve(const Request& request,
@@ -270,7 +293,7 @@ Outcome ServingEngine::serve(const Request& request,
   const ServiceId s = request.service;
 
   // 1. Local: the source provides the service itself — no radio involved.
-  if (registry_.provides(src, s)) {
+  if (offers(src, s)) {
     out.provider = src;
     out.delivered = 1;
     out.resolution = Resolution::kLocal;
@@ -285,7 +308,7 @@ Outcome ServingEngine::serve(const Request& request,
   // 2. Neighbor: the smallest adjacent provider, one direct hop (the
   // paper's single-hop rule for adjacent pairs; CSR rows are ascending).
   for (const NodeId v : g_.neighbors(src)) {
-    if (!registry_.provides(v, s)) continue;
+    if (!offers(v, s)) continue;
     if (transmit(src, v, rng, now, out)) {
       out.provider = v;
       out.delivered = 1;
@@ -308,7 +331,7 @@ Outcome ServingEngine::serve(const Request& request,
   }
   const std::uint32_t head_idx = router_.head_index(head);
 
-  // 3. Intra-domain: the clusterhead's exact table has a provider.
+  // 3. Intra-domain: the clusterhead's exact provider row has a provider.
   if (const NodeId p = domain_provider(head_idx, s); p != kInvalidNode) {
     if (p == head || transmit(head, p, rng, now, out)) {
       out.provider = p;

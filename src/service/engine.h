@@ -3,7 +3,7 @@
 // The DS-SCN shape on top of the paper's §4.2 routing machinery: every node
 // advertises named services to its clusterhead (ServiceRegistry); every
 // clusterhead aggregates its domain's advertisements into a Bloom filter
-// plus an exact per-domain provider table; a request for a service name is
+// plus an exact per-domain provider row; a request for a service name is
 // resolved
 //
 //   1. locally        — the source itself provides the service (no radio);
@@ -15,8 +15,8 @@
 //                       Bloom summaries, orders the positive candidates by
 //                       overlay distance (ties by head id), and forwards the
 //                       request clusterhead -> clusterhead over the §4.2
-//                       next-clusterhead tables, every physical hop a black
-//                       spanner edge.  A candidate whose exact table has no
+//                       next-clusterhead rule, every physical hop a black
+//                       spanner edge.  A candidate whose exact row has no
 //                       provider was a Bloom false positive: the request
 //                       continues to the next candidate (extra probe hops,
 //                       never misdelivery).
@@ -29,6 +29,11 @@
 // entropy comes from a Xoshiro stream seeded by (plan seed, salt, index),
 // which is what makes serve_batch byte-identical at any thread count
 // (docs/SERVING.md has the full determinism argument).
+//
+// Besides the graph's rows and the fault tables, a request reads only flat
+// state the engine sizes at construction: the nodes' service rows, the
+// domains' provider rows, the Bloom-positive domains per service and the
+// router's overlay rows and distance table.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +43,7 @@
 
 #include "fault/plan.h"
 #include "geom/rng.h"
+#include "graph/flat_rows.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "obs/recorder.h"
@@ -172,21 +178,28 @@ class ServingEngine {
   // kInvalidNode.
   [[nodiscard]] NodeId domain_provider(std::uint32_t head_index,
                                        ServiceId service) const;
+  // Whether `node` advertises `service` (a scan of its service row).
+  [[nodiscard]] bool offers(NodeId node, ServiceId service) const;
 
   const graph::Graph& g_;
   const ServiceRegistry& registry_;
   ServingOptions opts_;
   routing::ClusterheadRouter router_;
 
+  // Each node's advertised services, ascending: the registry's rows copied
+  // into one block.
+  graph::FlatRows<ServiceId> node_services_;
   // Per-head Bloom summaries (dense head index order).
   std::vector<BloomFilter> blooms_;
-  // Exact per-domain provider tables, CSR over (head, service): providers
-  // of service s in head h's domain are prov_[prov_off_[h * S + s] ..
-  // prov_off_[h * S + s + 1]), sorted by node id.
-  std::vector<std::uint32_t> prov_off_;
-  std::vector<NodeId> prov_;
+  // Exact per-domain provider rows (dense head index order): one entry per
+  // service advertised in the domain, ascending by service.
+  struct DomainProvider {
+    ServiceId service = kInvalidService;
+    NodeId provider = kInvalidNode;  // smallest advertiser in the domain
+  };
+  graph::FlatRows<DomainProvider> providers_;
   // Bloom-positive domains per service, ascending dense head index.
-  std::vector<std::vector<std::uint32_t>> advertisers_;
+  graph::FlatRows<std::uint32_t> advertisers_;
   // Crash windows per node ([down_from, up_at) pairs); empty when no plan.
   std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> crash_;
   // Per-directed-CSR-slot drop probability; empty unless the plan carries

@@ -55,6 +55,8 @@ void ServiceRegistry::advertise(NodeId node, ServiceId service) {
 }
 
 bool ServiceRegistry::provides(NodeId node, ServiceId service) const {
+  WCDS_REQUIRE_BOUNDS(node < per_node_.size(),
+                      "ServiceRegistry::provides: bad node");
   const auto& services = per_node_[node];
   return std::binary_search(services.begin(), services.end(), service);
 }

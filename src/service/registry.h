@@ -9,7 +9,7 @@
 // The registry is the *ground truth* the serving engine's clusterheads
 // aggregate: each clusterhead inserts its domain members' service keys into
 // its Bloom filter and additionally keeps the exact per-domain provider
-// table, so Bloom false positives are detected at the candidate clusterhead
+// row, so Bloom false positives are detected at the candidate clusterhead
 // rather than turning into misdelivery.
 #pragma once
 

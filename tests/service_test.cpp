@@ -115,6 +115,16 @@ TEST(Registry, AdvertisementsAreSortedDedupedBidirectional) {
   EXPECT_EQ(reg.find("absent"), kInvalidService);
 }
 
+TEST(Registry, NodeQueriesRejectOutOfRangeNodes) {
+  ServiceRegistry reg(3);
+  const ServiceId s = reg.intern("printing");
+  reg.advertise(2, s);
+  EXPECT_TRUE(reg.provides(2, s));
+  EXPECT_THROW((void)reg.provides(3, s), std::out_of_range);
+  EXPECT_THROW((void)reg.services_at(3), std::out_of_range);
+  EXPECT_THROW(reg.advertise(3, s), std::out_of_range);
+}
+
 TEST(Registry, UniformRegistryIsDeterministicAndWellFormed) {
   const auto a = uniform_registry(64, 16, 3, 99);
   const auto b = uniform_registry(64, 16, 3, 99);
