@@ -96,7 +96,6 @@ sim::SimTime Injector::extra_delay() {
   // run draws jitter or none does, so the stream position still depends only
   // on the delivery sequence.  (Drawing next_below(1) unconditionally would
   // also shift every existing zero-jitter trace.)
-  // wcds-lint: allow(rng-draw-discipline)
   return rng_.next_below(plan_.max_jitter + 1);
 }
 

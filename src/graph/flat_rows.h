@@ -44,6 +44,8 @@ class FlatRows {
   void close_row() {
     offsets_.push_back(static_cast<std::uint32_t>(entries_.size()));
   }
+  // Releases entry capacity a row-order fill left beyond its hint.
+  void shrink_to_fit() { entries_.shrink_to_fit(); }
 
   // Counted filling: row r holds counts[r] value-initialised entries.
   [[nodiscard]] static FlatRows sized(std::span<const std::uint32_t> counts) {

@@ -167,7 +167,9 @@ ServingEngine::ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
   }
 
   // Bloom-positive domains per service: the candidate universe a requesting
-  // clusterhead works through (includes false positives by design).
+  // clusterhead works through (includes false positives by design).  The
+  // hint counts the true positives only; false positives grow past it, so
+  // the spare capacity is released once the table is filled.
   advertisers_.reset(services, providers_.entry_count());
   for (std::size_t s = 0; s < services; ++s) {
     const std::uint64_t key = registry.key(static_cast<ServiceId>(s));
@@ -176,6 +178,7 @@ ServingEngine::ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
     }
     advertisers_.close_row();
   }
+  advertisers_.shrink_to_fit();
 
   // Fault plan digestion: crash windows per node, per-link drop table.
   const fault::Plan* plan = opts_.faults;
@@ -230,7 +233,6 @@ bool ServingEngine::transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
         // same hop draws identically on every attempt; skipping the draw on
         // loss-free links is deliberate — it keeps fault-free serving traces
         // byte-identical to the pre-fault-injection ones.
-        // wcds-lint: allow(rng-draw-discipline)
         if (p > 0.0 && rng.next_double() < p) ok = false;
       }
     }

@@ -183,7 +183,7 @@ struct RunStats {
   std::uint64_t dropped = 0;
   SimTime completion_time = 0;              // paper's time complexity
   // Post-run summary, not touched during delivery.
-  std::map<MessageType, std::uint64_t> per_type;  // wcds-lint: allow(hot-path-alloc)
+  std::map<MessageType, std::uint64_t> per_type;
   bool quiescent = false;                   // false iff the budget tripped
 
   friend bool operator==(const RunStats&, const RunStats&) = default;
@@ -192,7 +192,7 @@ struct RunStats {
 class Runtime {
  public:
   // Called once per node at construction, never during delivery.
-  using NodeFactory = std::function<std::unique_ptr<ProtocolNode>(NodeId)>;  // wcds-lint: allow(hot-path-alloc)
+  using NodeFactory = std::function<std::unique_ptr<ProtocolNode>(NodeId)>;
 
   // `faults` (null by default) injects deterministic message loss,
   // duplication, delay noise and node crashes into the delivery path; see

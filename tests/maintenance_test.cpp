@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include "check/check.h"
 #include "churn_mix.h"
+#include "dynamic_wcds_peer.h"
 #include "geom/rng.h"
 #include "geom/workload.h"
+#include "graph/bfs.h"
 #include "maintenance/crash_schedule.h"
 #include "maintenance/dynamic_wcds.h"
 #include "maintenance/incremental_udg.h"
@@ -213,6 +216,34 @@ TEST(DynamicWcds, MoveIntoIsolationStillAudits) {
   (void)dyn.move_node(5, {1e5, 1e5});
   EXPECT_TRUE(dyn.audit().ok());
   EXPECT_TRUE(dyn.is_mis_dominator(5));
+}
+
+// Every event audits the whole network before it returns, not only the ball
+// it repaired: an MIS bit flipped more than 3 hops away (a dominated node
+// joining the MIS breaks independence) survives the local repair, so each
+// event's closing maybe_audit must throw — after the event has applied.
+TEST(DynamicWcds, EveryEventAuditsBeyondItsRepairBall) {
+  const bool audits_were = check::set_audits_enabled(true);
+  DynamicWcds dyn(deployment(300, 10.0, 4));
+  const graph::Graph g = dyn.active_graph();
+  NodeId corrupt = 0;
+  while (dyn.is_mis_dominator(corrupt) || g.degree(corrupt) == 0) ++corrupt;
+  const std::vector<HopCount> hops = graph::bfs_distances(g, corrupt);
+  NodeId u = corrupt;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    if (hops[v] != kUnreachable && hops[v] > hops[u]) u = v;
+  }
+  ASSERT_GT(hops[u], 3u);
+  DynamicWcdsTestPeer::set_mis(dyn, corrupt, true);
+
+  const geom::Point to{dyn.position(u).x + 0.05, dyn.position(u).y};
+  EXPECT_THROW((void)dyn.move_node(u, to), check::CheckError);
+  EXPECT_EQ(dyn.position(u), to);
+  EXPECT_THROW((void)dyn.deactivate(u), check::CheckError);
+  EXPECT_FALSE(dyn.is_active(u));
+  EXPECT_THROW((void)dyn.activate(u), check::CheckError);
+  EXPECT_TRUE(dyn.is_active(u));
+  check::set_audits_enabled(audits_were);
 }
 
 // The work witness: the nodes an event's bounded searches visit stay within

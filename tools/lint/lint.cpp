@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -246,78 +245,6 @@ std::string format_diagnostic_github(const Diagnostic& diagnostic) {
   return out.str();
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string format_sarif(const std::vector<Diagnostic>& diagnostics) {
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"version\": \"2.1.0\",\n"
-      << "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-      << "  \"runs\": [\n"
-      << "    {\n"
-      << "      \"tool\": {\n"
-      << "        \"driver\": {\n"
-      << "          \"name\": \"wcds_lint\",\n"
-      << "          \"rules\": [\n";
-  const std::vector<RuleInfo>& all = rules();
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    out << "            {\"id\": \"" << json_escape(all[i].name)
-        << "\", \"shortDescription\": {\"text\": \""
-        << json_escape(all[i].summary) << "\"}}"
-        << (i + 1 < all.size() ? "," : "") << "\n";
-  }
-  out << "          ]\n"
-      << "        }\n"
-      << "      },\n"
-      << "      \"results\": [\n";
-  for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-    const Diagnostic& diag = diagnostics[i];
-    // SARIF regions are 1-based; synthetic whole-config diagnostics (the
-    // layer-dag cycle report) carry line 0 and clamp to 1.
-    const int line = diag.line < 1 ? 1 : diag.line;
-    out << "        {\n"
-        << "          \"ruleId\": \"" << json_escape(diag.rule) << "\",\n"
-        << "          \"level\": \"error\",\n"
-        << "          \"message\": {\"text\": \"" << json_escape(diag.message)
-        << "\"},\n"
-        << "          \"locations\": [{\"physicalLocation\": "
-        << "{\"artifactLocation\": {\"uri\": \"" << json_escape(diag.file)
-        << "\"}, \"region\": {\"startLine\": " << line << "}}}]\n"
-        << "        }" << (i + 1 < diagnostics.size() ? "," : "") << "\n";
-  }
-  out << "      ]\n"
-      << "    }\n"
-      << "  ]\n"
-      << "}\n";
-  return out.str();
-}
-
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> kRules = {
       {"no-bare-assert",
@@ -325,17 +252,12 @@ const std::vector<RuleInfo>& rules() {
       {"paper-constant",
        "raw Lemma 1/2 packing literals (5/23/24/47/48) must use the named "
        "constants in src/check/audit.h"},
-      {"hot-path-alloc",
-       "std::map/std::function/std::shared_ptr/new are forbidden in the "
-       "allocation-free sim delivery files; allocations inside loops are "
-       "forbidden throughout the hot modules (sim, parallel, service)"},
       {"message-type-registry",
        "every *MessageType enumerator needs a trace-name entry "
        "(case kX: return \"...\")"},
       {"metric-doc-sync",
        "every obs::Recorder metric name must be documented in "
        "docs/OBSERVABILITY.md"},
-      {"pragma-once", "headers start with exactly one #pragma once"},
       {"include-hygiene", "no ../ or <bits/...> includes"},
       {"no-unordered-iteration",
        "no range-for / iterator walk over std::unordered_{map,set} in "
@@ -353,18 +275,6 @@ const std::vector<RuleInfo>& rules() {
        "direct core::algorithm1/2 / protocols::run_algorithm1/2 calls "
        "outside wcds/, protocols/, facade/ and BM_ bench bodies must use "
        "core::build() / bench::build_with()"},
-      {"lock-order",
-       "the cross-file lock-acquisition graph (scoped MutexLock, "
-       "WCDS_REQUIRES/WCDS_ACQUIRE, transitive calls) must be acyclic: a "
-       "cycle is a potential deadlock"},
-      {"audit-after-mutation",
-       "every CFG path in maintenance/ and wcds/ that mutates backbone "
-       "state must reach check::audit_invariants (or a wrapper) before "
-       "returning"},
-      {"rng-draw-discipline",
-       "in fault::Injector and service/ seeded streams, no branch may skip "
-       "an RNG draw its sibling path performs (stream position must be a "
-       "pure function of the call sequence)"},
   };
   return kRules;
 }
@@ -464,50 +374,12 @@ std::string module_for(const std::string& path, const Config& config) {
   return best_module;
 }
 
-std::uint64_t config_fingerprint(const Config& config) {
-  // Canonical encoding of every Config field phase 1 reads; \x1d / \x1f are
-  // field / item separators that cannot appear in paths or module names.
-  std::ostringstream out;
-  const auto field = [&out](std::string_view tag) { out << '\x1d' << tag; };
-  const auto item = [&out](std::string_view value) { out << '\x1f' << value; };
-  field("paper_constant_exempt");
-  for (const std::string& v : config.paper_constant_exempt) item(v);
-  field("hot_path_files");
-  for (const std::string& v : config.hot_path_files) item(v);
-  field("trace_affecting_modules");
-  for (const std::string& v : config.trace_affecting_modules) item(v);
-  field("trace_affecting_prefixes");
-  for (const std::string& v : config.trace_affecting_prefixes) item(v);
-  field("entropy_scope_prefixes");
-  for (const std::string& v : config.entropy_scope_prefixes) item(v);
-  field("entropy_boundary_files");
-  for (const std::string& v : config.entropy_boundary_files) item(v);
-  field("facade_only_exempt_modules");
-  for (const std::string& v : config.facade_only_exempt_modules) item(v);
-  field("module_prefixes");
-  for (const auto& [prefix, module] : config.module_prefixes) {
-    item(prefix);
-    item(module);
-  }
-  field("module_overrides");
-  for (const auto& [exact, module] : config.module_overrides) {
-    item(exact);
-    item(module);
-  }
-  return fnv1a64(out.str());
-}
-
 // --- phase 1: fact extraction ----------------------------------------------
 
 namespace {
 
 bool in_src(const std::string& path) {
   return std::string_view(path).starts_with("src/");
-}
-
-bool is_header_path(const std::string& path) {
-  const std::string_view view = path;
-  return view.ends_with(".h") || view.ends_with(".hpp");
 }
 
 // True when the file's container-iteration / pointer-order nondeterminism
@@ -1059,67 +931,6 @@ void rule_paper_constant(const SourceFile& file, const Config& config,
   }
 }
 
-void rule_hot_path_alloc(const SourceFile& file, const Config& config,
-                         std::vector<Diagnostic>& diags) {
-  const bool guarded =
-      std::find(config.hot_path_files.begin(), config.hot_path_files.end(),
-                file.path) != config.hot_path_files.end();
-  if (!guarded) return;
-  static constexpr std::string_view kPatterns[] = {
-      "std::map", "std::function", "std::shared_ptr", "std::make_shared"};
-  for (std::size_t i = 0; i < file.pure.size(); ++i) {
-    const std::string& line = file.pure[i];
-    for (const std::string_view pattern : kPatterns) {
-      std::size_t pos = 0;
-      while ((pos = line.find(pattern, pos)) != std::string::npos) {
-        const std::size_t end = pos + pattern.size();
-        if (end >= line.size() || !is_word(line[end])) {
-          diags.push_back(
-              {file.path, static_cast<int>(i + 1), "hot-path-alloc",
-               std::string(pattern) +
-                   " in an allocation-free sim delivery file; the hot path "
-                   "must stay POD + pooled (docs/PERFORMANCE.md)"});
-        }
-        pos = end;
-      }
-    }
-    std::size_t pos = 0;
-    while ((pos = find_token(line, "new", pos)) != std::string_view::npos) {
-      diags.push_back({file.path, static_cast<int>(i + 1), "hot-path-alloc",
-                       "bare `new` in an allocation-free sim delivery file; "
-                       "use the message pool / preallocated buffers "
-                       "(docs/PERFORMANCE.md)"});
-      pos += 3;
-    }
-  }
-}
-
-void rule_pragma_once(const SourceFile& file, std::vector<Diagnostic>& diags) {
-  if (!is_header_path(file.path)) return;
-  int first_code_line = 0;  // 1-based; 0 = none
-  int pragma_count = 0;
-  for (std::size_t i = 0; i < file.pure.size(); ++i) {
-    const std::string_view line = trim(file.pure[i]);
-    if (line.empty()) continue;
-    if (first_code_line == 0) first_code_line = static_cast<int>(i + 1);
-    if (line == "#pragma once") {
-      ++pragma_count;
-      if (pragma_count == 1 && first_code_line != static_cast<int>(i + 1)) {
-        diags.push_back({file.path, static_cast<int>(i + 1), "pragma-once",
-                         "#pragma once must be the first non-comment line of "
-                         "the header"});
-      } else if (pragma_count > 1) {
-        diags.push_back({file.path, static_cast<int>(i + 1), "pragma-once",
-                         "duplicate #pragma once"});
-      }
-    }
-  }
-  if (pragma_count == 0 && first_code_line != 0) {
-    diags.push_back({file.path, first_code_line, "pragma-once",
-                     "header is missing #pragma once"});
-  }
-}
-
 void rule_include_hygiene(const SourceFile& file,
                           std::vector<Diagnostic>& diags) {
   for (std::size_t i = 0; i < file.code.size(); ++i) {
@@ -1505,7 +1316,6 @@ FileIndex analyze_file(const std::string& path, const std::string& content,
   const SourceFile source = annotate_source(path, content);
   FileIndex index;
   index.path = path;
-  index.content_hash = fnv1a64(content);
   index.module = module_for(path, config);
 
   index.includes = extract_includes(source);
@@ -1516,7 +1326,6 @@ FileIndex analyze_file(const std::string& path, const std::string& content,
   collect_message_type_enumerators(source, index.enumerators);
   index.named_cases = collect_named_cases(source);
   index.metric_uses = collect_metric_uses(source);
-  index.functions = extract_functions(source);
 
   for (std::size_t i = 0; i < source.allowed.size(); ++i) {
     if (source.allowed[i].empty()) continue;
@@ -1527,21 +1336,14 @@ FileIndex analyze_file(const std::string& path, const std::string& content,
   }
 
   // File-local rules run unconditionally; Linter::run filters by
-  // enabled_rules and suppressions so cached and fresh entries agree.
-  std::vector<Diagnostic> local;
+  // enabled_rules and suppressions.
+  std::vector<Diagnostic>& local = index.diagnostics;
   rule_no_bare_assert(source, local);
   rule_paper_constant(source, config, local);
-  rule_hot_path_alloc(source, config, local);
-  rule_pragma_once(source, local);
   rule_include_hygiene(source, local);
   rule_no_ambient_entropy(source, config, local);
   rule_no_pointer_order_local(source, index.module, config, local);
   rule_facade_only(source, index.module, config, local);
-  for (Diagnostic& diag : local) {
-    index.diag_lines.push_back(diag.line);
-    index.diag_rules.push_back(std::move(diag.rule));
-    index.diag_messages.push_back(std::move(diag.message));
-  }
   return index;
 }
 
@@ -1551,10 +1353,6 @@ Linter::Linter(Config config) : config_(std::move(config)) {}
 
 void Linter::add_file(std::string path, const std::string& content) {
   pending_.emplace_back(std::move(path), content);
-}
-
-void Linter::set_cached_index(SemanticIndex cache) {
-  cache_ = std::move(cache);
 }
 
 bool Linter::rule_enabled(const std::string& rule) const {
@@ -1791,538 +1589,13 @@ void rule_layer_dag(const SemanticIndex& index, const Config& config,
   }
 }
 
-// --- phase 3: control-flow rules ---------------------------------------------
-//
-// These walk the per-function CFGs phase 1 extracted (tools/lint/cfg.h).
-// The CFGs are acyclic -- a loop node's successors are [body, after] and the
-// body rejoins after the loop instead of looping back -- so every question
-// below is a DFS over a DAG and path enumeration terminates.
-
-// Nodes reachable from the entry node (id 0).  Nodes created after a
-// `return`/`throw`/`break` have no incoming edge and stay dark here, which
-// keeps dead-code events out of the path rules.
-std::vector<bool> live_nodes(const FunctionSummary& fn) {
-  std::vector<bool> live(fn.nodes.size(), false);
-  if (fn.nodes.empty()) return live;
-  std::vector<int> stack{0};
-  live[0] = true;
-  while (!stack.empty()) {
-    const int n = stack.back();
-    stack.pop_back();
-    for (const int s : fn.nodes[n].succs) {
-      if (!live[s]) {
-        live[s] = true;
-        stack.push_back(s);
-      }
-    }
-  }
-  return live;
-}
-
-// True when the exit node (id 1) is reachable from `start` without entering
-// a node where `blocked` is set.  `start` itself is not tested, so a caller
-// asking "does anything escape this mutation?" starts at the mutating node.
-bool exit_escapes(const FunctionSummary& fn, int start,
-                  const std::vector<bool>& blocked) {
-  std::vector<bool> seen(fn.nodes.size(), false);
-  std::vector<int> stack{start};
-  seen[start] = true;
-  while (!stack.empty()) {
-    const int n = stack.back();
-    stack.pop_back();
-    if (n == 1) return true;
-    for (const int s : fn.nodes[n].succs) {
-      if (seen[s] || blocked[s]) continue;
-      seen[s] = true;
-      stack.push_back(s);
-    }
-  }
-  return false;
-}
-
-// Locks each function acquires, directly (scoped MutexLock events, `.lock()`
-// calls, WCDS_ACQUIRE annotations) or transitively through calls, keyed by
-// function name.  Same-name functions merge conservatively -- the linter has
-// no overload resolution, and a false merge only widens the checked graph.
-std::map<std::string, std::set<std::string>> transitive_acquires(
-    const SemanticIndex& index) {
-  std::map<std::string, std::set<std::string>> acquires;
-  for (const FileIndex& file : index.files) {
-    for (const FunctionSummary& fn : file.functions) {
-      std::set<std::string>& acq = acquires[fn.name];
-      acq.insert(fn.acquires_locks.begin(), fn.acquires_locks.end());
-      for (const CfgNode& node : fn.nodes) {
-        for (const CfgEvent& event : node.events) {
-          if (event.kind != "call") continue;
-          if (event.name == "MutexLock" && !event.arg0.empty()) {
-            acq.insert(event.arg0);
-          } else if (event.name == "lock" && !event.recv.empty()) {
-            acq.insert(event.recv);
-          }
-        }
-      }
-    }
-  }
-  // Propagate through the name-keyed call table to a fixed point.  The lock
-  // sets only grow, so |functions| rounds always suffice; the constant just
-  // bounds pathological inputs.
-  for (int round = 0; round < 64; ++round) {
-    bool changed = false;
-    for (const FileIndex& file : index.files) {
-      for (const FunctionSummary& fn : file.functions) {
-        std::set<std::string>& acq = acquires[fn.name];
-        for (const CfgNode& node : fn.nodes) {
-          for (const CfgEvent& event : node.events) {
-            // MutexLock/lock are the direct forms handled above; resolving
-            // them through the table would alias every wrapper's formal
-            // parameter name into every caller.
-            if (event.kind != "call" || event.name == fn.name ||
-                event.name == "MutexLock" || event.name == "lock") {
-              continue;
-            }
-            const auto it = acquires.find(event.name);
-            if (it == acquires.end()) continue;
-            for (const std::string& lock : it->second) {
-              changed = acq.insert(lock).second || changed;
-            }
-          }
-        }
-      }
-    }
-    if (!changed) break;
-  }
-  return acquires;
-}
-
-void rule_lock_order(const SemanticIndex& index,
-                     std::vector<Diagnostic>& diags) {
-  const std::map<std::string, std::set<std::string>> acquires =
-      transitive_acquires(index);
-
-  // Acquisition-order edge held -> acquired, with the lexicographically
-  // first (file, line) witness for each edge.  `held` at an event is the
-  // node's scoped-lock set plus the function's annotated locks.
-  std::map<std::string, std::map<std::string, std::pair<std::string, int>>>
-      graph;
-  for (const FileIndex& file : index.files) {
-    for (const FunctionSummary& fn : file.functions) {
-      std::set<std::string> base_held(fn.requires_locks.begin(),
-                                      fn.requires_locks.end());
-      base_held.insert(fn.acquires_locks.begin(), fn.acquires_locks.end());
-      for (const CfgNode& node : fn.nodes) {
-        std::set<std::string> held = base_held;
-        held.insert(node.held.begin(), node.held.end());
-        if (held.empty()) continue;
-        for (const CfgEvent& event : node.events) {
-          if (event.kind != "call") continue;
-          std::set<std::string> targets;
-          if (event.name == "MutexLock") {
-            if (!event.arg0.empty()) targets.insert(event.arg0);
-          } else if (event.name == "lock") {
-            if (!event.recv.empty()) targets.insert(event.recv);
-          } else {
-            const auto it = acquires.find(event.name);
-            if (it != acquires.end()) targets = it->second;
-          }
-          for (const std::string& to : targets) {
-            for (const std::string& from : held) {
-              if (from == to) continue;
-              auto [slot, inserted] = graph[from].emplace(
-                  to, std::make_pair(file.path, event.line));
-              if (!inserted && std::make_pair(file.path, event.line) <
-                                   slot->second) {
-                slot->second = {file.path, event.line};
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-
-  // A cycle in the acquisition graph is a potential deadlock.  Each cycle is
-  // reported once: at the witness of the edge leaving its smallest lock.
-  for (const auto& [from, edges] : graph) {
-    for (const auto& [to, witness] : edges) {
-      std::vector<std::string> path;  // nodes from `to` through `from`
-      std::set<std::string> seen;
-      const auto dfs = [&](const auto& self, const std::string& at) -> bool {
-        path.push_back(at);
-        if (at == from) return true;
-        seen.insert(at);
-        const auto it = graph.find(at);
-        if (it != graph.end()) {
-          for (const auto& [next, unused] : it->second) {
-            (void)unused;
-            if (seen.count(next) != 0) continue;
-            if (self(self, next)) return true;
-          }
-        }
-        path.pop_back();
-        return false;
-      };
-      if (!dfs(dfs, to)) continue;  // this edge closes no cycle
-      std::string smallest = from;
-      for (const std::string& node : path) smallest = std::min(smallest, node);
-      if (smallest != from) continue;  // reported at the smallest lock's edge
-      std::string cycle = from;
-      for (const std::string& node : path) cycle += " -> " + node;
-      diags.push_back(
-          {witness.first, witness.second, "lock-order",
-           "acquiring '" + to + "' while holding '" + from +
-               "' closes a lock-order cycle (" + cycle +
-               "); acquire locks in one global order to rule out deadlock "
-               "(docs/CHECKING.md, \"Phase 3\")"});
-    }
-  }
-}
-
-void rule_audit_after_mutation(const SemanticIndex& index,
-                               const Config& config,
-                               std::vector<Diagnostic>& diags) {
-  if (config.audit_scope_modules.empty()) return;
-
-  struct ScopedFn {
-    const FileIndex* file;
-    const FunctionSummary* fn;
-  };
-  std::vector<ScopedFn> scoped;
-  for (const FileIndex& file : index.files) {
-    if (config.audit_scope_modules.count(file.module) == 0) continue;
-    for (const FunctionSummary& fn : file.functions) {
-      if (!fn.nodes.empty()) scoped.push_back({&file, &fn});
-    }
-  }
-  if (scoped.empty()) return;
-
-  // Audit points: the configured audit calls, any node touching the audit
-  // gate (the `if (check::audits_enabled()) ...` idiom, including wrappers
-  // that early-return on it), and -- to a fixed point -- in-scope functions
-  // that audit on every path to their own exit.
-  std::set<std::string> audit_names(config.audit_calls.begin(),
-                                    config.audit_calls.end());
-  const auto audit_vector = [&](const FunctionSummary& fn) {
-    std::vector<bool> audit(fn.nodes.size(), false);
-    for (std::size_t i = 0; i < fn.nodes.size(); ++i) {
-      for (const CfgEvent& event : fn.nodes[i].events) {
-        if (event.kind != "call") continue;
-        if (audit_names.count(event.name) != 0 ||
-            (!config.audit_gate.empty() && event.name == config.audit_gate)) {
-          audit[i] = true;
-          break;
-        }
-      }
-    }
-    return audit;
-  };
-  for (int round = 0; round < 64; ++round) {
-    bool changed = false;
-    for (const ScopedFn& entry : scoped) {
-      if (audit_names.count(entry.fn->name) != 0) continue;
-      if (!exit_escapes(*entry.fn, 0, audit_vector(*entry.fn))) {
-        audit_names.insert(entry.fn->name);
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-
-  // Mutation sources: writes to backbone state, mutating container calls on
-  // it, the configured wholesale mutators, and -- to a fixed point -- calls
-  // to in-scope functions with an exposed (unaudited) mutation of their own.
-  std::set<std::string> mutator_names(config.backbone_mutators.begin(),
-                                      config.backbone_mutators.end());
-  const auto is_mutation_event = [&](const CfgEvent& event) {
-    if (event.kind == "assign") {
-      return config.backbone_state.count(event.name) != 0;
-    }
-    if (event.kind != "call") return false;
-    if (mutator_names.count(event.name) != 0) return true;
-    return !event.recv.empty() &&
-           config.backbone_state.count(event.recv) != 0 &&
-           config.backbone_mutating_methods.count(event.name) != 0;
-  };
-  // First (lowest-line) exposed mutation of `fn`: a mutation event in a live
-  // node from which the exit is reachable without passing an audit point.
-  // Paths that end in the throw sink are exempt -- an exception is not the
-  // maintenance event completing.
-  const auto first_exposed =
-      [&](const FunctionSummary& fn) -> const CfgEvent* {
-    const std::vector<bool> audit = audit_vector(fn);
-    const std::vector<bool> live = live_nodes(fn);
-    const CfgEvent* best = nullptr;
-    for (const CfgNode& node : fn.nodes) {
-      if (!live[node.id] || audit[node.id]) continue;
-      if (!exit_escapes(fn, node.id, audit)) continue;
-      for (const CfgEvent& event : node.events) {
-        if (!is_mutation_event(event)) continue;
-        if (best == nullptr || event.line < best->line) best = &event;
-      }
-    }
-    return best;
-  };
-  for (int round = 0; round < 64; ++round) {
-    bool changed = false;
-    for (const ScopedFn& entry : scoped) {
-      if (mutator_names.count(entry.fn->name) != 0) continue;
-      if (first_exposed(*entry.fn) != nullptr) {
-        mutator_names.insert(entry.fn->name);
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-
-  // Report only roots (functions no in-scope function calls): a helper's
-  // exposed mutation is its callers' obligation and surfaces at their call
-  // sites through the mutator fixed point above.
-  std::set<std::string> called;
-  for (const ScopedFn& entry : scoped) {
-    for (const CfgNode& node : entry.fn->nodes) {
-      for (const CfgEvent& event : node.events) {
-        if (event.kind == "call" && event.name != entry.fn->name) {
-          called.insert(event.name);
-        }
-      }
-    }
-  }
-  for (const ScopedFn& entry : scoped) {
-    if (called.count(entry.fn->name) != 0) continue;
-    const CfgEvent* event = first_exposed(*entry.fn);
-    if (event == nullptr) continue;
-    const std::string what =
-        event->kind == "assign"
-            ? "write to backbone state '" + event->name + "'"
-            : (config.backbone_state.count(event->recv) != 0
-                   ? "mutating call '" + event->recv + "." + event->name +
-                         "'"
-                   : "call to mutator '" + event->name + "'");
-    diags.push_back(
-        {entry.file->path, event->line, "audit-after-mutation",
-         what + " in '" + entry.fn->name +
-             "' can reach a return without passing check::audit_invariants "
-             "or an auditing wrapper; every backbone mutation must be "
-             "audited before the maintenance event completes "
-             "(docs/CHECKING.md, \"Phase 3\")"});
-  }
-}
-
-void rule_rng_draw_discipline(const SemanticIndex& index, const Config& config,
-                              std::vector<Diagnostic>& diags) {
-  if (config.rng_scope_prefixes.empty()) return;
-  const auto is_draw = [&](const CfgEvent& event) {
-    return event.kind == "call" && !event.recv.empty() &&
-           config.rng_draw_methods.count(event.name) != 0;
-  };
-  for (const FileIndex& file : index.files) {
-    bool in_scope = false;
-    for (const std::string& prefix : config.rng_scope_prefixes) {
-      in_scope = in_scope || std::string_view(file.path).starts_with(prefix);
-    }
-    if (!in_scope) continue;
-    for (const FunctionSummary& fn : file.functions) {
-      if (fn.nodes.empty()) continue;
-      const std::vector<bool> live = live_nodes(fn);
-
-      // Regions whose paths must agree on the draw count: the function body
-      // (entry -> exit) and every for/while body (head's succs are [body,
-      // after]).  Events below the region's depth belong to an inner loop --
-      // their multiplicity is the iteration count, which is the inner
-      // region's business -- and do-while bodies run at least once, have no
-      // head node, and stay part of the enclosing region.  Paths that leave
-      // a region early (throw, or return out of a loop) stop drawing
-      // entirely rather than skipping one draw, and are exempt.
-      struct Region {
-        int start, end, depth;
-      };
-      std::vector<Region> regions{{0, 1, 0}};
-      for (const CfgNode& node : fn.nodes) {
-        if (node.kind == "loop" && live[node.id] && node.succs.size() == 2 &&
-            node.succs[0] != node.succs[1]) {
-          regions.push_back(
-              {node.succs[0], node.succs[1], node.loop_depth + 1});
-        }
-      }
-
-      for (const Region& region : regions) {
-        // Region membership: reachable from start without expanding end.
-        std::vector<bool> in_region(fn.nodes.size(), false);
-        {
-          std::vector<int> stack{region.start};
-          in_region[region.start] = true;
-          while (!stack.empty()) {
-            const int n = stack.back();
-            stack.pop_back();
-            if (n == region.end) continue;
-            for (const int s : fn.nodes[n].succs) {
-              if (!in_region[s]) {
-                in_region[s] = true;
-                stack.push_back(s);
-              }
-            }
-          }
-        }
-
-        std::set<std::string> receivers;
-        for (const CfgNode& node : fn.nodes) {
-          if (!in_region[node.id] || node.id == region.end ||
-              node.loop_depth != region.depth) {
-            continue;
-          }
-          for (const CfgEvent& event : node.events) {
-            if (is_draw(event)) receivers.insert(event.recv);
-          }
-        }
-
-        for (const std::string& recv : receivers) {
-          // Min/max draws of `recv` over start -> end paths (memoized DFS
-          // over the DAG).  A node with no path to the region end (throw
-          // sink, return out of a loop) is invalid and contributes no path.
-          std::vector<char> state(fn.nodes.size(), 0);  // 0 new, 1 done
-          std::vector<char> valid(fn.nodes.size(), 0);
-          std::vector<std::pair<int, int>> range(fn.nodes.size(), {0, 0});
-          const auto dfs = [&](const auto& self, const int n) -> bool {
-            if (state[n] != 0) return valid[n] != 0;
-            state[n] = 1;
-            if (n == region.end) {
-              valid[n] = 1;
-              return true;
-            }
-            bool any = false;
-            int lo = 0, hi = 0;
-            for (const int s : fn.nodes[n].succs) {
-              if (!self(self, s)) continue;
-              if (!any) {
-                lo = range[s].first;
-                hi = range[s].second;
-                any = true;
-              } else {
-                lo = std::min(lo, range[s].first);
-                hi = std::max(hi, range[s].second);
-              }
-            }
-            if (!any) return false;
-            if (fn.nodes[n].loop_depth == region.depth) {
-              for (const CfgEvent& event : fn.nodes[n].events) {
-                if (!is_draw(event) || event.recv != recv) continue;
-                hi += 1;
-                if (!event.maybe) lo += 1;  // `maybe`: right of &&/||/?:
-              }
-            }
-            range[n] = {lo, hi};
-            valid[n] = 1;
-            return true;
-          };
-          if (!dfs(dfs, region.start)) continue;
-          const auto [lo, hi] = range[region.start];
-          if (lo == hi) continue;
-
-          // Anchor the diagnostic on the first draw a sibling path can
-          // skip: a `maybe` event, or one in a node some start -> end path
-          // avoids.
-          const auto avoidable = [&](const int avoid) {
-            if (avoid == region.start) return false;
-            std::vector<bool> seen(fn.nodes.size(), false);
-            std::vector<int> stack{region.start};
-            seen[region.start] = true;
-            while (!stack.empty()) {
-              const int n = stack.back();
-              stack.pop_back();
-              if (n == region.end) return true;
-              for (const int s : fn.nodes[n].succs) {
-                if (seen[s] || s == avoid) continue;
-                seen[s] = true;
-                stack.push_back(s);
-              }
-            }
-            return false;
-          };
-          const CfgEvent* anchor = nullptr;
-          const CfgEvent* fallback = nullptr;
-          for (const CfgNode& node : fn.nodes) {
-            if (!in_region[node.id] || node.id == region.end ||
-                node.loop_depth != region.depth) {
-              continue;
-            }
-            for (const CfgEvent& event : node.events) {
-              if (!is_draw(event) || event.recv != recv) continue;
-              if (fallback == nullptr || event.line < fallback->line) {
-                fallback = &event;
-              }
-              if (event.maybe || avoidable(node.id)) {
-                if (anchor == nullptr || event.line < anchor->line) {
-                  anchor = &event;
-                }
-              }
-            }
-          }
-          const CfgEvent* report = anchor != nullptr ? anchor : fallback;
-          if (report == nullptr) continue;
-          diags.push_back(
-              {file.path, report->line, "rng-draw-discipline",
-               "RNG draw '" + recv + "." + report->name + "()' runs on some "
-               "paths through this " +
-                   (region.end == 1 ? std::string("function")
-                                    : std::string("loop body")) +
-                   " but not on others (between " + std::to_string(lo) +
-                   " and " + std::to_string(hi) +
-                   " draws); a seeded stream's position must be a pure "
-                   "function of the call sequence -- draw unconditionally "
-                   "and discard the value on the path that does not need it "
-                   "(docs/CHECKING.md, \"Phase 3\")"});
-        }
-      }
-    }
-  }
-}
-
-void rule_hot_loop_alloc(const SemanticIndex& index, const Config& config,
-                         std::vector<Diagnostic>& diags) {
-  if (config.hot_loop_modules.empty()) return;
-  for (const FileIndex& file : index.files) {
-    if (config.hot_loop_modules.count(file.module) == 0) continue;
-    for (const FunctionSummary& fn : file.functions) {
-      if (fn.nodes.empty()) continue;
-      const std::vector<bool> live = live_nodes(fn);
-      for (const CfgNode& node : fn.nodes) {
-        if (node.loop_depth == 0 || !live[node.id]) continue;
-        for (const CfgEvent& event : node.events) {
-          if (event.kind != "alloc") continue;
-          diags.push_back(
-              {file.path, event.line, "hot-path-alloc",
-               "allocation ('" + event.name + "') inside a loop in hot "
-               "module '" +
-                   file.module +
-                   "': a per-iteration allocation shows up in the sim/serve "
-                   "hot paths; hoist it out of the loop or reuse a buffer "
-                   "(docs/PERFORMANCE.md)"});
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<Diagnostic> Linter::run() {
-  // Phase 1 (cache-aware): analyze changed files, reuse matching entries.
+  // Phase 1: lex and distill every registered file.
   index_ = SemanticIndex{};
-  index_.config_fingerprint = config_fingerprint(config_);
-  cache_hits_ = 0;
-
-  std::map<std::string, const FileIndex*> cached;
-  if (cache_.config_fingerprint == index_.config_fingerprint) {
-    for (const FileIndex& file : cache_.files) cached[file.path] = &file;
-  }
   for (const auto& [path, content] : pending_) {
-    const std::uint64_t hash = fnv1a64(content);
-    const auto it = cached.find(path);
-    if (it != cached.end() && it->second->content_hash == hash) {
-      index_.files.push_back(*it->second);
-      ++cache_hits_;
-    } else {
-      index_.files.push_back(analyze_file(path, content, config_));
-    }
+    index_.files.push_back(analyze_file(path, content, config_));
   }
   std::sort(index_.files.begin(), index_.files.end(),
             [](const FileIndex& a, const FileIndex& b) {
@@ -2333,10 +1606,8 @@ std::vector<Diagnostic> Linter::run() {
   // Phase 2: a pure function of (index, config).
   std::vector<Diagnostic> diags;
   for (const FileIndex& file : index_.files) {
-    for (std::size_t i = 0; i < file.diag_lines.size(); ++i) {
-      if (!rule_enabled(file.diag_rules[i])) continue;
-      diags.push_back({file.path, file.diag_lines[i], file.diag_rules[i],
-                       file.diag_messages[i]});
+    for (const Diagnostic& diag : file.diagnostics) {
+      if (rule_enabled(diag.rule)) diags.push_back(diag);
     }
   }
 
@@ -2347,18 +1618,6 @@ std::vector<Diagnostic> Linter::run() {
     rule_no_pointer_order_compares(index_, config_, diags);
   }
   if (rule_enabled("layer-dag")) rule_layer_dag(index_, config_, diags);
-
-  // Phase 3: path-sensitive rules over the per-function CFGs.
-  if (rule_enabled("lock-order")) rule_lock_order(index_, diags);
-  if (rule_enabled("audit-after-mutation")) {
-    rule_audit_after_mutation(index_, config_, diags);
-  }
-  if (rule_enabled("rng-draw-discipline")) {
-    rule_rng_draw_discipline(index_, config_, diags);
-  }
-  if (rule_enabled("hot-path-alloc")) {
-    rule_hot_loop_alloc(index_, config_, diags);
-  }
 
   if (rule_enabled("message-type-registry")) {
     std::set<std::string> named;

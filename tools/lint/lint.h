@@ -5,12 +5,11 @@
 // (standard library only), runs under ctest against the repo tree, and
 // reports file:line diagnostics that CI treats as errors.
 //
-// Since PR 6 the tool is a multi-phase semantic analyzer rather than a line
-// lexer: phase 1 builds a repo-wide semantic index (tools/lint/index.h) —
-// include graph, module assignment, declaration table, usage events, and
-// per-function control-flow graphs (tools/lint/cfg.h) — phase 2 runs flow-
-// and scope-aware rules over that index, and phase 3 runs path-sensitive
-// rules over the CFGs and the cross-TU call table they imply.
+// Two phases: phase 1 lexes each file once and distills it into a FileIndex
+// (include edges, module assignment, declaration table, usage events,
+// cross-file registry facts, suppressions, file-local diagnostics); phase 2
+// (Linter::run) resolves includes against the scanned set and runs the
+// cross-file rules over the whole-program index.
 //
 // Rules (ids are stable; see docs/CHECKING.md "Static analysis layers"):
 //
@@ -22,13 +21,6 @@
 //                          48) outside src/mis/properties.h and
 //                          src/check/audit.* must reference the named
 //                          constants in src/check/audit.h.
-//   hot-path-alloc         std::map / std::function / std::shared_ptr /
-//                          bare `new` are forbidden in the allocation-free
-//                          simulator delivery files (docs/PERFORMANCE.md);
-//                          flow-aware since phase 3: an allocation (bare
-//                          new, make_shared, make_unique) reachable inside
-//                          a loop in the hot modules (sim, parallel,
-//                          service) fires wherever it sits in the file.
 //   message-type-registry  every enumerator of an `enum *MessageType :
 //                          sim::MessageType` must have a trace-name entry
 //                          (`case kX: return "...";`) somewhere — the
@@ -36,10 +28,10 @@
 //   metric-doc-sync        every metric name literal recorded through
 //                          obs::Recorder must appear in the
 //                          docs/OBSERVABILITY.md registry.
-//   pragma-once            headers start with exactly one `#pragma once`.
 //   include-hygiene        no parent-relative (`../`) or <bits/...>
 //                          includes; project includes are src-root
-//                          relative.
+//                          relative (include resolution does not normalise
+//                          `../`, so such an edge would escape layer-dag).
 //   no-unordered-iteration iterating a std::unordered_{map,set} (range-for
 //                          or .begin()) in a trace-affecting module: the
 //                          iteration order is implementation-defined and
@@ -65,34 +57,16 @@
 //                          implementing modules (wcds, protocols, facade)
 //                          and benchmark BM_ bodies must go through
 //                          core::build() / bench::build_with().
-//   lock-order             the cross-file lock-acquisition graph (scoped
-//                          base::MutexLock declarations, WCDS_REQUIRES /
-//                          WCDS_ACQUIRE annotations, and transitive
-//                          acquisitions through calls) must be acyclic; a
-//                          cycle is a potential deadlock.
-//   audit-after-mutation   in the audited modules (maintenance, wcds) every
-//                          CFG path that mutates backbone state must reach
-//                          a check::audit_invariants / maybe_audit call
-//                          before returning; private mutating helpers
-//                          bubble the obligation to their callers.
-//   rng-draw-discipline    in the seeded-stream scopes (fault::Injector,
-//                          service/) a branch sibling must not skip an RNG
-//                          draw the other path performs: the stream
-//                          position must be a pure function of the call
-//                          sequence, never of data-dependent branches.
 //
 // Suppression: a `// wcds-lint: allow(<rule>[,<rule>...])` comment silences
 // the named rules on its own line; a comment-only line silences them on the
 // following line as well.
 #pragma once
 
-#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "lint/index.h"
 
 namespace wcds::lint {
 
@@ -111,11 +85,6 @@ struct Diagnostic {
 // "::error file=<file>,line=<line>::[<rule>] <message>" — GitHub Actions
 // error-annotation form, surfaced inline on the PR diff.
 [[nodiscard]] std::string format_diagnostic_github(const Diagnostic& diagnostic);
-
-// A complete SARIF 2.1.0 document for the diagnostics (one run, every rule
-// in the driver's rule table), consumable by GitHub code scanning.
-[[nodiscard]] std::string format_sarif(
-    const std::vector<Diagnostic>& diagnostics);
 
 struct RuleInfo {
   std::string name;
@@ -140,16 +109,6 @@ struct Config {
       "src/mis/properties.cpp",
       "src/check/audit.h",
       "src/check/audit.cpp",
-  };
-
-  // Allocation-free hot-path files guarded by hot-path-alloc.
-  std::vector<std::string> hot_path_files = {
-      "src/sim/runtime.h",
-      "src/sim/runtime.cpp",
-      "src/sim/event_queue.h",
-      "src/sim/event_queue.cpp",
-      "src/sim/message.h",
-      "src/sim/fault_hook.h",
   };
 
   // Contents of the metric registry document; empty disables
@@ -194,42 +153,6 @@ struct Config {
   // disables layer-dag.
   std::vector<ModuleSpec> modules;
 
-  // --- phase-3 control-flow rule scopes ------------------------------------
-
-  // audit-after-mutation: modules whose functions carry the audit
-  // obligation.  A function with no caller inside these modules is a root;
-  // roots whose mutation can reach `return` without an audit are diagnosed
-  // (helpers bubble the obligation to their call sites).
-  std::set<std::string> audit_scope_modules = {"maintenance", "wcds"};
-  // Members treated as backbone state: assignment targets, or receivers of
-  // one of the mutating container methods below.
-  std::set<std::string> backbone_state = {"mis_", "bridges_", "active_",
-                                          "points_", "graph_"};
-  std::set<std::string> backbone_mutating_methods = {
-      "assign", "clear",     "erase",  "insert",
-      "emplace", "push_back", "resize", "swap"};
-  // Calls that mutate backbone state wholesale: DynamicWcds's incremental
-  // graph patches (maintenance::IncrementalUdg).
-  std::set<std::string> backbone_mutators = {"relocate", "set_active"};
-  // Calls that discharge the audit obligation, and the gate whose presence
-  // in a branch condition counts as an audit point (the sanctioned
-  // `if (check::audits_enabled()) check::audit_invariants(...)` idiom).
-  std::set<std::string> audit_calls = {"audit_invariants", "maybe_audit"};
-  std::string audit_gate = "audits_enabled";
-
-  // rng-draw-discipline: path prefixes whose functions own seeded RNG
-  // streams, and the draw methods whose per-path counts must agree.
-  std::vector<std::string> rng_scope_prefixes = {"src/fault/",
-                                                 "src/service/"};
-  std::set<std::string> rng_draw_methods = {"next", "next_double",
-                                            "next_below"};
-
-  // Flow-aware hot-path-alloc: modules where an allocation event (bare
-  // new, make_shared, make_unique) inside a loop is a diagnostic.  The
-  // line-local hot_path_files ban above is unchanged — those files must be
-  // allocation-free everywhere, not just in loops.
-  std::set<std::string> hot_loop_modules = {"sim", "parallel", "service"};
-
   // Modules allowed to call the per-algorithm construction entrypoints
   // directly (facade-only): the algorithms' own module, the protocol
   // drivers, and the facade that wraps them.  BM_ benchmark bodies are
@@ -250,10 +173,6 @@ struct Config {
 [[nodiscard]] std::string module_for(const std::string& path,
                                      const Config& config);
 
-// Fingerprint of the Config fields phase 1 depends on; cached index entries
-// are only reused when it matches.
-[[nodiscard]] std::uint64_t config_fingerprint(const Config& config);
-
 // One analyzed file in three aligned channels (same line/column layout):
 //   raw   verbatim source lines;
 //   code  comments blanked with spaces, string literals kept — for rules
@@ -273,6 +192,84 @@ struct SourceFile {
 [[nodiscard]] SourceFile annotate_source(std::string path,
                                          const std::string& content);
 
+// --- the semantic index (phase 1 output) -----------------------------------
+
+// One `#include "..."` edge.  `resolved` is the repo-relative path of the
+// included file when it is part of the scanned tree ("" = external header),
+// filled in by Linter::run against the registered file set.
+struct IncludeEdge {
+  int line = 0;
+  std::string written;   // path as written between the quotes
+  std::string resolved;  // repo-relative, or "" when not a project file
+};
+
+// A declared identifier of a type the determinism rules track.
+// kind: "unordered" (std::unordered_{map,set,multimap,multiset} or a local
+// alias of one), "pointer" (raw pointer object).
+struct Decl {
+  int line = 0;
+  std::string kind;
+  std::string name;
+};
+
+// A container-iteration event: a range-for over `name`, or `name.begin()` /
+// `name->begin()` (how = "range-for" | "begin").  A range-for whose target
+// expression spells an unordered container type inline is recorded with
+// name = "" and how = "range-for-inline" and is unconditionally unordered.
+struct IterUse {
+  int line = 0;
+  std::string how;
+  std::string name;
+};
+
+// A relational comparison (`<`, `>`, `<=`, `>=`) between two plain
+// identifiers; phase 2 flags it when both sides are known raw pointers.
+struct CompareUse {
+  int line = 0;
+  std::string lhs;
+  std::string rhs;
+};
+
+// An enumerator of an `enum *MessageType` (message-type-registry).
+struct EnumeratorFact {
+  int line = 0;
+  std::string enum_name;
+  std::string name;
+};
+
+// A metric-name literal recorded through obs::Recorder (metric-doc-sync).
+struct MetricFact {
+  int line = 0;
+  std::string name;
+};
+
+// The non-empty per-line suppression sets, post comment-line propagation.
+struct LineAllow {
+  int line = 0;
+  std::vector<std::string> rules;  // sorted
+};
+
+struct FileIndex {
+  std::string path;    // repo-relative, '/'-separated
+  std::string module;  // "" = not assigned to a layered module
+
+  std::vector<IncludeEdge> includes;
+  std::vector<Decl> decls;
+  std::vector<IterUse> iter_uses;
+  std::vector<CompareUse> compares;
+  std::vector<EnumeratorFact> enumerators;
+  std::vector<std::string> named_cases;  // enumerators with a trace name
+  std::vector<MetricFact> metric_uses;
+  std::vector<LineAllow> allows;
+  // Diagnostics from the file-local rules, pre-suppression and before the
+  // enabled_rules filter (both applied by Linter::run).
+  std::vector<Diagnostic> diagnostics;
+};
+
+struct SemanticIndex {
+  std::vector<FileIndex> files;  // sorted by path
+};
+
 // Phase 1 for one file: lexes and distills `content` into a FileIndex
 // (facts + file-local diagnostics).  Exposed for the index unit tests.
 [[nodiscard]] FileIndex analyze_file(const std::string& path,
@@ -286,16 +283,9 @@ class Linter {
   // Register an in-memory file (tests) or one loaded from disk (CLI).
   void add_file(std::string path, const std::string& content);
 
-  // Seed phase 1 with a previously serialized index: files whose content
-  // hash and config fingerprint match their cached entry skip re-analysis.
-  void set_cached_index(SemanticIndex cache);
-
-  // Number of files served from the cache by the last run().
-  [[nodiscard]] std::size_t cache_hits() const { return cache_hits_; }
-
-  // Builds the semantic index (phase 1, cache-aware), runs every enabled
-  // rule over it (phase 2).  Diagnostics are sorted by (file, line, rule)
-  // and already filtered by suppressions.
+  // Builds the semantic index (phase 1), runs every enabled rule over it
+  // (phase 2).  Diagnostics are sorted by (file, line, rule) and already
+  // filtered by suppressions.
   [[nodiscard]] std::vector<Diagnostic> run();
 
   // The index built by the last run() (includes resolved, modules assigned).
@@ -306,9 +296,7 @@ class Linter {
 
   Config config_;
   std::vector<std::pair<std::string, std::string>> pending_;  // path, content
-  SemanticIndex cache_;
   SemanticIndex index_;
-  std::size_t cache_hits_ = 0;
 };
 
 }  // namespace wcds::lint

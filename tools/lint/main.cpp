@@ -1,9 +1,7 @@
 // wcds_lint CLI.
 //
-//   wcds_lint [--root <dir>] [--rules=<a,b,...>]
-//             [--profile=<repo|tests|bench>] [--format=<plain|github|sarif>]
-//             [--index-in=<file>] [--index-out=<file>]
-//             [--print-config-fingerprint] [--list-rules] [paths...]
+//   wcds_lint [--root <dir>] [--profile=<repo|tests|bench>]
+//             [--format=<plain|github>] [--list-rules] [paths...]
 //
 // Paths are repo-relative files or directories (default: src tools bench),
 // scanned recursively for C++ sources.
@@ -12,25 +10,16 @@
 //   0  clean
 //   1  violations found
 //   2  usage error (unknown flag, bad arguments)
-//   3  I/O or parse failure (unreadable input, corrupt --index-in)
+//   3  I/O failure (unreadable root or input)
 //
-// --profile=tests relaxes the style rules for test code (hot-path-alloc and
-// paper-constant off) but keeps the determinism and include rules on, with
-// tests/ treated as trace-affecting: a flaky iteration order in a test that
-// replays traces is a flaky test.  --profile=bench is the same idea for
-// benchmark code, except no-ambient-entropy stays off entirely — timing
-// reads are what benchmarks are for.
+// --profile=tests runs only the include, determinism and layering rules on
+// test code, with tests/ treated as trace-affecting: a flaky iteration order
+// in a test that replays traces is a flaky test.  --profile=bench is the
+// same idea for benchmark code, except no-ambient-entropy stays off
+// entirely — timing reads are what benchmarks are for.
 //
-// --format=sarif writes a SARIF 2.1.0 document to stdout (CI uploads it to
-// code scanning) and moves the summary line to stderr so stdout stays pure
-// JSON.
-//
-// --print-config-fingerprint prints the effective phase-1 config fingerprint
-// and exits; CI keys the cross-run index cache on it so a config change
-// invalidates cached entries.
-//
-// --index-out serializes the semantic index (cached across CI runs);
-// --index-in seeds the next run so unchanged files skip phase 1.
+// --format=github prints each diagnostic as a GitHub Actions ::error
+// annotation instead of the plain file:line form.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -71,12 +60,10 @@ bool read_file(const fs::path& path, std::string& out) {
 }
 
 int usage(std::ostream& out, int status) {
-  out << "usage: wcds_lint [--root <dir>] [--rules=<a,b,...>]"
-         " [--profile=<repo|tests|bench>] [--format=<plain|github|sarif>]"
-         " [--index-in=<file>] [--index-out=<file>]"
-         " [--print-config-fingerprint] [--list-rules] [paths...]\n"
+  out << "usage: wcds_lint [--root <dir>] [--profile=<repo|tests|bench>]"
+         " [--format=<plain|github>] [--list-rules] [paths...]\n"
          "paths default to: src tools bench (relative to --root)\n"
-         "exit: 0 clean, 1 violations, 2 usage error, 3 I/O/parse failure\n";
+         "exit: 0 clean, 1 violations, 2 usage error, 3 I/O failure\n";
   return status;
 }
 
@@ -84,9 +71,9 @@ int usage(std::ostream& out, int status) {
 // the determinism and include rules stay on, and tests/ joins the
 // trace-affecting + entropy scopes.
 void apply_tests_profile(wcds::lint::Config& config) {
-  config.enabled_rules = {"pragma-once",          "include-hygiene",
-                          "no-unordered-iteration", "no-pointer-order",
-                          "no-ambient-entropy",   "layer-dag"};
+  config.enabled_rules = {"include-hygiene", "no-unordered-iteration",
+                          "no-pointer-order", "no-ambient-entropy",
+                          "layer-dag"};
   config.trace_affecting_prefixes.push_back("tests/");
   config.entropy_scope_prefixes.push_back("tests/");
 }
@@ -96,9 +83,8 @@ void apply_tests_profile(wcds::lint::Config& config) {
 // trace-affecting scope (a bench that iterates an unordered container feeds
 // nondeterministic work into the timed region).
 void apply_bench_profile(wcds::lint::Config& config) {
-  config.enabled_rules = {"pragma-once", "include-hygiene",
-                          "no-unordered-iteration", "no-pointer-order",
-                          "layer-dag"};
+  config.enabled_rules = {"include-hygiene", "no-unordered-iteration",
+                          "no-pointer-order", "layer-dag"};
   config.trace_affecting_prefixes.push_back("bench/");
 }
 
@@ -108,12 +94,8 @@ int main(int argc, char** argv) {
   fs::path root = fs::current_path();
   wcds::lint::Config config = wcds::lint::default_config();
   std::vector<std::string> inputs;
-  std::set<std::string> selected_rules;
   std::string profile = "repo";
   std::string format = "plain";
-  std::string index_in_path;
-  std::string index_out_path;
-  bool print_fingerprint = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -127,17 +109,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--root") {
       if (i + 1 >= argc) return usage(std::cerr, kExitUsage);
       root = argv[++i];
-    } else if (arg.rfind("--rules=", 0) == 0) {
-      std::string list = arg.substr(8);
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string rule =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        if (!rule.empty()) selected_rules.insert(rule);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
     } else if (arg.rfind("--profile=", 0) == 0) {
       profile = arg.substr(10);
       if (profile != "repo" && profile != "tests" && profile != "bench") {
@@ -146,16 +117,10 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(9);
-      if (format != "plain" && format != "github" && format != "sarif") {
+      if (format != "plain" && format != "github") {
         std::cerr << "wcds_lint: unknown format " << format << "\n";
         return usage(std::cerr, kExitUsage);
       }
-    } else if (arg == "--print-config-fingerprint") {
-      print_fingerprint = true;
-    } else if (arg.rfind("--index-in=", 0) == 0) {
-      index_in_path = arg.substr(11);
-    } else if (arg.rfind("--index-out=", 0) == 0) {
-      index_out_path = arg.substr(12);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "wcds_lint: unknown option " << arg << "\n";
       return usage(std::cerr, kExitUsage);
@@ -166,16 +131,6 @@ int main(int argc, char** argv) {
   if (inputs.empty()) inputs = {"src", "tools", "bench"};
   if (profile == "tests") apply_tests_profile(config);
   if (profile == "bench") apply_bench_profile(config);
-  // Explicit --rules= narrows whatever the profile enabled.
-  if (!selected_rules.empty()) config.enabled_rules = selected_rules;
-
-  if (print_fingerprint) {
-    // CI's index-cache key: the fingerprint of every Config field phase 1
-    // depends on, after profile/rule selection.
-    std::cout << std::hex << wcds::lint::config_fingerprint(config)
-              << std::dec << "\n";
-    return kExitClean;
-  }
 
   std::error_code ec;
   root = fs::canonical(root, ec);
@@ -209,20 +164,6 @@ int main(int argc, char** argv) {
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
   wcds::lint::Linter linter(config);
-  if (!index_in_path.empty()) {
-    std::string text;
-    if (!read_file(fs::path(index_in_path), text)) {
-      std::cerr << "wcds_lint: cannot read index " << index_in_path << "\n";
-      return kExitIoError;
-    }
-    wcds::lint::SemanticIndex cache;
-    if (!wcds::lint::parse_index(text, cache)) {
-      std::cerr << "wcds_lint: corrupt or incompatible index "
-                << index_in_path << "\n";
-      return kExitIoError;
-    }
-    linter.set_cached_index(std::move(cache));
-  }
 
   for (const std::string& file : files) {
     std::string content;
@@ -234,35 +175,19 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<wcds::lint::Diagnostic> diagnostics = linter.run();
-  if (format == "sarif") {
-    std::cout << wcds::lint::format_sarif(diagnostics);
-  } else {
-    for (const wcds::lint::Diagnostic& diagnostic : diagnostics) {
-      std::cout << (format == "github"
-                        ? wcds::lint::format_diagnostic_github(diagnostic)
-                        : wcds::lint::format_diagnostic(diagnostic))
-                << "\n";
-    }
+  for (const wcds::lint::Diagnostic& diagnostic : diagnostics) {
+    std::cout << (format == "github"
+                      ? wcds::lint::format_diagnostic_github(diagnostic)
+                      : wcds::lint::format_diagnostic(diagnostic))
+              << "\n";
   }
 
-  if (!index_out_path.empty()) {
-    std::ofstream out(index_out_path, std::ios::binary);
-    out << wcds::lint::serialize_index(linter.index());
-    if (!out) {
-      std::cerr << "wcds_lint: cannot write index " << index_out_path << "\n";
-      return kExitIoError;
-    }
-  }
-
-  // Always-printed summary so CI logs show the scan's actual extent.  Under
-  // --format=sarif it moves to stderr: stdout is the JSON document.
-  std::size_t rules_run = config.enabled_rules.empty()
-                              ? wcds::lint::rules().size()
-                              : config.enabled_rules.size();
-  std::ostream& summary = format == "sarif" ? std::cerr : std::cout;
-  summary << "wcds_lint: " << diagnostics.size() << " diagnostic"
-          << (diagnostics.size() == 1 ? "" : "s") << " in " << files.size()
-          << " files (" << rules_run << " rules, " << linter.cache_hits()
-          << " from cache)\n";
+  // Always-printed summary so CI logs show the scan's actual extent.
+  const std::size_t rules_run = config.enabled_rules.empty()
+                                    ? wcds::lint::rules().size()
+                                    : config.enabled_rules.size();
+  std::cout << "wcds_lint: " << diagnostics.size() << " diagnostic"
+            << (diagnostics.size() == 1 ? "" : "s") << " in " << files.size()
+            << " files (" << rules_run << " rules)\n";
   return diagnostics.empty() ? kExitClean : kExitViolations;
 }

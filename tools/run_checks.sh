@@ -60,6 +60,8 @@ stage_lint() {
   ./build/tools/lint/wcds_lint --root . src tools bench
   banner "wcds_lint tests (relaxed profile)"
   ./build/tools/lint/wcds_lint --root . --profile=tests tests
+  banner "wcds_lint bench (bench profile)"
+  ./build/tools/lint/wcds_lint --root . --profile=bench bench
 }
 
 stage_asan() {
