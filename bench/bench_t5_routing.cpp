@@ -94,7 +94,7 @@ void BM_RouterConstruction(benchmark::State& state) {
     benchmark::DoNotOptimize(routing::ClusterheadRouter(inst.g, out));
   }
 }
-BENCHMARK(BM_RouterConstruction)->Arg(300)->Arg(1200);
+BENCHMARK(BM_RouterConstruction)->Arg(300)->Arg(1200)->Arg(8192);
 
 void BM_RouteSinglePacket(benchmark::State& state) {
   const auto inst = bench::connected_instance(600, 12.0, 1);

@@ -1,7 +1,10 @@
 #include "routing/clusterhead_routing.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "check/check.h"
 
@@ -9,6 +12,12 @@ namespace wcds::routing {
 
 namespace {
 constexpr std::uint32_t kNoHead = 0xFFFFFFFFu;
+
+// Sources per pass of the distance-table BFS: one bit per source in
+// kLaneWords words per head.
+constexpr std::size_t kLaneWords = 4;
+constexpr std::size_t kLanes = 64 * kLaneWords;
+using Lanes = std::array<std::uint64_t, kLaneWords>;
 }  // namespace
 
 ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
@@ -92,27 +101,78 @@ ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
     }
   }
 
-  // Distance table: BFS per head over the overlay, kept for the next-
-  // clusterhead rule and for candidate ordering in the service layer
-  // (nearest advertising domain first).  A shortest path has at most h - 1
-  // edges, so the distances fit below kUnreachableDistance.
+  // Distance table, kept for the next-clusterhead rule and for candidate
+  // ordering in the service layer (nearest advertising domain first).  A
+  // shortest path has at most h - 1 edges, so the distances fit below
+  // kUnreachableDistance.
   WCDS_REQUIRE(h < kUnreachableDistance,
                "ClusterheadRouter: " << h << " clusterheads overflow the "
                                         "16-bit distance table");
   dist_.assign(h * h, kUnreachableDistance);
-  std::vector<std::uint32_t> frontier(h);
-  for (std::uint32_t src = 0; src < h; ++src) {
-    std::uint16_t* const dist = &dist_[static_cast<std::size_t>(src) * h];
-    dist[src] = 0;
-    frontier[0] = src;
-    std::size_t tail = 1;
-    for (std::size_t at = 0; at < tail; ++at) {
-      const std::uint32_t a = frontier[at];
-      for (const OverlayEdge& e : overlay_[a]) {
-        if (dist[e.to] != kUnreachableDistance) continue;  // visited
-        dist[e.to] = static_cast<std::uint16_t>(dist[a] + 1);
-        frontier[tail++] = e.to;
+
+  // Sources in overlay-BFS order, component by component, so the sources
+  // of one pass below sit close together and their frontiers share heads.
+  std::vector<std::uint32_t> order;
+  order.reserve(h);
+  std::fill(seen.begin(), seen.end(), 0);
+  for (std::uint32_t root = 0; root < h; ++root) {
+    if (seen[root] != 0) continue;
+    seen[root] = 1;
+    order.push_back(root);
+    for (std::size_t at = order.size() - 1; at < order.size(); ++at) {
+      for (const OverlayEdge& e : overlay_[order[at]]) {
+        if (seen[e.to] != 0) continue;
+        seen[e.to] = 1;
+        order.push_back(e.to);
       }
+    }
+  }
+
+  // Level-synchronous BFS from kLanes sources per pass, one bit per source
+  // (lane i is source order[base + i]) in each head's reached and frontier
+  // words.  At each level a head ORs its overlay neighbors' frontiers; the
+  // bits it has not reached yet are the sources at this distance, and they
+  // form its next frontier.  The overlay is symmetric, so d(s, v) goes into
+  // row v and each head writes only its own row.
+  std::vector<Lanes> lanes(3 * h);
+  Lanes* const reached = lanes.data();
+  Lanes* frontier = reached + h;
+  Lanes* next = frontier + h;
+  for (std::size_t base = 0; base < h; base += kLanes) {
+    const std::size_t batch = std::min(kLanes, h - base);
+    std::fill(lanes.begin(), lanes.end(), Lanes{});
+    for (std::size_t i = 0; i < batch; ++i) {
+      const std::uint32_t src = order[base + i];
+      reached[src][i / 64] = frontier[src][i / 64] = 1ULL << (i % 64);
+      dist_[static_cast<std::size_t>(src) * h + src] = 0;
+    }
+    for (std::uint16_t level = 1;; ++level) {
+      bool grew = false;
+      for (std::uint32_t v = 0; v < h; ++v) {
+        Lanes fresh{};
+        for (const OverlayEdge& e : overlay_[v]) {
+          for (std::size_t w = 0; w < kLaneWords; ++w) {
+            fresh[w] |= frontier[e.to][w];
+          }
+        }
+        std::uint64_t any = 0;
+        for (std::size_t w = 0; w < kLaneWords; ++w) {
+          fresh[w] &= ~reached[v][w];
+          reached[v][w] |= fresh[w];
+          any |= fresh[w];
+        }
+        next[v] = fresh;
+        if (any == 0) continue;
+        grew = true;
+        std::uint16_t* const row = &dist_[static_cast<std::size_t>(v) * h];
+        for (std::size_t w = 0; w < kLaneWords; ++w) {
+          for (std::uint64_t bits = fresh[w]; bits != 0; bits &= bits - 1) {
+            row[order[base + w * 64 + std::countr_zero(bits)]] = level;
+          }
+        }
+      }
+      if (!grew) break;
+      std::swap(frontier, next);
     }
   }
 }

@@ -13,13 +13,13 @@
 // Concretely: the clusterhead overlay graph H has the MIS-dominators as
 // vertices and an edge per 2-hop pair (expanded through the 2HopDomList
 // intermediate) and per bridged 3-hop pair (expanded through the selected
-// additional-dominator path u-v-x-w).  H is symmetric, and one BFS per
-// clusterhead over H fills an h x h table of overlay hop distances.  There
-// is no separate next-hop table: the next clusterhead from a toward b is the
-// first head in a's overlay row, in row order, that is one hop closer to b.
-// That is exactly the first hop a FIFO BFS from a assigns to b, because the
-// BFS frontier is ordered by the row index of its first hops.  Every
-// expanded hop is a black (spanner) edge.
+// additional-dominator path u-v-x-w).  H is symmetric, and a bit-parallel
+// BFS over H, 256 sources per level-synchronous pass, fills an h x h table
+// of overlay hop distances.  There is no separate next-hop table: the next
+// clusterhead from a toward b is the first head in a's overlay row, in row
+// order, that is one hop closer to b.  That is exactly the first hop a FIFO
+// BFS from a assigns to b, because the BFS frontier is ordered by the row
+// index of its first hops.  Every expanded hop is a black (spanner) edge.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +37,10 @@ namespace wcds::routing {
 class ClusterheadRouter final : public Router {
  public:
   // Builds clusterhead assignments, the overlay and the distance table from
-  // an Algorithm II run on g.  Both arguments are borrowed: `g` and the
-  // view's backing storage must outlive the router.  The dominator lists
+  // an Algorithm II run on g; the table comes from a bit-parallel BFS that
+  // takes 256 source heads per pass and needs a fixed number of heap blocks
+  // whatever h is.  Both arguments are borrowed: `g` and the view's backing
+  // storage must outlive the router.  The dominator lists
   // are only read during construction; throws std::invalid_argument unless
   // they cover every node of g (an Algorithm I report has none) and every
   // overlay edge they yield has its reverse (the next-clusterhead rule reads

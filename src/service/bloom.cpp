@@ -39,31 +39,56 @@ BloomFilter::BloomFilter(const BloomParams& params,
   }
 }
 
-void BloomFilter::insert(std::uint64_t key) {
-  // Enhanced double hashing (Dillinger-Manolios): the quadratic drift keeps
-  // the k probes from collapsing onto a short cycle in the small per-domain
-  // filters, where plain (h1 + i*h2) visibly floors the FP rate.
+// Enhanced double hashing (Dillinger-Manolios): the quadratic drift keeps
+// the k probes from collapsing onto a short cycle in the small per-domain
+// filters, where plain (h1 + i*h2) visibly floors the FP rate.  Calls
+// visit(bit) per probe position until one call returns false; returns
+// whether none did.
+template <typename Visit>
+bool BloomFilter::walk_probes(std::uint64_t key, Visit visit) const {
   std::uint64_t h1 = mix(key, seed_);
   std::uint64_t h2 = mix(key, seed_ + 1) | 1ULL;  // odd: k distinct walks
   for (std::uint32_t i = 0; i < hashes_; ++i) {
-    const std::uint64_t bit = h1 % bit_count_;
-    words_[bit / 64] |= 1ULL << (bit % 64);
-    h1 += h2;
-    h2 += i;
-  }
-  ++entries_;
-}
-
-bool BloomFilter::may_contain(std::uint64_t key) const {
-  std::uint64_t h1 = mix(key, seed_);
-  std::uint64_t h2 = mix(key, seed_ + 1) | 1ULL;
-  for (std::uint32_t i = 0; i < hashes_; ++i) {
-    const std::uint64_t bit = h1 % bit_count_;
-    if ((words_[bit / 64] & (1ULL << (bit % 64))) == 0) return false;
+    if (!visit(h1 % bit_count_)) return false;
     h1 += h2;
     h2 += i;
   }
   return true;
+}
+
+void BloomFilter::insert(std::uint64_t key) {
+  walk_probes(key, [this](std::uint64_t bit) {
+    words_[bit / 64] |= 1ULL << (bit % 64);
+    return true;
+  });
+  ++entries_;
+}
+
+bool BloomFilter::may_contain(std::uint64_t key) const {
+  return walk_probes(key, [this](std::uint64_t bit) {
+    return (words_[bit / 64] & (1ULL << (bit % 64))) != 0;
+  });
+}
+
+void BloomFilter::probe_bits(std::uint64_t key,
+                             std::span<std::uint64_t> out) const {
+  WCDS_REQUIRE(out.size() >= hashes_,
+               "BloomFilter::probe_bits: room for " << out.size()
+                   << " positions, " << hashes_ << " needed");
+  std::size_t i = 0;
+  walk_probes(key, [&](std::uint64_t bit) {
+    out[i++] = bit;
+    return true;
+  });
+}
+
+bool BloomFilter::has_bits(std::span<const std::uint64_t> bits) const {
+  // Every position is read: a scan over many filters tests mostly absent
+  // keys, and an early exit would mispredict on about every other filter.
+  WCDS_DCHECK_EQ(bits.size(), hashes_, "BloomFilter::has_bits: probe count");
+  std::uint64_t all = 1;
+  for (const std::uint64_t bit : bits) all &= words_[bit / 64] >> (bit % 64);
+  return (all & 1) != 0;
 }
 
 double BloomFilter::predicted_fp_rate() const {

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -48,6 +49,15 @@ class BloomFilter {
   void insert(std::uint64_t key);
   [[nodiscard]] bool may_contain(std::uint64_t key) const;
 
+  // The hash_count() bit positions `key` probes, written to the front of
+  // `out` (which must hold that many).  They depend only on the key, the
+  // bit count, the hash count and the seed, so a key tested against many
+  // filters alike in those is hashed once.  has_bits takes such positions
+  // (all hash_count() of them, from a filter of this bit count) and answers
+  // exactly what may_contain(key) does.
+  void probe_bits(std::uint64_t key, std::span<std::uint64_t> out) const;
+  [[nodiscard]] bool has_bits(std::span<const std::uint64_t> bits) const;
+
   [[nodiscard]] std::size_t bit_count() const { return bit_count_; }
   [[nodiscard]] std::uint32_t hash_count() const { return hashes_; }
   [[nodiscard]] std::size_t entry_count() const { return entries_; }
@@ -59,6 +69,9 @@ class BloomFilter {
   [[nodiscard]] static std::uint64_t key_of(std::string_view name);
 
  private:
+  template <typename Visit>
+  bool walk_probes(std::uint64_t key, Visit visit) const;
+
   std::vector<std::uint64_t> words_;
   std::size_t bit_count_ = 0;
   std::uint32_t hashes_ = 1;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 #include <utility>
 
 #include "check/check.h"
@@ -166,15 +168,46 @@ ServingEngine::ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
     blooms_.push_back(std::move(bloom));
   }
 
+  // Size classes: the filters share one BloomParams, so two of them probe
+  // the same bits for a key exactly when their bit counts match.  Class c
+  // is the c-th distinct bit count, ascending; size_class[h] is head h's.
+  std::vector<std::uint32_t> by_size(heads);
+  std::iota(by_size.begin(), by_size.end(), 0u);
+  std::sort(by_size.begin(), by_size.end(),
+            [&](std::uint32_t x, std::uint32_t y) {
+              return blooms_[x].bit_count() < blooms_[y].bit_count();
+            });
+  std::vector<std::uint32_t> size_class(heads);
+  std::size_t classes = 0;  // by_size[c] becomes the first head of class c
+  for (std::size_t i = 0; i < heads; ++i) {
+    const std::uint32_t h = by_size[i];
+    const std::size_t bits = blooms_[h].bit_count();
+    if (classes == 0 || bits != blooms_[by_size[classes - 1]].bit_count()) {
+      by_size[classes++] = h;
+    }
+    size_class[h] = static_cast<std::uint32_t>(classes - 1);
+  }
+
   // Bloom-positive domains per service: the candidate universe a requesting
-  // clusterhead works through (includes false positives by design).  The
-  // hint counts the true positives only; false positives grow past it, so
-  // the spare capacity is released once the table is filled.
+  // clusterhead works through (includes false positives by design).  A
+  // service's key is hashed once per size class; each head then tests the
+  // positions of its class.  The hint counts the true positives only; false
+  // positives grow past it, so the spare capacity is released once the
+  // table is filled.
+  const std::size_t k = heads == 0 ? 0 : blooms_[0].hash_count();
+  std::vector<std::uint64_t> probes(classes * k);
   advertisers_.reset(services, providers_.entry_count());
   for (std::size_t s = 0; s < services; ++s) {
     const std::uint64_t key = registry.key(static_cast<ServiceId>(s));
+    for (std::size_t c = 0; c < classes; ++c) {
+      blooms_[by_size[c]].probe_bits(
+          key, std::span<std::uint64_t>(probes).subspan(c * k, k));
+    }
     for (std::uint32_t h = 0; h < heads; ++h) {
-      if (blooms_[h].may_contain(key)) advertisers_.push_back(h);
+      if (blooms_[h].has_bits(std::span<const std::uint64_t>(probes).subspan(
+              size_class[h] * k, k))) {
+        advertisers_.push_back(h);
+      }
     }
     advertisers_.close_row();
   }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -210,6 +211,69 @@ TEST(Serving, TinyBloomForcesFalsePositivesButNeverMisdelivers) {
     ASSERT_TRUE(sc.registry.provides(outcomes[i].provider,
                                      requests[i].service));
   }
+}
+
+// The engine's Bloom-positive domain lists against filters rebuilt here by
+// the engine's sizing rule: one filter per domain, sized to and filled with
+// the domain's distinct advertised services.  advertisers(s) must be the
+// heads whose filter may_contain the key of s, in head order.
+void expect_advertisers_match_rebuilt_filters(const Scenario& sc,
+                                              const ServingOptions& options,
+                                              std::size_t min_size_classes) {
+  const ServingEngine engine(sc.inst.g, sc.wcds, sc.registry, options);
+  const auto& router = engine.router();
+  const std::size_t heads = router.heads().size();
+  std::vector<std::vector<ServiceId>> domain_services(heads);
+  for (NodeId u = 0; u < sc.inst.g.node_count(); ++u) {
+    auto& row = domain_services[router.head_index(router.clusterhead(u))];
+    for (const ServiceId s : sc.registry.services_at(u)) row.push_back(s);
+  }
+  std::vector<BloomFilter> filters;
+  std::vector<std::size_t> sizes;
+  for (auto& row : domain_services) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    BloomFilter& filter = filters.emplace_back(options.bloom, row.size());
+    for (const ServiceId s : row) filter.insert(sc.registry.key(s));
+    sizes.push_back(filter.bit_count());
+  }
+  std::sort(sizes.begin(), sizes.end());
+  const auto classes = static_cast<std::size_t>(
+      std::unique(sizes.begin(), sizes.end()) - sizes.begin());
+  EXPECT_GE(classes, min_size_classes);
+
+  std::size_t false_positives = 0;
+  for (ServiceId s = 0; s < sc.registry.service_count(); ++s) {
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t h = 0; h < heads; ++h) {
+      if (!filters[h].may_contain(sc.registry.key(s))) continue;
+      want.push_back(h);
+      if (!std::binary_search(domain_services[h].begin(),
+                              domain_services[h].end(), s)) {
+        ++false_positives;
+      }
+    }
+    EXPECT_EQ(testing::to_vector(engine.advertisers(s)), want)
+        << "service " << s;
+  }
+  EXPECT_GT(false_positives, 0u);  // the lists carry false positives too
+}
+
+TEST(Serving, AdvertisersAreTheHeadsWhoseFilterMayContainTheKey) {
+  // Default parameters: one bit count per distinct-service count band.
+  const auto sc = make_scenario(1200, 12.0, 5, 256, 2);
+  expect_advertisers_match_rebuilt_filters(sc, ServingOptions{}, 3);
+}
+
+TEST(Serving, AdvertisersMatchRebuiltFiltersUnderHeavyFalsePositives) {
+  // Two bits per entry and three fixed probes: 64-bit filters for domains
+  // with up to 32 distinct services, 128-bit ones above, so one key probes
+  // different positions in different domains.
+  const auto sc = make_scenario(1200, 16.0, 9, 256, 4);
+  ServingOptions options;
+  options.bloom.bits_per_entry = 2;
+  options.bloom.hashes = 3;
+  expect_advertisers_match_rebuilt_filters(sc, options, 2);
 }
 
 TEST(Serving, IntraDomainHopsMatchTheBackboneShape) {

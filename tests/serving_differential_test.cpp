@@ -3,11 +3,15 @@
 // next_clusterhead, overlay_distance and route() must give what the old
 // h x h next-hop table gave.  Covered: central builds under both
 // additional-dominator selection rules and protocol builds under unit and
-// uniform random delays, at n = 512 and 2048.  A hand-made one-directional
-// 3-hop entry must make the router constructor throw, since the rule reads
-// distances to a head off that head's own row.
+// uniform random delays, at n = 512 and 2048.  The distance table alone is
+// also checked where its bit-parallel build has edges: more heads than one
+// 256-source pass and not a multiple of it, several overlay components, and
+// a single head.  A hand-made one-directional 3-hop entry must make the
+// router constructor throw, since the rule reads distances to a head off
+// that head's own row.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -21,6 +25,7 @@
 #include "serving_reference.h"
 #include "sim/runtime.h"
 #include "test_util.h"
+#include "udg/udg.h"
 #include "wcds/algorithm2.h"
 
 namespace wcds::routing {
@@ -119,6 +124,79 @@ TEST(RouterDifferential, NextHopMatchesFirstHopBfsOnEveryHeadPair) {
       expect_matches_reference(inst.g, report.algorithm2_view(), cell.str());
     }
   }
+}
+
+// Every distance_row entry against the reference BFS.  Returns the number
+// of overlay components, counted from the reference's unreachable entries.
+std::size_t expect_distances_match_reference(const graph::Graph& g,
+                                             core::Algorithm2View view,
+                                             const std::string& cell) {
+  const ClusterheadRouter router(g, view);
+  const std::size_t h = router.heads().size();
+  const testing::ReferenceTables ref = testing::reference_tables(router);
+  std::size_t mismatches = 0;
+  std::size_t components = 0;
+  for (std::uint32_t a = 0; a < h; ++a) {
+    const auto dist = router.distance_row(a);
+    bool first_of_component = true;
+    for (std::uint32_t b = 0; b < h; ++b) {
+      const std::uint16_t want = ref.dist[a * h + b];
+      if (b < a && want != ClusterheadRouter::kUnreachableDistance) {
+        first_of_component = false;
+      }
+      if (dist[b] != want && ++mismatches <= 5) {
+        ADD_FAILURE() << cell << ": d(" << a << ", " << b << ") = " << dist[b]
+                      << ", want " << want;
+      }
+    }
+    if (first_of_component) ++components;
+  }
+  EXPECT_EQ(mismatches, 0u) << cell;
+  return components;
+}
+
+TEST(RouterDifferential, DistancesMatchAcrossSeveralSourcePasses) {
+  const testing::Instance inst = testing::connected_udg(8192, 16.0, 3);
+  const core::Algorithm2Output out = core::algorithm2(inst.g);
+  const std::size_t h = out.result.mis_dominators.size();
+  ASSERT_GT(h, 256u);
+  ASSERT_NE(h % 256, 0u);  // the last pass is a partial one
+  EXPECT_EQ(expect_distances_match_reference(inst.g, out, "n8192/central"),
+            1u);
+}
+
+TEST(RouterDifferential, DistancesStayUnreachableAcrossComponents) {
+  // Three disjoint connected deployments side by side, far out of range of
+  // each other, built by the sharded Algorithm II protocol.
+  std::vector<geom::Point> points;
+  double offset = 0.0;
+  for (const std::uint32_t n : {300u, 500u, 200u}) {
+    const testing::Instance part = testing::connected_udg(n, 12.0, n);
+    double width = 0.0;
+    for (const geom::Point& p : part.points) {
+      points.push_back({p.x + offset, p.y});
+      width = std::max(width, p.x);
+    }
+    offset += width + 5.0;
+  }
+  const graph::Graph g = udg::build_udg(points);
+  core::BuildOptions options;
+  options.algorithm = core::BuildAlgorithm::kAlgorithm2Protocol;
+  options.threads = 1;
+  const core::BuildReport report = core::build(g, options);
+  EXPECT_EQ(expect_distances_match_reference(g, report.algorithm2_view(),
+                                             "three components/protocol"),
+            3u);
+}
+
+TEST(RouterDifferential, DistancesOfASingleHead) {
+  // Five nodes within range of each other: the MIS is node 0 alone.
+  std::vector<geom::Point> points;
+  for (int i = 0; i < 5; ++i) points.push_back({0.1 * i, 0.05 * i});
+  const graph::Graph g = udg::build_udg(points);
+  const core::Algorithm2Output out = core::algorithm2(g);
+  ASSERT_EQ(out.result.mis_dominators.size(), 1u);
+  EXPECT_EQ(expect_distances_match_reference(g, out, "one head"), 1u);
 }
 
 TEST(RouterDifferential, OneWayOverlayEdgeIsRejected) {
