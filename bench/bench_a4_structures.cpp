@@ -82,10 +82,9 @@ void print_tables() {
                               {"greedy geographic", "RNG"}};
   for (const double deg : {8.0, 20.0}) {
     const auto inst = bench::connected_instance(500, deg, 2);
-    const auto out2 =
-        bench::build_with(inst.g, core::BuildAlgorithm::kAlgorithm2Central)
-            .algorithm2_output();
-    const routing::ClusterheadRouter router(inst.g, out2);
+    const core::BuildReport report =
+        bench::build_with(inst.g, core::BuildAlgorithm::kAlgorithm2Central);
+    const routing::ClusterheadRouter router(inst.g, report.algorithm2_view());
     const graph::Graph gg = spanner::gabriel_graph(inst.g, inst.points);
     const graph::Graph rng_g =
         spanner::relative_neighborhood_graph(inst.g, inst.points);

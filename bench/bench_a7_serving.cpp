@@ -36,8 +36,13 @@ constexpr std::uint32_t kPerNode = 2;       // advertisements per node
 
 struct Scenario {
   bench::Instance inst;
-  core::Algorithm2Output wcds;
+  core::BuildReport backbone;
   service::ServiceRegistry registry{0};
+
+  // The backbone as the engine reads it; borrows `backbone`.
+  [[nodiscard]] core::Algorithm2View wcds() const {
+    return backbone.algorithm2_view();
+  }
 };
 
 const Scenario& scenario_for(std::uint32_t n) {
@@ -47,9 +52,8 @@ const Scenario& scenario_for(std::uint32_t n) {
     Scenario sc;
     // Degree 16 keeps |S| (and the |S|^2 routing table) bounded as n grows.
     sc.inst = bench::connected_instance(n, 16.0, kSeed);
-    sc.wcds = bench::build_with(sc.inst.g,
-                                core::BuildAlgorithm::kAlgorithm2Central)
-                  .algorithm2_output();
+    sc.backbone = bench::build_with(sc.inst.g,
+                                    core::BuildAlgorithm::kAlgorithm2Central);
     sc.registry = service::uniform_registry(n, kUniverse, kPerNode, kSeed);
     it = cache.emplace(n, std::move(sc)).first;
   }
@@ -74,7 +78,7 @@ void print_a7a() {
     const Scenario& sc = scenario_for(n);
     service::ServingOptions options;
     options.stretch_sample_stride = 4096;  // BFS per sample: keep it sparse
-    const service::ServingEngine engine(sc.inst.g, sc.wcds, sc.registry,
+    const service::ServingEngine engine(sc.inst.g, sc.wcds(), sc.registry,
                                         options);
     const std::size_t count = n >= 8192 ? (1u << 20) : (1u << 18);
     const auto requests = service::uniform_requests(sc.registry, count, 7);
@@ -119,7 +123,7 @@ void print_a7b() {
   for (const std::uint32_t bpe : {4u, 8u, 12u, 16u}) {
     service::ServingOptions options;
     options.bloom.bits_per_entry = bpe;
-    const service::ServingEngine engine(sc.inst.g, sc.wcds, sc.registry,
+    const service::ServingEngine engine(sc.inst.g, sc.wcds(), sc.registry,
                                         options);
     const auto& router = engine.router();
     const std::size_t heads = router.heads().size();
@@ -174,9 +178,9 @@ void print_a7c() {
     retrying.faults = drop > 0.0 ? &plan : nullptr;
     service::ServingOptions oneshot = retrying;
     oneshot.max_attempts_per_hop = 1;
-    const service::ServingEngine with_retries(sc.inst.g, sc.wcds,
+    const service::ServingEngine with_retries(sc.inst.g, sc.wcds(),
                                               sc.registry, retrying);
-    const service::ServingEngine without(sc.inst.g, sc.wcds, sc.registry,
+    const service::ServingEngine without(sc.inst.g, sc.wcds(), sc.registry,
                                          oneshot);
     service::BatchStats rs, os;
     (void)with_retries.serve_batch(requests, &rs);
@@ -203,7 +207,7 @@ void print_a7d() {
   const fault::Plan plan = fault::Plan::lossy(0.10, 17);
   service::ServingOptions options;
   options.faults = &plan;
-  const service::ServingEngine engine(sc.inst.g, sc.wcds, sc.registry,
+  const service::ServingEngine engine(sc.inst.g, sc.wcds(), sc.registry,
                                       options);
   const auto requests = service::uniform_requests(sc.registry, 1u << 17, 13);
   std::vector<service::Outcome> reference;
@@ -243,7 +247,7 @@ void print_tables() {
 
 void BM_ServeBatch(benchmark::State& state) {
   const Scenario& sc = scenario_for(static_cast<std::uint32_t>(state.range(0)));
-  const service::ServingEngine engine(sc.inst.g, sc.wcds, sc.registry);
+  const service::ServingEngine engine(sc.inst.g, sc.wcds(), sc.registry);
   const auto requests = service::uniform_requests(sc.registry, 1u << 16, 3);
   std::vector<service::Outcome> outcomes(requests.size());
   for (auto _ : state) {
@@ -256,7 +260,7 @@ BENCHMARK(BM_ServeBatch)->Arg(2048)->Arg(8192)->Unit(benchmark::kMillisecond);
 
 void BM_ServeSingle(benchmark::State& state) {
   const Scenario& sc = scenario_for(2048);
-  const service::ServingEngine engine(sc.inst.g, sc.wcds, sc.registry);
+  const service::ServingEngine engine(sc.inst.g, sc.wcds(), sc.registry);
   const auto requests = service::uniform_requests(sc.registry, 4096, 5);
   std::uint64_t i = 0;
   for (auto _ : state) {

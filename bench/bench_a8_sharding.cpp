@@ -1,15 +1,15 @@
 // Experiment A8: component-sharded simulation speedup.
 //
 // A fleet deployment — many disjoint service areas — is one UDG whose
-// connected components never exchange messages.  The sharded runner
-// (sim/sharded.h) executes the per-component sub-runs on the thread pool
-// and merges them deterministically, so the only thing allowed to change
-// versus the serial composition is wall time.  A8 times both distributed
-// algorithms over a 16-component deployment at n >= 10^4: the serial
-// kGlobal baseline against kComponentSharded at 1/2/4/8 threads, median of
-// 3.  The `identical` column cross-checks the merged RunStats and the
-// constructed WCDS against the serial run — it must read yes at every
-// thread count (tests/sharding_test.cpp proves the stronger byte-level
+// connected components never exchange messages.  Every protocol run
+// (protocols/run_components.h) executes the per-component sub-runs on a
+// thread pool and merges them deterministically, so the only thing allowed
+// to change with the thread count is wall time.  A8 times both distributed
+// algorithms over a 16-component deployment at n >= 10^4 at 1/2/4/8
+// threads, median of 3; the 1-thread run (inline serial) is the baseline.
+// The `identical` column cross-checks the merged RunStats and the
+// constructed WCDS of the 2/4/8-thread runs against the 1-thread run — it
+// must read yes (tests/sharding_test.cpp proves the stronger byte-level
 // claim trace-by-trace).
 //
 // Expected shape: speedup approaches min(threads, components) on hosts with
@@ -69,8 +69,7 @@ struct RunOutcome {
   double ms = 0.0;
 };
 
-RunOutcome run_once(const graph::Graph& g, bool alg1,
-                    sim::ExecutionPolicy execution, std::size_t threads) {
+RunOutcome run_once(const graph::Graph& g, bool alg1, std::size_t threads) {
   RunOutcome out;
   const auto start = std::chrono::steady_clock::now();
   // Raw entrypoints on purpose: these feed the gated a8/* timing gauges and
@@ -78,13 +77,13 @@ RunOutcome run_once(const graph::Graph& g, bool alg1,
   if (alg1) {
     // wcds-lint: allow(facade-only)
     auto run = protocols::run_algorithm1(g, sim::DelayModel::unit(), nullptr,
-                                         nullptr, execution, threads);
+                                         nullptr, threads);
     out.stats = std::move(run.stats);
     out.dominators = std::move(run.wcds.dominators);
   } else {
     // wcds-lint: allow(facade-only)
     auto run = protocols::run_algorithm2(g, sim::DelayModel::unit(), nullptr,
-                                         nullptr, execution, threads);
+                                         nullptr, threads);
     out.stats = std::move(run.stats);
     out.dominators = std::move(run.wcds.dominators);
   }
@@ -93,12 +92,11 @@ RunOutcome run_once(const graph::Graph& g, bool alg1,
   return out;
 }
 
-RunOutcome median_of_3(const graph::Graph& g, bool alg1,
-                       sim::ExecutionPolicy execution, std::size_t threads) {
+RunOutcome median_of_3(const graph::Graph& g, bool alg1, std::size_t threads) {
   RunOutcome best;
   double samples[3];
   for (double& sample : samples) {
-    RunOutcome out = run_once(g, alg1, execution, threads);
+    RunOutcome out = run_once(g, alg1, threads);
     sample = out.ms;
     best = std::move(out);
   }
@@ -115,11 +113,11 @@ void print_tables() {
   const auto components = graph::connected_components(inst.g).count;
 
   bench::banner(std::cout,
-                "A8: component-sharded run wall time, serial composition vs "
-                "thread pool (median of 3)");
+                "A8: component-sharded run wall time, 1 thread (serial) vs "
+                "2/4/8 threads (median of 3)");
   std::cout << "n = " << inst.g.node_count() << ", components = " << components
             << "\n\n";
-  bench::Table table({"alg", "global ms", "t1 ms", "t2 ms", "t4 ms", "t8 ms",
+  bench::Table table({"alg", "t1 ms (serial)", "t2 ms", "t4 ms", "t8 ms",
                       "speedup(t8)", "identical"});
   struct Gauge {
     std::string name;
@@ -128,33 +126,32 @@ void print_tables() {
   std::vector<Gauge> gauges;
   for (const bool alg1 : {true, false}) {
     const std::string key = alg1 ? "alg1" : "alg2";
-    const RunOutcome global =
-        median_of_3(inst.g, alg1, sim::ExecutionPolicy::kGlobal, 1);
+    const RunOutcome serial = median_of_3(inst.g, alg1, 1);
     bool identical = true;
-    std::vector<double> sharded_ms;
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      const RunOutcome sharded = median_of_3(
-          inst.g, alg1, sim::ExecutionPolicy::kComponentSharded, threads);
-      identical = identical && sharded.stats == global.stats &&
-                  sharded.dominators == global.dominators;
+    std::vector<double> sharded_ms{serial.ms};
+    gauges.push_back({"a8/sharded_ms/t1/" + key, serial.ms});
+    for (const std::size_t threads : {2u, 4u, 8u}) {
+      const RunOutcome sharded = median_of_3(inst.g, alg1, threads);
+      identical = identical && sharded.stats == serial.stats &&
+                  sharded.dominators == serial.dominators;
       sharded_ms.push_back(sharded.ms);
       gauges.push_back({"a8/sharded_ms/t" + std::to_string(threads) + "/" + key,
                         sharded.ms});
     }
-    const double speedup = global.ms / sharded_ms.back();
-    table.add_row({key, bench::fmt(global.ms, 2), bench::fmt(sharded_ms[0], 2),
+    const double speedup = serial.ms / sharded_ms.back();
+    table.add_row({key, bench::fmt(sharded_ms[0], 2),
                    bench::fmt(sharded_ms[1], 2), bench::fmt(sharded_ms[2], 2),
                    bench::fmt(sharded_ms[3], 2), bench::fmt(speedup, 2) + "x",
                    identical ? "yes" : "NO"});
-    gauges.push_back({"a8/global_ms/" + key, global.ms});
+    gauges.push_back({"a8/global_ms/" + key, serial.ms});
     gauges.push_back({"a8/speedup/t8/" + key, speedup});
     gauges.push_back({"a8/identical/" + key, identical ? 1.0 : 0.0});
   }
   table.print(std::cout);
   std::cout << "\nExpected shape: speedup(t8) -> min(8, " << components
             << ") with enough cores, bounded by the largest component; "
-               "~1.0x on one core.\nThe identical column must read yes at "
-               "every thread count.\n";
+               "~1.0x on one core.\nThe identical column (2/4/8 threads "
+               "against 1) must read yes.\n";
 
   obs::set_global_recorder(ambient);
   if (ambient != nullptr) {
@@ -164,32 +161,21 @@ void print_tables() {
   }
 }
 
-void BM_ShardedRun(benchmark::State& state, bool alg1,
-                   sim::ExecutionPolicy execution) {
+void BM_ShardedRun(benchmark::State& state, bool alg1) {
   const auto& inst = fleet_instance();
   const auto threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once(inst.g, alg1, execution, threads));
+    benchmark::DoNotOptimize(run_once(inst.g, alg1, threads));
   }
 }
 
-BENCHMARK_CAPTURE(BM_ShardedRun, alg1_global, true,
-                  sim::ExecutionPolicy::kGlobal)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ShardedRun, alg1_sharded, true,
-                  sim::ExecutionPolicy::kComponentSharded)
+BENCHMARK_CAPTURE(BM_ShardedRun, alg1, true)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ShardedRun, alg2_global, false,
-                  sim::ExecutionPolicy::kGlobal)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ShardedRun, alg2_sharded, false,
-                  sim::ExecutionPolicy::kComponentSharded)
+BENCHMARK_CAPTURE(BM_ShardedRun, alg2, false)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -63,17 +63,13 @@ struct BuildOptions {
   // modes ignore it (no radio).
   const fault::Plan* faults = nullptr;
 
-  // Protocol modes only: execution policy for multi-component deployments.
-  // Components never exchange messages, so each runs as an independent
-  // sub-run; kComponentSharded executes the sub-runs on the thread pool,
-  // kGlobal serially — outputs are byte-identical either way
-  // (sim/sharded.h).  Connected graphs take the single-runtime fast path
-  // regardless.  Centralized modes ignore it (and still require a
-  // connected graph).
-  sim::ExecutionPolicy execution = sim::ExecutionPolicy::kComponentSharded;
-
-  // Protocol modes only: thread count for the sharded runner (0 = the
-  // WCDS_THREADS env / hardware default, 1 = inline serial).
+  // Protocol modes only: threads for multi-component deployments.
+  // Components never exchange messages, so every protocol run is the
+  // composition of independent per-component sub-runs
+  // (protocols/run_components.h); several components run on a pool of this
+  // many threads (0 = the WCDS_THREADS env / hardware default, 1 = inline
+  // serial), with byte-identical outputs at any count.  Centralized modes
+  // ignore it (and still require a connected graph).
   std::size_t threads = 0;
 
   // Fault-tolerance target (wcds/resilient.h).  The default {1, 1} is the
@@ -120,13 +116,6 @@ struct BuildReport {
   // Only meaningful for Algorithm II modes.
   [[nodiscard]] Algorithm2View algorithm2_view() const {
     return Algorithm2View{result, mis, lists};
-  }
-
-  // Owning repackage kept for compatibility with callers that outlive the
-  // report; copies result/mis/lists wholesale.  Prefer algorithm2_view() on
-  // any serving path.
-  [[nodiscard]] Algorithm2Output algorithm2_output() const {
-    return Algorithm2Output{result, mis, lists};
   }
 };
 

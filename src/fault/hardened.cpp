@@ -202,18 +202,12 @@ void HardenedNode::on_timer(sim::Context& ctx, std::uint64_t token) {
   arm_timer(ctx);
 }
 
-TransportStats collect_transport_stats(const sim::Runtime& runtime) {
+TransportStats collect_transport_stats(const sim::Runtime& runtime,
+                                       std::span<const NodeId> members) {
   TransportStats total;
-  for (NodeId u = 0; u < runtime.node_count(); ++u) {
-    // node_if: an active-subset runtime holds no state machine at all for
-    // nodes outside its shard.
-    const auto* node = dynamic_cast<const HardenedNode*>(runtime.node_if(u));
-    if (node == nullptr) continue;
-    const TransportStats& stats = node->transport_stats();
-    total.frames_sent += stats.frames_sent;
-    total.retransmits += stats.retransmits;
-    total.acks_sent += stats.acks_sent;
-    total.duplicates_ignored += stats.duplicates_ignored;
+  for (const NodeId u : members) {
+    const auto* node = dynamic_cast<const HardenedNode*>(&runtime.node(u));
+    if (node != nullptr) total += node->transport_stats();
   }
   return total;
 }
@@ -226,11 +220,6 @@ void record_transport_metrics(const TransportStats& total,
   metrics.add("fault/retransmits", total.retransmits);
   metrics.add("fault/acks", total.acks_sent);
   metrics.add("fault/dup_ignored", total.duplicates_ignored);
-}
-
-void record_transport_metrics(const sim::Runtime& runtime,
-                              obs::Recorder* recorder) {
-  record_transport_metrics(collect_transport_stats(runtime), recorder);
 }
 
 }  // namespace wcds::fault

@@ -67,6 +67,13 @@ struct TransportStats {
   std::uint64_t acks_sent = 0;
   std::uint64_t duplicates_ignored = 0;  // already-delivered copies heard
 
+  TransportStats& operator+=(const TransportStats& other) {
+    frames_sent += other.frames_sent;
+    retransmits += other.retransmits;
+    acks_sent += other.acks_sent;
+    duplicates_ignored += other.duplicates_ignored;
+    return *this;
+  }
   friend bool operator==(const TransportStats&, const TransportStats&) =
       default;
 };
@@ -165,18 +172,15 @@ class HardenedNode final : public sim::ProtocolNode {
   bool timer_active_ = false;
 };
 
-// Sum the TransportStats over every HardenedNode in `runtime` (other node
-// types contribute nothing).
+// Sum the TransportStats over the HardenedNodes among `members` of
+// `runtime` (other node types contribute nothing); O(|members|).
 [[nodiscard]] TransportStats collect_transport_stats(
-    const sim::Runtime& runtime);
+    const sim::Runtime& runtime, std::span<const NodeId> members);
 
-// Fold the summed transport counters into `recorder` as `fault/frames`,
+// Fold summed transport counters into `recorder` as `fault/frames`,
 // `fault/retransmits`, `fault/acks`, `fault/dup_ignored` (null recorder is
-// a no-op).  The stats overload serves the shard merge, which sums
-// per-shard collections before recording once.
+// a no-op).  Protocol runs sum their shards' collections and record once.
 void record_transport_metrics(const TransportStats& total,
-                              obs::Recorder* recorder);
-void record_transport_metrics(const sim::Runtime& runtime,
                               obs::Recorder* recorder);
 
 }  // namespace wcds::fault

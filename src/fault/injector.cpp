@@ -105,10 +105,6 @@ bool Injector::receive_blocked(NodeId recipient, sim::SimTime at) {
   return true;
 }
 
-void Injector::record_metrics(obs::Recorder* recorder) const {
-  record_counters(recorder, counters_);
-}
-
 void Injector::record_counters(obs::Recorder* recorder,
                                const Counters& counters) {
   if (recorder == nullptr) return;

@@ -8,8 +8,8 @@
 // common no-crash case stays O(1) per query.
 //
 // The injector also counts what it did (`fault/dropped`,
-// `fault/duplicated`, `fault/suppressed_sends`, `fault/blocked_receives`)
-// and can fold those counters into an obs::Recorder after the run.
+// `fault/duplicated`, `fault/suppressed_sends`, `fault/blocked_receives`);
+// record_counters() folds those counts into an obs::Recorder after the run.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +32,13 @@ class Injector final : public sim::FaultHook {
     std::uint64_t duplicated = 0;         // copies delivered twice
     std::uint64_t blocked_receives = 0;   // recipient radio was off
 
+    Counters& operator+=(const Counters& other) {
+      suppressed_sends += other.suppressed_sends;
+      dropped += other.dropped;
+      duplicated += other.duplicated;
+      blocked_receives += other.blocked_receives;
+      return *this;
+    }
     friend bool operator==(const Counters&, const Counters&) = default;
   };
 
@@ -52,11 +59,8 @@ class Injector final : public sim::FaultHook {
   // True while `node`'s radio is inside one of its crash windows.
   [[nodiscard]] bool down(NodeId node, sim::SimTime at) const;
 
-  // Fold the counters into `recorder` (null is a no-op).
-  void record_metrics(obs::Recorder* recorder) const;
-
-  // Same fold for counters summed outside an injector — the shard merge
-  // accumulates per-shard counters and records the aggregate once.
+  // Fold `counters` into `recorder` (null is a no-op).  Protocol runs sum
+  // their shards' injector counters and record the total once.
   static void record_counters(obs::Recorder* recorder,
                               const Counters& counters);
 

@@ -1,15 +1,8 @@
 #include "fault/plan.h"
 
 #include "check/check.h"
-#include "sim/shard_plan.h"
 
 namespace wcds::fault {
-
-Plan Plan::for_shard(std::uint32_t component) const {
-  Plan shard = *this;
-  shard.seed = sim::shard_stream_seed(seed, component);
-  return shard;
-}
 
 Plan Plan::lossy(double drop, std::uint64_t seed) {
   Plan plan;

@@ -68,13 +68,6 @@ struct Plan {
   [[nodiscard]] static Plan chaos(double drop, double duplicate,
                                   sim::SimTime max_jitter, std::uint64_t seed);
 
-  // The plan a component shard interprets: identical faults, reseeded with
-  // sim::shard_stream_seed(seed, component) so the shard's injector draws a
-  // pure per-shard stream instead of sharing the global sequence.  Crash
-  // windows and link overrides pass through unchanged — entries for nodes
-  // and links outside the shard are simply never consulted.
-  [[nodiscard]] Plan for_shard(std::uint32_t component) const;
-
   Plan& crash(NodeId node, sim::SimTime down_from, sim::SimTime up_at);
 
   // Blackout every node within `radius` of `center` for [down_from, up_at);

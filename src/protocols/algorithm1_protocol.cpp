@@ -1,30 +1,15 @@
 #include "protocols/algorithm1_protocol.h"
 
+#include <cstdint>
 #include <memory>
-#include <span>
 #include <utility>
+#include <vector>
 
 #include "check/audit.h"
 #include "check/check.h"
-#include "fault/hardened.h"
-#include "fault/injector.h"
-#include "fault/plan.h"
-#include "sim/shard_plan.h"
-#include "sim/sharded.h"
+#include "protocols/run_components.h"
 
 namespace wcds::protocols {
-namespace {
-
-// Final-state accessor that sees through the hardened-transport wrapper.
-const Algorithm1Node& as_algorithm1(const sim::Runtime& runtime, NodeId u,
-                                    bool hardened) {
-  const sim::ProtocolNode& node = runtime.node(u);
-  if (!hardened) return static_cast<const Algorithm1Node&>(node);
-  return static_cast<const Algorithm1Node&>(
-      static_cast<const fault::HardenedNode&>(node).inner());
-}
-
-}  // namespace
 
 const char* algorithm1_message_name(sim::MessageType type) {
   switch (type) {
@@ -219,147 +204,51 @@ DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
                                         const sim::DelayModel& delays,
                                         obs::Recorder* recorder,
                                         const fault::Plan* faults,
-                                        sim::ExecutionPolicy execution,
                                         std::size_t threads) {
   WCDS_REQUIRE(g.node_count() > 0, "run_algorithm1: empty graph");
   obs::Recorder* rec = obs::recorder_or_global(recorder);
   obs::PhaseTimer total_timer(rec, "alg1/total");
-  const bool hardened = faults != nullptr;
-  const sim::Runtime::NodeFactory factory =
-      hardened ? sim::Runtime::NodeFactory([](NodeId) {
-        return std::make_unique<fault::HardenedNode>(
-            std::make_unique<Algorithm1Node>());
-      })
-               : sim::Runtime::NodeFactory([](NodeId) {
-                   return std::make_unique<Algorithm1Node>();
-                 });
-
   const std::size_t n = g.node_count();
-  const sim::ShardPlan plan = sim::ShardPlan::build(g);
-  const std::size_t shard_count = plan.shard_count();
   DistributedAlgorithm1Run run;
-  run.leaders.assign(shard_count, kInvalidNode);
   run.levels.resize(n);
+  // Shards flag dominators in a byte array, not r.mask: vector<bool> packs
+  // bits into shared words, so shards flagging adjacent node ids would race.
+  std::vector<std::uint8_t> dominator(n, 0);
+  auto components = run_components(
+      g, [](NodeId) { return std::make_unique<Algorithm1Node>(); }, delays,
+      rec, faults, threads, "alg1/protocol_run", [&](const Shard& shard) {
+        NodeId leader = kInvalidNode;
+        for (const NodeId u : shard.members) {
+          const auto& node = shard.node<Algorithm1Node>(u);
+          if (node.is_leader()) leader = u;
+          run.levels[u] = node.level();
+          if (node.is_dominator()) dominator[u] = 1;
+        }
+        return leader;
+      });
+  run.stats = std::move(components.stats);
+  run.leaders = std::move(components.shards);
+
+  obs::PhaseTimer extract_timer(rec, "alg1/extract");
   core::WcdsResult& r = run.wcds;
   r.mask.assign(n, false);
   r.color.assign(n, core::NodeColor::kGray);
-
-  if (shard_count == 1) {
-    // Connected graph: the historical single-runtime path, byte-for-byte —
-    // ambient recorder on the runtime, unmixed seeds, zero shard overhead.
-    std::unique_ptr<fault::Injector> injector;
-    if (hardened) {
-      injector = std::make_unique<fault::Injector>(*faults, n);
+  for (NodeId u = 0; u < n; ++u) {
+    if (dominator[u] != 0) {
+      r.mask[u] = true;
+      r.color[u] = core::NodeColor::kBlack;
+      r.dominators.push_back(u);
     }
-    sim::Runtime runtime(g, factory, delays, rec, injector.get());
-    {
-      obs::PhaseTimer run_timer(rec, "alg1/protocol_run");
-      run.stats = runtime.run();
-    }
-    WCDS_REQUIRE_STATE(run.stats.quiescent,
-                       "run_algorithm1: event budget exceeded");
-    if (hardened) {
-      injector->record_metrics(rec);
-      fault::record_transport_metrics(runtime, rec);
-    }
-    if (rec != nullptr) rec->metrics().set("sim/shards", 1.0);
-    obs::PhaseTimer extract_timer(rec, "alg1/extract");
-    for (NodeId u = 0; u < n; ++u) {
-      const auto& node = as_algorithm1(runtime, u, hardened);
-      if (node.is_leader()) {
-        run.leader = u;
-        run.leaders[0] = u;
-      }
-      run.levels[u] = node.level();
-      if (node.is_dominator()) {
-        r.mask[u] = true;
-        r.dominators.push_back(u);
-        r.color[u] = core::NodeColor::kBlack;
-      }
-    }
-    r.mis_dominators = r.dominators;
-    extract_timer.stop();
-    // A quiescent run without a leader built no backbone at all; say so
-    // instead of returning an empty WCDS.
-    WCDS_REQUIRE_STATE(run.leader != kInvalidNode,
-                       "run_algorithm1: quiesced without electing a leader");
-  } else {
-    // Disconnected deployment: one independent sub-run per component, under
-    // `execution` (sim/sharded.h).  Extraction happens inside each shard —
-    // every write lands in that shard's own slots — and the ordered merge
-    // plus the ascending dominator-list rebuild below are serial.  Dominator
-    // flags go through a byte array, not r.mask: vector<bool> packs bits
-    // into shared words, so shards flagging adjacent node ids would race.
-    std::vector<std::uint8_t> dominator(n, 0);
-    std::vector<sim::ShardOutcome> outcomes(shard_count);
-    std::vector<fault::Injector::Counters> fault_counters(
-        hardened ? shard_count : 0);
-    std::vector<fault::TransportStats> transports(hardened ? shard_count : 0);
-    {
-      obs::PhaseTimer run_timer(rec, "alg1/protocol_run");
-      sim::for_each_shard(execution, shard_count, threads, [&](std::size_t c) {
-        const std::span<const NodeId> members = plan.shard(c);
-        std::unique_ptr<fault::Injector> injector;
-        if (hardened) {
-          injector = std::make_unique<fault::Injector>(
-              faults->for_shard(static_cast<std::uint32_t>(c)), n);
-        }
-        sim::DelayModel shard_delays = delays;
-        shard_delays.seed =
-            sim::shard_stream_seed(delays.seed, static_cast<std::uint32_t>(c));
-        outcomes[c] = sim::run_shard(
-            g, members, factory, shard_delays, injector.get(),
-            /*record=*/rec != nullptr,
-            /*capture_trace=*/rec != nullptr && rec->trace_sink() != nullptr,
-            sim::kDefaultMaxEvents, [&](sim::Runtime& runtime) {
-              for (NodeId u : members) {
-                const auto& node = as_algorithm1(runtime, u, hardened);
-                if (node.is_leader()) run.leaders[c] = u;
-                run.levels[u] = node.level();
-                if (node.is_dominator()) dominator[u] = 1;
-              }
-              if (hardened) {
-                fault_counters[c] = injector->counters();
-                transports[c] = fault::collect_transport_stats(runtime);
-              }
-            });
-      });
-    }
-    run.stats = sim::merge_shards(outcomes, rec);
-    WCDS_REQUIRE_STATE(run.stats.quiescent,
-                       "run_algorithm1: event budget exceeded");
-    if (hardened) {
-      fault::Injector::Counters counter_total;
-      fault::TransportStats transport_total;
-      for (std::size_t c = 0; c < shard_count; ++c) {
-        counter_total.suppressed_sends += fault_counters[c].suppressed_sends;
-        counter_total.dropped += fault_counters[c].dropped;
-        counter_total.duplicated += fault_counters[c].duplicated;
-        counter_total.blocked_receives += fault_counters[c].blocked_receives;
-        transport_total.frames_sent += transports[c].frames_sent;
-        transport_total.retransmits += transports[c].retransmits;
-        transport_total.acks_sent += transports[c].acks_sent;
-        transport_total.duplicates_ignored += transports[c].duplicates_ignored;
-      }
-      fault::Injector::record_counters(rec, counter_total);
-      fault::record_transport_metrics(transport_total, rec);
-    }
-    obs::PhaseTimer extract_timer(rec, "alg1/extract");
-    for (NodeId u = 0; u < n; ++u) {
-      if (dominator[u] != 0) {
-        r.mask[u] = true;
-        r.color[u] = core::NodeColor::kBlack;
-        r.dominators.push_back(u);
-      }
-    }
-    r.mis_dominators = r.dominators;
-    run.leader = run.leaders[0];
-    extract_timer.stop();
-    for (std::size_t c = 0; c < shard_count; ++c) {
-      WCDS_REQUIRE_STATE(run.leaders[c] != kInvalidNode,
-                         "run_algorithm1: component "
-                             << c << " quiesced without electing a leader");
-    }
+  }
+  r.mis_dominators = r.dominators;
+  run.leader = run.leaders[0];
+  extract_timer.stop();
+  // A quiescent run without a leader built no backbone for that component;
+  // say so instead of returning an empty WCDS.
+  for (std::size_t c = 0; c < run.leaders.size(); ++c) {
+    WCDS_REQUIRE_STATE(run.leaders[c] != kInvalidNode,
+                       "run_algorithm1: component "
+                           << c << " quiesced without electing a leader");
   }
 
   if (rec != nullptr) {

@@ -149,14 +149,11 @@ struct DistributedAlgorithm1Run {
 // levels remain tree distances.
 //
 // g need not be connected: the protocol is purely message-driven, so a run
-// over a disconnected deployment is the composition of independent
-// per-component runs — each component elects its own leader and builds its
-// own level-ranked MIS.  `execution` picks how those component sub-runs
-// execute (serially, or sharded onto the thread pool; results are
-// byte-identical — see sim/sharded.h); `threads` sizes the pool under
-// kComponentSharded (0 = WCDS_THREADS env / hardware default, 1 = inline
-// serial).  A connected graph always takes the historical single-runtime
-// path, whatever the policy.
+// over any deployment is the composition of independent per-component runs
+// (protocols/run_components.h) — each component elects its own leader and
+// builds its own level-ranked MIS.  `threads` sizes the pool the components
+// run on when there are several (0 = WCDS_THREADS env / hardware default,
+// 1 = inline serial); outputs are byte-identical at any thread count.
 //
 // `recorder` (explicit, else the ambient obs::global_recorder(), else none)
 // receives wall-clock phase timings, the sim's message metrics and the
@@ -170,8 +167,6 @@ struct DistributedAlgorithm1Run {
 [[nodiscard]] DistributedAlgorithm1Run run_algorithm1(
     const graph::Graph& g, const sim::DelayModel& delays = sim::DelayModel::unit(),
     obs::Recorder* recorder = nullptr,
-    const fault::Plan* faults = nullptr,
-    sim::ExecutionPolicy execution = sim::ExecutionPolicy::kComponentSharded,
-    std::size_t threads = 0);
+    const fault::Plan* faults = nullptr, std::size_t threads = 0);
 
 }  // namespace wcds::protocols

@@ -4,28 +4,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "check/audit.h"
 #include "check/check.h"
-#include "fault/hardened.h"
-#include "fault/injector.h"
-#include "fault/plan.h"
-#include "sim/shard_plan.h"
-#include "sim/sharded.h"
+#include "protocols/run_components.h"
 
 namespace wcds::protocols {
 namespace {
-
-// Final-state accessor that sees through the hardened-transport wrapper.
-const Algorithm2Node& as_algorithm2(const sim::Runtime& runtime, NodeId u,
-                                    bool hardened) {
-  const sim::ProtocolNode& node = runtime.node(u);
-  if (!hardened) return static_cast<const Algorithm2Node&>(node);
-  return static_cast<const Algorithm2Node&>(
-      static_cast<const fault::HardenedNode&>(node).inner());
-}
 
 // Sorted-unique insertion; returns true if newly inserted.
 template <typename T>
@@ -277,168 +264,70 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
                                   const sim::DelayModel& delays,
                                   obs::Recorder* recorder,
                                   const fault::Plan* faults,
-                                  sim::ExecutionPolicy execution,
                                   std::size_t threads) {
   WCDS_REQUIRE(g.node_count() > 0, "run_algorithm2: empty graph");
   obs::Recorder* rec = obs::recorder_or_global(recorder);
   obs::PhaseTimer total_timer(rec, "alg2/total");
-  const bool hardened = faults != nullptr;
-  const sim::Runtime::NodeFactory factory =
-      hardened ? sim::Runtime::NodeFactory([](NodeId) {
-        return std::make_unique<fault::HardenedNode>(
-            std::make_unique<Algorithm2Node>());
-      })
-               : sim::Runtime::NodeFactory([](NodeId) {
-                   return std::make_unique<Algorithm2Node>();
-                 });
-
   const std::size_t n = g.node_count();
-  const sim::ShardPlan plan = sim::ShardPlan::build(g);
-  const std::size_t shard_count = plan.shard_count();
+  // Shards record each node's final role and 3HopDomList length in its own
+  // slot; each shard also hands back its members' 3HopDomLists,
+  // concatenated in member order.
+  enum : std::uint8_t { kRoleNone = 0, kRoleMis = 1, kRoleAdditional = 2 };
+  std::vector<std::uint8_t> role(n, kRoleNone);
+  std::vector<std::uint32_t> three_hop_counts(n, 0);
+  auto components = run_components(
+      g, [](NodeId) { return std::make_unique<Algorithm2Node>(); }, delays,
+      rec, faults, threads, "alg2/protocol_run", [&](const Shard& shard) {
+        std::size_t entries = 0;
+        for (const NodeId u : shard.members) {
+          const auto& node = shard.node<Algorithm2Node>(u);
+          if (node.is_mis_dominator()) {
+            role[u] = kRoleMis;
+          } else if (node.is_additional_dominator()) {
+            role[u] = kRoleAdditional;
+          }
+          three_hop_counts[u] =
+              static_cast<std::uint32_t>(node.three_hop_doms().size());
+          entries += three_hop_counts[u];
+        }
+        std::vector<core::ThreeHopEntry> three_hop;
+        three_hop.reserve(entries);
+        for (const NodeId u : shard.members) {
+          const auto& lists = shard.node<Algorithm2Node>(u).three_hop_doms();
+          three_hop.insert(three_hop.end(), lists.begin(), lists.end());
+        }
+        return three_hop;
+      });
+
   DistributedWcdsRun run;
+  run.stats = std::move(components.stats);
+  obs::PhaseTimer extract_timer(rec, "alg2/extract");
+  run.three_hop = graph::FlatRows<core::ThreeHopEntry>::sized(three_hop_counts);
+  for (std::size_t c = 0; c < components.shards.size(); ++c) {
+    auto next = components.shards[c].cbegin();
+    for (const NodeId u : components.plan.shard(c)) {
+      const auto row = run.three_hop.mutable_row(u);
+      std::copy(next, next + row.size(), row.begin());
+      next += static_cast<std::ptrdiff_t>(row.size());
+    }
+  }
   core::WcdsResult& r = run.wcds;
   r.mask.assign(n, false);
   r.color.assign(n, core::NodeColor::kGray);
-
-  if (shard_count == 1) {
-    // Connected graph: the historical single-runtime path, byte-for-byte —
-    // ambient recorder on the runtime, unmixed seeds, zero shard overhead.
-    std::unique_ptr<fault::Injector> injector;
-    if (hardened) {
-      injector = std::make_unique<fault::Injector>(*faults, n);
+  for (NodeId u = 0; u < n; ++u) {
+    if (role[u] == kRoleMis) {
+      r.mis_dominators.push_back(u);
+      r.mask[u] = true;
+    } else if (role[u] == kRoleAdditional) {
+      r.additional_dominators.push_back(u);
+      r.mask[u] = true;
     }
-    sim::Runtime runtime(g, factory, delays, rec, injector.get());
-    {
-      obs::PhaseTimer run_timer(rec, "alg2/protocol_run");
-      run.stats = runtime.run();
+    if (r.mask[u]) {
+      r.dominators.push_back(u);
+      r.color[u] = core::NodeColor::kBlack;
     }
-    WCDS_REQUIRE_STATE(run.stats.quiescent,
-                       "run_algorithm2: event budget exceeded");
-    if (hardened) {
-      injector->record_metrics(rec);
-      fault::record_transport_metrics(runtime, rec);
-    }
-    if (rec != nullptr) rec->metrics().set("sim/shards", 1.0);
-    obs::PhaseTimer extract_timer(rec, "alg2/extract");
-    std::vector<std::uint32_t> three_hop_counts(n);
-    for (NodeId u = 0; u < n; ++u) {
-      three_hop_counts[u] = static_cast<std::uint32_t>(
-          as_algorithm2(runtime, u, hardened).three_hop_doms().size());
-    }
-    run.three_hop = graph::FlatRows<core::ThreeHopEntry>::sized(three_hop_counts);
-    for (NodeId u = 0; u < n; ++u) {
-      const auto& node = as_algorithm2(runtime, u, hardened);
-      std::ranges::copy(node.three_hop_doms(),
-                        run.three_hop.mutable_row(u).begin());
-      if (node.is_mis_dominator()) {
-        r.mis_dominators.push_back(u);
-        r.mask[u] = true;
-      } else if (node.is_additional_dominator()) {
-        r.additional_dominators.push_back(u);
-        r.mask[u] = true;
-      }
-      if (r.mask[u]) {
-        r.dominators.push_back(u);
-        r.color[u] = core::NodeColor::kBlack;
-      }
-    }
-    extract_timer.stop();
-  } else {
-    // Disconnected deployment: one independent sub-run per component, under
-    // `execution` (sim/sharded.h).  Shards record each node's final role in
-    // disjoint slots; the ascending rebuild below restores the sorted
-    // dominator lists the single-runtime scan would have produced.
-    enum : std::uint8_t { kRoleNone = 0, kRoleMis = 1, kRoleAdditional = 2 };
-    std::vector<std::uint8_t> role(n, kRoleNone);
-    // Each shard also keeps its members' 3HopDomLists, concatenated in
-    // member order, and their lengths in disjoint slots of a shared array.
-    std::vector<std::uint32_t> three_hop_counts(n, 0);
-    std::vector<std::vector<core::ThreeHopEntry>> shard_three_hop(shard_count);
-    std::vector<sim::ShardOutcome> outcomes(shard_count);
-    std::vector<fault::Injector::Counters> fault_counters(
-        hardened ? shard_count : 0);
-    std::vector<fault::TransportStats> transports(hardened ? shard_count : 0);
-    {
-      obs::PhaseTimer run_timer(rec, "alg2/protocol_run");
-      sim::for_each_shard(execution, shard_count, threads, [&](std::size_t c) {
-        const std::span<const NodeId> members = plan.shard(c);
-        std::unique_ptr<fault::Injector> injector;
-        if (hardened) {
-          injector = std::make_unique<fault::Injector>(
-              faults->for_shard(static_cast<std::uint32_t>(c)), n);
-        }
-        sim::DelayModel shard_delays = delays;
-        shard_delays.seed =
-            sim::shard_stream_seed(delays.seed, static_cast<std::uint32_t>(c));
-        outcomes[c] = sim::run_shard(
-            g, members, factory, shard_delays, injector.get(),
-            /*record=*/rec != nullptr,
-            /*capture_trace=*/rec != nullptr && rec->trace_sink() != nullptr,
-            sim::kDefaultMaxEvents, [&](sim::Runtime& runtime) {
-              for (NodeId u : members) {
-                const auto& node = as_algorithm2(runtime, u, hardened);
-                if (node.is_mis_dominator()) {
-                  role[u] = kRoleMis;
-                } else if (node.is_additional_dominator()) {
-                  role[u] = kRoleAdditional;
-                }
-                const auto& three_hop = node.three_hop_doms();
-                three_hop_counts[u] =
-                    static_cast<std::uint32_t>(three_hop.size());
-                shard_three_hop[c].insert(shard_three_hop[c].end(),
-                                          three_hop.begin(), three_hop.end());
-              }
-              if (hardened) {
-                fault_counters[c] = injector->counters();
-                transports[c] = fault::collect_transport_stats(runtime);
-              }
-            });
-      });
-    }
-    run.stats = sim::merge_shards(outcomes, rec);
-    WCDS_REQUIRE_STATE(run.stats.quiescent,
-                       "run_algorithm2: event budget exceeded");
-    if (hardened) {
-      fault::Injector::Counters counter_total;
-      fault::TransportStats transport_total;
-      for (std::size_t c = 0; c < shard_count; ++c) {
-        counter_total.suppressed_sends += fault_counters[c].suppressed_sends;
-        counter_total.dropped += fault_counters[c].dropped;
-        counter_total.duplicated += fault_counters[c].duplicated;
-        counter_total.blocked_receives += fault_counters[c].blocked_receives;
-        transport_total.frames_sent += transports[c].frames_sent;
-        transport_total.retransmits += transports[c].retransmits;
-        transport_total.acks_sent += transports[c].acks_sent;
-        transport_total.duplicates_ignored += transports[c].duplicates_ignored;
-      }
-      fault::Injector::record_counters(rec, counter_total);
-      fault::record_transport_metrics(transport_total, rec);
-    }
-    obs::PhaseTimer extract_timer(rec, "alg2/extract");
-    run.three_hop = graph::FlatRows<core::ThreeHopEntry>::sized(three_hop_counts);
-    for (std::size_t c = 0; c < shard_count; ++c) {
-      auto next = shard_three_hop[c].cbegin();
-      for (NodeId u : plan.shard(c)) {
-        const auto row = run.three_hop.mutable_row(u);
-        std::copy(next, next + row.size(), row.begin());
-        next += static_cast<std::ptrdiff_t>(row.size());
-      }
-    }
-    for (NodeId u = 0; u < n; ++u) {
-      if (role[u] == kRoleMis) {
-        r.mis_dominators.push_back(u);
-        r.mask[u] = true;
-      } else if (role[u] == kRoleAdditional) {
-        r.additional_dominators.push_back(u);
-        r.mask[u] = true;
-      }
-      if (r.mask[u]) {
-        r.dominators.push_back(u);
-        r.color[u] = core::NodeColor::kBlack;
-      }
-    }
-    extract_timer.stop();
   }
+  extract_timer.stop();
 
   if (rec != nullptr) {
     auto& metrics = rec->metrics();

@@ -159,14 +159,11 @@ struct DistributedWcdsRun {
 // (the rule's fixpoint is timing-independent) and a possibly different —
 // but still valid — additional-dominator set.
 //
-// g need not be connected: the protocol is fully localized, so a run over a
-// disconnected deployment is the composition of independent per-component
-// runs.  `execution` picks how those component sub-runs execute (serially,
-// or sharded onto the thread pool; results are byte-identical — see
-// sim/sharded.h); `threads` sizes the pool under kComponentSharded (0 =
-// WCDS_THREADS env / hardware default, 1 = inline serial).  A connected
-// graph always takes the historical single-runtime path, whatever the
-// policy.
+// g need not be connected: the protocol is fully localized, so a run over
+// any deployment is the composition of independent per-component runs
+// (protocols/run_components.h).  `threads` sizes the pool the components
+// run on when there are several (0 = WCDS_THREADS env / hardware default,
+// 1 = inline serial); outputs are byte-identical at any thread count.
 //
 // `recorder` (explicit, else the ambient obs::global_recorder(), else none)
 // receives wall-clock phase timings, the sim's message metrics and the
@@ -181,8 +178,6 @@ struct DistributedWcdsRun {
 [[nodiscard]] DistributedWcdsRun run_algorithm2(
     const graph::Graph& g, const sim::DelayModel& delays = sim::DelayModel::unit(),
     obs::Recorder* recorder = nullptr,
-    const fault::Plan* faults = nullptr,
-    sim::ExecutionPolicy execution = sim::ExecutionPolicy::kComponentSharded,
-    std::size_t threads = 0);
+    const fault::Plan* faults = nullptr, std::size_t threads = 0);
 
 }  // namespace wcds::protocols

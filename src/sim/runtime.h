@@ -71,19 +71,11 @@ struct DelayModel {
   }
 };
 
-// Execution policy for runs over multi-component topologies (sim/sharded.h).
-// Components never exchange messages, so a run over a disconnected graph is
-// DEFINED as the composition of independent per-component sub-runs folded in
-// component-index order (graph::connected_components labels components by
-// smallest member).  kGlobal executes the sub-runs serially on the caller;
-// kComponentSharded executes the same sub-runs on the parallel::ThreadPool.
-// Both policies share one code path per component, so traces, RunStats,
-// metrics and constructed outputs are byte-identical at any thread count.
-enum class ExecutionPolicy : std::uint8_t { kGlobal, kComponentSharded };
-
-// Default event budget of Runtime::run (runaway-protocol guard).  Applies
-// per component sub-run under sharded execution: shards cannot share a
-// remaining-budget counter without reintroducing cross-shard coupling.
+// Default event budget of Runtime::run (runaway-protocol guard).  A
+// protocol run over any topology is the composition of independent
+// per-component sub-runs (protocols/run_components.h), and the budget
+// applies per sub-run: shards cannot share a remaining-budget counter
+// without reintroducing cross-shard coupling.
 inline constexpr std::uint64_t kDefaultMaxEvents = 100'000'000;
 
 class Runtime;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/check.h"
-#include "parallel/thread_pool.h"
 
 namespace wcds::sim {
 
@@ -69,16 +68,6 @@ RunStats merge_shards(std::span<const ShardOutcome> outcomes,
     }
   }
   return merged;
-}
-
-void for_each_shard(ExecutionPolicy policy, std::size_t shard_count,
-                    std::size_t threads,
-                    const std::function<void(std::size_t)>& task) {
-  if (policy == ExecutionPolicy::kGlobal || shard_count <= 1) {
-    for (std::size_t c = 0; c < shard_count; ++c) task(c);
-    return;
-  }
-  parallel::pool_for(threads).parallel_for(0, shard_count, 1, task);
 }
 
 }  // namespace wcds::sim

@@ -3,19 +3,21 @@
 //
 // Contract (the whole point): for a fixed topology, seed and fault plan, the
 // merged traces, RunStats, metrics and every protocol-visible node state are
-// byte-identical whether the shards execute serially (ExecutionPolicy::
-// kGlobal) or on the thread pool (kComponentSharded), at any thread count.
-// Three ingredients make this structural rather than hoped-for:
+// byte-identical whether the shards execute serially or on the thread pool,
+// at any thread count.  Three ingredients make this structural rather than
+// hoped-for:
 //  - shards are whole connected components (ShardPlan), so no message ever
 //    crosses a shard boundary;
-//  - every per-shard RNG stream (delay model, fault injector) reseeds via
-//    shard_stream_seed(seed, component) — a pure function of the shard, not
-//    of global interleaving or thread schedule;
+//  - every per-shard RNG stream (delay model, fault injector) is a pure
+//    function of the shard: the run's own seed when the plan has one shard,
+//    shard_stream_seed(seed, component) when it has several — never of
+//    global interleaving or thread schedule;
 //  - each shard writes only its own ShardOutcome slot; the merge folds the
 //    slots in component-index order on the calling thread.
 //
-// docs/PERFORMANCE.md ("Component-sharded execution") carries the full
-// determinism argument.
+// protocols/run_components.h is the one caller that composes a whole run
+// from these pieces.  docs/PERFORMANCE.md ("Component-sharded execution")
+// carries the full determinism argument.
 #pragma once
 
 #include <cstdint>
@@ -60,14 +62,5 @@ ShardOutcome run_shard(const graph::Graph& g, std::span<const NodeId> members,
 // `sim/shards` gauge and one `phase_ms/sim/shard_run` observation per shard.
 RunStats merge_shards(std::span<const ShardOutcome> outcomes,
                       obs::Recorder* recorder);
-
-// Execute `task(c)` for c in [0, shard_count) under the given policy:
-// kGlobal runs the shards serially in index order on the calling thread;
-// kComponentSharded dispatches them to parallel::pool_for(threads)
-// (threads: 0 = WCDS_THREADS env / hardware default, 1 = inline serial).
-// Tasks must write only shard-local state (their ShardOutcome slot).
-void for_each_shard(ExecutionPolicy policy, std::size_t shard_count,
-                    std::size_t threads,
-                    const std::function<void(std::size_t)>& task);
 
 }  // namespace wcds::sim

@@ -244,10 +244,8 @@ TEST(Algorithm1DifferentialSharded, FleetMatchesOracle) {
         run_nodes<Algorithm1Node>(g, sim::DelayModel::unit(), nullptr);
     expect_matches_oracle(run, oracle);
 
-    const auto driven = run_algorithm1(g, sim::DelayModel::unit(), nullptr,
-                                       nullptr,
-                                       sim::ExecutionPolicy::kComponentSharded,
-                                       2);
+    const auto driven =
+        run_algorithm1(g, sim::DelayModel::unit(), nullptr, nullptr, 2);
     const sim::ShardPlan plan = sim::ShardPlan::build(g);
     ASSERT_EQ(driven.leaders.size(), plan.shard_count());
     std::vector<NodeId> leaders = driven.leaders;

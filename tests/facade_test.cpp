@@ -155,18 +155,6 @@ TEST(Facade, RouterRejectsAnAlgorithm1Report) {
                std::invalid_argument);
 }
 
-TEST(Facade, OwningAlgorithm2OutputStillConverts) {
-  const auto inst = testing::connected_udg(80, 9.0, 6);
-  const auto report =
-      build_mode(inst.g, core::BuildAlgorithm::kAlgorithm2Central);
-  // The owning accessor remains for callers that outlive the report; an
-  // lvalue of it converts implicitly to the view.
-  const core::Algorithm2Output owned = report.algorithm2_output();
-  EXPECT_EQ(owned.result.mis_dominators, report.result.mis_dominators);
-  const routing::ClusterheadRouter router(inst.g, owned);
-  EXPECT_TRUE(router.route(0, inst.g.node_count() - 1).delivered);
-}
-
 TEST(Facade, ProtocolAlgorithm2ListsMatchCentralized) {
   // The protocol mode recomputes the 1- and 2-hop dominator lists centrally
   // from the timing-independent MIS fixpoint — they must agree with the

@@ -555,13 +555,11 @@ TEST(ScaledSoak, FleetMatrix) {
         const auto arm = std::string("alg") + (alg1 ? "1" : "2") + " " + tag;
         try {
           const auto stats =
-              alg1 ? protocols::run_algorithm1(
-                         g, sim::DelayModel::unit(), nullptr, &plan,
-                         sim::ExecutionPolicy::kComponentSharded)
+              alg1 ? protocols::run_algorithm1(g, sim::DelayModel::unit(),
+                                               nullptr, &plan)
                          .stats
-                   : protocols::run_algorithm2(
-                         g, sim::DelayModel::unit(), nullptr, &plan,
-                         sim::ExecutionPolicy::kComponentSharded)
+                   : protocols::run_algorithm2(g, sim::DelayModel::unit(),
+                                               nullptr, &plan)
                          .stats;
           if (!stats.quiescent) failures.push_back(arm + " (not quiescent)");
         } catch (const std::exception& e) {

@@ -1,7 +1,8 @@
-// Component-sharded execution (sim/sharded.h): the sharded runner must be
-// byte-identical to the serial composition at any thread count — traces,
-// RunStats, metrics and every protocol output — across both algorithms,
-// both delay regimes, and fault plans.
+// Component-sharded execution (sim/sharded.h, protocols/run_components.h):
+// a protocol run on the thread pool must be byte-identical to the 1-thread
+// (inline serial) composition at any thread count — traces, RunStats,
+// metrics and every protocol output — across both algorithms, both delay
+// regimes, and fault plans.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "facade/build.h"
 #include "fault/plan.h"
 #include "geom/point.h"
 #include "graph/bfs.h"
@@ -91,19 +93,16 @@ struct Capture {
 template <typename Run>
 std::pair<Run, Capture> run_captured(
     bool algorithm1, const graph::Graph& g, const sim::DelayModel& delays,
-    const fault::Plan* faults, sim::ExecutionPolicy execution,
-    std::size_t threads) {
+    const fault::Plan* faults, std::size_t threads) {
   static_cast<void>(algorithm1);
   obs::Recorder recorder;
   obs::MemoryTraceSink sink;
   recorder.set_trace_sink(&sink);
   Run run;
   if constexpr (std::is_same_v<Run, protocols::DistributedAlgorithm1Run>) {
-    run = protocols::run_algorithm1(g, delays, &recorder, faults, execution,
-                                    threads);
+    run = protocols::run_algorithm1(g, delays, &recorder, faults, threads);
   } else {
-    run = protocols::run_algorithm2(g, delays, &recorder, faults, execution,
-                                    threads);
+    run = protocols::run_algorithm2(g, delays, &recorder, faults, threads);
   }
   return {std::move(run), Capture{sink.events(), recorder.snapshot()}};
 }
@@ -125,8 +124,8 @@ void expect_same_wcds(const Run& a, const Run& b) {
   }
 }
 
-// The tentpole differential: kComponentSharded at threads {1, 2, 8} must be
-// byte-identical to kGlobal across 2 algorithms x 2 delay regimes x
+// The tentpole differential: runs at threads {2, 8} must be byte-identical
+// to the 1-thread run across 2 algorithms x 2 delay regimes x
 // {perfect, faulty} radios x 8 seeds.
 template <typename Run>
 void differential_matrix() {
@@ -141,13 +140,12 @@ void differential_matrix() {
                                 : sim::DelayModel::unit();
         const fault::Plan plan = fault::Plan::chaos(0.1, 0.05, 3, seed + 101);
         const fault::Plan* faults = faulty ? &plan : nullptr;
-        const auto [base, base_cap] = run_captured<Run>(
-            true, inst.g, delays, faults, sim::ExecutionPolicy::kGlobal, 1);
-        for (const std::size_t threads : {1u, 2u, 8u}) {
+        const auto [base, base_cap] =
+            run_captured<Run>(true, inst.g, delays, faults, 1);
+        for (const std::size_t threads : {2u, 8u}) {
           SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-          const auto [sharded, cap] = run_captured<Run>(
-              true, inst.g, delays, faults,
-              sim::ExecutionPolicy::kComponentSharded, threads);
+          const auto [sharded, cap] =
+              run_captured<Run>(true, inst.g, delays, faults, threads);
           expect_same_wcds(base, sharded);
           expect_same_trace(base_cap.trace, cap.trace);
           expect_same_metrics(base_cap.metrics, cap.metrics);
@@ -165,23 +163,47 @@ TEST(Sharding, Algorithm2ShardedMatchesGlobal) {
   differential_matrix<protocols::DistributedWcdsRun>();
 }
 
-// A connected graph is one shard: both policies take the historical
-// single-runtime fast path and must agree byte-for-byte, with the shard
-// gauge pinned at 1 (zero sharding overhead in the degenerate case).
+// A connected graph is one shard: it runs inline under the run's own seeds
+// whatever the thread count, so 1 and 4 threads agree byte-for-byte, with
+// the shard gauge pinned at 1.
 TEST(Sharding, SingleGiantComponentDegenerates) {
   const auto inst = testing::connected_udg(200, 8.0, 3);
-  const auto [base, base_cap] =
-      run_captured<protocols::DistributedWcdsRun>(
-          false, inst.g, sim::DelayModel::unit(), nullptr,
-          sim::ExecutionPolicy::kGlobal, 1);
+  const auto [base, base_cap] = run_captured<protocols::DistributedWcdsRun>(
+      false, inst.g, sim::DelayModel::unit(), nullptr, 1);
   const auto [sharded, cap] = run_captured<protocols::DistributedWcdsRun>(
-      false, inst.g, sim::DelayModel::unit(), nullptr,
-      sim::ExecutionPolicy::kComponentSharded, 4);
+      false, inst.g, sim::DelayModel::unit(), nullptr, 4);
   expect_same_wcds(base, sharded);
   expect_same_trace(base_cap.trace, cap.trace);
   expect_same_metrics(base_cap.metrics, cap.metrics);
   ASSERT_TRUE(cap.metrics.gauges.contains("sim/shards"));
   EXPECT_EQ(cap.metrics.gauges.at("sim/shards"), 1.0);
+}
+
+// Every protocol build is a composition of shard runs, a connected one
+// included: the `sim/shards` gauge and the `phase_ms/sim/shard_run`
+// observations both count the deployment's components.
+TEST(Sharding, EveryProtocolBuildRecordsItsShards) {
+  const std::pair<testing::Instance, std::size_t> cases[] = {
+      {testing::connected_udg(120, 8.0, 4), 1},
+      {multi_component_udg(4, 25, 8.0, 4), 4}};
+  for (const auto& [inst, components] : cases) {
+    for (const auto algorithm : {core::BuildAlgorithm::kAlgorithm1Protocol,
+                                 core::BuildAlgorithm::kAlgorithm2Protocol}) {
+      SCOPED_TRACE(::testing::Message() << core::to_string(algorithm)
+                                        << " components=" << components);
+      obs::Recorder recorder;
+      core::BuildOptions options;
+      options.algorithm = algorithm;
+      options.recorder = &recorder;
+      const auto report = core::build(inst.g, options);
+      ASSERT_TRUE(report.metrics.gauges.contains("sim/shards"));
+      EXPECT_EQ(report.metrics.gauges.at("sim/shards"),
+                static_cast<double>(components));
+      ASSERT_TRUE(report.metrics.histograms.contains("phase_ms/sim/shard_run"));
+      EXPECT_EQ(report.metrics.histograms.at("phase_ms/sim/shard_run").count,
+                components);
+    }
+  }
 }
 
 // An edgeless graph is all singleton components; every node dominates its
@@ -200,7 +222,7 @@ TEST(Sharding, IsolatedSingletons) {
 
 // A crash window blacking out a cut vertex mid-run "splits" its component
 // at the radio level; the hardened transport must still converge, and the
-// sharded run must equal the serial one exactly.
+// 2-thread run must equal the 1-thread one exactly.
 TEST(Sharding, BlackoutSplittingComponentMidRun) {
   const auto g = graph::from_edges(
       10, {{0, 2}, {2, 4}, {4, 6}, {6, 8}, {1, 3}, {3, 5}, {5, 7}, {7, 9}});
@@ -208,13 +230,10 @@ TEST(Sharding, BlackoutSplittingComponentMidRun) {
   fault::Plan plan;
   plan.seed = 17;
   plan.crash(4, 2, 40);  // cut vertex of the even-id path
-  const auto [base, base_cap] =
-      run_captured<protocols::DistributedWcdsRun>(
-          false, g, sim::DelayModel::unit(), &plan,
-          sim::ExecutionPolicy::kGlobal, 1);
+  const auto [base, base_cap] = run_captured<protocols::DistributedWcdsRun>(
+      false, g, sim::DelayModel::unit(), &plan, 1);
   const auto [sharded, cap] = run_captured<protocols::DistributedWcdsRun>(
-      false, g, sim::DelayModel::unit(), &plan,
-      sim::ExecutionPolicy::kComponentSharded, 2);
+      false, g, sim::DelayModel::unit(), &plan, 2);
   expect_same_wcds(base, sharded);
   expect_same_trace(base_cap.trace, cap.trace);
   expect_same_metrics(base_cap.metrics, cap.metrics);
@@ -321,11 +340,11 @@ TEST(Sharding, MatchesInterleavedGlobalOracle) {
   }
 }
 
-// run_algorithm2 hands back every node's 3HopDomList in a flat table: on
-// the sharded path each shard's lists are gathered by member, so they must
-// equal the lists the nodes of one interleaved Runtime hold (unit delays,
-// no faults: each component runs exactly as in isolation).  The connected
-// single-runtime path is checked the same way.
+// run_algorithm2 hands back every node's 3HopDomList in a flat table: each
+// shard's lists are gathered by member, so they must equal the lists the
+// nodes of one interleaved Runtime hold (unit delays, no faults: each
+// component runs exactly as in isolation).  A connected deployment, one
+// shard, is checked the same way.
 TEST(Sharding, Algorithm2ThreeHopListsMatchTheNodes) {
   const sim::Runtime::NodeFactory factory =
       [](NodeId) -> std::unique_ptr<sim::ProtocolNode> {
@@ -338,8 +357,7 @@ TEST(Sharding, Algorithm2ThreeHopListsMatchTheNodes) {
         testing::connected_udg(150, 9.0, seed)};
     for (const testing::Instance& inst : instances) {
       const auto run = protocols::run_algorithm2(
-          inst.g, sim::DelayModel::unit(), nullptr, nullptr,
-          sim::ExecutionPolicy::kComponentSharded, 2);
+          inst.g, sim::DelayModel::unit(), nullptr, nullptr, 2);
       sim::Runtime oracle(inst.g, factory);
       ASSERT_TRUE(oracle.run().quiescent);
       ASSERT_EQ(run.three_hop.row_count(), inst.g.node_count());

@@ -108,18 +108,16 @@ std::uint64_t protocol_digest(bool alg1, const graph::Graph& g,
   recorder.set_trace_sink(&sink);
   Digest d;
   if (alg1) {
-    const auto run = protocols::run_algorithm1(
-        g, delays, &recorder, faults, sim::ExecutionPolicy::kComponentSharded,
-        1);
+    const auto run =
+        protocols::run_algorithm1(g, delays, &recorder, faults, 1);
     add_stats(d, run.stats);
     add_wcds(d, run.wcds);
     d.add(run.leader);
     d.add_all(run.leaders);
     d.add_all(run.levels);
   } else {
-    const auto run = protocols::run_algorithm2(
-        g, delays, &recorder, faults, sim::ExecutionPolicy::kComponentSharded,
-        1);
+    const auto run =
+        protocols::run_algorithm2(g, delays, &recorder, faults, 1);
     add_stats(d, run.stats);
     add_wcds(d, run.wcds);
   }

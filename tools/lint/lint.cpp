@@ -332,7 +332,7 @@ Config default_config() {
       {"audit", {"check", "geom", "graph", "mis", "wcds_types"}},
       {"spanner",
        {"audit", "check", "geom", "graph", "obs", "parallel", "wcds_types"}},
-      {"sim", {"base", "check", "geom", "graph", "obs", "parallel"}},
+      {"sim", {"base", "check", "geom", "graph", "obs"}},
       {"fault", {"check", "geom", "graph", "obs", "sim"}},
       {"routing",
        {"check", "geom", "graph", "mis", "obs", "sim", "wcds", "wcds_types"}},
@@ -340,8 +340,8 @@ Config default_config() {
        {"check", "fault", "geom", "graph", "mis", "obs", "parallel", "routing",
         "wcds", "wcds_types"}},
       {"protocols",
-       {"audit", "check", "fault", "geom", "graph", "mis", "obs", "routing",
-        "sim", "wcds", "wcds_types"}},
+       {"audit", "check", "fault", "geom", "graph", "mis", "obs", "parallel",
+        "routing", "sim", "wcds", "wcds_types"}},
       {"broadcast",
        {"check", "geom", "graph", "obs", "protocols", "sim", "wcds_types"}},
       {"maintenance",

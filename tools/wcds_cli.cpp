@@ -218,8 +218,8 @@ int cmd_route(const Args& args) {
   }
   core::BuildOptions route_options;
   route_options.algorithm = core::BuildAlgorithm::kAlgorithm2Central;
-  const auto out = core::build(g, route_options).algorithm2_output();
-  const routing::ClusterheadRouter router(g, out);
+  const core::BuildReport report = core::build(g, route_options);
+  const routing::ClusterheadRouter router(g, report.algorithm2_view());
   const auto route = router.route(src, dst);
   if (!route.delivered) {
     std::cerr << "undeliverable\n";
