@@ -5,6 +5,7 @@
 #include "check/audit.h"
 #include "check/check.h"
 #include "mis/properties.h"
+#include "wcds/algorithm2.h"
 #include "wcds/wcds_result.h"
 
 namespace wcds::maintenance {
@@ -32,11 +33,28 @@ DynamicWcds::DynamicWcds(std::vector<geom::Point> points, double range)
       marks_(graph_.node_count()),
       near_b_(graph_.node_count(), 0) {
   obs::PhaseTimer build_timer(recorder_, "maintenance/initial_build");
-  // With no dominator yet, the whole-network repair promotes greedily
-  // lowest-ID-first (Algorithm II's ranking), then bridges every 3-hop MIS
-  // pair.
-  (void)repair(kInvalidNode);
+  seed(graph_.materialize());
   maybe_audit("construction");
+}
+
+void DynamicWcds::seed(const graph::Graph& g) {
+  obs::PhaseTimer seed_timer(recorder_, "maintenance/seed");
+  core::Algorithm2Options options;
+  options.selection = core::Algorithm2Options::Selection::kLexSmallestPair;
+  const core::Algorithm2Output alg2 = core::algorithm2_components(g, options);
+  // `g` is by name.  An inactive node is isolated in it, so the body makes
+  // it an MIS node with no 3-hop entries; it stays out of mis_.  A forward
+  // entry (u < dom) is the bridge (u, dom) through u's neighbor via1: the
+  // smallest neighbor of u on a 3-hop path, the via the event path keeps.
+  for (NodeId u = 0; u < node_count(); ++u) {
+    const NodeId s = graph_.slot_of(u);
+    mis_[s] = alg2.mis.mask[u] && graph_.is_active(s);
+    for (const core::ThreeHopEntry& e : alg2.lists.three_hop(u)) {
+      if (u < e.dom) {
+        add_bridge({s, graph_.slot_of(e.dom), graph_.slot_of(e.via1)});
+      }
+    }
+  }
 }
 
 std::vector<NodeId> DynamicWcds::dominators() const {
@@ -117,16 +135,12 @@ void DynamicWcds::add_member(std::vector<NodeId>& list, NodeId u,
   list.push_back(u);
 }
 
-void DynamicWcds::next_epoch() {
+void DynamicWcds::begin_event(NodeId u) {
   if (++epoch_ == 0) {  // wrapped: no old mark may alias the epoch
     for (Mark& m : marks_) m.epoch = 0;
     epoch_ = 1;
   }
   region_.clear();
-}
-
-void DynamicWcds::begin_event(NodeId u) {
-  next_epoch();
   for (const NodeId v : bfs_.run(graph_, u, 3)) {
     mark(v).d_old = static_cast<std::uint8_t>(bfs_.distance(v));
     add_member(region_, v, kRegion);
@@ -209,15 +223,14 @@ void DynamicWcds::rebridge(NodeId u, RepairReport& report) {
   // snapshot plus incoming_ covers a's partners; each candidate is
   // confirmed 3 hops apart.  An untouched pair keeps its paths, so an old
   // via adjacent to a is still the smallest; any other pair re-derives its
-  // via from a's row.  In whole-network mode (u == kInvalidNode) every MIS
-  // node searches a ball.
+  // via from a's row.
   snapshot_.clear();
   incoming_.clear();
   for (const NodeId a : affected_) {
     if (!mis_[a] || !graph_.is_active(a)) continue;  // demoted: erase only
     Mark& m = mark(a);
-    if (u == kInvalidNode || a == u || (m.flags & kPromoted) != 0 ||
-        m.d_old <= 1 || m.d_new <= 1) {
+    if (a == u || (m.flags & kPromoted) != 0 || m.d_old <= 1 ||
+        m.d_new <= 1) {
       m.flags |= kOwnBall;
       continue;
     }
@@ -272,22 +285,14 @@ RepairReport DynamicWcds::repair(NodeId u) {
   RepairReport report;
 
   // Region: the 3-hop balls of u before (begin_event) and after the event;
-  // coverage lost by the event is confined to the former.  The whole
-  // network in whole-network mode.
-  if (u == kInvalidNode) {
-    next_epoch();
-    for (NodeId v = 0; v < node_count(); ++v) {
-      add_member(region_, graph_.slot_of(v), kRegion);
-    }
-  } else {
-    const auto ball = bfs_.run(graph_, u, 3);
-    report.searched = region_.size() + ball.size();  // both event balls
-    for (const NodeId v : ball) {
-      mark(v).d_new = static_cast<std::uint8_t>(bfs_.distance(v));
-      add_member(region_, v, kRegion);
-    }
-    std::sort(region_.begin(), region_.end(), by_name());
+  // coverage lost by the event is confined to the former.
+  const auto ball = bfs_.run(graph_, u, 3);
+  report.searched = region_.size() + ball.size();  // both event balls
+  for (const NodeId v : ball) {
+    mark(v).d_new = static_cast<std::uint8_t>(bfs_.distance(v));
+    add_member(region_, v, kRegion);
   }
+  std::sort(region_.begin(), region_.end(), by_name());
 
   // 1. Resolve MIS conflicts (adjacent dominators): demote the higher ID.
   demoted_.clear();
@@ -350,15 +355,13 @@ RepairReport DynamicWcds::repair(NodeId u) {
   for (const NodeId v : region_) {
     if (mis_[v]) add_member(affected_, v, kAffected);
   }
-  if (u != kInvalidNode) {
-    for (const auto* changed : {&demoted_, &promoted_}) {
-      for (const NodeId c : *changed) {
-        if (c == u) continue;
-        const auto ball = bfs_.run(graph_, c, 3);
-        report.searched += ball.size();
-        for (const NodeId v : ball) {
-          if (mis_[v]) add_member(affected_, v, kAffected);
-        }
+  for (const auto* changed : {&demoted_, &promoted_}) {
+    for (const NodeId c : *changed) {
+      if (c == u) continue;
+      const auto changed_ball = bfs_.run(graph_, c, 3);
+      report.searched += changed_ball.size();
+      for (const NodeId v : changed_ball) {
+        if (mis_[v]) add_member(affected_, v, kAffected);
       }
     }
   }
@@ -414,10 +417,24 @@ RepairReport DynamicWcds::activate(NodeId u) {
 RepairReport DynamicWcds::watchdog() {
   if (audit().ok()) return {};
   obs::PhaseTimer event_timer(recorder_, "maintenance/watchdog");
-  // Recovery mode: seed the repair everywhere.  Costlier than the 3-hop
-  // event path, but only reached when the maintained state was perturbed
-  // outside the event interface.
-  const RepairReport report = repair(kInvalidNode);
+  // Recovery: rebuild from Algorithm II over the active graph, as the
+  // constructor does.  Costlier than the 3-hop event path, but only reached
+  // when the maintained state was perturbed outside the event interface.
+  RepairReport report{.region_size = node_count()};
+  std::vector<bool> was_mis(node_count(), false);
+  mis_.swap(was_mis);
+  for (auto& list : bridges_) {
+    report.bridges_changed += list.size();
+    list.clear();
+  }
+  std::fill(via_count_.begin(), via_count_.end(), 0);
+  seed(graph_.materialize());
+  for (NodeId s = 0; s < node_count(); ++s) {
+    report.bridges_changed += bridges_[s].size();
+    report.demoted += was_mis[s] && !mis_[s];
+    report.promoted += !was_mis[s] && mis_[s];
+  }
+  report.bridges_changed /= 2;  // each bridge is listed at both endpoints
   event_timer.stop();
   record_event("watchdog", report);
   maybe_audit("watchdog");

@@ -33,8 +33,12 @@
 //    3-hop MIS pair is bridged by an additional-dominator, and hence
 //    S + C is a WCDS of every connected component.
 //
-// Whole-network passes are left to inspection and checking: active_graph(),
-// bridges(), dominators(), watchdog() and audit() (the shared checker).
+// The backbone starts as Algorithm II's (core::algorithm2_components over
+// the active graph, kLexSmallestPair): its MIS, and one bridge per 3-hop
+// MIS pair through the smallest neighbor of the lower endpoint on a 3-hop
+// path, the rule every event keeps.  watchdog() rebuilds through the same
+// seed.  Other whole-network passes are left to inspection and checking:
+// active_graph(), bridges(), dominators() and audit() (the shared checker).
 #pragma once
 
 #include <cstdint>
@@ -74,7 +78,8 @@ struct Audit {
 
 class DynamicWcds {
  public:
-  // Builds the initial MIS + bridges from scratch over the given deployment.
+  // Builds the deployment's unit-disk graph and seeds the maintained MIS and
+  // bridges from Algorithm II over it (any number of components).
   // Throws std::invalid_argument for range <= 0 or a position that is not
   // finite or lies outside the int32 cell grid (IncrementalUdg).
   explicit DynamicWcds(std::vector<geom::Point> points, double range = 1.0);
@@ -124,11 +129,13 @@ class DynamicWcds {
   }
 
   // Liveness watchdog: audit the maintained invariants and, when any fail,
-  // run a repair pass seeded at every node.  Per-event localized repairs
+  // drop the MIS and every bridge and seed them again from Algorithm II over
+  // the active graph, as the constructor does.  Per-event localized repairs
   // keep the invariants by construction, so this is the recovery path for
   // compound fault sequences (crash storms via maintenance::run_crash_schedule)
   // or external state perturbation.  Returns the all-zero report when the
-  // audit already passed.
+  // audit already passed; otherwise the MIS-mask differences as demoted and
+  // promoted, bridges dropped plus added, region_size n and searched 0.
   RepairReport watchdog();
 
  private:
@@ -154,20 +161,21 @@ class DynamicWcds {
   [[nodiscard]] auto by_name() const {
     return [this](NodeId s, NodeId t) { return before(s, t); };
   }
-  // Invalidates every mark and empties region_.
-  void next_epoch();
-  // Starts an event at `u`: a new mark epoch, and u's 3-hop ball in the
-  // pre-event graph as the first part of the region.  Call before the graph
-  // changes.
+  // Sets mis_ and the bridges from core::algorithm2_components over `g`,
+  // the active graph by name, on a state with no MIS node and no bridge.
+  void seed(const graph::Graph& g);
+  // Starts an event at `u`: a new mark epoch (invalidating every mark), and
+  // u's 3-hop ball in the pre-event graph as the first part of the region.
+  // Call before the graph changes.
   void begin_event(NodeId u);
   // Localized repair around the event node `u` (begin_event() ran before
-  // the graph changed), or of the whole network when u == kInvalidNode.
+  // the graph changed).
   RepairReport repair(NodeId u);
   // Fold one event's RepairReport into the recorder (no-op when null).
   void record_event(const char* event, const RepairReport& report) const;
   // Drops every bridge with an endpoint in affected_ and re-derives every
   // 3-hop pair with an endpoint there, counting both in
-  // report.bridges_changed.  `u` as for repair().
+  // report.bridges_changed.  `u` is the event node.
   void rebridge(NodeId u, RepairReport& report);
   // Runs a's 3-hop ball and bridges every partner b (MIS, 3 hops away) for
   // which a derives the pair; hands the others to their deriving endpoint

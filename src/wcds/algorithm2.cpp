@@ -78,13 +78,8 @@ DominatorLists compute_dominator_lists(const graph::Graph& g,
   return lists;
 }
 
-Algorithm2Output algorithm2(const graph::Graph& g,
-                            const Algorithm2Options& options) {
-  WCDS_REQUIRE(g.node_count() > 0, "algorithm2: empty graph");
-  WCDS_REQUIRE(graph::is_connected(g), "algorithm2: graph must be connected");
-  obs::Recorder* rec = obs::global_recorder();
-  obs::PhaseTimer total_timer(rec, "alg2_central/total");
-
+Algorithm2Output algorithm2_components(const graph::Graph& g,
+                                       const Algorithm2Options& options) {
   Algorithm2Output out;
   out.mis = mis::greedy_mis_by_id(g);
   out.lists = compute_dominator_lists(g, out.mis);
@@ -190,6 +185,17 @@ Algorithm2Output algorithm2(const graph::Graph& g,
       r.color[u] = NodeColor::kBlack;
     }
   }
+  return out;
+}
+
+Algorithm2Output algorithm2(const graph::Graph& g,
+                            const Algorithm2Options& options) {
+  WCDS_REQUIRE(g.node_count() > 0, "algorithm2: empty graph");
+  WCDS_REQUIRE(graph::is_connected(g), "algorithm2: graph must be connected");
+  obs::Recorder* rec = obs::global_recorder();
+  obs::PhaseTimer total_timer(rec, "alg2_central/total");
+  Algorithm2Output out = algorithm2_components(g, options);
+  const WcdsResult& r = out.result;
 
   if (rec != nullptr) {
     auto& metrics = rec->metrics();

@@ -106,7 +106,19 @@ class Algorithm2View {
   const DominatorLists* lists_;
 };
 
-// Precondition: g is connected.  Throws std::invalid_argument otherwise.
+// The construction body, with no connectivity precondition.  Every step is
+// local (the greedy MIS by ID, the 1/2-hop lists, the 3-hop selection), so
+// on any graph, empty or disconnected included, the output is the union of
+// the per-component outputs: an isolated node is an MIS-dominator with no
+// list entries.  Records nothing and runs no audit.  DynamicWcds seeds its
+// maintained backbone from it over the active graph.
+[[nodiscard]] Algorithm2Output algorithm2_components(
+    const graph::Graph& g, const Algorithm2Options& options = {});
+
+// Algorithm II over a connected graph: algorithm2_components() plus the
+// alg2_central/* timings and metrics and, when audits are on, the WCDS
+// invariant audit.  Precondition: g is non-empty and connected.  Throws
+// std::invalid_argument otherwise.
 [[nodiscard]] Algorithm2Output algorithm2(const graph::Graph& g,
                                           const Algorithm2Options& options = {});
 

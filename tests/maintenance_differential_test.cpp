@@ -4,11 +4,13 @@
 // the same MIS, bridges and dominators, report the same RepairReport, and
 // the maintained graph must equal udg::build_udg over the active nodes.
 // The stamp-based bridge search row_via is checked against the merge walk
-// it replaced (reference_row_via) on every MIS pair within 3 hops.
+// it replaced (reference_row_via) on every MIS pair within 3 hops.  A fresh
+// DynamicWcds must hold Algorithm II's backbone under kLexSmallestPair.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +23,9 @@
 #include "maintenance/crash_schedule.h"
 #include "maintenance/dynamic_wcds.h"
 #include "maintenance_reference.h"
+#include "test_util.h"
 #include "udg/udg.h"
+#include "wcds/algorithm2.h"
 
 namespace wcds::testing {
 namespace {
@@ -273,6 +277,83 @@ TEST(MaintenanceDifferential, CrashScheduleAndWatchdog) {
   lock.expect_same("after crash schedule");
   lock.step("watchdog", [](auto& net) { return net.watchdog(); });
 }
+
+// `net` holds the MIS and the bridges of `alg2`: the same MIS mask, and one
+// bridge per forward 3-hop row with the same via.
+void expect_backbone_of(const DynamicWcds& net,
+                        const core::Algorithm2Output& alg2,
+                        const std::string& what) {
+  std::vector<bool> mis(net.node_count());
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    mis[u] = net.is_mis_dominator(u);
+  }
+  EXPECT_EQ(mis, alg2.mis.mask) << what;
+  EXPECT_EQ(net.bridges(), forward_rows(alg2.lists)) << what;
+}
+
+// A fresh DynamicWcds against Algorithm II under kLexSmallestPair, on the
+// algorithm2_lists_differential_test families: both take the greedy
+// lowest-ID MIS, and both bridge a 3-hop MIS pair a < b through the
+// smallest neighbor of a on a 3-hop path.  kReuseIntermediates prefers a
+// via already chosen for another pair, so its rows differ by design; it is
+// not the rule maintenance keeps.
+class SeedDifferential
+    : public ::testing::TestWithParam<
+          std::tuple<geom::WorkloadKind, std::uint64_t, double>> {};
+
+TEST_P(SeedDifferential, FreshBackboneIsAlgorithm2s) {
+  const AuditsOff audits_off;
+  const auto [kind, seed, degree] = GetParam();
+  const Instance inst = connected_workload_instance(kind, 400, degree, seed);
+  const DynamicWcds net(inst.points);
+  const core::Algorithm2Output alg2 = core::algorithm2(inst.g);
+  expect_backbone_of(net, alg2, "connected");
+  EXPECT_FALSE(forward_rows(alg2.lists).empty());
+}
+
+// A deployment of several components (two families far apart, plus
+// isolated nodes) against the connectivity-free construction body, which
+// algorithm2() itself refuses.
+TEST(SeedDifferential, MultiComponentBackboneIsTheBodys) {
+  const AuditsOff audits_off;
+  std::vector<geom::Point> points =
+      connected_workload_instance(geom::WorkloadKind::kUniform, 300, 12.0, 1)
+          .points;
+  for (const geom::Point& p :
+       connected_workload_instance(geom::WorkloadKind::kCorridor, 200, 8.0, 2)
+           .points) {
+    points.push_back({p.x + 1000.0, p.y});
+  }
+  points.push_back({-500.0, -500.0});
+  points.push_back({-500.0, 500.0});
+  const graph::Graph g = udg::build_udg(points);
+  ASSERT_FALSE(graph::is_connected(g));
+  const DynamicWcds net(points);
+  const core::Algorithm2Output body = core::algorithm2_components(g);
+  expect_backbone_of(net, body, "multi-component");
+  EXPECT_TRUE(net.is_mis_dominator(500));  // isolated
+  EXPECT_TRUE(net.audit().ok());
+}
+
+std::string seed_cell_name(
+    const ::testing::TestParamInfo<SeedDifferential::ParamType>& info) {
+  const auto [kind, seed, degree] = info.param;
+  std::string name = geom::to_string(kind);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name + "_seed" + std::to_string(seed) + "_deg" +
+         std::to_string(static_cast<int>(degree));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, SeedDifferential,
+    ::testing::Combine(::testing::Values(geom::WorkloadKind::kUniform,
+                                         geom::WorkloadKind::kClustered,
+                                         geom::WorkloadKind::kPerturbedGrid,
+                                         geom::WorkloadKind::kCorridor,
+                                         geom::WorkloadKind::kRing),
+                       ::testing::Values(1u, 2u, 3u),
+                       ::testing::Values(8.0, 16.0)),
+    seed_cell_name);
 
 }  // namespace
 }  // namespace wcds::testing

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,9 @@
 #include "maintenance/crash_schedule.h"
 #include "maintenance/dynamic_wcds.h"
 #include "maintenance/incremental_udg.h"
+#include "test_util.h"
 #include "udg/udg.h"
+#include "wcds/algorithm2.h"
 
 namespace wcds::maintenance {
 namespace {
@@ -244,6 +247,64 @@ TEST(DynamicWcds, EveryEventAuditsBeyondItsRepairBall) {
   EXPECT_THROW((void)dyn.activate(u), check::CheckError);
   EXPECT_TRUE(dyn.is_active(u));
   check::set_audits_enabled(audits_were);
+}
+
+// The watchdog's repairing branch.  An MIS bit set on a dominated node far
+// from every event breaks independence, and no event repairs it; the
+// watchdog drops the MIS and every bridge and seeds them again from
+// Algorithm II over the active graph.  With every node active the result
+// is a fresh DynamicWcds on the same points; with nodes switched off first
+// it is core::algorithm2_components() of the active graph, the inactive
+// nodes left out.
+TEST(DynamicWcds, WatchdogRebuildsACorruptedBackbone) {
+  const testing::AuditsOff audits_off;
+  const auto points = deployment(300, 10.0, 4);
+  const DynamicWcds fresh(points);
+  const graph::Graph g = fresh.active_graph();
+  NodeId corrupt = 0;
+  while (fresh.is_mis_dominator(corrupt) || g.degree(corrupt) == 0) ++corrupt;
+  // Beyond the reach of a switch-off's repair (3-hop balls, plus one hop to
+  // the neighbors of a demoted node).
+  const std::vector<HopCount> hops = graph::bfs_distances(g, corrupt);
+  std::vector<NodeId> far;
+  for (NodeId v = 0; v < g.node_count() && far.size() < 4; ++v) {
+    if (hops[v] != kUnreachable && hops[v] > 5) far.push_back(v);
+  }
+  ASSERT_EQ(far.size(), 4u);
+
+  DynamicWcds dyn(points);
+  DynamicWcdsTestPeer::set_mis(dyn, corrupt, true);
+  ASSERT_FALSE(dyn.audit().ok());
+  const RepairReport report = dyn.watchdog();
+  EXPECT_EQ(report.demoted, 1u);
+  EXPECT_EQ(report.promoted, 0u);
+  EXPECT_EQ(report.bridges_changed, 2 * fresh.bridges().size());
+  EXPECT_EQ(report.region_size, points.size());
+  EXPECT_EQ(report.searched, 0u);
+  EXPECT_TRUE(dyn.audit().ok());
+  EXPECT_EQ(dyn.dominators(), fresh.dominators());
+  EXPECT_EQ(dyn.bridges(), fresh.bridges());
+  EXPECT_EQ(dyn.watchdog().region_size, 0u);  // healthy: nothing to do
+
+  DynamicWcds off(points);
+  for (const NodeId v : far) (void)off.deactivate(v);
+  ASSERT_FALSE(off.is_mis_dominator(corrupt));
+  DynamicWcdsTestPeer::set_mis(off, corrupt, true);
+  ASSERT_FALSE(off.audit().ok());
+  const RepairReport off_report = off.watchdog();
+  EXPECT_GT(off_report.demoted, 0u);
+  EXPECT_GT(off_report.bridges_changed, 0u);
+  EXPECT_EQ(off_report.region_size, points.size());
+  EXPECT_TRUE(off.audit().ok());
+  const core::Algorithm2Output body =
+      core::algorithm2_components(off.active_graph());
+  std::vector<NodeId> dominators;
+  for (const NodeId u : body.result.dominators) {
+    if (off.is_active(u)) dominators.push_back(u);
+  }
+  for (const NodeId v : far) EXPECT_FALSE(off.is_mis_dominator(v)) << v;
+  EXPECT_EQ(off.dominators(), dominators);
+  EXPECT_EQ(off.bridges(), testing::forward_rows(body.lists));
 }
 
 // The work witness: the nodes an event's bounded searches visit stay within

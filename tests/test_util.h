@@ -3,10 +3,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <numbers>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/point.h"
@@ -14,6 +16,7 @@
 #include "graph/bfs.h"
 #include "graph/graph.h"
 #include "udg/udg.h"
+#include "wcds/algorithm2.h"
 
 namespace wcds::testing {
 
@@ -42,9 +45,9 @@ inline Instance connected_udg(std::uint32_t count, double expected_degree,
 // neighbors: the side starts where the family's area gives that density and
 // shrinks 3% per disconnected draw, so the instance is a pure function of
 // its arguments.
-inline graph::Graph connected_workload(geom::WorkloadKind kind,
-                                       std::uint32_t count, double degree,
-                                       std::uint64_t seed) {
+inline Instance connected_workload_instance(geom::WorkloadKind kind,
+                                            std::uint32_t count, double degree,
+                                            std::uint64_t seed) {
   geom::WorkloadParams params;
   params.kind = kind;
   params.count = count;
@@ -59,12 +62,34 @@ inline graph::Graph connected_workload(geom::WorkloadKind kind,
   }
   params.side = std::sqrt(count * std::numbers::pi / (degree * area_factor));
   for (int attempt = 0; attempt < 400; ++attempt) {
-    graph::Graph g = udg::build_udg(geom::generate(params));
-    if (graph::is_connected(g)) return g;
+    Instance inst;
+    inst.points = geom::generate(params);
+    inst.g = udg::build_udg(inst.points);
+    if (graph::is_connected(inst.g)) return inst;
     params.side *= 0.97;
   }
   throw std::runtime_error("connected_workload: no connected " +
                            geom::to_string(kind) + " instance");
+}
+
+// The graph of connected_workload_instance().
+inline graph::Graph connected_workload(geom::WorkloadKind kind,
+                                       std::uint32_t count, double degree,
+                                       std::uint64_t seed) {
+  return connected_workload_instance(kind, count, degree, seed).g;
+}
+
+// Algorithm II's forward 3-hop rows (u < dom) as DynamicWcds::bridges()
+// lists them: (u, dom) -> via1, the additional-dominator next to u.
+inline std::map<std::pair<NodeId, NodeId>, NodeId> forward_rows(
+    const core::DominatorLists& lists) {
+  std::map<std::pair<NodeId, NodeId>, NodeId> rows;
+  for (NodeId u = 0; u < lists.node_count(); ++u) {
+    for (const core::ThreeHopEntry& e : lists.three_hop(u)) {
+      if (u < e.dom) rows.emplace(std::pair{u, e.dom}, e.via1);
+    }
+  }
+  return rows;
 }
 
 // A row of a flat table (graph::FlatRows, core::DominatorLists) as a
