@@ -17,7 +17,7 @@ constexpr std::uint8_t kFar = 4;
 
 // Mark flags.
 constexpr std::uint8_t kRegion = 1;      // in region_
-constexpr std::uint8_t kCandidate = 2;   // in candidates_ but not region_
+constexpr std::uint8_t kCandidate = 2;   // in candidates_
 constexpr std::uint8_t kAffected = 4;    // in affected_
 constexpr std::uint8_t kOwnBall = 8;     // re-derives its bridges by a ball
 constexpr std::uint8_t kPromoted = 16;   // promoted by this event
@@ -284,56 +284,64 @@ void DynamicWcds::rebridge(NodeId u, RepairReport& report) {
 RepairReport DynamicWcds::repair(NodeId u) {
   RepairReport report;
 
-  // Region: the 3-hop balls of u before (begin_event) and after the event;
-  // coverage lost by the event is confined to the former.
+  // Region: the 3-hop balls of u before (begin_event) and after the event,
+  // in no particular order; it feeds affected_ and region_size.
   const auto ball = bfs_.run(graph_, u, 3);
   report.searched = region_.size() + ball.size();  // both event balls
   for (const NodeId v : ball) {
     mark(v).d_new = static_cast<std::uint8_t>(bfs_.distance(v));
     add_member(region_, v, kRegion);
   }
-  std::sort(region_.begin(), region_.end(), by_name());
+
+  // The pre-event state passed the audit (an MIS of the old active graph),
+  // and the event changed only the links at u.  So every adjacent MIS pair
+  // now holds u, and a node can lose its dominator only if that dominator
+  // was u or is demoted below: steps 1 and 2 read only those rows.
 
   // 1. Resolve MIS conflicts (adjacent dominators): demote the higher ID.
+  // A smaller MIS neighbor demotes u; otherwise u demotes its MIS
+  // neighbors, in row (name) order.  An inactive node has no links, and
+  // cannot stay a dominator.
   demoted_.clear();
-  bool conflict = true;
-  while (conflict) {
-    conflict = false;
-    for (const NodeId v : region_) {
-      if (!mis_[v] || !graph_.is_active(v)) continue;
-      for (const NodeId w : graph_.neighbors(v)) {
-        if (mis_[w] && before(v, w)) {
+  if (mis_[u]) {
+    const auto row = graph_.neighbors(u);
+    const bool beaten =
+        !graph_.is_active(u) ||
+        std::any_of(row.begin(), row.end(),
+                    [&](NodeId w) { return mis_[w] && before(w, u); });
+    if (beaten) {
+      mis_[u] = false;
+      demoted_.push_back(u);
+    } else {
+      for (const NodeId w : row) {
+        if (mis_[w]) {
           mis_[w] = false;
           demoted_.push_back(w);
-          conflict = true;
         }
       }
     }
   }
-  // An inactive node cannot stay a dominator.
-  for (const NodeId v : region_) {
-    if (mis_[v] && !graph_.is_active(v)) {
-      mis_[v] = false;
-      demoted_.push_back(v);
-    }
-  }
   report.demoted = demoted_.size();
 
-  // 2. Restore maximality: any active node in the blast radius without a
-  // dominator in its closed neighborhood is promoted, ascending by ID (the
-  // promotion keeps independence because the candidate has no MIS neighbor).
-  candidates_.assign(region_.begin(), region_.end());
+  // 2. Restore maximality: an active node without a dominator in its closed
+  // neighborhood is promoted, ascending by ID (the promotion keeps
+  // independence because the candidate has no MIS neighbor).  Only u, its
+  // old neighbors (right after u in the old ball's BFS order) and the
+  // closed neighborhoods of demoted nodes can lack one: any other active
+  // node keeps its pre-event dominator, since promotions only add MIS nodes.
+  candidates_.clear();
+  add_member(candidates_, u, kCandidate);
+  for (std::size_t i = 1; i < region_.size() && peek(region_[i]).d_old == 1;
+       ++i) {
+    add_member(candidates_, region_[i], kCandidate);
+  }
   for (const NodeId d : demoted_) {
-    if ((mark(d).flags & kRegion) == 0) add_member(candidates_, d, kCandidate);
+    add_member(candidates_, d, kCandidate);
     for (const NodeId v : graph_.neighbors(d)) {
-      if ((mark(v).flags & kRegion) == 0) {
-        add_member(candidates_, v, kCandidate);
-      }
+      add_member(candidates_, v, kCandidate);
     }
   }
-  if (candidates_.size() > region_.size()) {
-    std::sort(candidates_.begin(), candidates_.end(), by_name());
-  }
+  std::sort(candidates_.begin(), candidates_.end(), by_name());
   promoted_.clear();
   for (const NodeId v : candidates_) {
     if (!graph_.is_active(v) || mis_[v]) continue;

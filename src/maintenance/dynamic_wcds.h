@@ -12,8 +12,9 @@
 //    positions plus sorted adjacency rows, of which an event rewrites only
 //    the moved node's row and the rows of its old and new neighbors;
 //  * protocol-state repair is local: only nodes within the 3-hop balls of
-//    the event site (old and new position) can change role, and every
-//    bounded BFS runs on one reused graph::LocalBfs;
+//    the event site (old and new position) can change role, the MIS repair
+//    reads only the rows of the event node and of the nodes it demotes, and
+//    every bounded BFS runs on one reused graph::LocalBfs;
 //  * bridges are listed at both endpoints, with a via-node count per node,
 //    and is_additional_dominator() is O(1).  An event drops the bridges of
 //    the MIS nodes in those balls, but runs a fresh 3-hop search only from
@@ -131,11 +132,14 @@ class DynamicWcds {
   // Liveness watchdog: audit the maintained invariants and, when any fail,
   // drop the MIS and every bridge and seed them again from Algorithm II over
   // the active graph, as the constructor does.  Per-event localized repairs
-  // keep the invariants by construction, so this is the recovery path for
-  // compound fault sequences (crash storms via maintenance::run_crash_schedule)
-  // or external state perturbation.  Returns the all-zero report when the
-  // audit already passed; otherwise the MIS-mask differences as demoted and
-  // promoted, bridges dropped plus added, region_size n and searched 0.
+  // keep the invariants by construction, but only from an audited start:
+  // an event repairs what its own link changes break, never a foreign
+  // perturbation of the state, even one inside its 3-hop ball.  So this is
+  // the recovery path for compound fault sequences (crash storms via
+  // maintenance::run_crash_schedule) and for external state perturbation,
+  // which the next event's audit reports.  Returns the all-zero report when
+  // the audit already passed; otherwise the MIS-mask differences as demoted
+  // and promoted, bridges dropped plus added, region_size n and searched 0.
   RepairReport watchdog();
 
  private:
@@ -169,7 +173,11 @@ class DynamicWcds {
   // Call before the graph changes.
   void begin_event(NodeId u);
   // Localized repair around the event node `u` (begin_event() ran before
-  // the graph changed).
+  // the graph changed).  Assumes an audited pre-event state: the MIS was
+  // independent and maximal and every 3-hop pair bridged before the links
+  // at u changed, so only u's row can hold a conflict.  A perturbation made
+  // outside the events (elsewhere in the ball included) is not repaired
+  // here; it is the watchdog's job.
   RepairReport repair(NodeId u);
   // Fold one event's RepairReport into the recorder (no-op when null).
   void record_event(const char* event, const RepairReport& report) const;
@@ -235,8 +243,10 @@ class DynamicWcds {
   // Event scratch, reused so that the event path does not allocate.
   std::vector<Mark> marks_;
   std::uint32_t epoch_ = 0;
-  std::vector<NodeId> region_;      // balls of the event site, ascending
-  std::vector<NodeId> candidates_;  // region + demoted + their neighbors
+  std::vector<NodeId> region_;      // balls of the event site, old first
+  // Nodes that may have lost their dominator: u, u's old neighbors and the
+  // closed neighborhoods of demoted nodes, ascending by name.
+  std::vector<NodeId> candidates_;
   std::vector<NodeId> demoted_;
   std::vector<NodeId> promoted_;
   std::vector<NodeId> affected_;    // nodes whose bridges are re-derived

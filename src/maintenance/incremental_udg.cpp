@@ -86,14 +86,21 @@ IncrementalUdg::IncrementalUdg(std::vector<geom::Point> points, double range)
       points_(by_slot(points, name_of_)),
       active_(points.size(), true),
       rows_(points.size()) {
-  for (NodeId s = 0; s < name_of_.size(); ++s) {
+  const auto n = static_cast<NodeId>(name_of_.size());
+  for (NodeId s = 0; s < n; ++s) {
     slot_of_[name_of_[s]] = s;
     add_to_cell(s);
   }
-  for (NodeId s = 0; s < rows_.size(); ++s) {
-    scan_row(s);
-    rows_[s].reserve(row_.size() + kRowSpare);
-    rows_[s].assign(row_.begin(), row_.end());
+  // Every node is active, so s's row holds build_udg's neighbors of s over
+  // the points by slot: the same cells as scan_row, and within_range is
+  // symmetric in its arguments.  Slot order keeps build_udg's passes local.
+  // Appending each slot to its neighbors' rows in ascending name order
+  // leaves every row ascending by name.
+  const graph::Graph g = udg::build_udg(points_, range);
+  for (NodeId s = 0; s < n; ++s) rows_[s].reserve(g.degree(s) + kRowSpare);
+  for (NodeId name = 0; name < n; ++name) {
+    const NodeId t = slot_of_[name];
+    for (const NodeId s : g.neighbors(t)) rows_[s].push_back(t);
   }
 }
 
@@ -124,18 +131,14 @@ void IncrementalUdg::remove_from_cell(NodeId s) {
 void IncrementalUdg::scan_row(NodeId s) {
   row_.clear();
   if (!active_[s]) return;
-  const NodeId name = name_of_[s];
   const auto [cx, cy] = cell_of(points_[s]);
   for (std::int32_t dx = -1; dx <= 1; ++dx) {
     for (std::int32_t dy = -1; dy <= 1; ++dy) {
       const auto it = grid_.find(udg::cell_key(cx + dx, cy + dy));
       if (it == grid_.end()) continue;
       for (const NodeId t : it->second) {
-        if (t == s || !active_[t]) continue;
-        // Same argument order as build_udg (lower name first).
-        const bool s_first = name < name_of_[t];
-        if (geom::within_range(points_[s_first ? s : t],
-                               points_[s_first ? t : s], range_)) {
+        if (t != s && active_[t] &&
+            geom::within_range(points_[s], points_[t], range_)) {
           row_.push_back(t);
         }
       }

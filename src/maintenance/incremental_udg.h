@@ -6,7 +6,8 @@
 // udg::build_udg's grid.  build_udg lays its cells out flat, once; this
 // index keeps a hash from udg::cell_key to the cell's nodes instead, so an
 // event can move one node between cells.  Pairs are judged by the same
-// geom::within_range predicate, so after any sequence of events the rows
+// geom::within_range predicate (symmetric to the bit: swapping the points
+// negates each difference exactly), so after any sequence of events the rows
 // equal udg::build_udg over the current positions with every edge at an
 // inactive node removed.  A move or on/off event rescans only the 3x3 cells
 // around the node and rewrites only its row and the rows of its old and new

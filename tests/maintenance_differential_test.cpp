@@ -56,9 +56,10 @@ class Lockstep {
     expect_same("construction");
   }
 
+  // Applies `event` to both and returns the incremental report.
   template <class Event>
-  void step(const std::string& what, Event&& event) {
-    if (::testing::Test::HasFailure()) return;  // report the first mismatch
+  RepairReport step(const std::string& what, Event&& event) {
+    if (::testing::Test::HasFailure()) return {};  // report the first mismatch
     const RepairReport got = event(net_);
     const RepairReport want = event(ref_);
     EXPECT_EQ(got.demoted, want.demoted) << what;
@@ -66,19 +67,20 @@ class Lockstep {
     EXPECT_EQ(got.bridges_changed, want.bridges_changed) << what;
     EXPECT_EQ(got.region_size, want.region_size) << what;
     expect_same(what);
+    return got;
   }
 
-  void move(NodeId u, const geom::Point& p) {
-    step("move " + std::to_string(u),
-         [&](auto& net) { return net.move_node(u, p); });
+  RepairReport move(NodeId u, const geom::Point& p) {
+    return step("move " + std::to_string(u),
+                [&](auto& net) { return net.move_node(u, p); });
   }
-  void off(NodeId u) {
-    step("off " + std::to_string(u),
-         [&](auto& net) { return net.deactivate(u); });
+  RepairReport off(NodeId u) {
+    return step("off " + std::to_string(u),
+                [&](auto& net) { return net.deactivate(u); });
   }
-  void on(NodeId u) {
-    step("on " + std::to_string(u),
-         [&](auto& net) { return net.activate(u); });
+  RepairReport on(NodeId u) {
+    return step("on " + std::to_string(u),
+                [&](auto& net) { return net.activate(u); });
   }
 
   void expect_same(const std::string& what) const {
@@ -276,6 +278,181 @@ TEST(MaintenanceDifferential, CrashScheduleAndWatchdog) {
   }
   lock.expect_same("after crash schedule");
   lock.step("watchdog", [](auto& net) { return net.watchdog(); });
+}
+
+// --- Cells for the event-local MIS repair ------------------------------------
+//
+// An event changes only the links at its node u, so a conflict pairs u with
+// an MIS neighbor, and coverage can be lost only at u, u's old neighbors and
+// the closed neighborhoods of demoted nodes.  Each cell drives one kind of
+// event that exercises a branch of that rule.
+
+// The MIS nodes of `net`, ascending.
+std::vector<NodeId> mis_nodes(const DynamicWcds& net) {
+  std::vector<NodeId> mis;
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    if (net.is_mis_dominator(u)) mis.push_back(u);
+  }
+  return mis;
+}
+
+// Two MIS nodes b < c, neither of them `skip`, less than 1.8 ranges apart,
+// so that their midpoint is within range of both.
+std::pair<NodeId, NodeId> near_mis_pair(const DynamicWcds& net, NodeId skip) {
+  const std::vector<NodeId> mis = mis_nodes(net);
+  for (const NodeId b : mis) {
+    for (const NodeId c : mis) {
+      if (b < c && b != skip && c != skip &&
+          geom::squared_distance(net.position(b), net.position(c)) <
+              1.8 * 1.8) {
+        return {b, c};
+      }
+    }
+  }
+  return {kInvalidNode, kInvalidNode};
+}
+
+geom::Point midpoint(const geom::Point& a, const geom::Point& b) {
+  return {(a.x + b.x) / 2, (a.y + b.y) / 2};
+}
+
+// The active neighbors of MIS node m whose only MIS neighbor is m.
+std::vector<NodeId> private_neighbors(const DynamicWcds& net, NodeId m) {
+  const graph::Graph g = net.active_graph();
+  std::vector<NodeId> only_m;
+  for (const NodeId v : g.neighbors(m)) {
+    const auto row = g.neighbors(v);
+    if (!net.is_mis_dominator(v) &&
+        std::count_if(row.begin(), row.end(), [&](NodeId w) {
+          return net.is_mis_dominator(w);
+        }) == 1) {
+      only_m.push_back(v);
+    }
+  }
+  return only_m;
+}
+
+// An MIS node moved next to a smaller MIS node loses the conflict: it alone
+// is demoted, and its old neighbors are re-covered.
+TEST(MaintenanceDifferential, MisNodeMovedNextToASmallerOne) {
+  const auto points = churn_deployment(300, 5, 12.0);
+  Lockstep lock(points);
+  for (int round = 0; round < 4; ++round) {
+    const std::vector<NodeId> mis = mis_nodes(lock.net());
+    ASSERT_GT(mis.size(), 2u);
+    const NodeId a = mis[round];
+    const NodeId u = mis[mis.size() - 1 - round];
+    const geom::Point p = lock.net().position(a);
+    const RepairReport report = lock.move(u, {p.x + 0.5, p.y});
+    EXPECT_EQ(report.demoted, 1u) << "round " << round;
+    EXPECT_FALSE(lock.net().is_mis_dominator(u)) << "round " << round;
+    EXPECT_TRUE(lock.net().is_mis_dominator(a)) << "round " << round;
+  }
+  EXPECT_TRUE(lock.net().audit().ok());
+}
+
+// The smallest MIS node moved between two larger ones wins against both:
+// they are demoted, and their neighborhoods are re-covered.
+TEST(MaintenanceDifferential, MisNodeMovedBetweenLargerOnes) {
+  const auto points = churn_deployment(300, 5, 12.0);
+  Lockstep lock(points);
+  std::size_t promoted = 0;
+  for (int round = 0; round < 4; ++round) {
+    const NodeId u = mis_nodes(lock.net()).front();
+    const auto [b, c] = near_mis_pair(lock.net(), u);
+    ASSERT_NE(b, kInvalidNode) << "round " << round;
+    const RepairReport report = lock.move(
+        u, midpoint(lock.net().position(b), lock.net().position(c)));
+    EXPECT_GE(report.demoted, 2u) << "round " << round;
+    EXPECT_TRUE(lock.net().is_mis_dominator(u)) << "round " << round;
+    EXPECT_FALSE(lock.net().is_mis_dominator(b)) << "round " << round;
+    EXPECT_FALSE(lock.net().is_mis_dominator(c)) << "round " << round;
+    promoted += report.promoted;
+  }
+  EXPECT_GT(promoted, 0u);
+  EXPECT_TRUE(lock.net().audit().ok());
+}
+
+// The re-covered neighborhoods are promoted ascending by name, not in the
+// order they were collected.  Node 0 moves between MIS nodes 1 and 2 and
+// demotes both; 4 (a private neighbor of 1) and 3 (of 2) are adjacent, and
+// 3 wins although 1's neighborhood is collected first.
+TEST(MaintenanceDifferential, ReCoveredNeighborhoodsPromoteAscending) {
+  const std::vector<geom::Point> points{
+      {10.0, 0.0}, {0.0, 0.0}, {1.8, 0.0}, {1.39, 0.9}, {0.41, 0.9}};
+  Lockstep lock(points);
+  ASSERT_EQ(mis_nodes(lock.net()), (std::vector<NodeId>{0, 1, 2}));
+  const RepairReport report = lock.move(0, {0.9, 0.0});
+  EXPECT_EQ(report.demoted, 2u);
+  EXPECT_EQ(report.promoted, 1u);
+  EXPECT_EQ(mis_nodes(lock.net()), (std::vector<NodeId>{0, 3}));
+}
+
+// A node switched on between two MIS nodes joins them as a dominated node:
+// an inactive node is never an MIS node, so a switch-on demotes nothing.
+// Here u is an MIS node first, switched off, moved while off, then back on.
+TEST(MaintenanceDifferential, SwitchOnBetweenTwoMisNodes) {
+  const auto points = churn_deployment(300, 5, 12.0);
+  Lockstep lock(points);
+  for (int round = 0; round < 4; ++round) {
+    const NodeId u = mis_nodes(lock.net())[round];
+    lock.off(u);
+    const auto [b, c] = near_mis_pair(lock.net(), u);
+    ASSERT_NE(b, kInvalidNode) << "round " << round;
+    lock.move(u, midpoint(lock.net().position(b), lock.net().position(c)));
+    const RepairReport report = lock.on(u);
+    EXPECT_EQ(report.demoted, 0u) << "round " << round;
+    EXPECT_EQ(report.promoted, 0u) << "round " << round;
+    EXPECT_FALSE(lock.net().is_mis_dominator(u)) << "round " << round;
+    EXPECT_TRUE(lock.net().is_mis_dominator(b)) << "round " << round;
+    EXPECT_TRUE(lock.net().is_mis_dominator(c)) << "round " << round;
+  }
+  EXPECT_TRUE(lock.net().audit().ok());
+}
+
+// Switching off the only dominator of several nodes: each of them is a
+// candidate, and the smallest undominated ones are promoted.
+TEST(MaintenanceDifferential, SwitchOffOfTheOnlyDominator) {
+  const auto points = churn_deployment(300, 5, 12.0);
+  Lockstep lock(points);
+  int switched = 0;
+  for (const NodeId m : mis_nodes(lock.net())) {
+    if (switched == 4) break;
+    if (!lock.net().is_mis_dominator(m) ||
+        private_neighbors(lock.net(), m).size() < 3) {
+      continue;
+    }
+    const RepairReport report = lock.off(m);
+    EXPECT_EQ(report.demoted, 1u) << "off " << m;
+    EXPECT_GT(report.promoted, 0u) << "off " << m;
+    ++switched;
+  }
+  EXPECT_EQ(switched, 4);
+  EXPECT_TRUE(lock.net().audit().ok());
+}
+
+// Moves into isolation: an MIS node stays MIS alone and its old neighbors
+// are re-covered; a dominated node becomes an MIS node of its own.
+TEST(MaintenanceDifferential, MovesIntoIsolation) {
+  const auto points = churn_deployment(300, 5, 12.0);
+  Lockstep lock(points);
+  NodeId m = 0;
+  while (!lock.net().is_mis_dominator(m) ||
+         private_neighbors(lock.net(), m).empty()) {
+    ++m;
+  }
+  const RepairReport away = lock.move(m, {1e5, 1e5});
+  EXPECT_EQ(away.demoted, 0u);
+  EXPECT_GT(away.promoted, 0u);
+  EXPECT_TRUE(lock.net().is_mis_dominator(m));
+  NodeId v = 0;
+  while (lock.net().is_mis_dominator(v) || v == m) ++v;
+  const RepairReport alone = lock.move(v, {-1e5, 1e5});
+  EXPECT_EQ(alone.promoted, 1u);
+  EXPECT_TRUE(lock.net().is_mis_dominator(v));
+  lock.move(m, points[m]);
+  lock.move(v, points[v]);
+  EXPECT_TRUE(lock.net().audit().ok());
 }
 
 // `net` holds the MIS and the bridges of `alg2`: the same MIS mask, and one

@@ -249,6 +249,43 @@ TEST(DynamicWcds, EveryEventAuditsBeyondItsRepairBall) {
   check::set_audits_enabled(audits_were);
 }
 
+// The event contract: an event repairs what its own link changes break,
+// starting from an audited state; it does not hunt for other faults in its
+// ball.  A dominated node two or three hops from the event node, flipped
+// into the MIS, keeps its conflict with its dominator through the event, so
+// the event applies and its closing audit throws; the watchdog recovers.
+TEST(DynamicWcds, EventsAssumeAnAuditedStart) {
+  const bool audits_were = check::set_audits_enabled(true);
+  DynamicWcds dyn(deployment(300, 10.0, 4));
+  const graph::Graph g = dyn.active_graph();
+  // A dominated node two or three hops from u, or kInvalidNode.
+  const auto dominated_near = [&](NodeId u) {
+    const std::vector<HopCount> hops = graph::bfs_distances(g, u);
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if ((hops[v] == 2 || hops[v] == 3) && !dyn.is_mis_dominator(v)) {
+        return v;
+      }
+    }
+    return kInvalidNode;
+  };
+  NodeId u = 0;
+  NodeId corrupt = kInvalidNode;
+  while (u < g.node_count() && (corrupt = dominated_near(u)) == kInvalidNode) {
+    ++u;
+  }
+  ASSERT_NE(corrupt, kInvalidNode);
+  DynamicWcdsTestPeer::set_mis(dyn, corrupt, true);
+  ASSERT_FALSE(dyn.audit().mis_independent);
+
+  const geom::Point to{dyn.position(u).x + 0.05, dyn.position(u).y};
+  EXPECT_THROW((void)dyn.move_node(u, to), check::CheckError);
+  EXPECT_EQ(dyn.position(u), to);
+  EXPECT_FALSE(dyn.audit().ok());
+  EXPECT_GT(dyn.watchdog().demoted, 0u);
+  EXPECT_TRUE(dyn.audit().ok());
+  check::set_audits_enabled(audits_were);
+}
+
 // The watchdog's repairing branch.  An MIS bit set on a dominated node far
 // from every event breaks independence, and no event repairs it; the
 // watchdog drops the MIS and every bridge and seeds them again from
@@ -383,6 +420,51 @@ TEST(IncrementalUdg, SlotLayoutHoldsThroughEvents) {
       ASSERT_LT(net.name_of(row[i - 1]), net.name_of(row[i]))
           << "row of slot " << s;
     }
+  }
+}
+
+// The constructor takes its rows from one udg::build_udg pass; they must be
+// what scan_row gives for the same node, so switching an active node on
+// again (a rescan plus a row rewrite) changes no row.  The deployment holds
+// co-located points and points exactly `range` apart across cell borders,
+// in both axes and for a range other than 1.
+TEST(IncrementalUdg, ConstructorRowsEqualRescans) {
+  for (const double range : {1.0, 0.5}) {
+    std::vector<geom::Point> points =
+        testing::churn_deployment(200, 3, 12.0);
+    for (auto& p : points) p = {p.x * range, p.y * range};
+    // A lattice of cell corners one range apart, each corner doubled, with
+    // a point halfway to the next corner; and three copies of a point.
+    for (int i = -2; i <= 2; ++i) {
+      for (int j = -2; j <= 2; ++j) {
+        points.push_back({i * range, j * range});
+        points.push_back({i * range, j * range});
+        points.push_back({i * range + range / 2, j * range});
+      }
+    }
+    for (int k = 0; k < 3; ++k) points.push_back(points[7]);
+    IncrementalUdg net(points, range);
+    const std::size_t n = net.node_count();
+    std::vector<std::vector<NodeId>> rows(n);
+    for (NodeId s = 0; s < n; ++s) {
+      rows[s].assign(net.neighbors(s).begin(), net.neighbors(s).end());
+    }
+    EXPECT_EQ(net.materialize().edges(), udg::build_udg(points, range).edges());
+    for (NodeId s = 0; s < n; ++s) {
+      net.set_active(s, true);
+      for (NodeId t = 0; t < n; ++t) {
+        ASSERT_TRUE(std::equal(rows[t].begin(), rows[t].end(),
+                               net.neighbors(t).begin(),
+                               net.neighbors(t).end()))
+            << "range " << range << ": rescan of slot " << s
+            << " changed the row of slot " << t;
+      }
+    }
+    // The lattice: corners one range apart are linked, across cell borders.
+    const NodeId corner = net.slot_of(200);     // (-2, -2) ranges
+    const NodeId right = net.slot_of(200 + 15);  // (-1, -2) ranges
+    EXPECT_TRUE(net.has_edge(corner, right));
+    EXPECT_TRUE(net.has_edge(corner, net.slot_of(201)));  // co-located
   }
 }
 
