@@ -133,7 +133,7 @@ void print_a9a() {
       const auto size = static_cast<double>(out.report.result.size());
       if (arm.spec.m == 1) plain_size = size;
       const auto bound = baselines::udg_mwcds_lower_bound(
-          out.report.mis.size(), arm.spec.m);
+          out.report.result.mis_dominators.size(), arm.spec.m);
       const std::string key =
           std::string(arm.key) + "/n" + std::to_string(n);
       table.add_row({std::to_string(n), arm.key, bench::fmt(size, 0),

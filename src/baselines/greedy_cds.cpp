@@ -1,6 +1,7 @@
 #include "baselines/greedy_cds.h"
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/bfs.h"
@@ -72,17 +73,12 @@ WcdsResult greedy_cds(const graph::Graph& g) {
     blacken(best);
   }
 
-  WcdsResult result;
-  result.mask.assign(n, false);
-  result.color = std::move(color);
+  // A pure-greedy set has no MIS: every member is additional.
+  std::vector<NodeId> members;
   for (NodeId v = 0; v < n; ++v) {
-    if (in_set[v]) {
-      result.mask[v] = true;
-      result.dominators.push_back(v);
-    }
+    if (in_set[v]) members.push_back(v);
   }
-  result.mis_dominators = result.dominators;
-  return result;
+  return WcdsResult::from_members(n, {}, std::move(members));
 }
 
 }  // namespace wcds::baselines

@@ -13,6 +13,7 @@
 namespace wcds::baselines {
 
 // Precondition: g is connected.  Throws std::invalid_argument otherwise.
+// The result carries no MIS: every member is an additional dominator.
 [[nodiscard]] core::WcdsResult greedy_cds(const graph::Graph& g);
 
 }  // namespace wcds::baselines

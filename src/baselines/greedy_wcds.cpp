@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/bfs.h"
@@ -83,17 +84,12 @@ WcdsResult greedy_wcds(const graph::Graph& g) {
     take(best);
   }
 
-  WcdsResult result;
-  result.mask.assign(n, false);
-  result.color = std::move(color);
+  // A pure-greedy set has no MIS: every member is additional.
+  std::vector<NodeId> members;
   for (NodeId v = 0; v < n; ++v) {
-    if (in_set[v]) {
-      result.mask[v] = true;
-      result.dominators.push_back(v);
-    }
+    if (in_set[v]) members.push_back(v);
   }
-  result.mis_dominators = result.dominators;  // no MIS/additional split here
-  return result;
+  return WcdsResult::from_members(n, {}, std::move(members));
 }
 
 }  // namespace wcds::baselines

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/bfs.h"
@@ -105,27 +106,14 @@ core::WcdsResult mis_tree_cds(const graph::Graph& g) {
     }
   }
 
-  core::WcdsResult result;
-  result.mask.assign(n, false);
-  result.color.assign(n, core::NodeColor::kGray);
-  for (NodeId u : s.members) {
-    result.mask[u] = true;
-    result.mis_dominators.push_back(u);
-  }
-  std::sort(result.mis_dominators.begin(), result.mis_dominators.end());
+  std::vector<NodeId> mis = s.members;
+  std::sort(mis.begin(), mis.end());
+  std::vector<NodeId> connectors;
   for (NodeId v = 0; v < n; ++v) {
-    if (connector[v] && !result.mask[v]) {
-      result.mask[v] = true;
-      result.additional_dominators.push_back(v);
-    }
+    if (connector[v] && !s.mask[v]) connectors.push_back(v);
   }
-  for (NodeId u = 0; u < n; ++u) {
-    if (result.mask[u]) {
-      result.dominators.push_back(u);
-      result.color[u] = core::NodeColor::kBlack;
-    }
-  }
-  return result;
+  return core::WcdsResult::from_members(n, std::move(mis),
+                                        std::move(connectors));
 }
 
 }  // namespace wcds::baselines

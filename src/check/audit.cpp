@@ -40,8 +40,6 @@ bool audit_consistency(const graph::Graph& g, const core::WcdsResult& result,
   const std::size_t n = g.node_count();
   WCDS_CONSISTENT_OP_(==, result.mask.size(), n,
                       "WcdsResult.mask is not node-indexed");
-  WCDS_CONSISTENT_OP_(==, result.color.size(), n,
-                      "WcdsResult.color is not node-indexed");
   WCDS_CONSISTENT_(
       std::is_sorted(result.dominators.begin(), result.dominators.end()),
       "WcdsResult.dominators must be ascending");
@@ -54,18 +52,10 @@ bool audit_consistency(const graph::Graph& g, const core::WcdsResult& result,
 
   std::size_t black = 0;
   for (NodeId u = 0; u < n; ++u) {
-    WCDS_CONSISTENT_OP_(==, result.mask[u],
-                        result.color[u] == core::NodeColor::kBlack,
-                        "WcdsResult mask/color disagree at node " << u);
     if (result.mask[u]) ++black;
     if (!node_active(active, u)) {
       WCDS_CONSISTENT_(!result.mask[u],
                        "inactive node " << u << " is in the dominator set");
-      continue;
-    }
-    if (!result.mask[u] && n > 1) {
-      WCDS_CONSISTENT_(result.color[u] != core::NodeColor::kWhite,
-                       "node " << u << " left white after construction");
     }
   }
   WCDS_CONSISTENT_OP_(==, black, result.dominators.size(),

@@ -15,7 +15,9 @@
 // DynamicWcds::audit read it and never reach the failure handler.
 //
 // Invariant families, in audit order (docs/CHECKING.md has the full table):
-//   * WcdsResult consistency (the audit_result contract, itemized);
+//   * WcdsResult consistency (the audit_result contract, itemized): what
+//     WcdsResult::from_members establishes, re-checked for hand-built
+//     results;
 //   * Section 1 — domination and weak connectivity per component;
 //   * Section 2 — independence, then (after Lemma 3 / Theorem 4)
 //     maximality; skipped when mis_dominators is empty (pure-greedy
@@ -68,7 +70,7 @@ struct AuditOptions {
 
   // Restrict the audit to active nodes (dynamic maintenance).  Inactive
   // nodes must be isolated in `g` and outside the dominator set; they are
-  // exempt from domination/coloring requirements.
+  // exempt from domination requirements.
   const std::vector<bool>* active = nullptr;
 
   // The result was built as a (k,m)-resilient backbone (wcds/resilient.h):

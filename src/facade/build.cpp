@@ -3,23 +3,12 @@
 #include <utility>
 
 #include "check/check.h"
+#include "graph/subgraph.h"
 #include "protocols/algorithm1_protocol.h"
 #include "protocols/algorithm2_protocol.h"
 #include "wcds/resilient.h"
 
 namespace wcds::core {
-namespace {
-
-// Reconstitute a MisResult from the construction's MIS-dominator list.
-mis::MisResult mis_from_members(std::vector<NodeId> members, std::size_t n) {
-  mis::MisResult mis;
-  mis.mask.assign(n, false);
-  for (NodeId u : members) mis.mask[u] = true;
-  mis.members = std::move(members);
-  return mis;
-}
-
-}  // namespace
 
 const char* to_string(BuildAlgorithm algorithm) {
   switch (algorithm) {
@@ -44,7 +33,6 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
       algorithm_options.root = options.root;
       algorithm_options.tree = options.tree;
       report.result = algorithm1(g, algorithm_options);
-      report.mis = mis_from_members(report.result.mis_dominators, n);
       // The default leadership criterion picks the minimum ID (node 0 —
       // ids are dense).
       report.leader = options.root == kInvalidNode ? 0 : options.root;
@@ -55,7 +43,6 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
       algorithm_options.selection = options.selection;
       Algorithm2Output out = algorithm2(g, algorithm_options);
       report.result = std::move(out.result);
-      report.mis = std::move(out.mis);
       report.lists = std::move(out.lists);
       break;
     }
@@ -66,7 +53,6 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
       report.stats = std::move(run.stats);
       report.leader = run.leader;
       report.levels = std::move(run.levels);
-      report.mis = mis_from_members(report.result.mis_dominators, n);
       break;
     }
     case BuildAlgorithm::kAlgorithm2Protocol: {
@@ -74,13 +60,13 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
           g, options.delays, rec, options.faults, options.threads);
       report.result = std::move(run.wcds);
       report.stats = std::move(run.stats);
-      report.mis = mis_from_members(report.result.mis_dominators, n);
       // The MIS fixpoint is timing-independent, so the centralized list
       // computation reproduces the protocol's 1- and 2-hop dominator
       // knowledge (the differential suite pins this down).  The 3-hop
       // lists depend on which SELECTIONs the run made: they come from the
       // protocol nodes themselves.
-      report.lists = compute_dominator_lists(g, report.mis);
+      report.lists = compute_dominator_lists(
+          g, graph::make_mask(n, report.result.mis_dominators));
       report.lists.three_hop_rows = std::move(run.three_hop);
       break;
     }
@@ -90,7 +76,7 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
     obs::PhaseTimer resilience_timer(rec, "build/resilience");
     augment_resilience(g, report.result, options.resilience, rec);
     // The MIS is untouched by the augmentation (new members are additional
-    // dominators), so report.mis and the dominator lists stay valid.
+    // dominators), so the dominator lists stay valid.
   }
 
   if (rec != nullptr) {

@@ -18,7 +18,6 @@
 
 #include "graph/graph.h"
 #include "graph/types.h"
-#include "mis/mis.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "sim/runtime.h"
@@ -86,10 +85,8 @@ struct BuildOptions {
 };
 
 struct BuildReport {
+  // The backbone U = S + C; the MIS S is result.mis_dominators.
   WcdsResult result;
-
-  // The MIS underlying the construction (== result.mis_dominators).
-  mis::MisResult mis;
 
   // Algorithm II modes: per-node 1Hop/2Hop/3HopDomLists.  For the protocol
   // mode the 1- and 2-hop lists are recomputed centrally from the
@@ -110,12 +107,12 @@ struct BuildReport {
   NodeId leader = kInvalidNode;
   std::vector<std::uint32_t> levels;
 
-  // Non-owning view of the Algorithm II triple the serving layers consume
+  // Non-owning view of the Algorithm II pair the serving layers consume
   // (ClusterheadRouter, route_flows, service::ServingEngine).  The view
   // borrows this report's storage — keep the report alive while routing.
   // Only meaningful for Algorithm II modes.
   [[nodiscard]] Algorithm2View algorithm2_view() const {
-    return Algorithm2View{result, mis, lists};
+    return Algorithm2View{result, lists};
   }
 };
 

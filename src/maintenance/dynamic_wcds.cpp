@@ -1,6 +1,7 @@
 #include "maintenance/dynamic_wcds.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "check/audit.h"
 #include "check/check.h"
@@ -46,9 +47,12 @@ void DynamicWcds::seed(const graph::Graph& g) {
   // it an MIS node with no 3-hop entries; it stays out of mis_.  A forward
   // entry (u < dom) is the bridge (u, dom) through u's neighbor via1: the
   // smallest neighbor of u on a 3-hop path, the via the event path keeps.
+  for (const NodeId u : alg2.result.mis_dominators) {
+    const NodeId s = graph_.slot_of(u);
+    mis_[s] = graph_.is_active(s);
+  }
   for (NodeId u = 0; u < node_count(); ++u) {
     const NodeId s = graph_.slot_of(u);
-    mis_[s] = alg2.mis.mask[u] && graph_.is_active(s);
     for (const core::ThreeHopEntry& e : alg2.lists.three_hop(u)) {
       if (u < e.dom) {
         add_bridge({s, graph_.slot_of(e.dom), graph_.slot_of(e.via1)});
@@ -467,17 +471,13 @@ void DynamicWcds::record_event(const char* event,
 void DynamicWcds::maybe_audit(const char* event) const {
   if (!check::audits_enabled()) return;
   // Snapshot protocol state as a WcdsResult over the active UDG.
-  core::WcdsResult result;
-  result.mask.assign(node_count(), false);
-  result.color.assign(node_count(), core::NodeColor::kGray);
-  result.dominators = dominators();
-  for (NodeId u : result.dominators) {
-    result.mask[u] = true;
-    result.color[u] = core::NodeColor::kBlack;
-    (mis_[graph_.slot_of(u)] ? result.mis_dominators
-                             : result.additional_dominators)
-        .push_back(u);
+  std::vector<NodeId> mis;
+  std::vector<NodeId> additional;
+  for (const NodeId u : dominators()) {
+    (mis_[graph_.slot_of(u)] ? mis : additional).push_back(u);
   }
+  const core::WcdsResult result = core::WcdsResult::from_members(
+      node_count(), std::move(mis), std::move(additional));
   const std::vector<bool> active = graph_.active_mask();
   check::AuditOptions options;
   options.unit_disk = true;  // the active graph is a UDG by construction

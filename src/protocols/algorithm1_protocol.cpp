@@ -211,7 +211,7 @@ DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
   const std::size_t n = g.node_count();
   DistributedAlgorithm1Run run;
   run.levels.resize(n);
-  // Shards flag dominators in a byte array, not r.mask: vector<bool> packs
+  // Shards flag dominators in a byte array, not a mask: vector<bool> packs
   // bits into shared words, so shards flagging adjacent node ids would race.
   std::vector<std::uint8_t> dominator(n, 0);
   auto components = run_components(
@@ -230,17 +230,12 @@ DistributedAlgorithm1Run run_algorithm1(const graph::Graph& g,
   run.leaders = std::move(components.shards);
 
   obs::PhaseTimer extract_timer(rec, "alg1/extract");
-  core::WcdsResult& r = run.wcds;
-  r.mask.assign(n, false);
-  r.color.assign(n, core::NodeColor::kGray);
+  std::vector<NodeId> mis;
   for (NodeId u = 0; u < n; ++u) {
-    if (dominator[u] != 0) {
-      r.mask[u] = true;
-      r.color[u] = core::NodeColor::kBlack;
-      r.dominators.push_back(u);
-    }
+    if (dominator[u] != 0) mis.push_back(u);
   }
-  r.mis_dominators = r.dominators;
+  run.wcds = core::WcdsResult::from_members(n, std::move(mis), {});
+  const core::WcdsResult& r = run.wcds;
   run.leader = run.leaders[0];
   extract_timer.stop();
   // A quiescent run without a leader built no backbone for that component;

@@ -311,22 +311,15 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
       next += static_cast<std::ptrdiff_t>(row.size());
     }
   }
-  core::WcdsResult& r = run.wcds;
-  r.mask.assign(n, false);
-  r.color.assign(n, core::NodeColor::kGray);
+  std::vector<NodeId> mis;
+  std::vector<NodeId> additional;
   for (NodeId u = 0; u < n; ++u) {
-    if (role[u] == kRoleMis) {
-      r.mis_dominators.push_back(u);
-      r.mask[u] = true;
-    } else if (role[u] == kRoleAdditional) {
-      r.additional_dominators.push_back(u);
-      r.mask[u] = true;
-    }
-    if (r.mask[u]) {
-      r.dominators.push_back(u);
-      r.color[u] = core::NodeColor::kBlack;
-    }
+    if (role[u] == kRoleMis) mis.push_back(u);
+    if (role[u] == kRoleAdditional) additional.push_back(u);
   }
+  run.wcds = core::WcdsResult::from_members(n, std::move(mis),
+                                            std::move(additional));
+  const core::WcdsResult& r = run.wcds;
   extract_timer.stop();
 
   if (rec != nullptr) {

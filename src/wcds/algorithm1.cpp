@@ -1,6 +1,7 @@
 #include "wcds/algorithm1.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "check/audit.h"
 #include "check/check.h"
@@ -27,15 +28,10 @@ WcdsResult algorithm1(const graph::Graph& g, const Algorithm1Options& options) {
                         : graph::dfs_tree(g, root);
 
   // Color Marking Phase == greedy MIS under the (level, ID) ranking.
-  const auto mis = mis::greedy_mis(g, mis::level_ranking(tree));
-
-  WcdsResult result;
-  result.mask = mis.mask;
-  result.dominators = mis.members;
-  std::sort(result.dominators.begin(), result.dominators.end());
-  result.mis_dominators = result.dominators;
-  result.color.assign(g.node_count(), NodeColor::kGray);
-  for (NodeId u : result.dominators) result.color[u] = NodeColor::kBlack;
+  auto mis = mis::greedy_mis(g, mis::level_ranking(tree));
+  std::sort(mis.members.begin(), mis.members.end());
+  WcdsResult result =
+      WcdsResult::from_members(g.node_count(), std::move(mis.members), {});
 
   if (rec != nullptr) {
     rec->metrics().add("alg1_central/runs");

@@ -3,17 +3,19 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "check/audit.h"
 #include "check/check.h"
 #include "graph/bfs.h"
+#include "mis/mis.h"
 #include "obs/recorder.h"
 
 namespace wcds::core {
 
 DominatorLists compute_dominator_lists(const graph::Graph& g,
-                                       const mis::MisResult& s) {
+                                       const std::vector<bool>& mis_mask) {
   const std::size_t n = g.node_count();
   DominatorLists lists;
 
@@ -21,11 +23,13 @@ DominatorLists compute_dominator_lists(const graph::Graph& g,
   // dominator appears in the row of each of its neighbors, which sizes the
   // entry array exactly.
   std::size_t one_hop_total = 0;
-  for (NodeId d : s.members) one_hop_total += g.degree(d);
+  for (NodeId d = 0; d < n; ++d) {
+    if (mis_mask[d]) one_hop_total += g.degree(d);
+  }
   lists.one_hop_rows.reset(n, one_hop_total);
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v : g.neighbors(u)) {
-      if (s.mask[v]) lists.one_hop_rows.push_back(v);
+      if (mis_mask[v]) lists.one_hop_rows.push_back(v);
     }
     lists.one_hop_rows.close_row();
   }
@@ -53,7 +57,7 @@ DominatorLists compute_dominator_lists(const graph::Graph& g,
   std::vector<std::uint32_t> fill(room.begin(), room.end() - 1);
   std::vector<std::uint32_t> mark(n, 0);
   for (NodeId d = 0; d < n; ++d) {
-    if (!s.mask[d]) continue;
+    if (!mis_mask[d]) continue;
     const std::uint32_t tag = d + 1;
     mark[d] = tag;
     for (NodeId v : g.neighbors(d)) mark[v] = tag;
@@ -81,8 +85,8 @@ DominatorLists compute_dominator_lists(const graph::Graph& g,
 Algorithm2Output algorithm2_components(const graph::Graph& g,
                                        const Algorithm2Options& options) {
   Algorithm2Output out;
-  out.mis = mis::greedy_mis_by_id(g);
-  out.lists = compute_dominator_lists(g, out.mis);
+  mis::MisResult mis = mis::greedy_mis_by_id(g);
+  out.lists = compute_dominator_lists(g, mis.mask);
   const DominatorLists& lists = out.lists;
 
   const std::size_t n = g.node_count();
@@ -102,9 +106,8 @@ Algorithm2Output algorithm2_components(const graph::Graph& g,
   std::vector<std::uint32_t> near(n, 0);
   std::vector<Candidate> candidates;  // reused across dominators
   std::vector<Bridge> bridges;        // in selection order
-  std::vector<NodeId> mis_sorted = out.mis.members;
-  std::sort(mis_sorted.begin(), mis_sorted.end());
-  for (NodeId u : mis_sorted) {
+  std::sort(mis.members.begin(), mis.members.end());
+  for (NodeId u : mis.members) {
     const std::uint32_t tag = u + 1;
     near[u] = tag;
     for (NodeId d : lists.one_hop(u)) near[d] = tag;
@@ -165,26 +168,12 @@ Algorithm2Output algorithm2_components(const graph::Graph& g,
     out.lists.three_hop_rows.mutable_row(b.w)[fill[b.w]++] = {b.u, b.x, b.v};
   }
 
-  WcdsResult& r = out.result;
-  r.mask.assign(n, false);
-  r.color.assign(n, NodeColor::kGray);
-  for (NodeId u : out.mis.members) {
-    r.mask[u] = true;
-    r.mis_dominators.push_back(u);
-  }
-  std::sort(r.mis_dominators.begin(), r.mis_dominators.end());
+  std::vector<NodeId> bridge_nodes;
   for (NodeId v = 0; v < n; ++v) {
-    if (additional[v]) {
-      r.mask[v] = true;
-      r.additional_dominators.push_back(v);
-    }
+    if (additional[v]) bridge_nodes.push_back(v);
   }
-  for (NodeId u = 0; u < n; ++u) {
-    if (r.mask[u]) {
-      r.dominators.push_back(u);
-      r.color[u] = NodeColor::kBlack;
-    }
-  }
+  out.result = WcdsResult::from_members(n, std::move(mis.members),
+                                        std::move(bridge_nodes));
   return out;
 }
 

@@ -23,7 +23,6 @@
 #include "graph/flat_rows.h"
 #include "graph/graph.h"
 #include "graph/types.h"
-#include "mis/mis.h"
 #include "wcds/wcds_result.h"
 
 namespace wcds::core {
@@ -56,9 +55,10 @@ struct DominatorLists {
 
 // Populate one_hop (adjacent MIS-dominators) and two_hop (MIS-dominators at
 // exactly two hops, one entry per dominator with the smallest intermediate)
-// for every node, given the MIS S; three_hop has n empty rows.
-[[nodiscard]] DominatorLists compute_dominator_lists(const graph::Graph& g,
-                                                     const mis::MisResult& s);
+// for every node, given the MIS S as a node-indexed mask; three_hop has n
+// empty rows.
+[[nodiscard]] DominatorLists compute_dominator_lists(
+    const graph::Graph& g, const std::vector<bool>& mis_mask);
 
 struct Algorithm2Options {
   // How to pick the additional-dominator among the candidate intermediates
@@ -71,15 +71,14 @@ struct Algorithm2Options {
 };
 
 struct Algorithm2Output {
-  WcdsResult result;
-  mis::MisResult mis;    // the MIS-dominator set S
+  WcdsResult result;     // S is result.mis_dominators
   DominatorLists lists;  // including the populated 3HopDomLists
 };
 
 // Non-owning view over an Algorithm II construction: the shape every
 // consumer on the serving path (ClusterheadRouter, route_flows, the service
 // engine) takes, so routing over an n >= 10^6 backbone never copies the
-// result/mis/lists triple.  The referenced storage must outlive the view —
+// result/lists pair.  The referenced storage must outlive the view —
 // typically it lives in a core::BuildReport or an Algorithm2Output.
 //
 // Implicitly constructible from an Algorithm2Output lvalue so existing
@@ -87,22 +86,19 @@ struct Algorithm2Output {
 // (the view would dangle before the callee returned).
 class Algorithm2View {
  public:
-  Algorithm2View(const WcdsResult& result, const mis::MisResult& mis,
-                 const DominatorLists& lists)
-      : result_(&result), mis_(&mis), lists_(&lists) {}
+  Algorithm2View(const WcdsResult& result, const DominatorLists& lists)
+      : result_(&result), lists_(&lists) {}
 
   // NOLINTNEXTLINE(google-explicit-constructor): deliberate implicit view.
   Algorithm2View(const Algorithm2Output& output)
-      : Algorithm2View(output.result, output.mis, output.lists) {}
+      : Algorithm2View(output.result, output.lists) {}
   Algorithm2View(Algorithm2Output&&) = delete;
 
   [[nodiscard]] const WcdsResult& result() const { return *result_; }
-  [[nodiscard]] const mis::MisResult& mis() const { return *mis_; }
   [[nodiscard]] const DominatorLists& lists() const { return *lists_; }
 
  private:
   const WcdsResult* result_;
-  const mis::MisResult* mis_;
   const DominatorLists* lists_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "check/audit.h"
@@ -165,7 +166,7 @@ ResilienceReport augment_resilience(const graph::Graph& g, WcdsResult& result,
                "augment_resilience: m >= k required (a (2,1) backbone "
                "cannot keep domination through a crash), got m="
                    << spec.m << " k=" << spec.k);
-  WCDS_REQUIRE(result.mask.size() == n && result.color.size() == n,
+  WCDS_REQUIRE(result.mask.size() == n,
                "augment_resilience: result is not indexed by g's nodes");
 
   ResilienceReport report;
@@ -195,18 +196,12 @@ ResilienceReport augment_resilience(const graph::Graph& g, WcdsResult& result,
   }
 
   // Fold the new members into the result record: they are additional
-  // dominators (S is untouched), colored black, with the dominator list
-  // rebuilt ascending from the mask.
-  for (NodeId u : added) {
-    result.color[u] = NodeColor::kBlack;
-    result.additional_dominators.push_back(u);
-  }
-  std::sort(result.additional_dominators.begin(),
-            result.additional_dominators.end());
-  result.dominators.clear();
-  for (NodeId u = 0; u < n; ++u) {
-    if (result.mask[u]) result.dominators.push_back(u);
-  }
+  // dominators (S is untouched).
+  std::vector<NodeId> additional = std::move(result.additional_dominators);
+  additional.insert(additional.end(), added.begin(), added.end());
+  std::sort(additional.begin(), additional.end());
+  result = WcdsResult::from_members(n, std::move(result.mis_dominators),
+                                    std::move(additional));
 
   if (recorder != nullptr) {
     auto& metrics = recorder->metrics();

@@ -34,9 +34,10 @@ namespace wcds::core {
 [[nodiscard]] graph::Graph extract_spanner(const graph::Graph& g,
                                            const WcdsResult& result);
 
-// Internal-consistency audit of a WcdsResult: check::is_consistent (mask,
-// dominators and color agree, every dominator list ascending, mis +
-// additional partition the dominators) and the set is a WCDS of g.
+// Internal-consistency audit of a WcdsResult: check::is_consistent (what
+// WcdsResult::from_members establishes: mask and dominators agree, every
+// dominator list ascending, mis + additional partition the dominators) and
+// the set is a WCDS of g.
 [[nodiscard]] bool audit_result(const graph::Graph& g, const WcdsResult& result);
 
 }  // namespace wcds::core

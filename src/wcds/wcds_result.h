@@ -1,16 +1,17 @@
 // Shared result types for WCDS constructions (paper, Section 4).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "check/check.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 
 namespace wcds::core {
 
-// Final node coloring: black nodes are dominators, gray nodes are dominated.
-// White only appears mid-construction (or for isolated analysis states).
+// Working colors of a greedy construction: black nodes are dominators,
+// gray nodes are dominated, white nodes are not yet covered.
 enum class NodeColor : std::uint8_t { kWhite, kGray, kBlack };
 
 // Fault-tolerance target for a backbone: survive any k-1 concurrent
@@ -52,15 +53,23 @@ struct ThreeHopEntry {
                                     const ThreeHopEntry&) = default;
 };
 
+// A backbone as the paper defines it: U = S + C, the MIS S
+// ("MIS-dominators") plus the bridge set C ("additional dominators";
+// empty for Algorithm I).  Every construction hands over its two lists
+// through from_members(), which derives the merged list and the
+// membership mask, so the four fields always agree.  Pure-greedy
+// baselines build no MIS: they list every member as additional.
 struct WcdsResult {
   std::vector<NodeId> dominators;  // the WCDS U, ascending
   std::vector<bool> mask;          // node-indexed membership in U
-  std::vector<NodeColor> color;    // per-node final color
+  std::vector<NodeId> mis_dominators;         // S, ascending
+  std::vector<NodeId> additional_dominators;  // C, ascending
 
-  // Algorithm II split: U = mis_dominators (the MIS S) + additional
-  // dominators (the bridge set C).  Algorithm I leaves `additional` empty.
-  std::vector<NodeId> mis_dominators;
-  std::vector<NodeId> additional_dominators;
+  // The record over n nodes with U = mis + additional.  Throws
+  // std::invalid_argument unless both lists are strictly ascending,
+  // disjoint and below n.
+  [[nodiscard]] static WcdsResult from_members(
+      std::size_t n, std::vector<NodeId> mis, std::vector<NodeId> additional);
 
   [[nodiscard]] std::size_t size() const { return dominators.size(); }
 
@@ -69,26 +78,6 @@ struct WcdsResult {
   // size, e.g. the maintenance layer's active subsets).
   [[nodiscard]] bool contains(NodeId u) const {
     return u < mask.size() && mask[u];
-  }
-
-  // Checked per-node accessors.  Out-of-range ids throw std::out_of_range;
-  // audit builds additionally pin down color/mask size agreement, which
-  // every construction guarantees but hand-assembled results can violate.
-  [[nodiscard]] NodeColor color_of(NodeId u) const {
-    WCDS_DCHECK_EQ(color.size(), mask.size(),
-                   "WcdsResult: color/mask size mismatch");
-    WCDS_REQUIRE_BOUNDS(u < color.size(),
-                        "WcdsResult::color_of: node " << u << " of "
-                                                      << color.size());
-    return color[u];
-  }
-  [[nodiscard]] bool in_mask(NodeId u) const {
-    WCDS_DCHECK_EQ(color.size(), mask.size(),
-                   "WcdsResult: color/mask size mismatch");
-    WCDS_REQUIRE_BOUNDS(u < mask.size(),
-                        "WcdsResult::in_mask: node " << u << " of "
-                                                     << mask.size());
-    return mask[u];
   }
 };
 

@@ -100,7 +100,6 @@ NodeStates run_nodes(const graph::Graph& g, const sim::DelayModel& delays,
   out.parent.resize(n);
   out.level.resize(n);
   out.wcds.mask.assign(n, false);
-  out.wcds.color.assign(n, core::NodeColor::kGray);
   for (NodeId u = 0; u < n; ++u) {
     const Node& node = *nodes[u];
     if (node.is_leader()) out.leaders.push_back(u);
@@ -108,7 +107,6 @@ NodeStates run_nodes(const graph::Graph& g, const sim::DelayModel& delays,
     out.level[u] = node.level();
     if (node.is_dominator()) {
       out.wcds.mask[u] = true;
-      out.wcds.color[u] = core::NodeColor::kBlack;
       out.wcds.dominators.push_back(u);
     }
   }

@@ -50,7 +50,7 @@ class Algorithm2ListsDifferential
 
 TEST_P(Algorithm2ListsDifferential, DominatorListsMatchReference) {
   const mis::MisResult s = mis::greedy_mis_by_id(g_);
-  const DominatorLists flat = compute_dominator_lists(g_, s);
+  const DominatorLists flat = compute_dominator_lists(g_, s.mask);
   const auto nested = testing::reference::compute_dominator_lists(g_, s);
   EXPECT_EQ(flat.node_count(), g_.node_count());
   expect_rows_equal(flat.one_hop_rows, nested.one_hop, "one_hop");

@@ -16,7 +16,7 @@ TEST(DominatorLists, PathGraph) {
   // 0-1-2-3-4 with MIS {0,2,4}.
   const auto g = graph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   const auto s = mis::greedy_mis_by_id(g);
-  const auto lists = compute_dominator_lists(g, s);
+  const auto lists = compute_dominator_lists(g, s.mask);
   EXPECT_EQ(testing::to_vector(lists.one_hop(1)), (std::vector<NodeId>{0, 2}));
   EXPECT_TRUE(lists.one_hop(0).empty());
   ASSERT_EQ(lists.two_hop(0).size(), 1u);

@@ -22,7 +22,6 @@ namespace {
 
 using check::AuditOptions;
 using check::CheckError;
-using core::NodeColor;
 using core::WcdsResult;
 
 // Asserts the audit rejects (g, result) and that the failure message names
@@ -66,20 +65,11 @@ TEST(AuditInvariants, AcceptsAlgorithm1AndAlgorithm2Results) {
   EXPECT_NO_THROW(check::audit_invariants(inst.g, a1, level_options));
 }
 
-TEST(AuditInvariants, RejectsMaskColorDisagreement) {
-  Fixture f;
-  // Flip a dominator's color without touching the mask.
-  f.result.color[f.result.dominators.front()] = NodeColor::kGray;
-  EXPECT_FALSE(core::audit_result(f.inst.g, f.result));
-  ExpectAuditFailure(f.inst.g, f.result, {}, "mask/color");
-}
-
 TEST(AuditInvariants, RejectsMaskMembershipCorruption) {
   Fixture f;
-  // Knock a dominator out of the mask (and color, to get past coloring).
+  // Knock a dominator out of the mask.
   const NodeId victim = f.result.dominators.front();
   f.result.mask[victim] = false;
-  f.result.color[victim] = NodeColor::kGray;
   EXPECT_FALSE(core::audit_result(f.inst.g, f.result));
   ExpectAuditFailure(f.inst.g, f.result, {}, "cardinality");
 }
@@ -101,27 +91,12 @@ TEST(AuditInvariants, RejectsBrokenPartition) {
   ExpectAuditFailure(f.inst.g, f.result, {}, "partition");
 }
 
-TEST(AuditInvariants, RejectsWhiteSurvivor) {
-  Fixture f;
-  // A non-dominator left white means the marking process never finished.
-  for (NodeId u = 0; u < f.inst.g.node_count(); ++u) {
-    if (!f.result.mask[u]) {
-      f.result.color[u] = NodeColor::kWhite;
-      break;
-    }
-  }
-  EXPECT_FALSE(core::audit_result(f.inst.g, f.result));
-  ExpectAuditFailure(f.inst.g, f.result, {}, "white");
-}
-
 TEST(AuditInvariants, RejectsDominationLoss) {
   // Star: center 0 dominates leaves; remove it from the set entirely.
   const auto g = graph::from_edges(4, {{0, 1}, {0, 2}, {0, 3}});
   WcdsResult result;
   result.mask.assign(4, false);
-  result.color.assign(4, NodeColor::kGray);
   result.mask[1] = true;
-  result.color[1] = NodeColor::kBlack;
   result.dominators = {1};
   result.mis_dominators = {1};
   EXPECT_FALSE(core::audit_result(g, result));
@@ -135,10 +110,8 @@ TEST(AuditInvariants, RejectsWeakDisconnection) {
       7, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}});
   WcdsResult result;
   result.mask.assign(7, false);
-  result.color.assign(7, NodeColor::kGray);
   for (NodeId u : {NodeId{0}, NodeId{3}, NodeId{6}}) {
     result.mask[u] = true;
-    result.color[u] = NodeColor::kBlack;
     result.dominators.push_back(u);
     result.mis_dominators.push_back(u);
   }
@@ -153,7 +126,6 @@ TEST(AuditInvariants, RejectsDependentMisDominators) {
   const NodeId neighbor = f.inst.g.neighbors(head).front();
   ASSERT_FALSE(f.result.contains(neighbor));  // gray next to a dominator
   f.result.mask[neighbor] = true;
-  f.result.color[neighbor] = NodeColor::kBlack;
   f.result.mis_dominators.push_back(neighbor);
   std::sort(f.result.mis_dominators.begin(), f.result.mis_dominators.end());
   f.result.dominators.push_back(neighbor);
@@ -172,10 +144,8 @@ WcdsResult star_mis_result(const graph::Graph& g, NodeId leaves) {
   WcdsResult result;
   const std::size_t n = g.node_count();
   result.mask.assign(n, false);
-  result.color.assign(n, NodeColor::kGray);
   for (NodeId u = 1; u <= leaves; ++u) {
     result.mask[u] = true;
-    result.color[u] = NodeColor::kBlack;
     result.dominators.push_back(u);
     result.mis_dominators.push_back(u);
   }
@@ -239,7 +209,6 @@ HubInstance hub_instance(NodeId two_hop, NodeId three_hop) {
   HubInstance inst;
   inst.g = graph::from_edges(next, edges);
   inst.result.mask.assign(next, false);
-  inst.result.color.assign(next, NodeColor::kGray);
   std::sort(mis.begin(), mis.end());
   inst.result.mis_dominators = mis;
   inst.result.additional_dominators = bridges;
@@ -249,7 +218,6 @@ HubInstance hub_instance(NodeId two_hop, NodeId three_hop) {
   std::sort(inst.result.dominators.begin(), inst.result.dominators.end());
   for (NodeId u : inst.result.dominators) {
     inst.result.mask[u] = true;
-    inst.result.color[u] = NodeColor::kBlack;
   }
   return inst;
 }
@@ -287,13 +255,11 @@ TEST(AuditInvariants, Theorem4RejectsThreeHopComplementarySubsets) {
       7, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}});
   WcdsResult result;
   result.mask.assign(7, false);
-  result.color.assign(7, NodeColor::kGray);
   result.dominators = {0, 1, 3, 4, 6};
   result.mis_dominators = {0, 3, 6};
   result.additional_dominators = {1, 4};
   for (NodeId u : result.dominators) {
     result.mask[u] = true;
-    result.color[u] = NodeColor::kBlack;
   }
   ASSERT_TRUE(core::audit_result(g, result));
   // Lemma 3 (any MIS): fine.
@@ -314,13 +280,11 @@ TEST(AuditInvariants, Lemma3RejectsFourHopComplementarySubsets) {
       9, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}});
   WcdsResult result;
   result.mask.assign(9, false);
-  result.color.assign(9, NodeColor::kGray);
   result.dominators = {0, 1, 2, 4, 6, 7, 8};
   result.mis_dominators = {0, 4, 8};
   result.additional_dominators = {1, 2, 6, 7};
   for (NodeId u : result.dominators) {
     result.mask[u] = true;
-    result.color[u] = NodeColor::kBlack;
   }
   ASSERT_TRUE(core::audit_result(g, result));
   ExpectAuditFailure(g, result, {}, "Lemma 3");
@@ -343,10 +307,8 @@ TEST(AuditInvariants, Theorem11RejectsExcessDilation) {
   const auto g = graph::from_edges(13, edges);
   WcdsResult result;
   result.mask.assign(13, false);
-  result.color.assign(13, NodeColor::kGray);
   for (NodeId u = 2; u < 13; ++u) {
     result.mask[u] = true;
-    result.color[u] = NodeColor::kBlack;
     result.dominators.push_back(u);
     result.additional_dominators.push_back(u);
   }
@@ -368,7 +330,6 @@ TEST(AuditInvariants, ActiveMaskExemptsInactiveNodesButNotEdges) {
                                           std::pair<NodeId, NodeId>>{});
   WcdsResult result;
   result.mask = {true, false};
-  result.color = {NodeColor::kBlack, NodeColor::kGray};
   result.dominators = {0};
   result.mis_dominators = {0};
   const std::vector<bool> active = {true, false};

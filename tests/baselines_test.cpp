@@ -4,6 +4,7 @@
 #include "baselines/greedy_cds.h"
 #include "baselines/greedy_wcds.h"
 #include "baselines/mis_tree_cds.h"
+#include "check/audit.h"
 #include "facade/build.h"
 #include "mis/mis.h"
 #include "test_util.h"
@@ -58,6 +59,20 @@ TEST(GreedyCds, PathNeedsAllInteriorNodes) {
   const auto g = graph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   const auto r = greedy_cds(g);
   EXPECT_EQ(r.dominators, (std::vector<NodeId>{1, 2, 3}));
+}
+
+// The greedy baselines build no MIS: every member is an additional
+// dominator, so the auditor runs the Section 1 and consistency families on
+// them and skips the MIS ones.
+TEST(GreedyBaselines, CarryNoMisAndPassTheAudit) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto inst = testing::connected_udg(200, 10.0, seed);
+    for (const auto& r : {greedy_wcds(inst.g), greedy_cds(inst.g)}) {
+      EXPECT_TRUE(r.mis_dominators.empty()) << seed;
+      EXPECT_EQ(r.additional_dominators, r.dominators) << seed;
+      EXPECT_NO_THROW(check::audit_invariants(inst.g, r)) << seed;
+    }
+  }
 }
 
 TEST(MisTreeCds, RejectsBadInput) {
@@ -210,7 +225,7 @@ TEST(Bounds, MFoldLowerBoundNeverExceedsResilientConstruction) {
       core::BuildOptions options;
       options.resilience = core::ResilienceSpec{1, m};
       const auto report = core::build(inst.g, options);
-      EXPECT_LE(udg_mwcds_lower_bound(report.mis.size(), m),
+      EXPECT_LE(udg_mwcds_lower_bound(report.result.mis_dominators.size(), m),
                 report.result.size())
           << "seed " << seed << " m " << m;
     }

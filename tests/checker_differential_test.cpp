@@ -38,7 +38,6 @@ namespace {
 
 using maintenance::DynamicWcdsTestPeer;
 
-using core::NodeColor;
 using core::WcdsResult;
 
 // --- The checker's side of the two quantities with no other public entry
@@ -83,7 +82,6 @@ TwoClusters two_clusters(std::uint32_t n, double degree, std::uint64_t seed) {
 // Shifts every id of `r` by `offset` and appends it to `into`.
 void append_result(WcdsResult& into, const WcdsResult& r, NodeId offset) {
   into.mask.insert(into.mask.end(), r.mask.begin(), r.mask.end());
-  into.color.insert(into.color.end(), r.color.begin(), r.color.end());
   for (NodeId u : r.dominators) into.dominators.push_back(u + offset);
   for (NodeId u : r.mis_dominators) into.mis_dominators.push_back(u + offset);
   for (NodeId u : r.additional_dominators) {
@@ -123,10 +121,8 @@ std::vector<std::vector<bool>> masks_for(const graph::Graph& g,
 WcdsResult result_of_mask(const std::vector<bool>& mask) {
   WcdsResult r;
   r.mask = mask;
-  r.color.assign(mask.size(), NodeColor::kGray);
   for (NodeId u = 0; u < mask.size(); ++u) {
     if (!mask[u]) continue;
-    r.color[u] = NodeColor::kBlack;
     r.dominators.push_back(u);
   }
   r.additional_dominators = r.dominators;
@@ -191,7 +187,6 @@ WcdsResult adjacent_mis_pair(const graph::Graph& g, WcdsResult r,
   for (NodeId x : g.neighbors(u)) {
     if (r.mask[x]) continue;
     r.mask[x] = true;
-    r.color[x] = NodeColor::kBlack;
     insert_sorted(r.dominators, x);
     insert_sorted(r.mis_dominators, x);
     break;
@@ -244,21 +239,6 @@ TEST(CheckerDifferential, AuditResultOnCorruptions) {
     const WcdsResult good = core::algorithm2(inst.g).result;
     std::vector<WcdsResult> cases{good, core::algorithm1(inst.g)};
     geom::Xoshiro256ss rng(seed);
-    const auto any_node = [&] {
-      return static_cast<NodeId>(rng.next_below(inst.g.node_count()));
-    };
-    {  // mask/color disagree
-      WcdsResult r = good;
-      const NodeId u = any_node();
-      r.color[u] = r.mask[u] ? NodeColor::kGray : NodeColor::kBlack;
-      cases.push_back(r);
-    }
-    {  // a white node
-      WcdsResult r = good;
-      const NodeId u = any_node();
-      if (!r.mask[u]) r.color[u] = NodeColor::kWhite;
-      cases.push_back(r);
-    }
     {  // a dominator missing from the partition
       WcdsResult r = good;
       r.mis_dominators.erase(r.mis_dominators.begin());
@@ -278,7 +258,6 @@ TEST(CheckerDifferential, AuditResultOnCorruptions) {
       WcdsResult r = good;
       const NodeId u = r.dominators[rng.next_below(r.dominators.size())];
       r.mask[u] = false;
-      r.color[u] = NodeColor::kGray;
       std::erase(r.dominators, u);
       std::erase(r.mis_dominators, u);
       std::erase(r.additional_dominators, u);
@@ -584,9 +563,6 @@ TEST(CheckerPredicates, ViolationsNeverReachTheFailureHandler) {
   split.additional_dominators.clear();
   EXPECT_FALSE(core::audit_result(g, split));
   EXPECT_FALSE(core::is_wcds(g, split.mask));
-  WcdsResult miscolored = split;
-  miscolored.color[1] = NodeColor::kGray;
-  EXPECT_FALSE(core::audit_result(g, miscolored));
 
   // Crashing 2 cuts the survivors {0, 1} from {3, 4, 5} in G minus 2.
   const auto ring = graph::from_edges(

@@ -91,18 +91,13 @@ bool is_cds(const graph::Graph& g, const std::vector<bool>& mask) {
 
 bool audit_result(const graph::Graph& g, const core::WcdsResult& result) {
   const std::size_t n = g.node_count();
-  if (result.mask.size() != n || result.color.size() != n) return false;
+  if (result.mask.size() != n) return false;
   if (!std::is_sorted(result.dominators.begin(), result.dominators.end())) {
     return false;
   }
   std::size_t black = 0;
   for (NodeId u = 0; u < n; ++u) {
-    const bool in_set = result.mask[u];
-    if (in_set != (result.color[u] == core::NodeColor::kBlack)) return false;
-    if (in_set) ++black;
-    if (!in_set && result.color[u] == core::NodeColor::kWhite && n > 1) {
-      return false;
-    }
+    if (result.mask[u]) ++black;
   }
   if (black != result.dominators.size()) return false;
   for (NodeId u : result.dominators) {

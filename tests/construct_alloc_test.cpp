@@ -47,7 +47,8 @@ ConstructAllocations count_at(std::uint32_t n) {
   });
   const mis::MisResult s = mis::greedy_mis_by_id(inst.g);
   counts.lists = allocations_of([&] {
-    const core::DominatorLists lists = core::compute_dominator_lists(inst.g, s);
+    const core::DominatorLists lists =
+        core::compute_dominator_lists(inst.g, s.mask);
     EXPECT_EQ(lists.node_count(), n);
   });
   const core::Algorithm2Output out = core::algorithm2(inst.g);

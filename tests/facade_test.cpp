@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "check/check.h"
 #include "facade/build.h"
 #include "graph/graph.h"
 #include "obs/recorder.h"
@@ -38,12 +37,6 @@ TEST(Facade, EveryModeProducesAVerifiedWcds) {
     const auto report = build_mode(inst.g, mode);
     EXPECT_TRUE(core::is_wcds(inst.g, report.result.mask))
         << core::to_string(mode);
-    // The report's MIS mirrors the result's MIS-dominators.
-    EXPECT_EQ(report.mis.members, report.result.mis_dominators)
-        << core::to_string(mode);
-    for (const NodeId u : report.mis.members) {
-      EXPECT_TRUE(report.mis.mask[u]) << core::to_string(mode);
-    }
   }
 }
 
@@ -99,7 +92,6 @@ TEST(Facade, Algorithm2ViewFeedsTheRouter) {
   // The view borrows the report's storage — no copies on the serving path.
   const core::Algorithm2View view = report.algorithm2_view();
   EXPECT_EQ(&view.result(), &report.result);
-  EXPECT_EQ(&view.mis(), &report.mis);
   EXPECT_EQ(&view.lists(), &report.lists);
   const routing::ClusterheadRouter router(inst.g, view);
   const auto route = router.route(0, inst.g.node_count() - 1);
@@ -114,6 +106,8 @@ TEST(Facade, ProtocolAlgorithm2ViewFeedsTheRouter) {
     const auto report =
         build_mode(inst.g, core::BuildAlgorithm::kAlgorithm2Protocol);
     ASSERT_EQ(report.lists.node_count(), inst.g.node_count());
+    std::vector<bool> mis(inst.g.node_count(), false);
+    for (const NodeId u : report.result.mis_dominators) mis[u] = true;
     std::vector<bool> additional(inst.g.node_count(), false);
     for (const NodeId v : report.result.additional_dominators) {
       additional[v] = true;
@@ -122,7 +116,7 @@ TEST(Facade, ProtocolAlgorithm2ViewFeedsTheRouter) {
     for (NodeId u = 0; u < inst.g.node_count(); ++u) {
       for (const core::ThreeHopEntry& e : report.lists.three_hop(u)) {
         ++entries;
-        EXPECT_TRUE(report.mis.mask[u]) << seed << ": node " << u;
+        EXPECT_TRUE(mis[u]) << seed << ": node " << u;
         EXPECT_TRUE(inst.g.has_edge(u, e.via1) &&
                     inst.g.has_edge(e.via1, e.via2) &&
                     inst.g.has_edge(e.via2, e.dom))
@@ -209,35 +203,6 @@ TEST(WcdsResultAccessors, ContainsIsBoundsChecked) {
   }
   EXPECT_FALSE(report.result.contains(static_cast<NodeId>(1000000)));
   EXPECT_FALSE(report.result.contains(kInvalidNode));
-}
-
-TEST(WcdsResultAccessors, CheckedAccessorsAgreeWithVectors) {
-  const auto inst = testing::connected_udg(30, 8.0, 11);
-  const auto report =
-      build_mode(inst.g, core::BuildAlgorithm::kAlgorithm1Central);
-  for (NodeId u = 0; u < inst.g.node_count(); ++u) {
-    EXPECT_EQ(report.result.in_mask(u), report.result.contains(u));
-    EXPECT_EQ(report.result.color_of(u) == core::NodeColor::kBlack,
-              report.result.contains(u));
-  }
-}
-
-TEST(WcdsResultAccessors, OutOfRangeAccessThrows) {
-  const auto inst = testing::connected_udg(30, 8.0, 12);
-  const auto report =
-      build_mode(inst.g, core::BuildAlgorithm::kAlgorithm1Central);
-  const auto n = static_cast<NodeId>(inst.g.node_count());
-  EXPECT_THROW((void)report.result.color_of(n), std::out_of_range);
-  EXPECT_THROW((void)report.result.in_mask(n), std::out_of_range);
-}
-
-TEST(WcdsResultAccessors, AuditBuildsCatchColorMaskMismatch) {
-  if constexpr (check::audits_compiled_in()) {
-    core::WcdsResult broken;
-    broken.mask.assign(4, false);
-    broken.color.assign(3, core::NodeColor::kGray);  // size disagreement
-    EXPECT_THROW((void)broken.color_of(0), check::CheckError);
-  }
 }
 
 }  // namespace

@@ -260,7 +260,6 @@ TEST(FaultIdempotence, RawAlgorithm1SurvivesDuplication) {
     std::size_t leaders = 0;
     core::WcdsResult wcds;
     wcds.mask.assign(inst.g.node_count(), false);
-    wcds.color.assign(inst.g.node_count(), core::NodeColor::kGray);
     for (NodeId u = 0; u < inst.g.node_count(); ++u) {
       const auto& node =
           static_cast<const protocols::Algorithm1Node&>(rt.node(u));
@@ -268,7 +267,6 @@ TEST(FaultIdempotence, RawAlgorithm1SurvivesDuplication) {
       if (node.is_dominator()) {
         wcds.dominators.push_back(u);
         wcds.mask[u] = true;
-        wcds.color[u] = core::NodeColor::kBlack;
       }
     }
     wcds.mis_dominators = wcds.dominators;

@@ -20,6 +20,7 @@
 #include "geom/rng.h"
 #include "geom/workload.h"
 #include "graph/local_bfs.h"
+#include "graph/subgraph.h"
 #include "maintenance/crash_schedule.h"
 #include "maintenance/dynamic_wcds.h"
 #include "maintenance_reference.h"
@@ -464,7 +465,9 @@ void expect_backbone_of(const DynamicWcds& net,
   for (NodeId u = 0; u < net.node_count(); ++u) {
     mis[u] = net.is_mis_dominator(u);
   }
-  EXPECT_EQ(mis, alg2.mis.mask) << what;
+  EXPECT_EQ(mis, graph::make_mask(net.node_count(),
+                                  alg2.result.mis_dominators))
+      << what;
   EXPECT_EQ(net.bridges(), forward_rows(alg2.lists)) << what;
 }
 

@@ -29,7 +29,6 @@ namespace {
 
 using check::AuditOptions;
 using check::CheckError;
-using core::NodeColor;
 using core::ResilienceSpec;
 using core::WcdsResult;
 
@@ -205,11 +204,10 @@ void ExpectAuditFailure(const graph::Graph& g, const WcdsResult& result,
   }
 }
 
-// Demote dominator `victim` consistently (mask, color, membership lists), so
+// Demote dominator `victim` consistently (mask and membership lists), so
 // the corruption reaches the (k,m) family instead of tripping audit_result.
 void demote(WcdsResult& result, NodeId victim) {
   result.mask[victim] = false;
-  result.color[victim] = NodeColor::kGray;
   const auto drop = [victim](std::vector<NodeId>& list) {
     list.erase(std::remove(list.begin(), list.end(), victim), list.end());
   };
@@ -262,7 +260,6 @@ TEST(Resilience, RejectsCutEar) {
       graph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
   WcdsResult result;
   result.mask.assign(5, true);
-  result.color.assign(5, NodeColor::kBlack);
   result.dominators = {0, 1, 2, 3, 4};
   result.mis_dominators = {0, 2};  // maximal: 1,3,4 all have an MIS neighbor
   result.additional_dominators = {1, 3, 4};
@@ -284,8 +281,6 @@ TEST(Resilience, SurvivorSamplingStillCatchesTheCutEar) {
       graph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
   WcdsResult result;
   result.mask = {true, true, true, false, false};
-  result.color = {NodeColor::kBlack, NodeColor::kBlack, NodeColor::kBlack,
-                  NodeColor::kGray, NodeColor::kGray};
   result.dominators = {0, 1, 2};
   result.mis_dominators = {0, 2};
   result.additional_dominators = {1};
@@ -306,8 +301,6 @@ TEST(Resilience, SurvivesCrashesExcusesOrphansAndGraphCuts) {
   const auto g = graph::from_edges(4, {{0, 1}, {0, 2}, {0, 3}});
   WcdsResult result;
   result.mask = {true, true, false, false};
-  result.color = {NodeColor::kBlack, NodeColor::kBlack, NodeColor::kGray,
-                  NodeColor::kGray};
   result.dominators = {0, 1};
   result.mis_dominators = {0};
   result.additional_dominators = {1};

@@ -146,7 +146,7 @@ TEST(Serving, RejectsDominatorListsThatDoNotCoverTheGraph) {
   // name the problem instead of reading rows that do not exist.
   const auto sc = make_scenario(120, 10.0, 4, 16, 2);
   const core::DominatorLists none;
-  const core::Algorithm2View view(sc.wcds.result, sc.wcds.mis, none);
+  const core::Algorithm2View view(sc.wcds.result, none);
   EXPECT_THROW(ServingEngine(sc.inst.g, view, sc.registry),
                std::invalid_argument);
 }

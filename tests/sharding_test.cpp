@@ -113,7 +113,6 @@ void expect_same_wcds(const Run& a, const Run& b) {
   EXPECT_EQ(a.wcds.mis_dominators, b.wcds.mis_dominators);
   EXPECT_EQ(a.wcds.additional_dominators, b.wcds.additional_dominators);
   EXPECT_EQ(a.wcds.mask, b.wcds.mask);
-  EXPECT_EQ(a.wcds.color, b.wcds.color);
   EXPECT_EQ(a.stats, b.stats);
   if constexpr (std::is_same_v<Run, protocols::DistributedAlgorithm1Run>) {
     EXPECT_EQ(a.leader, b.leader);

@@ -96,7 +96,10 @@ void add_wcds(Digest& d, const core::WcdsResult& r) {
   d.add_all(r.mis_dominators);
   d.add_all(r.additional_dominators);
   d.add_all(r.mask);
-  d.add_all(r.color);
+  // The cells were pinned with a per-node color after the mask: black (2)
+  // for a member, gray (1) otherwise.  Hash the same words.
+  d.add(r.mask.size());
+  for (const bool member : r.mask) d.add(member ? 2 : 1);
 }
 
 // Traced protocol build; `faults` null = perfect radio.

@@ -6,6 +6,7 @@
 #include "graph/subgraph.h"
 #include "test_util.h"
 #include "wcds/verify.h"
+#include "wcds/wcds_result.h"
 
 namespace wcds::core {
 namespace {
@@ -99,8 +100,6 @@ TEST(ExtractSpanner, KeepsExactlyIncidentEdges) {
   result.mask[1] = result.mask[2] = true;
   result.dominators = {1, 2};
   result.mis_dominators = {1, 2};
-  result.color.assign(9, NodeColor::kGray);
-  result.color[1] = result.color[2] = NodeColor::kBlack;
   const Graph spanner = extract_spanner(g, result);
   // Every edge of figure2_graph touches node 1 or 2, so nothing is dropped.
   EXPECT_EQ(spanner.edge_count(), g.edge_count());
@@ -112,19 +111,7 @@ TEST(AuditResult, AcceptsConsistentResult) {
   r.mask = {true, false, true, false, true};
   r.dominators = {0, 2, 4};
   r.mis_dominators = {0, 2, 4};
-  r.color = {NodeColor::kBlack, NodeColor::kGray, NodeColor::kBlack,
-             NodeColor::kGray, NodeColor::kBlack};
   EXPECT_TRUE(audit_result(g, r));
-}
-
-TEST(AuditResult, RejectsColorMismatch) {
-  const Graph g = from_edges(3, {{0, 1}, {1, 2}});
-  WcdsResult r;
-  r.mask = {false, true, false};
-  r.dominators = {1};
-  r.mis_dominators = {1};
-  r.color = {NodeColor::kGray, NodeColor::kGray, NodeColor::kGray};  // wrong
-  EXPECT_FALSE(audit_result(g, r));
 }
 
 TEST(AuditResult, RejectsBadPartition) {
@@ -133,7 +120,6 @@ TEST(AuditResult, RejectsBadPartition) {
   r.mask = {false, true, false};
   r.dominators = {1};
   r.mis_dominators = {};  // dominator 1 unaccounted for
-  r.color = {NodeColor::kGray, NodeColor::kBlack, NodeColor::kGray};
   EXPECT_FALSE(audit_result(g, r));
 }
 
@@ -143,9 +129,53 @@ TEST(AuditResult, RejectsNonWcds) {
   r.mask = {false, true, false, false, true, false};
   r.dominators = {1, 4};
   r.mis_dominators = {1, 4};
-  r.color.assign(6, NodeColor::kGray);
-  r.color[1] = r.color[4] = NodeColor::kBlack;
   EXPECT_FALSE(audit_result(g, r));  // weakly disconnected (see above)
+}
+
+TEST(WcdsResultFromMembers, MergesTheListsAndDerivesTheMask) {
+  const WcdsResult r = WcdsResult::from_members(8, {1, 4, 6}, {0, 5});
+  EXPECT_EQ(r.dominators, (std::vector<NodeId>{0, 1, 4, 5, 6}));
+  EXPECT_EQ(r.mis_dominators, (std::vector<NodeId>{1, 4, 6}));
+  EXPECT_EQ(r.additional_dominators, (std::vector<NodeId>{0, 5}));
+  EXPECT_EQ(r.mask, (std::vector<bool>{true, true, false, false, true, true,
+                                        true, false}));
+  EXPECT_EQ(r.size(), 5u);
+
+  // Either list may be empty: greedy baselines carry no MIS.
+  const WcdsResult greedy = WcdsResult::from_members(3, {}, {1});
+  EXPECT_EQ(greedy.dominators, (std::vector<NodeId>{1}));
+  EXPECT_TRUE(greedy.mis_dominators.empty());
+  EXPECT_EQ(greedy.mask, (std::vector<bool>{false, true, false}));
+  EXPECT_EQ(WcdsResult::from_members(2, {}, {}).mask,
+            std::vector<bool>(2, false));
+
+  // A path 0..4 with S = {0, 2, 4}: the assembled record passes the
+  // consistency audit as is.
+  const Graph g = from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  EXPECT_TRUE(audit_result(g, WcdsResult::from_members(5, {0, 2, 4}, {})));
+}
+
+TEST(WcdsResultFromMembers, RejectsMalformedLists) {
+  // Unsorted, in either list.
+  EXPECT_THROW((void)WcdsResult::from_members(5, {2, 1}, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)WcdsResult::from_members(5, {0}, {3, 2}),
+               std::invalid_argument);
+  // A duplicate within one list.
+  EXPECT_THROW((void)WcdsResult::from_members(5, {1, 1}, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)WcdsResult::from_members(5, {}, {2, 2}),
+               std::invalid_argument);
+  // An id in both lists.
+  EXPECT_THROW((void)WcdsResult::from_members(5, {1, 3}, {3}),
+               std::invalid_argument);
+  // An id >= n, in either list.
+  EXPECT_THROW((void)WcdsResult::from_members(5, {5}, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)WcdsResult::from_members(5, {0}, {kInvalidNode}),
+               std::invalid_argument);
+  EXPECT_THROW((void)WcdsResult::from_members(0, {0}, {}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -154,21 +154,9 @@ int cmd_backbone(const Args& args) {
       static_cast<std::size_t>(args.get_u64("threads", 0));
   const core::BuildReport report = core::build(g, build_options);
   const core::WcdsResult& result = report.result;
-  // is_wcds assumes one component; disconnected protocol runs verify each
-  // component's backbone through the paper-invariant auditor instead.
-  bool verified = false;
-  if (connected) {
-    verified = core::is_wcds(g, result.mask);
-  } else {
-    try {
-      check::AuditOptions audit_options;
-      audit_options.unit_disk = true;
-      check::audit_invariants(g, result, audit_options);
-      verified = true;
-    } catch (const std::exception&) {
-      verified = false;
-    }
-  }
+  // The WCDS definition judged per component, so one check covers a
+  // connected deployment and a disconnected protocol run alike.
+  const bool verified = check::sweep_wcds(g, result.mask).ok();
   std::cout << "algorithm " << algorithm << " (" << mode
             << "): |U| = " << result.size() << " ("
             << result.mis_dominators.size() << " MIS + "
