@@ -108,7 +108,7 @@ struct BuildReport {
   std::vector<std::uint32_t> levels;
 
   // Non-owning view of the Algorithm II pair the serving layers consume
-  // (ClusterheadRouter, route_flows, service::ServingEngine).  The view
+  // (ClusterheadRouter, service::ServingEngine).  The view
   // borrows this report's storage — keep the report alive while routing.
   // Only meaningful for Algorithm II modes.
   [[nodiscard]] Algorithm2View algorithm2_view() const {

@@ -179,6 +179,9 @@ ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
 
 NodeId ClusterheadRouter::next_clusterhead(NodeId from_head,
                                            NodeId to_head) const {
+  WCDS_REQUIRE_BOUNDS(from_head < index_.size() && to_head < index_.size(),
+                      "next_clusterhead: head " << from_head << " or "
+                          << to_head << " out of range");
   const std::uint32_t from = index_[from_head];
   const std::uint32_t to = index_[to_head];
   if (from == kNoHead || to == kNoHead) return kInvalidNode;
@@ -189,6 +192,9 @@ NodeId ClusterheadRouter::next_clusterhead(NodeId from_head,
 
 std::uint32_t ClusterheadRouter::overlay_distance(NodeId from_head,
                                                   NodeId to_head) const {
+  WCDS_REQUIRE_BOUNDS(from_head < index_.size() && to_head < index_.size(),
+                      "overlay_distance: head " << from_head << " or "
+                          << to_head << " out of range");
   const std::uint32_t from = index_[from_head];
   const std::uint32_t to = index_[to_head];
   if (from == kNoHead || to == kNoHead) return kNoHead;
@@ -208,17 +214,10 @@ ClusterheadRouter::Leg ClusterheadRouter::leg(std::uint32_t from_idx,
   return Leg{it->via1, it->via2};
 }
 
-std::vector<NodeId> ClusterheadRouter::overlay_leg(NodeId from_head,
-                                                   NodeId to_head) const {
-  const Leg edge = leg(index_[from_head], index_[to_head]);
-  std::vector<NodeId> hop_path;
-  hop_path.push_back(edge.via1);
-  if (edge.via2 != kInvalidNode) hop_path.push_back(edge.via2);
-  hop_path.push_back(to_head);
-  return hop_path;
-}
-
 Route ClusterheadRouter::route(NodeId src, NodeId dst) const {
+  WCDS_REQUIRE_BOUNDS(src < clusterhead_.size() && dst < clusterhead_.size(),
+                      "ClusterheadRouter::route: endpoint " << src << " or "
+                          << dst << " out of range");
   Route r;
   r.path.push_back(src);
   if (src == dst) {

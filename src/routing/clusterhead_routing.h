@@ -60,20 +60,16 @@ class ClusterheadRouter final : public Router {
   [[nodiscard]] NodeId clusterhead(NodeId u) const { return clusterhead_[u]; }
 
   // The next clusterhead after head `from` on the overlay path toward head
-  // `to`; kInvalidNode if unreachable.  This is exactly the routing-table
-  // entry the paper stores at each MIS-dominator, read off the distance
-  // table by the rule in the header comment.
+  // `to`; kInvalidNode if unreachable or either node is not a clusterhead,
+  // std::out_of_range if either is not a node of g.  This is exactly the
+  // routing-table entry the paper stores at each MIS-dominator, read off
+  // the distance table by the rule in the header comment.
   [[nodiscard]] NodeId next_clusterhead(NodeId from_head, NodeId to_head) const;
 
-  // Expand the overlay edge from head `from` to its overlay-neighbor head
-  // `to` into the G-path between them (excluding `from`, including `to`):
-  // the 2HopDomList / 3HopDomList lookup of Section 4.2.
-  [[nodiscard]] std::vector<NodeId> overlay_leg(NodeId from_head,
-                                                NodeId to_head) const;
-
-  // The intermediates of an overlay edge; via2 is kInvalidNode for 2-hop
-  // edges.  leg() below is the allocation-free form of overlay_leg for
-  // per-packet hot paths (the service engine walks millions of legs).
+  // The intermediates of an overlay edge, which expand it into the G-path
+  // between its heads: the 2HopDomList / 3HopDomList lookup of Section 4.2.
+  // via2 is kInvalidNode for 2-hop edges.  Plain values, so per-packet hot
+  // paths (the service engine walks millions of legs) allocate nothing.
   struct Leg {
     NodeId via1 = kInvalidNode;
     NodeId via2 = kInvalidNode;
@@ -98,7 +94,9 @@ class ClusterheadRouter final : public Router {
   [[nodiscard]] std::uint32_t head_index(NodeId u) const { return index_[u]; }
 
   // Overlay (clusterhead-graph) hop distance between two heads;
-  // 0xFFFFFFFF if unreachable.  O(1): filled by the table-building BFS.
+  // 0xFFFFFFFF if unreachable or either node is not a clusterhead,
+  // std::out_of_range if either is not a node of g.  O(1): filled by the
+  // table-building BFS.
   [[nodiscard]] std::uint32_t overlay_distance(NodeId from_head,
                                                NodeId to_head) const;
 

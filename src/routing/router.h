@@ -7,8 +7,9 @@
 // construct a concrete router (or let make_router pick by Strategy enum),
 // then call route(src, dst) and read the Route.
 //
-// Consumers: the service engine (src/service), the data-plane protocol
-// (protocols::route_flows), bench_t5 and the examples.
+// Consumers: the CLI's route command, bench_t5, bench_a4 and the examples.
+// The service engine (src/service) walks ClusterheadRouter's tables
+// directly instead.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +50,8 @@ class Router {
 
   // Route a unicast packet from src to dst.  The returned path's consecutive
   // nodes are always G-adjacent; `delivered` is false when the scheme could
-  // not complete the route (disconnected overlay, greedy void).
+  // not complete the route (disconnected overlay, greedy void).  Throws
+  // std::out_of_range unless both endpoints are nodes of the router's graph.
   [[nodiscard]] virtual Route route(NodeId src, NodeId dst) const = 0;
 
   [[nodiscard]] virtual Strategy strategy() const noexcept = 0;

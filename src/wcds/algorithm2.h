@@ -76,8 +76,8 @@ struct Algorithm2Output {
 };
 
 // Non-owning view over an Algorithm II construction: the shape every
-// consumer on the serving path (ClusterheadRouter, route_flows, the service
-// engine) takes, so routing over an n >= 10^6 backbone never copies the
+// consumer on the serving path (ClusterheadRouter, the service engine)
+// takes, so routing over an n >= 10^6 backbone never copies the
 // result/lists pair.  The referenced storage must outlive the view —
 // typically it lives in a core::BuildReport or an Algorithm2Output.
 //

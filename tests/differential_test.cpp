@@ -2,8 +2,7 @@
 // against an independent oracle —
 //   * exact solver vs every heuristic (lower-bound sandwich),
 //   * distributed protocol state vs the centralized list computation,
-//   * distributed Algorithm I vs the centralized reference across workloads,
-//   * the data plane vs BFS reachability.
+//   * distributed Algorithm I vs the centralized reference across workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include "mis/mis.h"
 #include "protocols/algorithm1_protocol.h"
 #include "protocols/algorithm2_protocol.h"
-#include "protocols/routing_protocol.h"
 #include "sim/runtime.h"
 #include "test_util.h"
 #include "udg/udg.h"
@@ -117,23 +115,6 @@ TEST(Differential, Algorithm1AcrossWorkloadFamilies) {
       EXPECT_EQ(distributed.wcds.dominators, central.dominators)
           << geom::to_string(kind) << " seed " << seed;
     }
-  }
-}
-
-TEST(Differential, DataPlaneReachabilityEqualsBfs) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const auto inst = testing::connected_udg(130, 10.0, seed);
-    const auto out = core::algorithm2(inst.g);
-    std::vector<protocols::FlowRequest> requests;
-    geom::Xoshiro256ss rng(seed * 991);
-    for (int i = 0; i < 60; ++i) {
-      requests.push_back(
-          {static_cast<NodeId>(rng.next_below(inst.g.node_count())),
-           static_cast<NodeId>(rng.next_below(inst.g.node_count()))});
-    }
-    const auto run = protocols::route_flows(inst.g, out, requests);
-    // Connected graph: everything BFS-reachable must be delivered.
-    EXPECT_EQ(run.delivered_count(), requests.size()) << seed;
   }
 }
 

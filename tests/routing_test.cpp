@@ -1,8 +1,11 @@
 // Clusterhead routing over the Algorithm II spanner (paper, Section 4.2).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/bfs.h"
 #include "routing/clusterhead_routing.h"
+#include "routing/router.h"
 #include "test_util.h"
 #include "wcds/algorithm2.h"
 
@@ -48,6 +51,29 @@ TEST(Routing, ClusterheadAssignment) {
   EXPECT_EQ(router.clusterhead(1), 0u);  // lowest 1-hop dominator
   EXPECT_EQ(router.clusterhead(3), 2u);
   EXPECT_EQ(router.clusterhead_count(), 3u);
+}
+
+TEST(Routing, RejectsOutOfRangeEndpoints) {
+  const auto inst = testing::connected_udg(60, 8.0, 1);
+  const auto out = core::algorithm2(inst.g);
+  const auto n = static_cast<NodeId>(inst.g.node_count());
+  for (const Strategy strategy :
+       {Strategy::kClusterhead, Strategy::kGeographic}) {
+    const auto router = make_router(strategy, inst.g, out, inst.points);
+    EXPECT_THROW((void)router->route(n, 0), std::out_of_range)
+        << to_string(strategy);
+    EXPECT_THROW((void)router->route(0, n), std::out_of_range)
+        << to_string(strategy);
+    EXPECT_THROW((void)router->route(kInvalidNode, kInvalidNode),
+                 std::out_of_range)
+        << to_string(strategy);
+    EXPECT_NO_THROW((void)router->route(n - 1, 0)) << to_string(strategy);
+  }
+  const ClusterheadRouter router(inst.g, out);
+  EXPECT_THROW((void)router.next_clusterhead(n, 0), std::out_of_range);
+  EXPECT_THROW((void)router.next_clusterhead(0, n), std::out_of_range);
+  EXPECT_THROW((void)router.overlay_distance(n, 0), std::out_of_range);
+  EXPECT_THROW((void)router.overlay_distance(0, n), std::out_of_range);
 }
 
 class RoutingSweep

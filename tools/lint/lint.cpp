@@ -334,14 +334,13 @@ Config default_config() {
        {"audit", "check", "geom", "graph", "obs", "parallel", "wcds_types"}},
       {"sim", {"base", "check", "geom", "graph", "obs"}},
       {"fault", {"check", "geom", "graph", "obs", "sim"}},
-      {"routing",
-       {"check", "geom", "graph", "mis", "obs", "sim", "wcds", "wcds_types"}},
+      {"routing", {"check", "geom", "graph", "wcds"}},
       {"service",
-       {"check", "fault", "geom", "graph", "mis", "obs", "parallel", "routing",
-        "wcds", "wcds_types"}},
+       {"check", "fault", "geom", "graph", "obs", "parallel", "routing",
+        "wcds"}},
       {"protocols",
        {"audit", "check", "fault", "geom", "graph", "mis", "obs", "parallel",
-        "routing", "sim", "wcds", "wcds_types"}},
+        "sim", "wcds", "wcds_types"}},
       {"broadcast",
        {"check", "geom", "graph", "obs", "protocols", "sim", "wcds_types"}},
       {"maintenance",

@@ -22,8 +22,10 @@
 // Exit status: 0 on success, 1 on bad usage or failed precondition.
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,6 +76,18 @@ class Args {
     const auto v = get(key);
     return v ? std::stoull(*v) : fallback;
   }
+  // A node ID of a deployment with `node_count` nodes.  The range check
+  // reads the full 64-bit value, so 2^32 + 1 cannot wrap onto node 1.
+  [[nodiscard]] NodeId get_node(const std::string& key, std::uint64_t fallback,
+                                std::size_t node_count) const {
+    const std::uint64_t id = get_u64(key, fallback);
+    if (id >= node_count) {
+      throw std::runtime_error("--" + key + " " + std::to_string(id) +
+                               " out of range (" + std::to_string(node_count) +
+                               " nodes)");
+    }
+    return static_cast<NodeId>(id);
+  }
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto v = get(key);
@@ -94,7 +108,12 @@ geom::WorkloadKind parse_workload(const std::string& name) {
 }
 
 int cmd_generate(const Args& args) {
-  const auto n = static_cast<std::uint32_t>(args.get_u64("n", 500));
+  const std::uint64_t n_arg = args.get_u64("n", 500);
+  if (n_arg > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error("--n " + std::to_string(n_arg) +
+                             " exceeds the 32-bit node ID space");
+  }
+  const auto n = static_cast<std::uint32_t>(n_arg);
   const double degree = args.get_double("degree", 12.0);
   const auto kind = parse_workload(args.get("workload").value_or("uniform"));
   std::uint64_t seed = args.get_u64("seed", 1);
@@ -197,13 +216,8 @@ int cmd_route(const Args& args) {
     std::cerr << "deployment is not connected\n";
     return 1;
   }
-  const auto src = static_cast<NodeId>(args.get_u64("src", 0));
-  const auto dst =
-      static_cast<NodeId>(args.get_u64("dst", g.node_count() - 1));
-  if (src >= g.node_count() || dst >= g.node_count()) {
-    std::cerr << "src/dst out of range\n";
-    return 1;
-  }
+  const NodeId src = args.get_node("src", 0, g.node_count());
+  const NodeId dst = args.get_node("dst", g.node_count() - 1, g.node_count());
   core::BuildOptions route_options;
   route_options.algorithm = core::BuildAlgorithm::kAlgorithm2Central;
   const core::BuildReport report = core::build(g, route_options);
@@ -242,11 +256,7 @@ int cmd_broadcast(const Args& args) {
     std::cerr << "deployment is not connected\n";
     return 1;
   }
-  const auto source = static_cast<NodeId>(args.get_u64("source", 0));
-  if (source >= g.node_count()) {
-    std::cerr << "source out of range\n";
-    return 1;
-  }
+  const NodeId source = args.get_node("source", 0, g.node_count());
   core::BuildOptions broadcast_options;
   broadcast_options.algorithm = core::BuildAlgorithm::kAlgorithm2Central;
   const auto backbone = core::build(g, broadcast_options);
