@@ -123,32 +123,6 @@ std::size_t spanner_edge_count(const graph::Graph& g,
   return count;
 }
 
-// Theorem 11: spanner hop distance <= 3*delta + 2 for non-adjacent pairs,
-// verified from an evenly strided sample of BFS sources.
-void audit_dilation(const graph::Graph& g, const core::WcdsResult& result,
-                    const AuditOptions& options) {
-  const std::size_t n = g.node_count();
-  if (n == 0) return;
-  const auto spanner = graph::weakly_induced_subgraph(g, result.mask);
-  const std::size_t count = std::min(n, options.dilation_sources);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto u = static_cast<NodeId>(i * n / count);
-    if (!node_active(options.active, u)) continue;
-    const auto in_g = graph::bfs_distances(g, u);
-    const auto in_spanner = graph::bfs_distances(spanner, u);
-    for (NodeId v = 0; v < n; ++v) {
-      if (v == u || in_g[v] == kUnreachable || in_g[v] == 1) continue;
-      WCDS_CHECK(in_spanner[v] != kUnreachable,
-                 "Theorem 11: pair (" << u << ", " << v
-                                      << ") disconnected in the spanner");
-      WCDS_CHECK_LE(in_spanner[v],
-                    kTheorem11Multiplier * in_g[v] + kTheorem11Additive,
-                    "Theorem 11 (topological dilation): pair (" << u << ", "
-                                                                << v << ")");
-    }
-  }
-}
-
 }  // namespace
 
 WcdsSweep sweep_wcds(const graph::Graph& g, const std::vector<bool>& mask,
@@ -241,16 +215,8 @@ void audit_resilience(const graph::Graph& g, const core::WcdsResult& result,
     }
   }
 
-  if (spec.k >= 2 && !result.dominators.empty()) {
-    std::size_t stride = 1;
-    if (options.resilience_survivor_sample != 0 &&
-        result.dominators.size() > options.resilience_survivor_sample) {
-      stride = (result.dominators.size() +
-                options.resilience_survivor_sample - 1) /
-               options.resilience_survivor_sample;
-    }
-    for (std::size_t i = 0; i < result.dominators.size(); i += stride) {
-      const NodeId v = result.dominators[i];
+  if (spec.k >= 2) {
+    for (const NodeId v : result.dominators) {
       const NodeId single[] = {v};
       WCDS_CHECK(survives_crashes(g, result, single),
                  "(k,m)-resilience (survivability): removing backbone node "
@@ -271,9 +237,11 @@ void audit_invariants(const graph::Graph& g, const core::WcdsResult& result,
   const WcdsSweep sweep = sweep_wcds(g, result.mask, options.active);
   audit_wcds_property(g, options, sweep);
 
+  mis::BallAudit balls;
   if (!result.mis_dominators.empty()) {
-    const mis::BallAudit balls =
-        mis::audit_mis_balls(g, result.mis_dominators, sweep.components);
+    balls = mis::audit_mis_balls(
+        g, result.mis_dominators, sweep.components,
+        options.check_dilation ? &result.mask : nullptr);
     WCDS_CHECK(balls.adjacent == kInvalidNode,
                "Section 2 (independence): MIS dominators "
                    << balls.adjacent << " and " << balls.adjacent_to
@@ -328,7 +296,13 @@ void audit_invariants(const graph::Graph& g, const core::WcdsResult& result,
 
   if (options.resilience.enabled()) audit_resilience(g, result, options);
 
-  if (options.check_dilation) audit_dilation(g, result, options);
+  // Theorem 11 by its local certificate (docs/CHECKING.md): with every MIS
+  // pair at G-distance 3 within 3 spanner hops, d_G' <= 1 + 3 d_G + 1.
+  WCDS_CHECK(balls.unbridged == kInvalidNode,
+             "Theorem 11 (topological dilation): MIS nodes "
+                 << balls.unbridged << " and " << balls.unbridged_to
+                 << " are 3 hops apart but no 3-hop path between them has "
+                    "its middle edge in the spanner");
 }
 
 }  // namespace wcds::check

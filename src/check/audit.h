@@ -10,7 +10,8 @@
 //
 // Each invariant has one implementation, in a non-raising core that returns
 // witnesses: is_consistent, sweep_wcds, mis::first_undominated and
-// mis::audit_mis_balls (one radius-3 ball per MIS node).  The auditor raises
+// mis::audit_mis_balls (one radius-3 ball per MIS node, which also judges
+// Theorem 11's local certificate).  The auditor raises
 // from it; core::is_wcds, core::audit_result, survives_crashes and
 // DynamicWcds::audit read it and never reach the failure handler.
 //
@@ -27,8 +28,10 @@
 //   * unit-disk only: Lemma 1 (<= 5 MIS neighbors), Lemma 2 (<= 23 MIS
 //     nodes at two hops, <= 47 within three), Theorem 10 (spanner edges
 //     <= 9*#gray + 47*|S|);
-//   * opt-in: (k,m)-resilience (see audit_resilience below) and Theorem 11
-//     (spanner hop distance <= 3*delta + 2, from sampled BFS sources).
+//   * opt-in: (k,m)-resilience (see audit_resilience below), then, last,
+//     Theorem 11 (spanner hop distance <= 3*delta + 2 for every pair) by its
+//     certificate: every MIS pair 3 hops apart in G is at most 3 hops apart
+//     in the spanner.  Read off the MIS balls, so it needs an MIS.
 #pragma once
 
 #include <cstddef>
@@ -63,10 +66,13 @@ struct AuditOptions {
   // two-hop complementary-subset distance instead of only Lemma 3's three.
   bool level_ranked = false;
 
-  // Verify Theorem 11's dilation bound from `dilation_sources` sampled BFS
-  // sources (exact when >= node count).  Costs extra BFS rounds.
+  // The backbone bridges every 3-hop MIS pair: each MIS pair 3 hops apart
+  // in g is at most 3 hops apart in the spanner, which proves Theorem 11's
+  // bound d_G' <= 3 d_G + 2 for every pair (docs/CHECKING.md).  Every
+  // Algorithm II tripwire sets it; Algorithm I makes no such promise.
+  // Judged on the MIS balls the audit runs anyway, so results without
+  // mis_dominators are not judged.
   bool check_dilation = false;
-  std::size_t dilation_sources = 4;
 
   // Restrict the audit to active nodes (dynamic maintenance).  Inactive
   // nodes must be isolated in `g` and outside the dominator set; they are
@@ -80,11 +86,6 @@ struct AuditOptions {
   // the extra dominator layers legitimately thicken the spanner (the A9
   // experiment reports the measured sparseness instead).
   core::ResilienceSpec resilience;
-
-  // Survivability audit sampling: check every ceil(|U| / sample)-th
-  // backbone node's removal when nonzero, all of them when 0.  Each probe
-  // costs two BFS sweeps, so large maintained backbones sample.
-  std::size_t resilience_survivor_sample = 0;
 };
 
 // Runs every applicable invariant; failures raise through the check layer
@@ -138,7 +139,7 @@ struct WcdsSweep {
 
 // The (k,m) invariant family on its own: m-fold domination (every
 // non-dominator has >= m dominators among its neighbors) and, for k >= 2,
-// survives_crashes for every (sampled) single backbone removal.  Violations
+// survives_crashes for every single backbone removal.  Violations
 // raise through the check layer naming the failed sub-invariant.
 // audit_invariants dispatches here when options.resilience is enabled.
 void audit_resilience(const graph::Graph& g, const core::WcdsResult& result,

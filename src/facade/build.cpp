@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "check/audit.h"
 #include "check/check.h"
 #include "graph/subgraph.h"
 #include "protocols/algorithm1_protocol.h"
@@ -77,6 +78,17 @@ BuildReport build(const graph::Graph& g, const BuildOptions& options) {
     augment_resilience(g, report.result, options.resilience, rec);
     // The MIS is untouched by the augmentation (new members are additional
     // dominators), so the dominator lists stay valid.
+    // Debug/test tripwire: the augmented backbone must satisfy the plain
+    // families, the (k,m) invariants and, built by Algorithm II, Theorem
+    // 11's certificate (adding dominators only shortens spanner paths).
+    if (check::audits_enabled()) {
+      check::AuditOptions audit;
+      audit.check_dilation =
+          options.algorithm == BuildAlgorithm::kAlgorithm2Central ||
+          options.algorithm == BuildAlgorithm::kAlgorithm2Protocol;
+      audit.resilience = options.resilience;
+      check::audit_invariants(g, report.result, audit);
+    }
   }
 
   if (rec != nullptr) {

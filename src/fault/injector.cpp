@@ -8,19 +8,11 @@ namespace wcds::fault {
 
 Injector::Injector(Plan plan, std::size_t node_count)
     : plan_(std::move(plan)), rng_(plan_.seed) {
-  WCDS_REQUIRE(plan_.drop >= 0.0 && plan_.drop < 1.0,
-               "fault::Injector: drop probability must be in [0, 1)");
-  WCDS_REQUIRE(plan_.duplicate >= 0.0 && plan_.duplicate <= 1.0,
-               "fault::Injector: duplicate probability must be in [0, 1]");
+  plan_.validate(node_count);
   std::sort(plan_.link_overrides.begin(), plan_.link_overrides.end(),
             [](const LinkOverride& a, const LinkOverride& b) {
               return a.link_slot < b.link_slot;
             });
-  for (const LinkOverride& entry : plan_.link_overrides) {
-    WCDS_REQUIRE(entry.drop >= 0.0 && entry.drop < 1.0 &&
-                     entry.duplicate >= 0.0 && entry.duplicate <= 1.0,
-                 "fault::Injector: link override probability out of range");
-  }
   if (!plan_.crashes.empty()) {
     std::sort(plan_.crashes.begin(), plan_.crashes.end(),
               [](const CrashWindow& a, const CrashWindow& b) {
@@ -29,9 +21,6 @@ Injector::Injector(Plan plan, std::size_t node_count)
               });
     window_begin_.assign(node_count + 1, 0);
     for (const CrashWindow& window : plan_.crashes) {
-      WCDS_REQUIRE(window.node < node_count,
-                   "fault::Injector: crash window names node "
-                       << window.node << " outside the topology");
       ++window_begin_[window.node + 1];
     }
     for (std::size_t u = 0; u < node_count; ++u) {

@@ -4,6 +4,26 @@
 
 namespace wcds::fault {
 
+void Plan::validate(std::size_t node_count) const {
+  // Written so that NaN fails every range test.
+  const auto valid = [](double p_drop, double p_duplicate) {
+    return p_drop >= 0.0 && p_drop < 1.0 && p_duplicate >= 0.0 &&
+           p_duplicate <= 1.0;
+  };
+  WCDS_REQUIRE(valid(drop, duplicate),
+               "fault::Plan: drop must be in [0, 1) and duplicate in [0, 1], "
+               "got " << drop << " and " << duplicate);
+  for (const LinkOverride& entry : link_overrides) {
+    WCDS_REQUIRE(valid(entry.drop, entry.duplicate),
+                 "fault::Plan: link override probability out of range");
+  }
+  for (const CrashWindow& window : crashes) {
+    WCDS_REQUIRE(window.node < node_count,
+                 "fault::Plan: crash window names node "
+                     << window.node << " outside the topology");
+  }
+}
+
 Plan Plan::lossy(double drop, std::uint64_t seed) {
   Plan plan;
   plan.drop = drop;

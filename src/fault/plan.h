@@ -10,6 +10,7 @@
 // in docs/ROBUSTNESS.md.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -62,6 +63,13 @@ struct Plan {
     return drop == 0.0 && duplicate == 0.0 && max_jitter == 0 &&
            crashes.empty() && link_overrides.empty();
   }
+
+  // Throws std::invalid_argument unless every drop probability (global and
+  // per link) is a number in [0, 1), every duplicate probability one in
+  // [0, 1], and every crash window names a node below `node_count`.  Every
+  // interpreter of a plan (fault::Injector, service::ServingEngine) calls
+  // it, so they accept the same plans.
+  void validate(std::size_t node_count) const;
 
   // Convenience constructors for the common experiment shapes.
   [[nodiscard]] static Plan lossy(double drop, std::uint64_t seed);

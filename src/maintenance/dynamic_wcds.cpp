@@ -481,6 +481,7 @@ void DynamicWcds::maybe_audit(const char* event) const {
   const std::vector<bool> active = graph_.active_mask();
   check::AuditOptions options;
   options.unit_disk = true;  // the active graph is a UDG by construction
+  options.check_dilation = true;  // seeded and repaired as Algorithm II
   options.active = &active;
   const graph::Graph g = graph_.materialize();
   check::audit_invariants(g, result, options);
@@ -504,15 +505,19 @@ Audit DynamicWcds::audit(const graph::Graph& g,
     if (mis[u] && active[u]) mis_members.push_back(u);
   }
   const check::WcdsSweep backbone = check::sweep_wcds(g, dominator, &active);
-  bool bridged = true;  // every 3-hop MIS pair holds a valid bridge record
+  // Every 3-hop MIS pair holds a valid bridge record whose via is a
+  // dominator: its path a-via-x-b then has its middle edge in the spanner,
+  // so bridges_complete implies Theorem 11's certificate.
+  bool bridged = true;
   const auto balls = mis::audit_mis_balls(
-      g, mis_members, backbone.components,
+      g, mis_members, backbone.components, nullptr,
       [&](NodeId a, NodeId b, HopCount hops) {
         if (hops != 3 || b < a) return;
         const NodeId sa = graph_.slot_of(a);
         const NodeId sb = graph_.slot_of(b);
         const Bridge* bridge = find_bridge(sa, sb);
         bridged = bridged && bridge != nullptr &&
+                  via_count_[bridge->via] > 0 &&
                   bridge_valid(sa, sb, bridge->via);
       });
   return {.mis_independent = balls.adjacent == kInvalidNode,

@@ -66,30 +66,60 @@ std::size_t max_mis_neighbors(const graph::Graph& g,
 BallAudit audit_mis_balls(const graph::Graph& g,
                           std::span<const NodeId> members,
                           const graph::Components& components,
+                          const std::vector<bool>* backbone,
                           const PairVisitor& visit) {
   const std::size_t n = g.node_count();
   WCDS_REQUIRE(components.label.size() == n,
                "audit_mis_balls: component labels are not node-indexed");
+  WCDS_REQUIRE(backbone == nullptr || backbone->size() == n,
+               "audit_mis_balls: the backbone mask is not node-indexed");
+  // index[v]: v's member index; for a non-member, count + i once ball i
+  // marked it as a middle node the backbone reaches (see mark_middles).
+  const auto count = static_cast<NodeId>(members.size());
   std::vector<NodeId> index(n, kInvalidNode);
-  for (NodeId i = 0; i < members.size(); ++i) {
+  for (NodeId i = 0; i < count; ++i) {
     WCDS_REQUIRE(members[i] < n,
                  "audit_mis_balls: member " << members[i] << " of " << n);
     WCDS_REQUIRE(components.label[members[i]] < components.count,
                  "audit_mis_balls: member " << members[i]
                                             << " outside every component");
+    WCDS_REQUIRE(backbone == nullptr || (*backbone)[members[i]],
+                 "audit_mis_balls: member " << members[i]
+                                            << " outside the backbone");
     index[members[i]] = i;
   }
   BallAudit audit;
   MemberSets h2(members.size());
   MemberSets h3(members.size());
   graph::LocalBfs bfs;
-  for (NodeId i = 0; i < members.size(); ++i) {
+  // Theorem 11's certificate for center u (member i) and a member w three
+  // hops away: some neighbor y of w two hops from u is in the backbone, or
+  // has a backbone neighbor one hop from u.  The second kind is marked once
+  // per ball, from the rows of u's backbone neighbors, when the ball's
+  // first such w comes up.
+  const auto mark_middles = [&](NodeId u, NodeId tag) {
+    for (const NodeId x : g.neighbors(u)) {
+      if (!(*backbone)[x]) continue;
+      for (const NodeId y : g.neighbors(x)) {
+        if (bfs.distance(y) == 2 && index[y] >= count) index[y] = tag;
+      }
+    }
+  };
+  const auto bridged = [&](NodeId w, NodeId tag) {
+    const auto row = g.neighbors(w);
+    return std::any_of(row.begin(), row.end(), [&](NodeId y) {
+      return bfs.distance(y) == 2 && ((*backbone)[y] || index[y] == tag);
+    });
+  };
+  for (NodeId i = 0; i < count; ++i) {
     const NodeId u = members[i];
+    const NodeId tag = count + i;
+    bool marked = false;
     std::size_t at_two = 0;
     std::size_t within_three = 0;
     for (const NodeId v : bfs.run(g, u, 3)) {
       const NodeId j = index[v];
-      if (v == u || j == kInvalidNode) continue;
+      if (v == u || j >= count) continue;
       const HopCount d = bfs.distance(v);
       if (visit) visit(u, v, d);
       // Ball order lists u's row first, so this is u's first MIS neighbor.
@@ -101,6 +131,17 @@ BallAudit audit_mis_balls(const graph::Graph& g,
       ++within_three;
       if (d <= 2) h2.unite(i, j);
       h3.unite(i, j);
+      // Each pair once, from its lower member: the first witness in member
+      // order is the same as judging both directions.
+      if (backbone != nullptr && d == 3 && j > i &&
+          audit.unbridged == kInvalidNode) {
+        if (!marked) mark_middles(u, tag);
+        marked = true;
+        if (!bridged(v, tag)) {
+          audit.unbridged = u;
+          audit.unbridged_to = v;
+        }
+      }
     }
     audit.max_at_two_hops = std::max(audit.max_at_two_hops, at_two);
     audit.max_within_three_hops =

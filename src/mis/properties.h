@@ -8,11 +8,15 @@
 //             within 3 hops (constants re-derived from the paper's annulus
 //             packing argument; the OCR garbles them, see DESIGN.md).
 //   Lemma 3:  complementary subsets of any MIS are exactly 2 or 3 hops apart;
-//   Theorem 4: under level-based ranking, exactly 2.
+//   Theorem 4: under level-based ranking, exactly 2;
+//   Theorem 11's certificate: every MIS pair 3 hops apart in G is at most 3
+//             hops apart in the spanner G' of a backbone U (docs/CHECKING.md
+//             has the proof that this gives d_G' <= 3 d_G + 2).
 //
-// Independence, Lemmas 2-3 and Theorem 4 are statements about the 3-hop ball
-// of an MIS node: audit_mis_balls reads them all off one graph::LocalBfs
-// ball per member.  Lemma 1 (about non-MIS nodes) keeps its own scan.
+// Independence, Lemmas 2-3, Theorem 4 and the certificate are statements
+// about the 3-hop ball of an MIS node: audit_mis_balls reads them all off
+// one graph::LocalBfs ball per member.  Lemma 1 (about non-MIS nodes) keeps
+// its own scan.
 #pragma once
 
 #include <cstddef>
@@ -57,6 +61,12 @@ struct BallAudit {
   std::size_t max_within_three_hops = 0;
   ProximityWitness h2;  // Theorem 4
   ProximityWitness h3;  // Lemma 3
+  // Theorem 11's certificate, judged only when a backbone is given: the
+  // first member pair (a, b), in member order, 3 hops apart in G with no
+  // 3-hop path a-x-y-b whose middle edge has an endpoint in the backbone;
+  // kInvalidNode when every such pair is bridged.
+  NodeId unbridged = kInvalidNode;
+  NodeId unbridged_to = kInvalidNode;
 };
 
 // Sees (member, other member, hops) for every pair the balls find.
@@ -64,12 +74,14 @@ using PairVisitor = std::function<void(NodeId, NodeId, HopCount)>;
 
 // One pass over `members` (an MIS, or any candidate set), judging H_2/H_3
 // per component of g (`components`), with union-find over member indices.
-// Throws std::invalid_argument for a member outside g or its labels.
-// O(sum of ball sizes + edges inside them).
-[[nodiscard]] BallAudit audit_mis_balls(const graph::Graph& g,
-                                        std::span<const NodeId> members,
-                                        const graph::Components& components,
-                                        const PairVisitor& visit = {});
+// A non-null `backbone` (a node mask holding every member) also judges
+// Theorem 11's certificate on the same balls.  Throws std::invalid_argument
+// for a member outside g, its labels or the backbone.  O(sum of ball sizes
+// + edges inside them).
+[[nodiscard]] BallAudit audit_mis_balls(
+    const graph::Graph& g, std::span<const NodeId> members,
+    const graph::Components& components,
+    const std::vector<bool>* backbone = nullptr, const PairVisitor& visit = {});
 // The same, labelling g's components itself.
 [[nodiscard]] BallAudit audit_mis_balls(const graph::Graph& g,
                                         std::span<const NodeId> members);

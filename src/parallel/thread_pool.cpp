@@ -15,12 +15,13 @@ std::size_t default_thread_count() {
   if (const char* env = std::getenv("WCDS_THREADS")) {
     char* end = nullptr;
     const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1) {
+    if (end != env && *end == '\0' && parsed >= 1 &&
+        static_cast<unsigned long>(parsed) <= kMaxThreads) {
       return static_cast<std::size_t>(parsed);
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  return std::clamp<std::size_t>(hw, 1, kMaxThreads);
 }
 
 namespace {
@@ -48,6 +49,9 @@ struct ThreadPool::Job {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = default_thread_count();
+  WCDS_REQUIRE(threads <= kMaxThreads,
+               "ThreadPool: " << threads << " threads exceed the ceiling of "
+                              << kMaxThreads);
   workers_.reserve(threads - 1);
   for (std::size_t i = 0; i + 1 < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

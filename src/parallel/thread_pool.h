@@ -12,6 +12,8 @@
 //
 // Thread-count resolution: explicit constructor argument, else the
 // WCDS_THREADS environment variable, else std::thread::hardware_concurrency.
+// Every count is capped at kMaxThreads, so no outside input (a flag, the
+// environment) can ask for an unbounded number of OS threads.
 #pragma once
 
 #include <cstddef>
@@ -26,15 +28,21 @@
 
 namespace wcds::parallel {
 
-// Threads a default-constructed pool uses: WCDS_THREADS (clamped to >= 1)
-// when set and parseable, else hardware_concurrency (>= 1).  Reads the
-// environment on every call so tests can override per-case.
+// The most threads one pool may run.
+inline constexpr std::size_t kMaxThreads = 256;
+
+// Threads a default-constructed pool uses: WCDS_THREADS when it parses as a
+// count in [1, kMaxThreads], else hardware_concurrency (clamped to
+// [1, kMaxThreads]).  Reads the environment on every call so tests can
+// override per-case.
 [[nodiscard]] std::size_t default_thread_count();
 
 class ThreadPool {
  public:
   // threads == 0 selects default_thread_count().  threads == 1 keeps the
-  // pool workerless: every parallel_for runs inline on the caller.
+  // pool workerless: every parallel_for runs inline on the caller.  Throws
+  // std::invalid_argument, before starting any thread, when threads >
+  // kMaxThreads.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

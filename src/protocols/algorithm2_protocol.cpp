@@ -337,8 +337,12 @@ DistributedWcdsRun run_algorithm2(const graph::Graph& g,
   }
 
   // Debug/test tripwire: the message-passing construction must satisfy the
-  // same Section 1-3 invariants as the centralized algorithm2.
-  if (check::audits_enabled()) check::audit_invariants(g, r);
+  // same invariants as the centralized algorithm2, Theorem 11 included.
+  if (check::audits_enabled()) {
+    check::AuditOptions audit;
+    audit.check_dilation = true;
+    check::audit_invariants(g, r, audit);
+  }
   return run;
 }
 

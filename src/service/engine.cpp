@@ -216,12 +216,12 @@ ServingEngine::ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
   // Fault plan digestion: crash windows per node, per-link drop table.
   const fault::Plan* plan = opts_.faults;
   if (plan != nullptr) {
+    plan->validate(n);
     any_faults_ = plan->drop > 0.0 || !plan->crashes.empty() ||
                   !plan->link_overrides.empty();
     if (!plan->crashes.empty()) {
       crash_.resize(n);
       for (const fault::CrashWindow& w : plan->crashes) {
-        WCDS_REQUIRE_BOUNDS(w.node < n, "ServingEngine: crash node range");
         crash_[w.node].emplace_back(w.down_from, w.up_at);
       }
     }

@@ -125,7 +125,8 @@ struct BatchStats {
 class ServingEngine {
  public:
   // Borrows everything: g, the view's backing storage, the registry and
-  // options.faults must outlive the engine.
+  // options.faults must outlive the engine.  Rejects a plan as
+  // fault::Plan::validate does (std::invalid_argument).
   ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
                 const ServiceRegistry& registry,
                 const ServingOptions& options = {});

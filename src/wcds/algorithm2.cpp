@@ -197,8 +197,12 @@ Algorithm2Output algorithm2(const graph::Graph& g,
   }
 
   // Debug/test tripwire: the ID-ranked MIS plus its bridge set must satisfy
-  // Lemma 3 and the Section 1 WCDS property.
-  if (check::audits_enabled()) check::audit_invariants(g, r);
+  // Lemma 3, the Section 1 WCDS property and Theorem 11's certificate.
+  if (check::audits_enabled()) {
+    check::AuditOptions audit;
+    audit.check_dilation = true;
+    check::audit_invariants(g, r, audit);
+  }
   return out;
 }
 

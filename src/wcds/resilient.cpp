@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "check/audit.h"
 #include "check/check.h"
 #include "graph/biconnected.h"
 #include "graph/subgraph.h"
@@ -214,14 +213,6 @@ ResilienceReport augment_resilience(const graph::Graph& g, WcdsResult& result,
                     static_cast<double>(report.ear_rounds));
     metrics.observe("resilience/backbone_size",
                     static_cast<double>(result.size()));
-  }
-
-  // Debug/test tripwire, mirroring algorithm2's: the augmented backbone
-  // must satisfy both the plain families and the new (k,m) invariants.
-  if (check::audits_enabled()) {
-    check::AuditOptions options;
-    options.resilience = spec;
-    check::audit_invariants(g, result, options);
   }
   return report;
 }

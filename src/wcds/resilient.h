@@ -50,9 +50,9 @@ struct ResilienceReport {
 // spec.k <= 2 and spec.m >= spec.k (survivability needs the redundant
 // domination layer: with m >= 2 every gray node keeps a dominator through
 // any single crash).  Works per connected component, so protocol-mode
-// multi-component deployments augment shard by shard.  When audits are
-// enabled the augmented result is re-audited under the spec before
-// returning.  `recorder` (null ok) receives the resilience/* metrics.
+// multi-component deployments augment shard by shard.  Runs no audit:
+// core::build, which knows the construction mode, audits the augmented
+// result.  `recorder` (null ok) receives the resilience/* metrics.
 ResilienceReport augment_resilience(const graph::Graph& g, WcdsResult& result,
                                     const ResilienceSpec& spec,
                                     obs::Recorder* recorder = nullptr);

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "check/check.h"
+#include "facade/build.h"
 #include "graph/graph.h"
+#include "sole_bridge.h"
 #include "test_util.h"
 #include "wcds/algorithm1.h"
 #include "wcds/algorithm2.h"
@@ -292,33 +294,112 @@ TEST(AuditInvariants, Lemma3RejectsFourHopComplementarySubsets) {
 
 // --- Theorem 11 --------------------------------------------------------------
 
+// Ring of n = 3k nodes with the MIS every third node and one bridge per MIS
+// pair (the node after each MIS node), except bridge `dropped`.
+WcdsResult ring_result(NodeId n, NodeId dropped = kInvalidNode) {
+  std::vector<NodeId> mis;
+  std::vector<NodeId> bridges;
+  for (NodeId u = 0; u < n; u += 3) {
+    mis.push_back(u);
+    if (u + 1 != dropped) bridges.push_back(u + 1);
+  }
+  return WcdsResult::from_members(n, std::move(mis), std::move(bridges));
+}
+
+graph::Graph ring(NodeId n) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 0; u < n; ++u) edges.emplace_back(u, (u + 1) % n);
+  return graph::from_edges(n, edges);
+}
+
 TEST(AuditInvariants, Theorem11RejectsExcessDilation) {
-  // Gadget: edge u-v is the only shortcut between two long arms; the
-  // dominator set (all relay nodes, no MIS claimed) drops u-v from the
-  // spanner, stretching d(u, v') from 2 to 11 > 3*2 + 2.
-  //   u(0) - v(1);  u - u'(2);  v - v'(3);  u' - p1..p9 - v' (chain).
-  std::vector<std::pair<NodeId, NodeId>> edges = {{0, 1}, {0, 2}, {1, 3}};
-  NodeId prev = 2;
-  for (NodeId p = 4; p < 13; ++p) {
-    edges.emplace_back(prev, p);
-    prev = p;
-  }
-  edges.emplace_back(prev, 3);
-  const auto g = graph::from_edges(13, edges);
-  WcdsResult result;
-  result.mask.assign(13, false);
-  for (NodeId u = 2; u < 13; ++u) {
-    result.mask[u] = true;
-    result.dominators.push_back(u);
-    result.additional_dominators.push_back(u);
-  }
-  // No MIS claimed: MIS-layer checks are skipped, WCDS checks still run.
-  ASSERT_TRUE(core::is_wcds(g, result.mask));
-  EXPECT_NO_THROW(check::audit_invariants(g, result, {}));
+  // 15-ring, MIS {0, 3, ..., 12}.  Without bridge 1 the ring stays a WCDS,
+  // but MIS nodes 0 and 3 (3 hops apart) are 12 spanner hops apart the
+  // long way round: 12 > 3*3 + 2.
+  const auto g = ring(15);
   AuditOptions options;
   options.check_dilation = true;
-  options.dilation_sources = 13;  // exact
-  ExpectAuditFailure(g, result, options, "Theorem 11");
+  EXPECT_NO_THROW(check::audit_invariants(g, ring_result(15), options));
+  const WcdsResult bad = ring_result(15, 1);
+  ASSERT_TRUE(core::audit_result(g, bad));
+  EXPECT_NO_THROW(check::audit_invariants(g, bad, {}));
+  ExpectAuditFailure(g, bad, options, "Theorem 11");
+}
+
+TEST(AuditInvariants, Theorem11CertificateIsStricterThanTheBound) {
+  // 9-ring without bridge 1: MIS nodes 0 and 3 are 6 <= 3*3 + 2 spanner
+  // hops apart, but not within 3, so the certificate (not the bound) fails.
+  const auto g = ring(9);
+  AuditOptions options;
+  options.check_dilation = true;
+  ExpectAuditFailure(g, ring_result(9, 1), options,
+                     "Theorem 11 (topological dilation): MIS nodes 0 and 3");
+}
+
+// --- A sole bridge dropped from every Algorithm II construction --------------
+
+// Builds g under `build`, then drops a sole bridge (sole_bridge.h) whose loss
+// every other audit misses, and requires that `tripwire` -- the options the
+// construction's own audit runs with -- names Theorem 11.
+void ExpectSoleBridgeDropRaisesTheorem11(const graph::Graph& g,
+                                         const core::BuildOptions& build,
+                                         const AuditOptions& tripwire) {
+  ASSERT_TRUE(tripwire.check_dilation);
+  const WcdsResult result = core::build(g, build).result;
+  EXPECT_NO_THROW(check::audit_invariants(g, result, tripwire));
+  AuditOptions without_certificate = tripwire;
+  without_certificate.check_dilation = false;
+  for (const auto& sole : wcds::testing::sole_bridges(g, result)) {
+    const WcdsResult dropped = wcds::testing::without(result, sole.bridge);
+    try {
+      check::audit_invariants(g, dropped, without_certificate);
+    } catch (const CheckError&) {
+      continue;  // the drop broke something else too
+    }
+    ExpectAuditFailure(g, dropped, tripwire, "Theorem 11");
+    return;
+  }
+  FAIL() << "no sole bridge that only Theorem 11 misses";
+}
+
+TEST(AuditInvariants, SoleBridgeDropRaisesTheorem11InCentralBuilds) {
+  const auto inst = wcds::testing::connected_udg(150, 8.0, 5);
+  AuditOptions tripwire;
+  tripwire.check_dilation = true;
+  for (const auto selection :
+       {core::Algorithm2Options::Selection::kLexSmallestPair,
+        core::Algorithm2Options::Selection::kReuseIntermediates}) {
+    core::BuildOptions build;
+    build.selection = selection;
+    ExpectSoleBridgeDropRaisesTheorem11(inst.g, build, tripwire);
+  }
+}
+
+TEST(AuditInvariants, SoleBridgeDropRaisesTheorem11InProtocolBuilds) {
+  const auto inst = wcds::testing::connected_udg(150, 8.0, 6);
+  AuditOptions tripwire;
+  tripwire.check_dilation = true;
+  for (const auto& delays :
+       {sim::DelayModel::unit(), sim::DelayModel::uniform(1, 7, 3)}) {
+    core::BuildOptions build;
+    build.algorithm = core::BuildAlgorithm::kAlgorithm2Protocol;
+    build.delays = delays;
+    ExpectSoleBridgeDropRaisesTheorem11(inst.g, build, tripwire);
+  }
+}
+
+TEST(AuditInvariants, SoleBridgeDropRaisesTheorem11InResilientBuilds) {
+  const auto inst = wcds::testing::connected_udg(150, 8.0, 7);
+  for (const auto algorithm : {core::BuildAlgorithm::kAlgorithm2Central,
+                               core::BuildAlgorithm::kAlgorithm2Protocol}) {
+    core::BuildOptions build;
+    build.algorithm = algorithm;
+    build.resilience = core::ResilienceSpec{1, 2};
+    AuditOptions tripwire;
+    tripwire.check_dilation = true;
+    tripwire.resilience = build.resilience;
+    ExpectSoleBridgeDropRaisesTheorem11(inst.g, build, tripwire);
+  }
 }
 
 // --- Active-node scope -------------------------------------------------------

@@ -26,6 +26,8 @@
 #include "mis/mis.h"
 #include "mis/properties.h"
 #include "mis/ranking.h"
+#include "protocols/algorithm2_protocol.h"
+#include "sole_bridge.h"
 #include "test_util.h"
 #include "udg/udg.h"
 #include "wcds/algorithm1.h"
@@ -471,6 +473,90 @@ TEST(CheckerDifferential, LemmaQuantitiesOnMisVariants) {
   }
 }
 
+// --- Theorem 11: the certificate against the exact all-pairs bound ----------
+
+// Every Algorithm II construction mode, and Algorithm I, over g.
+std::vector<WcdsResult> constructions(const graph::Graph& g) {
+  std::vector<WcdsResult> results;
+  for (const auto selection :
+       {core::Algorithm2Options::Selection::kLexSmallestPair,
+        core::Algorithm2Options::Selection::kReuseIntermediates}) {
+    core::Algorithm2Options options;
+    options.selection = selection;
+    results.push_back(core::algorithm2(g, options).result);
+  }
+  for (const auto& delays :
+       {sim::DelayModel::unit(), sim::DelayModel::uniform(1, 5, 9)}) {
+    results.push_back(protocols::run_algorithm2(g, delays).wcds);
+  }
+  WcdsResult resilient = results.front();
+  (void)core::augment_resilience(g, resilient, core::ResilienceSpec{2, 2});
+  results.push_back(resilient);
+  results.push_back(core::algorithm1(g));
+  return results;
+}
+
+TEST(CheckerDifferential, Theorem11CertificateImpliesTheBound) {
+  check::AuditOptions certificate;
+  certificate.check_dilation = true;
+  std::size_t certified = 0;
+  std::size_t rejected = 0;  // failed on Theorem 11 alone
+  const auto judge = [&](const graph::Graph& g, const WcdsResult& r,
+                         const std::string& what) {
+    const std::string failure = audit_failure(g, r, certificate);
+    if (failure.empty()) {
+      EXPECT_TRUE(reference::dilation_bound_holds(g, r.mask)) << what;
+      ++certified;
+    } else if (failure.find("Theorem 11") != std::string::npos) {
+      ++rejected;
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const auto inst = connected_udg(120, 5.0 + 2.0 * seed, seed);
+    const auto results = constructions(inst.g);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " construction " + std::to_string(i);
+      judge(inst.g, results[i], what);
+      // Drop additional dominators one at a time: some drops un-bridge a
+      // pair and only the certificate fails.
+      for (const NodeId v : results[i].additional_dominators) {
+        judge(inst.g, without(results[i], v),
+              what + " without " + std::to_string(v));
+      }
+    }
+    const auto c = two_clusters(50, 8.0, seed);
+    judge(c.g, two_cluster_algorithm2(c), "two clusters");
+  }
+  EXPECT_GT(certified, 100u);  // both outcomes are well represented
+  EXPECT_GT(rejected, 20u);
+}
+
+TEST(CheckerDifferential, MislessResultsAreJudgedByTheOracleOnly) {
+  // Gadget: edge u-v is the only shortcut between two long arms; the
+  // dominator set (all relay nodes, no MIS claimed) drops u-v from the
+  // spanner, stretching d(u, v') from 2 to 11 > 3*2 + 2.
+  //   u(0) - v(1);  u - u'(2);  v - v'(3);  u' - p1..p9 - v' (chain).
+  std::vector<std::pair<NodeId, NodeId>> edges = {{0, 1}, {0, 2}, {1, 3}};
+  NodeId prev = 2;
+  for (NodeId p = 4; p < 13; ++p) {
+    edges.emplace_back(prev, p);
+    prev = p;
+  }
+  edges.emplace_back(prev, 3);
+  const auto g = graph::from_edges(13, edges);
+  std::vector<bool> mask(13, true);
+  mask[0] = mask[1] = false;
+  const WcdsResult result = result_of_mask(mask);
+  ASSERT_TRUE(core::is_wcds(g, result.mask));
+  EXPECT_FALSE(reference::dilation_bound_holds(g, result.mask));
+  // The certificate is read off the MIS balls: with no MIS there is
+  // nothing to judge, so the auditor accepts what the oracle rejects.
+  check::AuditOptions certificate;
+  certificate.check_dilation = true;
+  EXPECT_EQ(audit_failure(g, result, certificate), "");
+}
+
 // --- DynamicWcds::audit() ---------------------------------------------------------
 
 void expect_same_dynamic_audit(const maintenance::DynamicWcds& net,
@@ -515,6 +601,16 @@ TEST(CheckerDifferential, DynamicAuditOnSeededCorruptions) {
     expect_same_dynamic_audit(net, "flip " + std::to_string(u));
     failing += net.audit().ok() ? 0 : 1;
     DynamicWcdsTestPeer::set_mis(net, u, was);
+  }
+  {  // bridge vias out of the backbone, their records kept
+    maintenance::DynamicWcds dropped(points);
+    for (const auto& [pair, via] : dropped.bridges()) {
+      if (pair.first % 4 != 0) continue;
+      DynamicWcdsTestPeer::set_via_count(dropped, via, 0);
+      expect_same_dynamic_audit(dropped, "via " + std::to_string(via));
+      failing += dropped.audit().ok() ? 0 : 1;
+      DynamicWcdsTestPeer::set_via_count(dropped, via, 1);
+    }
   }
   {  // an inactive MIS node
     AuditsOff off;

@@ -284,6 +284,22 @@ std::string mis_family_failure(const graph::Graph& g,
   return "";
 }
 
+bool dilation_bound_holds(const graph::Graph& g,
+                          const std::vector<bool>& mask) {
+  const auto spanner = graph::weakly_induced_subgraph(g, mask);
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    const auto in_g = graph::bfs_distances(g, u);
+    const auto in_spanner = graph::bfs_distances(spanner, u);
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if (v == u || in_g[v] == kUnreachable || in_g[v] == 1) continue;
+      if (in_spanner[v] == kUnreachable || in_spanner[v] > 3 * in_g[v] + 2) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 DynamicSections dynamic_audit(const maintenance::DynamicWcds& net) {
   DynamicSections audit;
   const std::size_t n = net.node_count();
@@ -304,11 +320,13 @@ DynamicSections dynamic_audit(const maintenance::DynamicWcds& net) {
     }
   }
 
-  // Every 3-hop MIS pair holds a bridge whose via node is active, adjacent
-  // to one endpoint and two hops from the other.
+  // Every 3-hop MIS pair holds a bridge whose via node is an active
+  // additional dominator, adjacent to one endpoint and two hops from the
+  // other.
   const auto bridges = net.bridges();
   const auto bridge_valid = [&](NodeId a, NodeId b, NodeId v) {
-    if (!net.is_active(v) || !net.is_active(a) || !net.is_active(b)) {
+    if (!net.is_active(v) || !net.is_active(a) || !net.is_active(b) ||
+        !net.is_additional_dominator(v)) {
       return false;
     }
     if (!mis(a) || !mis(b)) return false;

@@ -50,6 +50,13 @@ namespace wcds::testing::reference {
                                              bool level_ranked,
                                              const std::vector<bool>* active);
 
+// Theorem 11 exactly, with every node a BFS source (the sampled
+// check/audit.cpp audit_dilation it replaces ran this from 4 sources):
+// every pair connected in g and not adjacent is connected in the weakly
+// induced subgraph of `mask` with d_G'(u, v) <= 3 d_G(u, v) + 2.  O(n m).
+[[nodiscard]] bool dilation_bound_holds(const graph::Graph& g,
+                                        const std::vector<bool>& mask);
+
 // The sections of DynamicWcds::audit(), read through the public interface.
 struct DynamicSections {
   bool mis_independent = false;

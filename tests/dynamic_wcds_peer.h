@@ -16,6 +16,12 @@ class DynamicWcdsTestPeer {
     net.mis_[net.graph_.slot_of(u)] = in_mis;
   }
 
+  // Sets how many bridge records name u as their via; 0 drops u from the
+  // backbone while its records stay.
+  static void set_via_count(DynamicWcds& net, NodeId u, std::uint32_t count) {
+    net.via_count_[net.graph_.slot_of(u)] = count;
+  }
+
   // DynamicWcds::row_via(a, b) by name.
   static NodeId row_via(DynamicWcds& net, NodeId a, NodeId b) {
     const NodeId v =

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/audit.h"
 #include "check/check.h"
 #include "churn_mix.h"
 #include "dynamic_wcds_peer.h"
@@ -18,6 +19,7 @@
 #include "maintenance/crash_schedule.h"
 #include "maintenance/dynamic_wcds.h"
 #include "maintenance/incremental_udg.h"
+#include "sole_bridge.h"
 #include "test_util.h"
 #include "udg/udg.h"
 #include "wcds/algorithm2.h"
@@ -246,6 +248,66 @@ TEST(DynamicWcds, EveryEventAuditsBeyondItsRepairBall) {
   EXPECT_FALSE(dyn.is_active(u));
   EXPECT_THROW((void)dyn.activate(u), check::CheckError);
   EXPECT_TRUE(dyn.is_active(u));
+  check::set_audits_enabled(audits_were);
+}
+
+// A bridge record is only as good as its via's membership in the backbone:
+// with the via's count zeroed and the record kept, the pair loses its
+// spanner path and audit() reports the bridges incomplete.
+TEST(DynamicWcds, AuditFailsWhenABridgeViaLeavesTheBackbone) {
+  DynamicWcds dyn(deployment(200, 10.0, 3));
+  const auto bridges = dyn.bridges();
+  ASSERT_FALSE(bridges.empty());
+  const NodeId via = bridges.begin()->second;
+  DynamicWcdsTestPeer::set_via_count(dyn, via, 0);
+  EXPECT_FALSE(dyn.is_additional_dominator(via));
+  EXPECT_FALSE(dyn.audit().bridges_complete);
+}
+
+// Theorem 11 through the event path: a sole bridge (sole_bridge.h) whose
+// loss every other audit misses drops out of the backbone far from an
+// event, and the event's closing audit names Theorem 11.
+TEST(DynamicWcds, EventAuditRaisesTheorem11ForADroppedSoleBridge) {
+  const bool audits_were = check::set_audits_enabled(true);
+  DynamicWcds dyn(deployment(300, 10.0, 4));
+  const graph::Graph g = dyn.active_graph();
+  std::vector<NodeId> mis;
+  std::vector<NodeId> additional;
+  for (const NodeId u : dyn.dominators()) {
+    (dyn.is_mis_dominator(u) ? mis : additional).push_back(u);
+  }
+  const auto snapshot =
+      core::WcdsResult::from_members(g.node_count(), mis, additional);
+  check::AuditOptions options;
+  options.unit_disk = true;
+  NodeId bridge = kInvalidNode;
+  for (const auto& sole : testing::sole_bridges(g, snapshot)) {
+    try {
+      check::audit_invariants(g, testing::without(snapshot, sole.bridge),
+                              options);
+      bridge = sole.bridge;
+      break;
+    } catch (const check::CheckError&) {
+      // the drop broke something else too
+    }
+  }
+  ASSERT_NE(bridge, kInvalidNode);
+  const std::vector<HopCount> hops = graph::bfs_distances(g, bridge);
+  NodeId u = bridge;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    if (hops[v] != kUnreachable && hops[v] > hops[u]) u = v;
+  }
+  ASSERT_GT(hops[u], 6u);
+  DynamicWcdsTestPeer::set_via_count(dyn, bridge, 0);
+
+  const geom::Point to{dyn.position(u).x + 0.01, dyn.position(u).y};
+  try {
+    (void)dyn.move_node(u, to);
+    ADD_FAILURE() << "the event's audit missed the dropped sole bridge";
+  } catch (const check::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("Theorem 11"), std::string::npos)
+        << e.what();
+  }
   check::set_audits_enabled(audits_were);
 }
 

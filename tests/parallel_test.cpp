@@ -93,6 +93,25 @@ TEST(ThreadPool, WcdsThreadsEnvControlsDefaultCount) {
   EXPECT_GE(parallel::default_thread_count(), 1u);
 }
 
+// Thread counts from outside input are bounded: a pool above the ceiling is
+// rejected before it starts a thread, and an over-ceiling WCDS_THREADS reads
+// as unparseable.  Only the rejections run here; no large pool starts.
+TEST(ThreadPool, RejectsCountsAboveTheCeiling) {
+  EXPECT_THROW(parallel::ThreadPool(parallel::kMaxThreads + 1),
+               std::invalid_argument);
+  EXPECT_THROW(parallel::ThreadPool(SIZE_MAX), std::invalid_argument);
+  EXPECT_THROW((void)parallel::pool_for(SIZE_MAX), std::invalid_argument);
+  for (const char* over : {"257", "100000", "18446744073709551615",
+                           "99999999999999999999999"}) {
+    ASSERT_EQ(setenv("WCDS_THREADS", over, 1), 0);
+    EXPECT_LE(parallel::default_thread_count(), parallel::kMaxThreads)
+        << over;
+  }
+  ASSERT_EQ(setenv("WCDS_THREADS", "2", 1), 0);
+  EXPECT_EQ(parallel::default_thread_count(), 2u);
+  ASSERT_EQ(unsetenv("WCDS_THREADS"), 0);
+}
+
 // The contract the analysis layer builds on: dilation and distance metrics
 // are byte-identical no matter how many lanes computed them, because every
 // source's floating-point accumulation stays on one lane and the cross-

@@ -276,22 +276,6 @@ TEST(Resilience, RejectsCutEar) {
   ExpectAuditFailure(g, result, audit, "(k,m)-resilience (survivability)");
 }
 
-TEST(Resilience, SurvivorSamplingStillCatchesTheCutEar) {
-  const auto g =
-      graph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
-  WcdsResult result;
-  result.mask = {true, true, true, false, false};
-  result.dominators = {0, 1, 2};
-  result.mis_dominators = {0, 2};
-  result.additional_dominators = {1};
-  AuditOptions audit;
-  audit.resilience = ResilienceSpec{2, 1};
-  // Sampling at a stride of 3 still probes enough removals to see the
-  // failure (each of 0, 1, 2 splits the survivors here).
-  audit.resilience_survivor_sample = 3;
-  ExpectAuditFailure(g, result, audit, "(k,m)-resilience (survivability)");
-}
-
 // --- crash orphans and G's own cut vertices ----------------------------------
 
 TEST(Resilience, SurvivesCrashesExcusesOrphansAndGraphCuts) {

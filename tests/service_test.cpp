@@ -13,9 +13,11 @@
 #include <cstring>
 #include <stdexcept>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #include "check/audit.h"
+#include "fault/injector.h"
 #include "fault/plan.h"
 #include "graph/bfs.h"
 #include "obs/recorder.h"
@@ -149,6 +151,30 @@ TEST(Serving, RejectsDominatorListsThatDoNotCoverTheGraph) {
   const core::Algorithm2View view(sc.wcds.result, none);
   EXPECT_THROW(ServingEngine(sc.inst.g, view, sc.registry),
                std::invalid_argument);
+}
+
+// The serving engine and the protocol fault injector read the same plans, so
+// they reject the same ones: a drop of 1.5, or a NaN that every `p > 0`
+// test would read as a perfect radio.
+TEST(Serving, RejectsPlansTheInjectorRejects) {
+  const auto sc = make_scenario(120, 10.0, 4, 16, 2);
+  const std::size_t n = sc.inst.g.node_count();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<fault::Plan> bad(6);
+  bad[0].drop = 1.5;
+  bad[1].drop = nan;
+  bad[2].duplicate = nan;
+  bad[3].duplicate = -0.25;
+  bad[4].link_overrides.push_back({/*link_slot=*/0, /*drop=*/nan, 0.0});
+  bad[5].crash(static_cast<NodeId>(n), 1, 5);
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(fault::Injector(bad[i], n), std::invalid_argument) << i;
+    ServingOptions options;
+    options.faults = &bad[i];
+    EXPECT_THROW(ServingEngine(sc.inst.g, sc.wcds, sc.registry, options),
+                 std::invalid_argument)
+        << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

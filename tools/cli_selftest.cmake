@@ -3,7 +3,8 @@
 # (disconnected) deployment in protocol mode.  Every build must report a
 # verified WCDS.  Then route and broadcast on the connected deployment, and
 # check that node IDs at or past n, including values that would wrap to a
-# valid 32-bit ID, are rejected.
+# valid 32-bit ID, are rejected, as are malformed numbers (a sign, trailing
+# characters, non-finite values), empty runs and over-ceiling thread counts.
 #
 #   cmake -DWCDS=path/to/wcds -DWORK=work/dir -P cli_selftest.cmake
 if(NOT WCDS OR NOT WORK)
@@ -76,6 +77,30 @@ if(NOT err MATCHES "exceeds")
   message(FATAL_ERROR "generate --n 4294967297 was not rejected:\n${err}")
 endif()
 message(STATUS "route and node-ID range checks: ok")
+
+# Each flag value must parse whole; each case exits 1 and names its flag.
+function(expect_rejected flag)
+  run_wcds_fails(err ${ARGN})
+  if(NOT err MATCHES "--${flag}")
+    message(FATAL_ERROR "wcds ${ARGN} was not rejected for --${flag}:\n${err}")
+  endif()
+endfunction()
+foreach(n 12abc 0 -1 18446744073709551616)
+  expect_rejected(n generate --n "${n}" --out "${WORK}/rejected.txt")
+endforeach()
+foreach(degree nan inf -12 12x 1e400)
+  expect_rejected(degree generate --n 20 --degree "${degree}"
+                  --out "${WORK}/rejected.txt")
+endforeach()
+if(EXISTS "${WORK}/rejected.txt")
+  message(FATAL_ERROR "a rejected generate still wrote a deployment")
+endif()
+expect_rejected(events maintain --points "${connected}" --events 0)
+foreach(threads 257 -1 18446744073709551615)
+  expect_rejected(threads backbone --points "${connected}" --mode protocol
+                  --threads ${threads})
+endforeach()
+message(STATUS "strict number parsing: ok")
 
 run_wcds(out broadcast --points "${connected}" --source 7)
 if(NOT out MATCHES "blind flood:[^\n]*reached 150/150\nbackbone flood:[^\n]*reached 150/150\n")

@@ -20,6 +20,8 @@
 //       Churn the deployment and report the localized repairs.
 //
 // Exit status: 0 on success, 1 on bad usage or failed precondition.
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <limits>
@@ -39,6 +41,7 @@
 #include "io/svg.h"
 #include "io/text_format.h"
 #include "mis/mis.h"
+#include "parallel/thread_pool.h"
 #include "routing/clusterhead_routing.h"
 #include "spanner/analysis.h"
 #include "udg/udg.h"
@@ -71,10 +74,20 @@ class Args {
     if (!v) throw std::runtime_error("missing required --" + key);
     return *v;
   }
+  // Numbers parse whole: a sign, trailing characters, a value out of range
+  // or a non-finite double is an error, never a wrapped or truncated value.
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t fallback) const {
     const auto v = get(key);
-    return v ? std::stoull(*v) : fallback;
+    if (!v) return fallback;
+    std::uint64_t value = 0;
+    const char* end = v->data() + v->size();
+    const auto [stop, error] = std::from_chars(v->data(), end, value);
+    if (error != std::errc{} || stop != end) {
+      throw std::runtime_error("--" + key + " expects a non-negative integer, "
+                               "got '" + *v + "'");
+    }
+    return value;
   }
   // A node ID of a deployment with `node_count` nodes.  The range check
   // reads the full 64-bit value, so 2^32 + 1 cannot wrap onto node 1.
@@ -91,7 +104,16 @@ class Args {
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto v = get(key);
-    return v ? std::stod(*v) : fallback;
+    if (!v) return fallback;
+    double value = 0.0;
+    const char* end = v->data() + v->size();
+    const auto [stop, error] = std::from_chars(v->data(), end, value);
+    if (error != std::errc{} || stop != end || v->front() == '-' ||
+        !std::isfinite(value)) {
+      throw std::runtime_error("--" + key + " expects a finite non-negative "
+                               "number, got '" + *v + "'");
+    }
+    return value;
   }
 
  private:
@@ -109,6 +131,7 @@ geom::WorkloadKind parse_workload(const std::string& name) {
 
 int cmd_generate(const Args& args) {
   const std::uint64_t n_arg = args.get_u64("n", 500);
+  if (n_arg == 0) throw std::runtime_error("--n must be at least 1");
   if (n_arg > std::numeric_limits<std::uint32_t>::max()) {
     throw std::runtime_error("--n " + std::to_string(n_arg) +
                              " exceeds the 32-bit node ID space");
@@ -141,6 +164,12 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_backbone(const Args& args) {
+  const std::uint64_t threads = args.get_u64("threads", 0);
+  if (threads > parallel::kMaxThreads) {
+    throw std::runtime_error("--threads " + std::to_string(threads) +
+                             " exceeds the ceiling of " +
+                             std::to_string(parallel::kMaxThreads));
+  }
   const auto points = io::load_points(args.require("points"));
   const auto g = udg::build_udg(points);
   const std::string mode = args.get("mode").value_or("central");
@@ -169,8 +198,7 @@ int cmd_backbone(const Args& args) {
     std::cerr << "--algorithm must be 1 or 2\n";
     return 1;
   }
-  build_options.threads =
-      static_cast<std::size_t>(args.get_u64("threads", 0));
+  build_options.threads = static_cast<std::size_t>(threads);
   const core::BuildReport report = core::build(g, build_options);
   const core::WcdsResult& result = report.result;
   // The WCDS definition judged per component, so one check covers a
@@ -277,6 +305,7 @@ int cmd_broadcast(const Args& args) {
 int cmd_maintain(const Args& args) {
   auto points = io::load_points(args.require("points"));
   const auto events = args.get_u64("events", 30);
+  if (events == 0) throw std::runtime_error("--events must be at least 1");
   geom::Xoshiro256ss rng(args.get_u64("seed", 1));
   geom::BoundingBox box{{0, 0}, {0, 0}};
   if (!points.empty()) {
