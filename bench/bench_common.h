@@ -133,10 +133,25 @@ inline std::string bench_name_from_argv0(const char* argv0) {
   return std::string(name);
 }
 
+// Whether a table row found a proven bound violated.
+inline bool& bound_violated() {
+  static bool violated = false;
+  return violated;
+}
+
+// The "bound holds" cell of a reproduction table: `yes` when the paper's
+// bound holds on the row, else "VIOLATED", which also makes the binary exit
+// non-zero once every table is printed.
+inline const char* verdict(bool holds, const char* yes = "yes") {
+  if (!holds) bound_violated() = true;
+  return holds ? yes : "VIOLATED";
+}
+
 // Standard main body, shared by every bench binary via WCDS_BENCH_MAIN.
 // Reproduction tables print first (recording into report() and, when
 // --json_out is set, into an ambient recorder), then google-benchmark runs
-// any registered timings with the recorder uninstalled.
+// any registered timings with the recorder uninstalled.  A table row that
+// violated a proven bound ends the run with exit code 1 before the timings.
 inline int run_bench_main(int argc, char** argv, void (*print_tables_fn)()) {
   check::set_audits_enabled(false);
   const std::string json_out = consume_json_out_flag(argc, argv);
@@ -153,6 +168,10 @@ inline int run_bench_main(int argc, char** argv, void (*print_tables_fn)()) {
       std::cerr << e.what() << "\n";
       return 1;
     }
+  }
+  if (bound_violated()) {
+    std::cerr << "a proven bound is VIOLATED in the tables above\n";
+    return 1;
   }
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -42,7 +42,7 @@ void print_tables() {
         table.add_row({geom::to_string(kind), std::to_string(n),
                        bench::fmt(deg, 0), bench::fmt_count(overall_max),
                        bench::fmt(summary.mean, 2),
-                       overall_max <= 5 ? "yes" : "VIOLATED"});
+                       bench::verdict(overall_max <= 5)});
       }
     }
   }

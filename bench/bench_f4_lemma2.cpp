@@ -38,8 +38,7 @@ void print_tables() {
       table.add_row({geom::to_string(kind), "800", bench::fmt(deg, 0),
                      bench::fmt_count(worst_two),
                      bench::fmt_count(worst_three),
-                     worst_two <= 23 && worst_three <= 47 ? "yes"
-                                                          : "VIOLATED"});
+                     bench::verdict(worst_two <= 23 && worst_three <= 47)});
     }
   }
   table.print(std::cout);

@@ -35,8 +35,8 @@ void print_tables() {
                   bench::fmt_count(sp2.edge_count()),
                   bench::fmt(stats.edges_per_node, 2),
                   bench::fmt_count(stats.theorem10_bound),
-                  stats.spanner_edges <= stats.theorem10_bound ? "yes"
-                                                               : "VIOLATED"});
+                  bench::verdict(stats.spanner_edges <=
+                                 stats.theorem10_bound)});
   }
   by_n.print(std::cout);
 

@@ -36,7 +36,7 @@ void print_tables() {
                     bench::fmt_ratio(d2.max_ratio),
                     bench::fmt_ratio(d2.mean_ratio),
                     std::to_string(d2.max_slack),
-                    d2.max_slack <= 0 ? "yes (Thm 11)" : "VIOLATED"});
+                    bench::verdict(d2.max_slack <= 0, "yes (Thm 11)")});
       topo.add_row({std::to_string(n), bench::fmt(deg, 0), "alg1",
                     bench::fmt_ratio(d1.max_ratio),
                     bench::fmt_ratio(d1.mean_ratio),
@@ -58,7 +58,7 @@ void print_tables() {
       geo.add_row({std::to_string(n), bench::fmt(deg, 0),
                    bench::fmt_ratio(d.max_ratio),
                    bench::fmt_ratio(d.mean_ratio), bench::fmt(d.max_slack, 2),
-                   d.max_slack <= 1e-9 ? "yes (Thm 11)" : "VIOLATED"});
+                   bench::verdict(d.max_slack <= 1e-9, "yes (Thm 11)")});
     }
   }
   geo.print(std::cout);

@@ -36,15 +36,15 @@ namespace wcds::routing {
 
 class ClusterheadRouter final : public Router {
  public:
-  // Builds clusterhead assignments, the overlay and the distance table from
-  // an Algorithm II run on g; the table comes from a bit-parallel BFS that
-  // takes 256 source heads per pass and needs a fixed number of heap blocks
-  // whatever h is.  Both arguments are borrowed: `g` and the view's backing
-  // storage must outlive the router.  The dominator lists
-  // are only read during construction; throws std::invalid_argument unless
-  // they cover every node of g (an Algorithm I report has none) and every
-  // overlay edge they yield has its reverse (the next-clusterhead rule reads
-  // distances to a head off that head's own row).
+  // Builds clusterhead assignments, the overlay, its second rings and the
+  // distance table from an Algorithm II run on g; the table comes from a
+  // bit-parallel BFS that takes 256 source heads per pass and needs a fixed
+  // number of heap blocks whatever h is.  Both arguments are borrowed: `g`
+  // and the view's backing storage must outlive the router.  The dominator
+  // lists are only read during construction; throws std::invalid_argument
+  // unless they cover every node of g (an Algorithm I report has none) and
+  // every overlay edge they yield has its reverse (the next-clusterhead rule
+  // reads distances to a head off that head's own row).
   ClusterheadRouter(const graph::Graph& g, core::Algorithm2View wcds);
 
   // Route a unicast packet.  Adjacent pairs use the direct edge; everything
@@ -141,6 +141,14 @@ class ClusterheadRouter final : public Router {
       std::uint32_t head_idx) const {
     return overlay_[head_idx];
   }
+  // The heads exactly two overlay hops from head a, ascending by dense
+  // index: distance_row(a)[b] == 2 for exactly these b.  Built from the
+  // overlay rows alone, so a search for the nearest head with some
+  // property reads no distance table when it stops within two hops.
+  [[nodiscard]] std::span<const std::uint32_t> second_ring(
+      std::uint32_t head_idx) const {
+    return second_ring_[head_idx];
+  }
 
   // Diagnostics for experiment T5.
   [[nodiscard]] std::size_t clusterhead_count() const {
@@ -164,6 +172,8 @@ class ClusterheadRouter final : public Router {
   // order; the row order fixes which shortest path next_hop takes.
   graph::FlatRows<OverlayEdge> overlay_;
   std::size_t overlay_edges_ = 0;
+  // Heads at overlay distance 2, one ascending row per head.
+  graph::FlatRows<std::uint32_t> second_ring_;
   // dist_[a * heads + b]: overlay hop count from a to b
   // (kUnreachableDistance if unreachable).
   std::vector<std::uint16_t> dist_;

@@ -28,24 +28,25 @@ geom::Xoshiro256ss request_rng(std::uint64_t plan_seed, std::uint64_t salt,
   return geom::Xoshiro256ss(sm.next() ^ (kGolden * (index + 1)));
 }
 
-// The inter-domain candidates of one request in ascending (overlay
-// distance, head index) order, produced one at a time.  A candidate's key
-// packs both into one integer; the next candidate is the smallest key above
-// the last one handed out.  Almost every request stops at its first
-// candidate, so the first kLazyProbes picks are min-scans over the
-// candidate list and the clusterhead's distance row; a request still
-// probing after that sorts its remaining keys once in a per-thread buffer,
-// which keeps a long false-positive chain O(m log m) instead of O(m^2).
+// An inter-domain candidate's order key: (overlay distance from the source
+// head, head index) packed into one integer.
+std::uint64_t candidate_key(std::uint16_t distance, std::uint32_t idx) {
+  return (std::uint64_t{distance} << 32) | idx;
+}
+
+// The inter-domain candidates of one request in ascending key order,
+// produced one at a time, starting past a given key; the next candidate is
+// the smallest key above the last one handed out.  The first kLazyProbes
+// picks are min-scans over the candidate list and the clusterhead's
+// distance row; a request still probing after that sorts its remaining keys
+// once in a per-thread buffer, which keeps a long false-positive chain
+// O(m log m) instead of O(m^2).
 class NearestFirst {
  public:
   NearestFirst(std::span<const std::uint32_t> candidates,
                std::span<const std::uint16_t> distance_row,
-               std::uint32_t own_index)
-      : candidates_(candidates),
-        row_(distance_row),
-        // The own domain is the only one at distance 0 and has already
-        // answered, so starting just past its key skips it.
-        last_(key(0, own_index)) {}
+               std::uint64_t after)
+      : candidates_(candidates), row_(distance_row), last_(after) {}
 
   // Dense head index of the next candidate, kNoHeadIndex when none is left.
   std::uint32_t pop() {
@@ -66,9 +67,6 @@ class NearestFirst {
   static constexpr std::uint64_t kUnreachable =
       std::uint64_t{routing::ClusterheadRouter::kUnreachableDistance} << 32;
 
-  static std::uint64_t key(std::uint16_t distance, std::uint32_t idx) {
-    return (std::uint64_t{distance} << 32) | idx;
-  }
   static std::vector<std::uint64_t>& rest() {
     thread_local std::vector<std::uint64_t> buffer;
     return buffer;
@@ -77,7 +75,7 @@ class NearestFirst {
   std::uint64_t smallest_above(std::uint64_t after) const {
     std::uint64_t best = kUnreachable;
     for (const std::uint32_t idx : candidates_) {
-      const std::uint64_t k = key(row_[idx], idx);
+      const std::uint64_t k = candidate_key(row_[idx], idx);
       if (k > after && k < best) best = k;
     }
     return best == kUnreachable ? kNone : best;
@@ -87,7 +85,7 @@ class NearestFirst {
     std::vector<std::uint64_t>& buffer = rest();
     buffer.clear();
     for (const std::uint32_t idx : candidates_) {
-      const std::uint64_t k = key(row_[idx], idx);
+      const std::uint64_t k = candidate_key(row_[idx], idx);
       if (k > last_ && k < kUnreachable) buffer.push_back(k);
     }
     std::sort(buffer.begin(), buffer.end());
@@ -125,6 +123,19 @@ ServingEngine::ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
       node_services_.push_back(s);
     }
     node_services_.close_row();
+  }
+
+  // Neighbor-service summaries: each node ORs its services into the
+  // summaries of its neighbors.
+  neighbor_services_.assign(kSummaryWords * n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const ServiceId s : node_services_[v]) {
+      const std::size_t word = s / 64 % kSummaryWords;
+      const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+      for (const NodeId u : g.neighbors(v)) {
+        neighbor_services_[kSummaryWords * u + word] |= bit;
+      }
+    }
   }
 
   // Exact per-domain provider rows: every advertisement laid out in its
@@ -189,24 +200,28 @@ ServingEngine::ServingEngine(const graph::Graph& g, core::Algorithm2View wcds,
   }
 
   // Bloom-positive domains per service: the candidate universe a requesting
-  // clusterhead works through (includes false positives by design).  A
-  // service's key is hashed once per size class; each head then tests the
-  // positions of its class.  The hint counts the true positives only; false
-  // positives grow past it, so the spare capacity is released once the
-  // table is filled.
+  // clusterhead works through (includes false positives by design), as a
+  // list and as a bitset.  A service's key is hashed once per size class;
+  // each head then tests the positions of its class.  The hint counts the
+  // true positives only; false positives grow past it, so the spare
+  // capacity is released once the table is filled.
   const std::size_t k = heads == 0 ? 0 : blooms_[0].hash_count();
   std::vector<std::uint64_t> probes(classes * k);
   advertisers_.reset(services, providers_.entry_count());
+  advertiser_words_ = (heads + 63) / 64;
+  advertiser_bits_.assign(services * advertiser_words_, 0);
   for (std::size_t s = 0; s < services; ++s) {
     const std::uint64_t key = registry.key(static_cast<ServiceId>(s));
     for (std::size_t c = 0; c < classes; ++c) {
       blooms_[by_size[c]].probe_bits(
           key, std::span<std::uint64_t>(probes).subspan(c * k, k));
     }
+    std::uint64_t* const bits = &advertiser_bits_[s * advertiser_words_];
     for (std::uint32_t h = 0; h < heads; ++h) {
       if (blooms_[h].has_bits(std::span<const std::uint64_t>(probes).subspan(
               size_class[h] * k, k))) {
         advertisers_.push_back(h);
+        bits[h / 64] |= std::uint64_t{1} << (h % 64);
       }
     }
     advertisers_.close_row();
@@ -280,6 +295,18 @@ bool ServingEngine::transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
   }
 }
 
+bool ServingEngine::cross(NodeId from, routing::ClusterheadRouter::Leg leg,
+                          NodeId to, geom::Xoshiro256ss& rng,
+                          std::uint32_t& now, Outcome& out) const {
+  if (!transmit(from, leg.via1, rng, now, out)) return false;
+  NodeId prev = leg.via1;
+  if (leg.via2 != kInvalidNode) {
+    if (!transmit(prev, leg.via2, rng, now, out)) return false;
+    prev = leg.via2;
+  }
+  return transmit(prev, to, rng, now, out);
+}
+
 bool ServingEngine::walk_overlay(std::uint32_t from, std::uint32_t to,
                                  geom::Xoshiro256ss& rng, std::uint32_t& now,
                                  Outcome& out) const {
@@ -287,17 +314,32 @@ bool ServingEngine::walk_overlay(std::uint32_t from, std::uint32_t to,
   while (from != to) {
     const routing::ClusterheadRouter::Hop hop = router_.next_hop(from, to);
     if (hop.head == kNoHeadIndex) return false;  // overlay disconnected
-    NodeId prev = heads[from];
-    if (!transmit(prev, hop.leg.via1, rng, now, out)) return false;
-    prev = hop.leg.via1;
-    if (hop.leg.via2 != kInvalidNode) {
-      if (!transmit(prev, hop.leg.via2, rng, now, out)) return false;
-      prev = hop.leg.via2;
+    if (!cross(heads[from], hop.leg, heads[hop.head], rng, now, out)) {
+      return false;
     }
-    if (!transmit(prev, heads[hop.head], rng, now, out)) return false;
     from = hop.head;
   }
   return true;
+}
+
+ServingEngine::FirstCandidate ServingEngine::first_candidate(
+    std::uint32_t head_index, ServiceId service) const {
+  // Distance 1: the smallest-index positive head of the overlay row.  A
+  // row lists each head once, so its entry is the edge next_hop would take.
+  FirstCandidate first;
+  for (const routing::ClusterheadRouter::OverlayEdge& e :
+       router_.overlay_row(head_index)) {
+    if (e.to < first.head && bloom_positive(e.to, service)) {
+      first = {e.to, candidate_key(1, e.to), {e.via1, e.via2}};
+    }
+  }
+  if (first.head != kNoHeadIndex) return first;
+  // Distance 2: the second ring is ascending, so its first positive head.
+  for (const std::uint32_t idx : router_.second_ring(head_index)) {
+    if (bloom_positive(idx, service)) return {idx, candidate_key(2, idx), {}};
+  }
+  // No positive head within two hops: the candidates start at distance 3.
+  return {kNoHeadIndex, candidate_key(2, kNoHeadIndex), {}};
 }
 
 NodeId ServingEngine::domain_provider(std::uint32_t head_index,
@@ -342,17 +384,20 @@ Outcome ServingEngine::serve(const Request& request,
 
   // 2. Neighbor: the smallest adjacent provider, one direct hop (the
   // paper's single-hop rule for adjacent pairs; CSR rows are ascending).
-  for (const NodeId v : g_.neighbors(src)) {
-    if (!offers(v, s)) continue;
-    if (transmit(src, v, rng, now, out)) {
-      out.provider = v;
-      out.delivered = 1;
-      out.resolution = Resolution::kNeighbor;
-    } else {
-      out.resolution = Resolution::kLost;
+  // The source's neighbor summary rules most requests out without the scan.
+  if (neighbor_may_offer(src, s)) {
+    for (const NodeId v : g_.neighbors(src)) {
+      if (!offers(v, s)) continue;
+      if (transmit(src, v, rng, now, out)) {
+        out.provider = v;
+        out.delivered = 1;
+        out.resolution = Resolution::kNeighbor;
+      } else {
+        out.resolution = Resolution::kLost;
+      }
+      out.latency = now;
+      return out;
     }
-    out.latency = now;
-    return out;
   }
 
   // Hand the request to the source's clusterhead.
@@ -383,14 +428,24 @@ Outcome ServingEngine::serve(const Request& request,
   // nearest-first (overlay distance from the source clusterhead, ties by
   // head index).  The candidate order is fixed at the source clusterhead
   // and carried with the request; the walk continues from wherever the
-  // previous probe ended.
+  // previous probe ended.  The first candidate comes from the head's
+  // overlay row or second ring when one lies within two hops; NearestFirst
+  // hands out the rest, past its key.  The own domain is the only one at
+  // distance 0 and has already answered, so the order never returns to it.
   const std::span<const NodeId> heads = router_.heads();
+  const FirstCandidate first = first_candidate(head_idx, s);
   NearestFirst order(advertisers_[s], router_.distance_row(head_idx),
-                     head_idx);
+                     first.key);
   std::uint32_t at = head_idx;
-  for (std::uint32_t idx = order.pop(); idx != kNoHeadIndex;
-       idx = order.pop()) {
-    if (!walk_overlay(at, idx, rng, now, out)) {
+  for (std::uint32_t idx =
+           first.head != kNoHeadIndex ? first.head : order.pop();
+       idx != kNoHeadIndex; idx = order.pop()) {
+    // A candidate from the overlay row is one hop away, over its own leg.
+    const bool reached =
+        idx == first.head && first.leg.via1 != kInvalidNode
+            ? cross(heads[at], first.leg, heads[idx], rng, now, out)
+            : walk_overlay(at, idx, rng, now, out);
+    if (!reached) {
       out.resolution = Resolution::kLost;
       out.latency = now;
       return out;

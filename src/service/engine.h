@@ -31,9 +31,10 @@
 // (docs/SERVING.md has the full determinism argument).
 //
 // Besides the graph's rows and the fault tables, a request reads only flat
-// state the engine sizes at construction: the nodes' service rows, the
-// domains' provider rows, the Bloom-positive domains per service and the
-// router's overlay rows and distance table.
+// state the engine sizes at construction: the nodes' service rows and
+// neighbor-service summaries, the domains' provider rows, the Bloom-positive
+// domains per service (as a list and as a bitset) and the router's overlay
+// rows, second rings and distance table.
 #pragma once
 
 #include <cstddef>
@@ -164,10 +165,28 @@ class ServingEngine {
   }
 
  private:
+  // The inter-domain candidate with the smallest (overlay distance, head
+  // index) key when a Bloom-positive head lies within two overlay hops of
+  // the source head (head 0xFFFFFFFF otherwise), and the key the
+  // remaining candidates start past.  A candidate from the overlay row
+  // carries that row entry's leg; one from the second ring carries none.
+  struct FirstCandidate {
+    std::uint32_t head = 0xFFFFFFFFu;
+    std::uint64_t key = 0;
+    routing::ClusterheadRouter::Leg leg;
+  };
+  [[nodiscard]] FirstCandidate first_candidate(std::uint32_t head_index,
+                                               ServiceId service) const;
+
   // One transmission with retries; advances the virtual clock, updates
   // outcome counters.  False when every attempt failed.
   bool transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
                 std::uint32_t& now, Outcome& out) const;
+  // Transmit along one overlay leg, from head `from` through the leg's
+  // intermediates to head `to`.  False when a hop exhausted its attempts.
+  bool cross(NodeId from, routing::ClusterheadRouter::Leg leg, NodeId to,
+             geom::Xoshiro256ss& rng, std::uint32_t& now,
+             Outcome& out) const;
   // Walk the overlay from head `from` to head `to` (dense head indices) hop
   // by hop.  False when a hop exhausted its attempts.
   bool walk_overlay(std::uint32_t from, std::uint32_t to,
@@ -181,6 +200,21 @@ class ServingEngine {
                                        ServiceId service) const;
   // Whether `node` advertises `service` (a scan of its service row).
   [[nodiscard]] bool offers(NodeId node, ServiceId service) const;
+  // False only when no neighbor of `node` advertises `service` (one bit of
+  // its neighbor-service summary).
+  [[nodiscard]] bool neighbor_may_offer(NodeId node, ServiceId service) const {
+    const std::uint64_t word =
+        neighbor_services_[kSummaryWords * node + service / 64 % kSummaryWords];
+    return (word >> (service % 64) & 1) != 0;
+  }
+  // Whether head `head_index`'s Bloom summary answers "maybe" for `service`
+  // (one bit of the advertiser bitset).
+  [[nodiscard]] bool bloom_positive(std::uint32_t head_index,
+                                    ServiceId service) const {
+    const std::uint64_t word =
+        advertiser_bits_[service * advertiser_words_ + head_index / 64];
+    return (word >> (head_index % 64) & 1) != 0;
+  }
 
   const graph::Graph& g_;
   const ServiceRegistry& registry_;
@@ -190,6 +224,11 @@ class ServingEngine {
   // Each node's advertised services, ascending: the registry's rows copied
   // into one block.
   graph::FlatRows<ServiceId> node_services_;
+  // Neighbor-service summaries, kSummaryWords words per node: bit s mod 128
+  // is set when some neighbor advertises s.  Collisions only send a request
+  // through the neighbor scan, which finds nothing.
+  static constexpr std::size_t kSummaryWords = 2;
+  std::vector<std::uint64_t> neighbor_services_;
   // Per-head Bloom summaries (dense head index order).
   std::vector<BloomFilter> blooms_;
   // Exact per-domain provider rows (dense head index order): one entry per
@@ -199,8 +238,13 @@ class ServingEngine {
     NodeId provider = kInvalidNode;  // smallest advertiser in the domain
   };
   graph::FlatRows<DomainProvider> providers_;
-  // Bloom-positive domains per service, ascending dense head index.
+  // Bloom-positive domains per service, ascending dense head index: the
+  // order the candidate scan reads.
   graph::FlatRows<std::uint32_t> advertisers_;
+  // The same sets as bitsets over dense head indices, advertiser_words_
+  // words per service: an O(1) membership test.
+  std::vector<std::uint64_t> advertiser_bits_;
+  std::size_t advertiser_words_ = 0;
   // Crash windows per node ([down_from, up_at) pairs); empty when no plan.
   std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> crash_;
   // Per-directed-CSR-slot drop probability; empty unless the plan carries

@@ -104,10 +104,12 @@ TEST_P(RoutingSweep, AllPairsDeliveredOverValidEdges) {
           EXPECT_TRUE(dom_mask[a] || dom_mask[b]);
         }
       }
-      // Stretch bound: the clusterhead route detours at most two hops at
-      // each end beyond the Theorem 11 spanner path.
+      // Theorem 11 on the route itself: dominators of consecutive nodes on
+      // a shortest path are equal or overlay neighbors, so the head walk
+      // spans at most delta overlay hops of <= 3 edges each, plus one edge
+      // at each end: hops <= 3 delta + 2.
       if (src != dst && bfs[dst] != kUnreachable) {
-        EXPECT_LE(r.hops(), 3 * static_cast<std::size_t>(bfs[dst]) + 10);
+        EXPECT_LE(r.hops(), 3 * static_cast<std::size_t>(bfs[dst]) + 2);
       }
     }
   }
@@ -117,6 +119,27 @@ INSTANTIATE_TEST_SUITE_P(
     DegreeSeed, RoutingSweep,
     ::testing::Combine(::testing::Values(7.0, 12.0),
                        ::testing::Values(1u, 2u, 3u)));
+
+TEST(Routing, SecondRingsAreTheHeadsTwoOverlayHopsAway) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto inst = testing::connected_udg(600, 12.0, seed);
+    const auto out = core::algorithm2(inst.g);
+    const ClusterheadRouter router(inst.g, out);
+    const std::size_t h = router.clusterhead_count();
+    std::size_t ring_entries = 0;
+    for (std::uint32_t a = 0; a < h; ++a) {
+      std::vector<std::uint32_t> want;
+      const auto row = router.distance_row(a);
+      for (std::uint32_t b = 0; b < h; ++b) {
+        if (row[b] == 2) want.push_back(b);
+      }
+      ASSERT_EQ(testing::to_vector(router.second_ring(a)), want)
+          << "seed " << seed << " head " << a;
+      ring_entries += want.size();
+    }
+    EXPECT_GT(ring_entries, h);
+  }
+}
 
 TEST(Routing, TableDiagnostics) {
   const auto inst = testing::connected_udg(120, 10.0, 2);

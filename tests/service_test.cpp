@@ -302,6 +302,48 @@ TEST(Serving, AdvertisersMatchRebuiltFiltersUnderHeavyFalsePositives) {
   expect_advertisers_match_rebuilt_filters(sc, options, 2);
 }
 
+// A universe of 1000 services and 3 per node: a node's 128-bit
+// neighbor-service summary has about a third of its bits set, so most bits
+// a request tests are set by some other service.  Every request's neighbor
+// step must still match a brute-force search for the smallest adjacent
+// provider.
+TEST(Serving, NeighborStepMatchesBruteForceUnderSummaryCollisions) {
+  const auto sc = make_scenario(2000, 16.0, 3, 1000, 3);
+  const ServingEngine engine(sc.inst.g, sc.wcds, sc.registry);
+  const auto requests = uniform_requests(sc.registry, 20000, 5);
+  std::size_t neighbor = 0;
+  std::size_t collided = 0;  // no adjacent provider, but the bit is set
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto [src, s] = requests[i];
+    const Outcome out = engine.serve(requests[i], i);
+    if (sc.registry.provides(src, s)) {
+      ASSERT_EQ(out.resolution, Resolution::kLocal) << "request " << i;
+      continue;
+    }
+    NodeId smallest = kInvalidNode;
+    bool bit_set = false;
+    for (const NodeId v : sc.inst.g.neighbors(src)) {
+      if (smallest == kInvalidNode && sc.registry.provides(v, s)) smallest = v;
+      for (const ServiceId t : sc.registry.services_at(v)) {
+        bit_set = bit_set || t % 128 == s % 128;
+      }
+    }
+    if (smallest != kInvalidNode) {
+      ++neighbor;
+      ASSERT_EQ(out.resolution, Resolution::kNeighbor) << "request " << i;
+      ASSERT_EQ(out.provider, smallest) << "request " << i;
+      ASSERT_EQ(out.hops, 1u) << "request " << i;
+    } else {
+      ASSERT_NE(out.resolution, Resolution::kNeighbor) << "request " << i;
+      ASSERT_NE(out.resolution, Resolution::kLocal) << "request " << i;
+      ASSERT_EQ(out.delivered, 1u) << "request " << i;
+      if (bit_set) ++collided;
+    }
+  }
+  EXPECT_GT(neighbor, 400u);
+  EXPECT_GT(collided, 2500u);
+}
+
 TEST(Serving, IntraDomainHopsMatchTheBackboneShape) {
   const auto sc = make_scenario(200, 12.0, 7, 32, 2);
   const ServingEngine engine(sc.inst.g, sc.wcds, sc.registry);

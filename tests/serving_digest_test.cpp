@@ -13,7 +13,9 @@
 // straightforward way -- collect every Bloom-positive domain, sort by
 // (overlay distance, head index), walk them in turn -- and requires the
 // engine's provider, hop count and false-positive count to match it
-// exactly.  A tiny Bloom filter makes most requests probe several domains.
+// exactly.  A tiny Bloom filter makes most requests probe several domains;
+// a second case keeps the default filter, where most first candidates come
+// from the source head's overlay row or second ring.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -187,6 +189,7 @@ struct Expected {
   std::uint32_t hops = 0;
   std::uint16_t bloom_fp = 0;
   Resolution resolution = Resolution::kNoProvider;
+  std::uint32_t first_distance = 0;  // overlay distance of the 1st candidate
 };
 
 // Physical hops of the overlay path between two heads (2 or 3 per leg).
@@ -221,6 +224,7 @@ Expected sorted_order_oracle(const ServingEngine& engine,
 
   Expected e;
   e.hops = request.src != head ? 1 : 0;
+  if (!candidates.empty()) e.first_distance = candidates.front().first;
   NodeId at = head;
   for (const auto& [dist, idx] : candidates) {
     e.hops += overlay_hops(router, at, heads[idx]);
@@ -274,6 +278,41 @@ TEST(ServingOrderOracle, MultiProbeRequestsVisitDomainsNearestFirst) {
   }
   EXPECT_GT(multi_probe, 1000u);
   EXPECT_GE(max_fp, 16u);  // long probe chains, past any lazy-scan cutoff
+}
+
+// Default filters (10 bits per entry) on the serving deployment's shape: a
+// positive domain usually lies one or two overlay hops from the source
+// head, so the first candidate comes from the head's overlay row or second
+// ring, and the candidate scan only hands out the rest.  Every path must
+// agree with the sorted oracle.
+TEST(ServingOrderOracle, DefaultFiltersMatchFromRowRingAndScan) {
+  std::size_t by_distance[4] = {};  // first candidate at 1, 2, 3+ hops
+  std::size_t probed_on = 0;        // a false positive first, then more
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const auto sc = make_scenario(2048, 16.0, seed, 256, 2);
+    const ServingEngine engine(sc.inst.g, sc.wcds, sc.registry);
+    const auto requests = uniform_requests(sc.registry, 8000, seed + 7);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const Outcome out = engine.serve(requests[i], i);
+      if (out.resolution != Resolution::kInterDomain &&
+          out.resolution != Resolution::kNoProvider) {
+        continue;
+      }
+      const Expected e = sorted_order_oracle(engine, sc.registry,
+                                             requests[i]);
+      ASSERT_EQ(out.resolution, e.resolution) << "request " << i;
+      ASSERT_EQ(out.provider, e.provider) << "request " << i;
+      ASSERT_EQ(out.bloom_fp, e.bloom_fp) << "request " << i;
+      ASSERT_EQ(out.hops, e.hops) << "request " << i;
+      ASSERT_EQ(out.latency, e.hops) << "request " << i;
+      ++by_distance[std::min(e.first_distance, 3u)];
+      if (out.bloom_fp > 0 && e.first_distance <= 2) ++probed_on;
+    }
+  }
+  EXPECT_GT(by_distance[1], 3000u);
+  EXPECT_GT(by_distance[2], 2500u);
+  EXPECT_GT(by_distance[3], 1000u);
+  EXPECT_GT(probed_on, 300u);
 }
 
 }  // namespace
