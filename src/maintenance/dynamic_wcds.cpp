@@ -20,8 +20,7 @@ constexpr std::uint8_t kFar = 4;
 constexpr std::uint8_t kRegion = 1;      // in region_
 constexpr std::uint8_t kCandidate = 2;   // in candidates_
 constexpr std::uint8_t kAffected = 4;    // in affected_
-constexpr std::uint8_t kOwnBall = 8;     // re-derives its bridges by a ball
-constexpr std::uint8_t kPromoted = 16;   // promoted by this event
+constexpr std::uint8_t kPromoted = 8;    // promoted by this event
 
 }  // namespace
 
@@ -103,9 +102,16 @@ void DynamicWcds::erase_listing(NodeId endpoint, const Bridge& bridge) {
   list.pop_back();
 }
 
+void DynamicWcds::drop_bridge(Bridge bridge) {
+  erase_listing(bridge.a, bridge);
+  erase_listing(bridge.b, bridge);
+  --via_count_[bridge.via];
+}
+
 bool DynamicWcds::bridge_valid(NodeId a, NodeId b, NodeId v) const {
-  // v must be active, adjacent to one endpoint and two hops from the other
-  // (entries may be recorded from either endpoint of the pair).
+  // v must be active, adjacent to one endpoint and two hops from the other:
+  // the audited invariant, which any 3-hop path's second node meets (the
+  // event path records the lower endpoint's smallest one).
   if (!graph_.is_active(v) || !graph_.is_active(a) || !graph_.is_active(b)) {
     return false;
   }
@@ -170,119 +176,100 @@ NodeId DynamicWcds::row_via(NodeId a, NodeId b) {
   return kInvalidNode;
 }
 
-void DynamicWcds::bridge_pairs_by_ball(NodeId a, RepairReport& report) {
-  const auto ball = bfs_.run(graph_, a, 3);
-  report.searched += ball.size();
-  for (const NodeId b : ball) {
-    if (!mis_[b] || bfs_.distance(b) != 3) continue;
-    const Mark partner = peek(b);
-    if ((partner.flags & kAffected) != 0 && before(b, a)) {
-      // b derives the pair; without a ball of its own it learns of a here.
-      if ((partner.flags & kOwnBall) == 0) {
-        incoming_.push_back({b, a, kInvalidNode});
-      }
-      continue;
-    }
-    // The smallest v on a 3-hop path a-v-x-b.  Every x adjacent to b and
-    // to a neighbor of a lies 2 hops from a, and the v's are exactly the
-    // 1-hop nodes next to such an x, so scan from b's side against the
-    // distances of the current ball instead of probing rows of a's.
-    NodeId best_v = kInvalidNode;
-    for (const NodeId x : graph_.neighbors(b)) {
-      if (bfs_.distance(x) != 2) continue;
-      for (const NodeId v : graph_.neighbors(x)) {
-        if (bfs_.distance(v) == 1) {
-          if (best_v == kInvalidNode || before(v, best_v)) best_v = v;
-          break;  // rows ascend by name: the first hit is x's smallest v
-        }
-      }
-    }
-    add_bridge(before(a, b) ? Bridge{a, b, best_v} : Bridge{b, a, best_v});
-    ++report.bridges_changed;
-  }
-}
-
 void DynamicWcds::rebridge(NodeId u, RepairReport& report) {
-  // Each 3-hop pair with an endpoint in affected_ is derived once, by its
-  // smallest endpoint in affected_ (its only one, if the other is outside),
-  // and its via is the smallest neighbor of that endpoint on a 3-hop path.
-  //
-  // No other bridge can have changed.  A pair's paths of at most 3 hops
-  // change only if the event node u lies on one of them, in the old or the
-  // new graph: d(a,u) + d(u,b) <= 3 (the pair is "touched").  Then both
-  // endpoints lie in the old or the new 3-hop ball of u, so an endpoint
-  // that is MIS is in affected_; a demoted endpoint is in affected_ too,
-  // and a promoted node was no endpoint.
-  //
-  // Only u, promoted nodes and MIS nodes within 1 hop of u in either graph
-  // search a fresh ball.  Every other affected MIS node a was MIS before
-  // and has d(a,u) >= 2 in both graphs.  Each partner b it has now is
-  //  * promoted, or u or a neighbor of u when the pair is touched in the
-  //    new graph (d(u,b) <= 3 - d(a,u) <= 1): then b searched a ball,
-  //    found a and handed it over through incoming_; or
-  //  * a partner before the event: its new paths of <= 3 hops avoid u, so
-  //    they existed before, and no old path was shorter: a common neighbor
-  //    of a and b would be u (but d(a,u) >= 2) or a path that persists.
-  // Before the erase, bridges_[a] lists exactly a's old partners, so that
-  // snapshot plus incoming_ covers a's partners; each candidate is
-  // confirmed 3 hops apart.  An untouched pair keeps its paths, so an old
-  // via adjacent to a is still the smallest; any other pair re-derives its
-  // via from a's row.
-  snapshot_.clear();
-  incoming_.clear();
-  for (const NodeId a : affected_) {
-    if (!mis_[a] || !graph_.is_active(a)) continue;  // demoted: erase only
-    Mark& m = mark(a);
-    if (a == u || (m.flags & kPromoted) != 0 || m.d_old <= 1 ||
-        m.d_new <= 1) {
-      m.flags |= kOwnBall;
-      continue;
+  // A bridge is a function of the active graph and the MIS alone: every MIS
+  // pair (a, b), name a < name b, exactly 3 hops apart, through row_via(a,
+  // b).  So the event changes only
+  //  * the pairs with a demoted endpoint, which are dropped;
+  //  * the pairs of two continuing MIS nodes whose paths of at most 3 hops
+  //    changed.  The links changed only at u, so such a path runs through
+  //    u in the old or the new graph: d(a,u) + d(u,b) <= 3 there (the pair
+  //    is "touched"), read off the marks of the two event balls.  One
+  //    endpoint then lies within 1 hop of u.  Every untouched pair keeps
+  //    its paths, hence its 3-hop status and its smallest via;
+  //  * the pairs with a promoted endpoint, found in that node's ball.
+  std::size_t dropped = 0;
+  std::size_t added = 0;
+  for (const NodeId d : demoted_) {
+    for (const Bridge& bridge : bridges_[d]) {
+      const NodeId partner = bridge.a == d ? bridge.b : bridge.a;
+      if (mis_[partner]) {
+        erase_listing(partner, bridge);
+      } else if (bridge.a != d) {
+        continue;  // both endpoints demoted: dropped once, at a
+      }
+      --via_count_[bridge.via];
+      ++dropped;
     }
-    for (const Bridge& bridge : bridges_[a]) {
-      snapshot_.push_back(
-          {a, bridge.a == a ? bridge.b : bridge.a, bridge.via});
+    bridges_[d].clear();
+  }
+
+  const auto continuing = [&](NodeId v) {
+    return mis_[v] && (peek(v).flags & kPromoted) == 0;
+  };
+  const auto near = [](const Mark& m) { return m.d_old <= 1 || m.d_new <= 1; };
+  for (const NodeId a : region_) {
+    const Mark ma = peek(a);
+    if (!near(ma) || !continuing(a)) continue;
+    for (const NodeId b : region_) {
+      const Mark mb = peek(b);
+      if (b == a || !continuing(b) || (near(mb) && before(b, a))) continue;
+      if (ma.d_old + mb.d_old > 3 && ma.d_new + mb.d_new > 3) continue;
+      const auto [lo, hi] = before(a, b) ? std::pair{a, b} : std::pair{b, a};
+      const NodeId via = row_via(lo, hi);
+      const Bridge* old = find_bridge(lo, hi);
+      if (old != nullptr && old->via == via) continue;
+      if (old != nullptr) {
+        drop_bridge(*old);
+        ++dropped;
+      }
+      if (via != kInvalidNode) {
+        add_bridge({lo, hi, via});
+        ++added;
+      }
     }
   }
-  // Drop every bridge with an endpoint in affected_.  One between two
-  // affected nodes is counted once, at its endpoint a, and leaves with both
-  // lists; only an unaffected partner's list is searched.
+
+  // A promoted node p bridges every MIS node 3 hops away; a pair of two
+  // promoted nodes is added from its smaller one.  u's ball is the event's
+  // new ball; any other changed node runs its own, whose MIS nodes also
+  // join affected_.
+  const auto add_pair = [&](NodeId p, NodeId b) {
+    if (!mis_[b] || ((peek(b).flags & kPromoted) != 0 && before(b, p))) return;
+    const auto [lo, hi] = before(p, b) ? std::pair{p, b} : std::pair{b, p};
+    add_bridge({lo, hi, row_via(lo, hi)});
+    ++added;
+  };
+  if (mis_[u] && (peek(u).flags & kPromoted) != 0) {
+    for (const NodeId b : region_) {
+      if (peek(b).d_new == 3) add_pair(u, b);
+    }
+  }
+  for (const auto* changed : {&demoted_, &promoted_}) {
+    for (const NodeId c : *changed) {
+      if (c == u) continue;
+      const auto ball = bfs_.run(graph_, c, 3);
+      report.searched += ball.size();
+      for (const NodeId v : ball) {  // c is promoted iff it is MIS
+        if (mis_[v]) add_member(affected_, v, kAffected);
+        if (mis_[c] && bfs_.distance(v) == 3) add_pair(c, v);
+      }
+    }
+  }
+
+  // report.bridges_changed counts the bridges with an endpoint in affected_
+  // before the event plus those after it.  Every bridge dropped or added
+  // above has one, so the count before is the count after, plus the
+  // drops, minus the additions.
+  std::size_t after = 0;
   for (const NodeId a : affected_) {
     for (const Bridge& bridge : bridges_[a]) {
       const NodeId partner = bridge.a == a ? bridge.b : bridge.a;
-      if ((peek(partner).flags & kAffected) == 0) {
-        erase_listing(partner, bridge);
-      } else if (bridge.a != a) {
-        continue;
-      }
-      --via_count_[bridge.via];
-      ++report.bridges_changed;
+      // A bridge between two affected nodes counts once, at its a.
+      after += (peek(partner).flags & kAffected) == 0 || bridge.a == a;
     }
-    bridges_[a].clear();
   }
-
-  for (const NodeId a : affected_) {
-    if ((peek(a).flags & kOwnBall) != 0) bridge_pairs_by_ball(a, report);
-  }
-
-  const auto derive = [&](NodeId a, NodeId b, NodeId old_via) {
-    if (!mis_[b]) return;  // demoted
-    // b derives it.
-    if ((peek(b).flags & kAffected) != 0 && before(b, a)) return;
-    const auto [lo, hi] = before(a, b) ? std::pair{a, b} : std::pair{b, a};
-    if (find_bridge(lo, hi) != nullptr) return;  // in snapshot_ and incoming_
-    const Mark ma = peek(a);
-    const Mark mb = peek(b);
-    const bool touched = ma.d_old + mb.d_old <= 3 || ma.d_new + mb.d_new <= 3;
-    const NodeId via = !touched && old_via != kInvalidNode &&
-                               graph_.has_edge(a, old_via)
-                           ? old_via
-                           : row_via(a, b);
-    if (via == kInvalidNode) return;  // no longer 3 hops apart
-    add_bridge({lo, hi, via});
-    ++report.bridges_changed;
-  };
-  for (const Partner& p : snapshot_) derive(p.a, p.b, p.via);
-  for (const Partner& p : incoming_) derive(p.a, p.b, kInvalidNode);
+  report.bridges_changed += 2 * after + dropped - added;
 }
 
 RepairReport DynamicWcds::repair(NodeId u) {
@@ -360,25 +347,14 @@ RepairReport DynamicWcds::repair(NodeId u) {
   }
   report.promoted = promoted_.size();
 
-  // 3. Re-derive bridges for every MIS node within 3 hops of anything that
-  // changed (u, demotions, promotions), plus the demoted nodes (to drop
-  // their bridges).  The region already holds u's balls.
+  // 3. Re-judge the bridges the event touched.  affected_ scopes
+  // report.bridges_changed: the MIS nodes within 3 hops of u (the region)
+  // or of a demoted or promoted node, plus the demoted nodes.
   affected_.clear();
   for (const NodeId v : region_) {
     if (mis_[v]) add_member(affected_, v, kAffected);
   }
-  for (const auto* changed : {&demoted_, &promoted_}) {
-    for (const NodeId c : *changed) {
-      if (c == u) continue;
-      const auto changed_ball = bfs_.run(graph_, c, 3);
-      report.searched += changed_ball.size();
-      for (const NodeId v : changed_ball) {
-        if (mis_[v]) add_member(affected_, v, kAffected);
-      }
-    }
-  }
   for (const NodeId d : demoted_) add_member(affected_, d, kAffected);
-  std::sort(affected_.begin(), affected_.end(), by_name());
   rebridge(u, report);
 
   report.region_size = region_.size();

@@ -15,12 +15,16 @@
 //    the event site (old and new position) can change role, the MIS repair
 //    reads only the rows of the event node and of the nodes it demotes, and
 //    every bounded BFS runs on one reused graph::LocalBfs;
+//  * a bridge is a function of the active graph and the MIS alone: every
+//    MIS pair (a, b), name a < name b, exactly 3 hops apart, through the
+//    smallest neighbor of a on a 3-hop path.  So an event drops the
+//    bridges of demoted nodes, adds those of promoted nodes from their own
+//    balls, and re-judges only the pairs of continuing MIS nodes with a
+//    path of at most 3 hops through the event node, before or after it
+//    (the argument is in DynamicWcds::rebridge); every other bridge keeps
+//    its pair and its via;
 //  * bridges are listed at both endpoints, with a via-node count per node,
-//    and is_additional_dominator() is O(1).  An event drops the bridges of
-//    the MIS nodes in those balls, but runs a fresh 3-hop search only from
-//    the event node, its MIS neighbors and promoted nodes; every other
-//    affected MIS node re-derives its bridges from its previous partner
-//    list (the argument is in DynamicWcds::rebridge);
+//    and is_additional_dominator() is O(1);
 //  * the event path keeps its sets in epoch-marked member vectors, so in
 //    steady state it makes no heap allocation;
 //  * state lives by storage slot (IncrementalUdg): mis_, bridges_ (whose
@@ -114,8 +118,9 @@ class DynamicWcds {
   }
   [[nodiscard]] std::vector<NodeId> dominators() const;  // S + C, ascending
   // (a, b) with a < b, both MIS and exactly 3 hops apart -> the additional
-  // dominator bridging them (a neighbor of a or b on a 3-hop path).  Built
-  // on demand in O(n + B log B); the event path keeps bridges per node.
+  // dominator bridging them (the smallest neighbor of a on a 3-hop path).
+  // Built on demand in O(n + B log B); the event path keeps bridges per
+  // node.
   [[nodiscard]] std::map<std::pair<NodeId, NodeId>, NodeId> bridges() const;
   [[nodiscard]] std::size_t node_count() const { return graph_.node_count(); }
   [[nodiscard]] const geom::Point& position(NodeId u) const {
@@ -181,14 +186,11 @@ class DynamicWcds {
   RepairReport repair(NodeId u);
   // Fold one event's RepairReport into the recorder (no-op when null).
   void record_event(const char* event, const RepairReport& report) const;
-  // Drops every bridge with an endpoint in affected_ and re-derives every
-  // 3-hop pair with an endpoint there, counting both in
-  // report.bridges_changed.  `u` is the event node.
+  // Drops the bridges of demoted nodes, re-judges the pairs of continuing
+  // MIS nodes the event touched and adds the pairs of promoted nodes;
+  // completes affected_ from the balls of demoted and promoted nodes and
+  // sets report.bridges_changed from it.  `u` is the event node.
   void rebridge(NodeId u, RepairReport& report);
-  // Runs a's 3-hop ball and bridges every partner b (MIS, 3 hops away) for
-  // which a derives the pair; hands the others to their deriving endpoint
-  // through incoming_ when that endpoint has no ball of its own.
-  void bridge_pairs_by_ball(NodeId a, RepairReport& report);
   // The smallest v in N(a) on a path a-v-x-b, or kInvalidNode when there is
   // none or a and b share a neighbor (then they are not 3 hops apart).
   // Stamps N(b) in near_b_, so each membership test is O(1).
@@ -205,6 +207,8 @@ class DynamicWcds {
   // The bridge of pair (a, b), or null: a scan of a's short list.
   [[nodiscard]] const Bridge* find_bridge(NodeId a, NodeId b) const;
   void add_bridge(const Bridge& bridge);
+  // Removes `bridge` from both lists and from the via count.
+  void drop_bridge(Bridge bridge);
   // Removes `bridge` from the list of `endpoint`, one of its two endpoints.
   void erase_listing(NodeId endpoint, const Bridge& bridge);
 
@@ -220,14 +224,6 @@ class DynamicWcds {
   [[nodiscard]] Mark peek(NodeId u) const;
   // Adds u to `list` and sets `flag` on it, unless already set.
   void add_member(std::vector<NodeId>& list, NodeId u, std::uint8_t flag);
-
-  // A pair (a, b) handed to a, with the via the pair had (snapshot_) or
-  // kInvalidNode (incoming_).
-  struct Partner {
-    NodeId a;
-    NodeId b;
-    NodeId via;
-  };
 
   IncrementalUdg graph_;
   std::vector<bool> mis_;
@@ -249,9 +245,7 @@ class DynamicWcds {
   std::vector<NodeId> candidates_;
   std::vector<NodeId> demoted_;
   std::vector<NodeId> promoted_;
-  std::vector<NodeId> affected_;    // nodes whose bridges are re-derived
-  std::vector<Partner> snapshot_;   // pre-event bridges of affected_ nodes
-  std::vector<Partner> incoming_;   // partners found by other nodes' balls
+  std::vector<NodeId> affected_;    // scope of report.bridges_changed
   // row_via's stamps: near_b_[x] == near_b_epoch_ <=> x is in N(b) for the
   // current call.
   std::vector<std::uint32_t> near_b_;

@@ -101,34 +101,31 @@ ClusterheadRouter::ClusterheadRouter(const graph::Graph& g,
     }
   }
 
-  // Second rings: expand each head's row twice under a fresh stamp (the
-  // head and its row neighbors stamped first), once to count and once to
-  // fill, so the rows cost O(h * deg^2) and two heap blocks.
+  // Second rings: each head's row expanded once under a stamp of its own
+  // (the head and its row neighbors stamped first), in row order into a
+  // block reserved for every two-hop walk and trimmed once at the end, so
+  // the rows cost O(h * deg^2) and three heap blocks.
+  std::size_t walks = 0;
+  for (std::uint32_t a = 0; a < h; ++a) {
+    for (const OverlayEdge& e : overlay_[a]) walks += overlay_[e.to].size();
+  }
+  second_ring_.reset(h, walks);
   std::fill(seen.begin(), seen.end(), 0);
-  std::uint32_t stamp = 0;
-  const auto for_second_ring = [&](std::uint32_t a, auto&& visit) {
-    ++stamp;
-    seen[a] = stamp;
-    for (const OverlayEdge& e : overlay_[a]) seen[e.to] = stamp;
+  for (std::uint32_t a = 0; a < h; ++a) {
+    seen[a] = a + 1;
+    for (const OverlayEdge& e : overlay_[a]) seen[e.to] = a + 1;
     for (const OverlayEdge& e : overlay_[a]) {
       for (const OverlayEdge& f : overlay_[e.to]) {
-        if (seen[f.to] == stamp) continue;
-        seen[f.to] = stamp;
-        visit(f.to);
+        if (seen[f.to] == a + 1) continue;
+        seen[f.to] = a + 1;
+        second_ring_.push_back(f.to);
       }
     }
-  };
-  std::vector<std::uint32_t>& ring_size = in_degree;  // all zero again
-  for (std::uint32_t a = 0; a < h; ++a) {
-    for_second_ring(a, [&](std::uint32_t) { ++ring_size[a]; });
-  }
-  second_ring_ = graph::FlatRows<std::uint32_t>::sized(ring_size);
-  for (std::uint32_t a = 0; a < h; ++a) {
+    second_ring_.close_row();
     const std::span<std::uint32_t> row = second_ring_.mutable_row(a);
-    std::size_t fill = 0;
-    for_second_ring(a, [&](std::uint32_t b) { row[fill++] = b; });
     std::sort(row.begin(), row.end());
   }
+  second_ring_.shrink_to_fit();
 
   // Distance table, kept for the next-clusterhead rule and for candidate
   // ordering in the service layer (nearest advertising domain first).  A

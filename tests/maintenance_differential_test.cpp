@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -217,6 +218,90 @@ TEST(MaintenanceDifferential, RowViaSurvivesStampWrap) {
   EXPECT_EQ(DynamicWcdsTestPeer::row_via(net, a, c), want);  // last epoch
   EXPECT_EQ(DynamicWcdsTestPeer::row_via(net, a, c), want);  // wrapped to 1
   EXPECT_GT(expect_row_via_matches(net, "after the wrap"), 2u);
+}
+
+// The bridges of the canonical rule, recomputed from `net`'s active graph
+// and MIS alone: every MIS pair a < b exactly 3 hops apart, through
+// reference_row_via(g, a, b), the smallest neighbor of a on a 3-hop path.
+// Returns the first difference from net.bridges(), or "" when there is
+// none.
+std::string canonical_difference(const DynamicWcds& net) {
+  const graph::Graph g = net.active_graph();
+  graph::LocalBfs bfs;
+  std::map<std::pair<NodeId, NodeId>, NodeId> want;
+  for (NodeId a = 0; a < g.node_count(); ++a) {
+    if (!net.is_active(a) || !net.is_mis_dominator(a)) continue;
+    for (const NodeId b : bfs.run(g, a, 3)) {
+      if (a < b && bfs.distance(b) == 3 && net.is_mis_dominator(b)) {
+        want.emplace(std::pair{a, b}, reference_row_via(g, a, b));
+      }
+    }
+  }
+  const auto got = net.bridges();
+  const auto describe = [](const auto& entry) {
+    return "(" + std::to_string(entry.first.first) + ", " +
+           std::to_string(entry.first.second) + ") via " +
+           std::to_string(entry.second);
+  };
+  auto g_it = got.begin();
+  auto w_it = want.begin();
+  for (; g_it != got.end() && w_it != want.end(); ++g_it, ++w_it) {
+    if (*g_it != *w_it) {
+      return "holds " + describe(*g_it) + ", canonical " + describe(*w_it);
+    }
+  }
+  if (g_it != got.end()) return "extra bridge " + describe(*g_it);
+  if (w_it != want.end()) return "missing bridge " + describe(*w_it);
+  return "";
+}
+
+// After every event of the benchmark churn mix (n = 1024 and 4096, both
+// move radii of the digest cells) and of a radio on/off storm, the
+// maintained bridges are exactly the canonical ones: no via depends on
+// which endpoint an event re-judged a pair from.
+TEST(MaintenanceDifferential, BridgesAreCanonicalAfterEveryEvent) {
+  const AuditsOff audits_off;
+  const auto expect_canonical = [](const DynamicWcds& net,
+                                   const std::string& what) {
+    const std::string difference = canonical_difference(net);
+    EXPECT_EQ(difference, "") << what;
+    return difference.empty();
+  };
+  for (const std::uint32_t n : {1024U, 4096U}) {
+    for (const double radius : {0.5, 3.0}) {
+      const std::string cell =
+          "n=" + std::to_string(n) + " radius=" + std::to_string(radius);
+      const auto points = churn_deployment(n, n + 7);
+      DynamicWcds net(points);
+      ChurnMix mix(n * 3 + 1, points, radius);
+      bool same = expect_canonical(net, cell + " construction");
+      for (int e = 0; e < 300 && same; ++e) {
+        (void)apply(net, mix.next(net));
+        same = expect_canonical(net, cell + " event " + std::to_string(e));
+      }
+    }
+  }
+  const auto points = churn_deployment(1024, 29, 12.0);
+  DynamicWcds net(points);
+  geom::Xoshiro256ss rng(31);
+  std::vector<NodeId> victims;
+  for (NodeId u = 0; u < points.size(); ++u) {
+    if (rng.next_below(3) == 0) victims.push_back(u);
+  }
+  bool same = true;
+  for (const NodeId u : victims) {
+    if (!same) break;
+    (void)net.deactivate(u);
+    same = expect_canonical(net, "storm off " + std::to_string(u));
+  }
+  for (std::size_t i = victims.size(); i > 1; --i) {
+    std::swap(victims[i - 1], victims[rng.next_below(i)]);
+  }
+  for (const NodeId u : victims) {
+    if (!same) break;
+    (void)net.activate(u);
+    same = expect_canonical(net, "storm on " + std::to_string(u));
+  }
 }
 
 // Moves far out of range isolate nodes (new grid cells, empty rows), a

@@ -177,12 +177,13 @@ std::size_t ReferenceDynamicWcds::rebridge(const std::vector<NodeId>& mis_nodes)
       if (!mis_[b] || b == a || dist[b] != 3) continue;
       const auto key = std::minmax(a, b);
       if (bridges_.count({key.first, key.second}) > 0) continue;
-      // Lexicographically smallest (v, x) path a-v-x-b.
+      // Lexicographically smallest (v, x) path lo-v-x-hi, from the lower
+      // endpoint lo of the pair.
       NodeId best_v = kInvalidNode;
-      for (NodeId v : graph_.neighbors(a)) {
+      for (NodeId v : graph_.neighbors(key.first)) {
         bool reaches = false;
         for (NodeId x : graph_.neighbors(v)) {
-          if (graph_.has_edge(x, b)) {
+          if (graph_.has_edge(x, key.second)) {
             reaches = true;
             break;
           }
