@@ -1,38 +1,15 @@
 #include "baselines/mis_tree_cds.h"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "graph/bfs.h"
+#include "graph/local_bfs.h"
 #include "mis/mis.h"
 
 namespace wcds::baselines {
-namespace {
-
-// Hop distances from `source` truncated at 3 (connector search radius).
-std::vector<HopCount> bfs3(const graph::Graph& g, NodeId source) {
-  std::vector<HopCount> dist(g.node_count(), kUnreachable);
-  std::queue<NodeId> frontier;
-  dist[source] = 0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    if (dist[u] == 3) continue;
-    for (NodeId v : g.neighbors(u)) {
-      if (dist[v] == kUnreachable) {
-        dist[v] = dist[u] + 1;
-        frontier.push(v);
-      }
-    }
-  }
-  return dist;
-}
-
-}  // namespace
 
 core::WcdsResult mis_tree_cds(const graph::Graph& g) {
   const std::size_t n = g.node_count();
@@ -46,16 +23,17 @@ core::WcdsResult mis_tree_cds(const graph::Graph& g) {
 
   // Prim-style spanning tree of H_3 over the MIS, growing from the smallest
   // member; each absorbed member remembers the tree edge that reached it.
-  std::vector<std::vector<HopCount>> dist(m);
-  for (std::size_t i = 0; i < m; ++i) dist[i] = bfs3(g, s.members[i]);
-  const auto hop = [&](std::size_t i, std::size_t j) {
-    return dist[i][s.members[j]];
+  // hop(next, j) is read off one radius-3 ball run from each member as it
+  // is absorbed.
+  struct TreeEdge {
+    std::size_t from, to;
+    HopCount hops;
   };
-
+  graph::LocalBfs bfs;
   std::vector<bool> in_tree(m, false);
   std::vector<HopCount> best(m, kUnreachable);
   std::vector<std::size_t> best_from(m, m);
-  std::vector<std::pair<std::size_t, std::size_t>> tree_edges;  // (from, to)
+  std::vector<TreeEdge> tree_edges;
   best[0] = 0;
   for (std::size_t step = 0; step < m; ++step) {
     std::size_t next = m;
@@ -66,10 +44,14 @@ core::WcdsResult mis_tree_cds(const graph::Graph& g) {
       throw std::logic_error("mis_tree_cds: H_3 disconnected (Lemma 3?)");
     }
     in_tree[next] = true;
-    if (best_from[next] != m) tree_edges.emplace_back(best_from[next], next);
+    if (best_from[next] != m) {
+      tree_edges.push_back({best_from[next], next, best[next]});
+    }
+    bfs.run(g, s.members[next], 3);
     for (std::size_t j = 0; j < m; ++j) {
-      if (!in_tree[j] && hop(next, j) < best[j]) {
-        best[j] = hop(next, j);
+      const HopCount hop = bfs.distance(s.members[j]);
+      if (!in_tree[j] && hop < best[j]) {
+        best[j] = hop;
         best_from[j] = next;
       }
     }
@@ -77,10 +59,10 @@ core::WcdsResult mis_tree_cds(const graph::Graph& g) {
 
   // Promote connectors along each tree edge.
   std::vector<bool> connector(n, false);
-  for (const auto& [i, j] : tree_edges) {
-    const NodeId a = s.members[i];
-    const NodeId b = s.members[j];
-    if (hop(i, j) == 2) {
+  for (const TreeEdge& edge : tree_edges) {
+    const NodeId a = s.members[edge.from];
+    const NodeId b = s.members[edge.to];
+    if (edge.hops == 2) {
       // Smallest common neighbor.
       for (NodeId v : g.neighbors(a)) {
         if (g.has_edge(v, b)) {

@@ -6,6 +6,7 @@
 
 #include "check/check.h"
 #include "graph/bfs.h"
+#include "graph/local_bfs.h"
 #include "graph/subgraph.h"
 #include "mis/properties.h"
 
@@ -131,48 +132,27 @@ WcdsSweep sweep_wcds(const graph::Graph& g, const std::vector<bool>& mask,
   WcdsSweep sweep;
   sweep.undominated = mis::first_undominated(g, mask, live, orphans);
 
-  // Breadth-first from s over the live neighbors that claim(u, v) takes.
-  std::vector<NodeId> queue;
-  const auto bfs = [&](NodeId s, auto&& claim) {
-    queue.assign(1, s);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const NodeId u = queue[head];
-      for (const NodeId v : g.neighbors(u)) {
-        if (node_active(live, v) && claim(u, v)) queue.push_back(v);
-      }
-    }
-  };
-
-  // Label the live components, choosing each one's seed on the way.
-  std::vector<std::uint32_t>& label = sweep.components.label;
-  label.assign(n, kInvalidNode);
-  std::vector<NodeId> seeds;
-  for (NodeId s = 0; s < n; ++s) {
-    if (!node_active(live, s) || label[s] != kInvalidNode) continue;
-    const std::uint32_t id = sweep.components.count++;
-    NodeId seed = s;
-    label[s] = id;
-    bfs(s, [&](NodeId /*u*/, NodeId v) {
-      if (label[v] != kInvalidNode) return false;
-      label[v] = id;
-      if (mask[v] && (!mask[seed] || v < seed)) seed = v;
-      return true;
-    });
-    seeds.push_back(seed);
-  }
-
-  // One weakly induced BFS per component, from its seed alone.
-  std::vector<bool> reached(n, false);
-  for (const NodeId s : seeds) {
-    reached[s] = true;
-    bfs(s, [&](NodeId u, NodeId v) {
-      if (reached[v] || (!mask[u] && !mask[v])) return false;
-      reached[v] = true;
-      return true;
-    });
-  }
+  // Label the live components, then seed each one at its smallest member
+  // of `mask` (its smallest node when it has none).
+  const auto live_node = [&](NodeId u) { return node_active(live, u); };
+  graph::LocalBfs bfs;
+  sweep.components = graph::label_components(
+      g, bfs, live_node, [&](NodeId /*u*/, NodeId v) { return live_node(v); });
+  const std::vector<std::uint32_t>& label = sweep.components.label;
+  std::vector<NodeId> seeds(sweep.components.count, kInvalidNode);
   for (NodeId u = 0; u < n; ++u) {
-    if (node_active(live, u) && !reached[u]) {
+    if (label[u] == kInvalidNode) continue;
+    NodeId& seed = seeds[label[u]];
+    if (seed == kInvalidNode || (mask[u] && !mask[seed])) seed = u;
+  }
+
+  // One weakly induced BFS from every seed at once: components share no
+  // edge, so each is swept from its own seed alone.
+  bfs.run(g, seeds, kUnreachable, [&](NodeId u, NodeId v) {
+    return live_node(v) && (mask[u] || mask[v]);
+  });
+  for (NodeId u = 0; u < n; ++u) {
+    if (live_node(u) && bfs.distance(u) == kUnreachable) {
       sweep.unreached = u;
       break;
     }

@@ -28,14 +28,9 @@ void FrameContext::unicast(NodeId dst, sim::MessageType type,
   owner_.queue_frame(*this, type, dst, payload);
 }
 
-HardenedNode::HardenedNode(std::unique_ptr<sim::ProtocolNode> inner,
-                           RetransmitOptions options)
-    : inner_(std::move(inner)), options_(options), rto_(options.initial_rto) {
+HardenedNode::HardenedNode(std::unique_ptr<sim::ProtocolNode> inner)
+    : inner_(std::move(inner)) {
   WCDS_REQUIRE(inner_ != nullptr, "HardenedNode: null wrapped protocol");
-  WCDS_REQUIRE(options_.initial_rto >= 1 &&
-                   options_.max_rto >= options_.initial_rto &&
-                   options_.max_burst >= 1,
-               "HardenedNode: invalid RetransmitOptions");
 }
 
 void HardenedNode::on_start(sim::Context& ctx) {
@@ -180,7 +175,7 @@ void HardenedNode::handle_ack(const sim::Message& msg) {
     outstanding_.pop_front();
   }
   // Progress: the network is moving again, so restart the backoff ladder.
-  rto_ = options_.initial_rto;
+  rto_ = kInitialRto;
 }
 
 void HardenedNode::arm_timer(sim::Context& ctx) {
@@ -193,12 +188,12 @@ void HardenedNode::on_timer(sim::Context& ctx, std::uint64_t token) {
   if (token != timer_gen_) return;  // superseded by a later arming
   timer_active_ = false;
   if (outstanding_.empty()) return;  // all settled; clock winds down
-  const std::size_t burst = std::min(options_.max_burst, outstanding_.size());
+  const std::size_t burst = std::min(kMaxBurst, outstanding_.size());
   for (std::size_t i = 0; i < burst; ++i) {
     broadcast_frame(ctx, outstanding_[i]);
     ++stats_.retransmits;
   }
-  rto_ = std::min(rto_ * 2, options_.max_rto);
+  rto_ = std::min(rto_ * 2, kMaxRto);
   arm_timer(ctx);
 }
 

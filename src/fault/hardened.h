@@ -14,9 +14,10 @@
 //    (the highest seq received contiguously); a frame is settled when every
 //    neighbor's cumulative ack covers it.
 //  - Unsettled frames are rebroadcast on a retransmit timer with capped
-//    exponential backoff (RetransmitOptions); ack progress resets the
-//    backoff.  Crashed neighbors simply ack late — crash means radio off,
-//    state kept — so retransmit-until-recovery is sufficient for liveness.
+//    exponential backoff (kInitialRto, kMaxRto, kMaxBurst); ack progress
+//    resets the backoff.  Crashed neighbors simply ack late — crash means
+//    radio off, state kept — so retransmit-until-recovery is sufficient for
+//    liveness.
 //  - The receiver holds a per-sender reorder buffer and delivers frames to
 //    the wrapped protocol in seq order, exactly once, filtered by orig_dst.
 //    The wrapped protocol therefore runs over what is effectively an
@@ -50,14 +51,12 @@ enum HardenedMessageType : sim::MessageType {
 // Trace name for the transport frame types (null for foreign types).
 [[nodiscard]] const char* hardened_message_name(sim::MessageType type);
 
-// Retransmit clock: first timeout `initial_rto`, doubled per silent timeout
-// up to `max_rto`, reset on cumulative-ack progress.  At most `max_burst`
+// Retransmit clock: first timeout kInitialRto, doubled per silent timeout
+// up to kMaxRto, reset on cumulative-ack progress.  At most kMaxBurst
 // unsettled frames are rebroadcast per timeout.
-struct RetransmitOptions {
-  sim::SimTime initial_rto = 8;
-  sim::SimTime max_rto = 64;
-  std::size_t max_burst = 16;
-};
+inline constexpr sim::SimTime kInitialRto = 8;
+inline constexpr sim::SimTime kMaxRto = 64;
+inline constexpr std::size_t kMaxBurst = 16;
 
 // Per-node transport counters, folded into `fault/*` metrics by
 // record_transport_metrics().
@@ -100,8 +99,7 @@ class FrameContext final : public sim::Context {
 
 class HardenedNode final : public sim::ProtocolNode {
  public:
-  explicit HardenedNode(std::unique_ptr<sim::ProtocolNode> inner,
-                        RetransmitOptions options = {});
+  explicit HardenedNode(std::unique_ptr<sim::ProtocolNode> inner);
 
   void on_start(sim::Context& ctx) override;
   void on_receive(sim::Context& ctx, const sim::Message& msg) override;
@@ -146,7 +144,6 @@ class HardenedNode final : public sim::ProtocolNode {
   [[nodiscard]] std::size_t peer_index(NodeId node) const;
 
   std::unique_ptr<sim::ProtocolNode> inner_;
-  RetransmitOptions options_;
   TransportStats stats_;
 
   // Peers in CSR order plus a sorted (node, index) lookup table.
@@ -167,7 +164,7 @@ class HardenedNode final : public sim::ProtocolNode {
 
   // Retransmit clock; timers cannot be cancelled, so stale fires are
   // filtered by generation token.
-  sim::SimTime rto_ = 0;
+  sim::SimTime rto_ = kInitialRto;
   std::uint64_t timer_gen_ = 0;
   bool timer_active_ = false;
 };

@@ -1,8 +1,9 @@
 #include "graph/spanning_tree.h"
 
 #include <algorithm>
-#include <queue>
 #include <stack>
+
+#include "graph/local_bfs.h"
 
 namespace wcds::graph {
 
@@ -24,21 +25,10 @@ SpanningTree bfs_tree(const Graph& g, NodeId root) {
   tree.root = root;
   tree.parent.assign(g.node_count(), kInvalidNode);
   tree.level.assign(g.node_count(), kUnreachable);
-  tree.children.assign(g.node_count(), {});
-  std::queue<NodeId> frontier;
-  tree.level[root] = 0;
-  frontier.push(root);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (NodeId v : g.neighbors(u)) {
-      if (tree.level[v] == kUnreachable) {
-        tree.level[v] = tree.level[u] + 1;
-        tree.parent[v] = u;
-        tree.children[u].push_back(v);
-        frontier.push(v);
-      }
-    }
+  LocalBfs bfs;
+  for (const NodeId v : bfs.run(g, root, kUnreachable)) {
+    tree.level[v] = bfs.distance(v);
+    tree.parent[v] = bfs.parent(v);
   }
   return tree;
 }
@@ -48,7 +38,6 @@ SpanningTree dfs_tree(const Graph& g, NodeId root) {
   tree.root = root;
   tree.parent.assign(g.node_count(), kInvalidNode);
   tree.level.assign(g.node_count(), kUnreachable);
-  tree.children.assign(g.node_count(), {});
   std::stack<NodeId> stack;
   tree.level[root] = 0;
   stack.push(root);
@@ -59,7 +48,6 @@ SpanningTree dfs_tree(const Graph& g, NodeId root) {
       if (tree.level[v] == kUnreachable && v != root) {
         tree.level[v] = tree.level[u] + 1;
         tree.parent[v] = u;
-        tree.children[u].push_back(v);
         stack.push(v);
       }
     }
@@ -70,7 +58,7 @@ SpanningTree dfs_tree(const Graph& g, NodeId root) {
 bool is_valid_tree(const SpanningTree& tree, const Graph& g) {
   const std::size_t n = g.node_count();
   if (tree.parent.size() != n || tree.level.size() != n ||
-      tree.children.size() != n || tree.root >= n) {
+      tree.root >= n) {
     return false;
   }
   if (tree.parent[tree.root] != kInvalidNode || tree.level[tree.root] != 0) {
@@ -86,10 +74,6 @@ bool is_valid_tree(const SpanningTree& tree, const Graph& g) {
     if (p == kInvalidNode || p >= n) return false;
     if (!g.has_edge(u, p)) return false;
     if (tree.level[u] != tree.level[p] + 1) return false;
-    const auto& siblings = tree.children[p];
-    if (std::find(siblings.begin(), siblings.end(), u) == siblings.end()) {
-      return false;
-    }
   }
   return true;
 }

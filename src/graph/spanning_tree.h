@@ -19,7 +19,6 @@ struct SpanningTree {
   NodeId root = kInvalidNode;
   std::vector<NodeId> parent;       // parent[root] == kInvalidNode
   std::vector<HopCount> level;      // level[root] == 0; kUnreachable if off-tree
-  std::vector<std::vector<NodeId>> children;
 
   [[nodiscard]] std::size_t node_count() const { return parent.size(); }
   // True iff every node is on the tree (graph connected).
@@ -27,14 +26,16 @@ struct SpanningTree {
   [[nodiscard]] HopCount depth() const;
 };
 
-// BFS spanning tree rooted at `root`; levels equal hop distance from root.
+// BFS spanning tree rooted at `root`, one LocalBfs run: levels equal hop
+// distance from root, and a node's parent is the node that discovered it.
 [[nodiscard]] SpanningTree bfs_tree(const Graph& g, NodeId root);
 
 // DFS spanning tree rooted at `root` (the "arbitrary" tree alternative);
 // levels equal *tree* distance from the root, not graph distance.
 [[nodiscard]] SpanningTree dfs_tree(const Graph& g, NodeId root);
 
-// Validates parent/level/children mutual consistency and acyclicity.
+// Validates parent/level consistency (every tree node's parent is a
+// neighbor one level up, so following parents reaches the root).
 [[nodiscard]] bool is_valid_tree(const SpanningTree& tree, const Graph& g);
 
 }  // namespace wcds::graph

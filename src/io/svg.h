@@ -16,22 +16,13 @@
 
 namespace wcds::io {
 
-struct SvgOptions {
-  double canvas_px = 900.0;   // longest side in pixels
-  double margin_px = 24.0;
-  double node_radius_px = 3.5;
-  bool draw_udg_edges = true;      // light background edges
-  bool draw_spanner_edges = true;  // dark backbone-incident edges
-};
-
-// Render the deployment with its WCDS.  `wcds` may be empty-initialized
-// (default WcdsResult) to draw the bare UDG.
+// Render the deployment with its WCDS on a 900 px square canvas with a
+// 24 px margin.  `wcds` may be empty-initialized (default WcdsResult) to
+// draw the bare UDG.
 void write_svg(std::ostream& os, const std::vector<geom::Point>& points,
-               const graph::Graph& g, const core::WcdsResult& wcds,
-               const SvgOptions& options = {});
+               const graph::Graph& g, const core::WcdsResult& wcds);
 
 void save_svg(const std::string& path, const std::vector<geom::Point>& points,
-              const graph::Graph& g, const core::WcdsResult& wcds,
-              const SvgOptions& options = {});
+              const graph::Graph& g, const core::WcdsResult& wcds);
 
 }  // namespace wcds::io

@@ -1,14 +1,13 @@
-// Minimal dependency-free JSON value, writer and parser for the
-// observability export path (docs/OBSERVABILITY.md documents the schema).
+// Minimal dependency-free JSON value and writer for the observability
+// export path (docs/OBSERVABILITY.md documents the schema).
 //
 // Design choices, sized to this repo's needs:
 //  * objects preserve insertion order so every exported document has a
 //    stable, diff-friendly key order;
 //  * numbers are doubles, printed without a fraction when integral and with
-//    max_digits10 precision otherwise, so dump -> parse round-trips exactly
-//    for every value the exporter produces;
-//  * the parser accepts standard JSON (it exists so tests and CI can
-//    round-trip and validate what the writer emits).
+//    max_digits10 precision otherwise, so a reader round-trips exactly
+//    every value the exporter produces (the tests read documents back with
+//    their own parser; CI validates them in Python).
 #pragma once
 
 #include <cstdint>
@@ -71,10 +70,6 @@ class Json {
   // Serialize; indent < 0 emits compact single-line JSON, otherwise
   // pretty-prints with `indent` spaces per level.
   [[nodiscard]] std::string dump(int indent = 2) const;
-
-  // Parse standard JSON; throws std::invalid_argument with byte offset on
-  // malformed input.
-  [[nodiscard]] static Json parse(std::string_view text);
 
  private:
   explicit Json(Array value) : value_(std::move(value)) {}

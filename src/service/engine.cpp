@@ -267,8 +267,8 @@ bool ServingEngine::crashed(NodeId node, std::uint32_t at_time) const {
 bool ServingEngine::transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
                              std::uint32_t& now, Outcome& out) const {
   const std::uint32_t max_attempts = std::max(1u, opts_.max_attempts_per_hop);
-  std::uint32_t backoff = opts_.retry_timeout;
-  const std::uint32_t backoff_cap = opts_.retry_timeout * 16;
+  std::uint32_t backoff = kRetryTimeout;
+  constexpr std::uint32_t kBackoffCap = kRetryTimeout * 16;
   for (std::uint32_t attempt = 1;; ++attempt) {
     ++now;  // one transmission slot
     bool ok = true;
@@ -291,7 +291,7 @@ bool ServingEngine::transmit(NodeId from, NodeId to, geom::Xoshiro256ss& rng,
     if (attempt == max_attempts) return false;
     ++out.retries;
     now += backoff;  // wait out the retransmission timer
-    backoff = std::min(backoff * 2, backoff_cap);
+    backoff = std::min(backoff * 2, kBackoffCap);
   }
 }
 
@@ -362,9 +362,11 @@ bool ServingEngine::offers(NodeId node, ServiceId service) const {
 
 Outcome ServingEngine::serve(const Request& request,
                              std::uint64_t request_index) const {
-  WCDS_DCHECK(request.src < g_.node_count(), "serve: source out of range");
-  WCDS_DCHECK(request.service < registry_.service_count(),
-              "serve: service out of range");
+  WCDS_REQUIRE_BOUNDS(request.src < g_.node_count(),
+                      "serve: source " << request.src << " out of range");
+  WCDS_REQUIRE_BOUNDS(request.service < registry_.service_count(),
+                      "serve: service " << request.service
+                                        << " out of range");
   Outcome out;
   const NodeId src = request.src;
   const ServiceId s = request.service;
@@ -378,7 +380,7 @@ Outcome ServingEngine::serve(const Request& request,
   }
 
   geom::Xoshiro256ss rng = request_rng(
-      opts_.faults != nullptr ? opts_.faults->seed : 0, opts_.rng_salt,
+      opts_.faults != nullptr ? opts_.faults->seed : 0, kRngSalt,
       request_index);
   std::uint32_t now = 0;
 

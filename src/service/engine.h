@@ -55,6 +55,13 @@
 
 namespace wcds::service {
 
+// Latency units waited before a hop's first retransmission; doubles per
+// further attempt, capped at 16x.
+inline constexpr std::uint32_t kRetryTimeout = 2;
+
+// Salt folded into every per-request RNG stream.
+inline constexpr std::uint64_t kRngSalt = 0x5e4f1ceULL;
+
 struct ServingOptions {
   BloomParams bloom;
 
@@ -66,17 +73,10 @@ struct ServingOptions {
   // dropped (1 = no retries).
   std::uint32_t max_attempts_per_hop = 8;
 
-  // Latency units waited before the first retransmission; doubles per
-  // further attempt, capped at 16x.
-  std::uint32_t retry_timeout = 2;
-
   // serve_batch records `service/stretch` for every stride-th delivered
   // request (hop distance needs a BFS, too costly for every request).
   // 0 disables stretch sampling.
   std::uint32_t stretch_sample_stride = 0;
-
-  // Extra salt folded into every per-request RNG stream.
-  std::uint64_t rng_salt = 0x5e4f1ceULL;
 };
 
 struct Request {
@@ -133,14 +133,17 @@ class ServingEngine {
                 const ServingOptions& options = {});
 
   // Serve one request.  Pure: identical (request, request_index) always
-  // yield the identical Outcome, whatever thread calls it.
+  // yield the identical Outcome, whatever thread calls it.  Throws
+  // std::out_of_range unless request.src < n and request.service <
+  // registry().service_count(), in every build.
   [[nodiscard]] Outcome serve(const Request& request,
                               std::uint64_t request_index) const;
 
   // Serve a batch through parallel::parallel_for (one outcome slot per
   // request, merged in index order -> byte-identical at any thread count),
   // then aggregate stats and record service/* metrics serially.  Metrics go
-  // to `recorder`, else the ambient global recorder, else nowhere.
+  // to `recorder`, else the ambient global recorder, else nowhere.  An
+  // out-of-range request throws as serve() does.
   BatchStats serve_batch(std::span<const Request> requests,
                          std::span<Outcome> outcomes,
                          obs::Recorder* recorder = nullptr) const;

@@ -1,12 +1,13 @@
 #include "wcds/resilient.h"
 
 #include <algorithm>
-#include <queue>
 #include <utility>
 #include <vector>
 
 #include "check/check.h"
+#include "graph/bfs.h"
 #include "graph/biconnected.h"
+#include "graph/local_bfs.h"
 #include "graph/subgraph.h"
 #include "obs/metrics.h"
 
@@ -48,64 +49,37 @@ std::size_t add_mfold_layers(const graph::Graph& g, std::vector<bool>& mask,
 // nodes of a BFS-shortest ear between the lowest-labeled fragment and the
 // nearest other one.  Returns how many nodes were promoted (0 when v's
 // split is unmergeable, i.e. v is a cut vertex of G itself).
-std::size_t patch_crash_of(const graph::Graph& g, std::vector<bool>& mask,
-                           NodeId v, std::vector<NodeId>& added) {
+std::size_t patch_crash_of(const graph::Graph& g, graph::LocalBfs& bfs,
+                           std::vector<bool>& mask, NodeId v,
+                           std::vector<NodeId>& added) {
   const std::size_t n = g.node_count();
-  constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
-  std::queue<NodeId> frontier;
 
   // Fragment labels: weakly-induced reachability of the surviving
-  // dominators in G - v (gray nodes inherit the label of the fragment that
+  // dominators in G - v (gray nodes take the label of the fragment that
   // reaches them; every fragment holds a dominator because every H-edge
   // has a black endpoint).
   const auto survivor = [&](NodeId u) { return u != v && mask[u]; };
-  std::vector<std::uint32_t> frag(n, kNone);
-  std::uint32_t frag_count = 0;
-  for (NodeId d = 0; d < n; ++d) {
-    if (!survivor(d) || frag[d] != kNone) continue;
-    const std::uint32_t label = frag_count++;
-    frag[d] = label;
-    frontier.push(d);
-    while (!frontier.empty()) {
-      const NodeId u = frontier.front();
-      frontier.pop();
-      for (NodeId w : g.neighbors(u)) {
-        if (w == v || frag[w] != kNone) continue;
-        if (!survivor(u) && !survivor(w)) continue;
-        frag[w] = label;
-        frontier.push(w);
-      }
-    }
-  }
-  if (frag_count <= 1) return 0;
+  const graph::Components fragments = graph::label_components(
+      g, bfs, survivor, [&](NodeId u, NodeId w) {
+        return w != v && (survivor(u) || survivor(w));
+      });
+  if (fragments.count <= 1) return 0;
+  const std::vector<std::uint32_t>& frag = fragments.label;
 
   // Component labels of G - v: fragments in different components are
   // unmergeable (v cuts the radio graph itself) and stay excused.
-  std::vector<std::uint32_t> comp(n, kNone);
-  std::uint32_t comp_count = 0;
-  for (NodeId s = 0; s < n; ++s) {
-    if (s == v || comp[s] != kNone) continue;
-    const std::uint32_t label = comp_count++;
-    comp[s] = label;
-    frontier.push(s);
-    while (!frontier.empty()) {
-      const NodeId u = frontier.front();
-      frontier.pop();
-      for (NodeId w : g.neighbors(u)) {
-        if (w == v || comp[w] != kNone) continue;
-        comp[w] = label;
-        frontier.push(w);
-      }
-    }
-  }
+  const graph::Components components = graph::label_components(
+      g, bfs, [&](NodeId s) { return s != v; },
+      [&](NodeId /*u*/, NodeId w) { return w != v; });
+  const std::vector<std::uint32_t>& comp = components.label;
 
   // Lowest fragment label per component (the ear's source side).
-  std::vector<std::uint32_t> comp_frag(comp_count, kNone);
-  std::vector<bool> comp_split(comp_count, false);
+  std::vector<std::uint32_t> comp_frag(components.count, kInvalidNode);
+  std::vector<bool> comp_split(components.count, false);
   for (NodeId u = 0; u < n; ++u) {
-    if (u == v || frag[u] == kNone) continue;
+    if (u == v || frag[u] == kInvalidNode) continue;
     std::uint32_t& f = comp_frag[comp[u]];
-    if (f == kNone) {
+    if (f == kInvalidNode) {
       f = frag[u];
     } else if (f != frag[u]) {
       comp_split[comp[u]] = true;
@@ -113,37 +87,26 @@ std::size_t patch_crash_of(const graph::Graph& g, std::vector<bool>& mask,
     }
   }
 
+  // One ear per split component: a BFS from every node of the source
+  // fragment at once that stops discovering at the first node of another
+  // fragment; the ear is that node's chain of discoverers.
   std::size_t promoted = 0;
-  std::vector<bool> seen(n, false);
-  std::vector<NodeId> parent(n, kInvalidNode);
-  for (std::uint32_t c = 0; c < comp_count; ++c) {
+  std::vector<NodeId> sources;
+  for (std::uint32_t c = 0; c < components.count; ++c) {
     if (!comp_split[c]) continue;
     const std::uint32_t source = comp_frag[c];
-    seen.assign(n, false);
-    parent.assign(n, kInvalidNode);
-    while (!frontier.empty()) frontier.pop();
+    sources.clear();
     for (NodeId u = 0; u < n; ++u) {
-      if (u == v || frag[u] != source || comp[u] != c) continue;
-      seen[u] = true;
-      frontier.push(u);
+      if (frag[u] == source && comp[u] == c) sources.push_back(u);
     }
     NodeId hit = kInvalidNode;
-    while (!frontier.empty() && hit == kInvalidNode) {
-      const NodeId u = frontier.front();
-      frontier.pop();
-      for (NodeId w : g.neighbors(u)) {
-        if (w == v || seen[w]) continue;
-        seen[w] = true;
-        parent[w] = u;
-        if (frag[w] != kNone && frag[w] != source) {
-          hit = w;
-          break;
-        }
-        frontier.push(w);
-      }
-    }
+    bfs.run(g, sources, kUnreachable, [&](NodeId /*u*/, NodeId w) {
+      if (hit != kInvalidNode || w == v) return false;
+      if (frag[w] != kInvalidNode && frag[w] != source) hit = w;
+      return true;
+    });
     if (hit == kInvalidNode) continue;  // lone fragment was mislabeled split
-    for (NodeId x = hit; x != kInvalidNode; x = parent[x]) {
+    for (NodeId x = hit; x != kInvalidNode; x = bfs.parent(x)) {
       if (mask[x]) continue;
       mask[x] = true;
       added.push_back(x);
@@ -180,13 +143,14 @@ ResilienceReport augment_resilience(const graph::Graph& g, WcdsResult& result,
     // backbone.  Every productive round promotes at least one node, so the
     // loop terminates; a round that promotes nothing means every remaining
     // cut vertex is a cut vertex of G itself (excused per component).
+    graph::LocalBfs bfs;  // every search of every patch runs on it
     while (true) {
       const graph::Graph h = graph::weakly_induced_subgraph(g, result.mask);
       const auto blocks = graph::biconnected_components(h);
       std::size_t promoted = 0;
       for (NodeId v = 0; v < n; ++v) {
         if (!result.mask[v] || !blocks.is_cut_vertex[v]) continue;
-        promoted += patch_crash_of(g, result.mask, v, added);
+        promoted += patch_crash_of(g, bfs, result.mask, v, added);
       }
       if (promoted == 0) break;
       report.ear_dominators += promoted;

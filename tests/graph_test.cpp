@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "bfs_reference.h"
 #include "geom/workload.h"
 #include "graph/bfs.h"
 #include "graph/diameter.h"
@@ -103,11 +104,16 @@ TEST(Bfs, DisconnectedUnreachable) {
 
 TEST(Bfs, MultiSource) {
   const Graph g = path_graph(7);
-  const NodeId sources[] = {0, 6};
-  const auto dist = multi_source_bfs(g, sources);
-  EXPECT_EQ(dist[3], 3u);
-  EXPECT_EQ(dist[5], 1u);
-  EXPECT_EQ(dist[0], 0u);
+  const NodeId sources[] = {6, 0, 6};
+  LocalBfs bfs;
+  const auto order = bfs.run(g, sources, kUnreachable);
+  EXPECT_EQ(std::vector<NodeId>(order.begin(), order.end()),
+            (std::vector<NodeId>{6, 0, 5, 1, 4, 2, 3}));
+  EXPECT_EQ(bfs.distance(3), 3u);
+  EXPECT_EQ(bfs.distance(5), 1u);
+  EXPECT_EQ(bfs.distance(0), 0u);
+  EXPECT_EQ(bfs.parent(3), 4u);  // discovered from 6's side, visited first
+  EXPECT_EQ(bfs.parent(6), kInvalidNode);
 }
 
 TEST(Bfs, HopDistancePair) {
@@ -139,33 +145,13 @@ TEST(Bfs, Eccentricity) {
   EXPECT_EQ(eccentricity(g, 2), 2u);
 }
 
-TEST(Bfs, Ball) {
-  const Graph g = path_graph(9);
-  const auto b2 = ball(g, 4, 2);
-  EXPECT_EQ(b2.size(), 5u);  // 2,3,4,5,6
-  EXPECT_TRUE(std::find(b2.begin(), b2.end(), 4u) != b2.end());
-  EXPECT_TRUE(std::find(b2.begin(), b2.end(), 6u) != b2.end());
-  EXPECT_FALSE(std::find(b2.begin(), b2.end(), 7u) != b2.end());
-}
-
-TEST(Bfs, BallIsAscending) {
-  const auto inst = testing::connected_udg(300, 10.0, 4);
-  const auto b = ball(inst.g, 17, 3);
-  EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
-  const auto dist = bfs_distances(inst.g, 17);
-  std::vector<NodeId> expected;
-  for (NodeId u = 0; u < inst.g.node_count(); ++u) {
-    if (dist[u] <= 3) expected.push_back(u);
-  }
-  EXPECT_EQ(b, expected);
-}
-
-// Checks one LocalBfs run against a full BFS truncated at `radius`: the
-// ball's members and distances, center first, distances non-decreasing.
+// Checks one LocalBfs run against the oracle's queue BFS truncated at
+// `radius`: the ball's members and distances, center first, distances
+// non-decreasing.
 template <class Bfs>
 void expect_ball(Bfs& bfs, const Graph& g, NodeId center, HopCount radius) {
   const auto members = bfs.run(g, center, radius);
-  const auto dist = bfs_distances(g, center);
+  const auto dist = testing::reference::bfs_distances(g, center);
   ASSERT_FALSE(members.empty());
   EXPECT_EQ(members.front(), center);
   std::size_t inside = 0;
@@ -311,7 +297,8 @@ TEST(SpanningTree, StarDepthOne) {
   const Graph g = star_graph(6);
   const auto tree = bfs_tree(g, 0);
   EXPECT_EQ(tree.depth(), 1u);
-  EXPECT_EQ(tree.children[0].size(), 6u);
+  EXPECT_EQ(std::count(tree.parent.begin(), tree.parent.end(), NodeId{0}),
+            6);
 }
 
 TEST(Subgraph, WeaklyInducedKeepsIncidentEdges) {

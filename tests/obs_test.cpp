@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "check/check.h"
+#include "json_reader.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -204,7 +205,7 @@ TEST(Json, DumpParsesBackExactly) {
   arr.push_back(obs::Json::object());
 
   for (const int indent : {-1, 0, 2}) {
-    const auto parsed = obs::Json::parse(doc.dump(indent));
+    const auto parsed = testing::parse_json(doc.dump(indent));
     EXPECT_EQ(parsed.dump(indent), doc.dump(indent)) << "indent " << indent;
     EXPECT_EQ(parsed.at("string").as_string(), doc.at("string").as_string());
     EXPECT_DOUBLE_EQ(parsed.at("tiny").as_number(), 1e-9);
@@ -227,12 +228,12 @@ TEST(Json, ObjectsPreserveInsertionOrder) {
 }
 
 TEST(Json, ParseRejectsMalformedInput) {
-  EXPECT_THROW((void)obs::Json::parse("{"), std::invalid_argument);
-  EXPECT_THROW((void)obs::Json::parse("[1, 2,]"), std::invalid_argument);
-  EXPECT_THROW((void)obs::Json::parse("\"unterminated"), std::invalid_argument);
-  EXPECT_THROW((void)obs::Json::parse("{\"a\": 1} trailing"),
+  EXPECT_THROW((void)testing::parse_json("{"), std::invalid_argument);
+  EXPECT_THROW((void)testing::parse_json("[1, 2,]"), std::invalid_argument);
+  EXPECT_THROW((void)testing::parse_json("\"unterminated"), std::invalid_argument);
+  EXPECT_THROW((void)testing::parse_json("{\"a\": 1} trailing"),
                std::invalid_argument);
-  EXPECT_THROW((void)obs::Json::parse("nul"), std::invalid_argument);
+  EXPECT_THROW((void)testing::parse_json("nul"), std::invalid_argument);
 }
 
 TEST(Json, MissingKeyThrowsOutOfRange) {
@@ -253,7 +254,7 @@ TEST(Json, RunRecordingRoundTrips) {
   ASSERT_TRUE(run.stats.quiescent);
   const auto snap = recorder.snapshot();
 
-  const auto parsed = obs::Json::parse(obs::to_json(snap).dump(2));
+  const auto parsed = testing::parse_json(obs::to_json(snap).dump(2));
   for (const auto& [name, count] : snap.counters) {
     EXPECT_DOUBLE_EQ(parsed.at("counters").at(name).as_number(),
                      static_cast<double>(count))

@@ -177,6 +177,30 @@ TEST(Serving, RejectsPlansTheInjectorRejects) {
   }
 }
 
+// serve() indexes per-node and per-service rows with the request's fields,
+// so a source or a service past the end is rejected in every build, also
+// from the workers of serve_batch.
+TEST(Serving, RejectsOutOfRangeRequests) {
+  const auto sc = make_scenario(120, 10.0, 4, 16, 2);
+  const ServingEngine engine(sc.inst.g, sc.wcds, sc.registry);
+  const auto n = static_cast<NodeId>(sc.inst.g.node_count());
+  const auto services = static_cast<ServiceId>(sc.registry.service_count());
+  const std::vector<Request> bad{
+      {n, 0}, {kInvalidNode, 0}, {0, services}, {0, kInvalidService}};
+  const auto good = uniform_requests(sc.registry, 3000, 5);
+  for (const Request& request : bad) {
+    EXPECT_THROW((void)engine.serve(request, 0), std::out_of_range);
+    std::vector<Request> batch = good;
+    batch[2500] = request;
+    for (const std::size_t threads : {1u, 2u}) {
+      parallel::ThreadPool pool(threads);
+      parallel::ScopedPool scoped(pool);
+      EXPECT_THROW((void)engine.serve_batch(batch), std::out_of_range)
+          << threads << " threads";
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Resolution vs the flooding oracle
 
